@@ -354,7 +354,6 @@ def _distance_power(dim: int, radius: float, alpha: float) -> SmoothFunction:
 
     # kinks: the boundary sphere and the norm's cone point at the center
     return SmoothFunction(fn, dim, support_radius=radius,
-                          bound=radius ** alpha,
                           kink_points=(tuple(center),),
                           kink_spheres=((tuple(center), radius),))
 

@@ -198,13 +198,6 @@ class KernelSpec:
     def prefactor(self) -> float:
         return normalization_constant(self.dim, self.s) if self.normalized else 1.0
 
-    def comparison_bounds(self, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower/upper kernel bounds at distance ``radius`` from ellipticity."""
-        r = np.asarray(radius, dtype=float)
-        p = self.bounds.exponent
-        base = self.prefactor * r ** (-self.dim - 2.0 * self.s)
-        return base * self.bounds.upper ** (-p), base * self.bounds.lower ** (-p)
-
 
 def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Kernel values K(x_i, y_i) for paired rows (scalar in, scalar out).

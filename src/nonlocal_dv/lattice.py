@@ -20,6 +20,19 @@ integration-by-parts identity
     sum_i (M_L u)_i v_i h^N = -( 1/2 sum_ij W_ij du dv + sum_i u_i v_i T_i ) h^N
 
 exactly, which downstream modules rely on.
+
+Every bilinear pair form goes through ``pair_rows``.  For any weight
+matrix W with row sums r = W 1, expanding the products gives
+
+    rho_i(u, v) = 1/2 Sum_j W_ij (u_j - u_i)(v_j - v_i)
+                = 1/2 [ (W(uv))_i - u_i (Wv)_i - v_i (Wu)_i + r_i u_i v_i ],
+
+so one matrix product with the stacked columns [1, u, v, uv] reads W
+once and builds no n x n difference matrix.  Adding a constant to u or
+v leaves rho unchanged, so both inputs are first shifted by one of
+their own entries: a constant input then gives exactly zero, and a
+nearly constant one keeps its digits instead of losing them to the
+cancellation between the four terms.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ __all__ = [
     "AssembledOperator",
     "assemble",
     "kernel_form",
+    "pair_rows",
     "graph_form",
     "seminorm",
     "dirichlet_solve",
@@ -431,11 +445,15 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     if drift is not None:
         drift_vals = np.asarray(drift(pts), dtype=float)
         far = _drift_far(spec, domain, drift, quad)
-        dh = drift_vals[None, :] - drift_vals[:, None]
-        B = 0.5 * W * dh
-        b_rows = B.sum(axis=1)
-        drift_mat = B[np.ix_(mask, mask)].copy()
-        np.fill_diagonal(drift_mat, np.diag(drift_mat) - b_rows[mask] - 0.5 * far[mask])
+        # B_ij = 1/2 W_ij (h_j - h_i); centring h keeps a constant drift
+        # exactly zero.  Off the diagonal lap equals W on interior pairs.
+        hc = drift_vals - drift_vals[0]
+        hc_int = hc[mask]
+        drift_mat = lap * hc_int
+        drift_mat -= hc_int[:, None] * lap
+        drift_mat *= 0.5
+        b_rows = 0.5 * (W @ hc - hc * row_sums)
+        np.fill_diagonal(drift_mat, -b_rows[mask] - 0.5 * far[mask])
 
     n_int = int(mask.sum())
     if potential is None:
@@ -480,19 +498,14 @@ def kernel_form(op: AssembledOperator, u: np.ndarray, v: np.ndarray | None = Non
     if region_mask is None:
         uf = _full_values(op, u)
         vf = _full_values(op, v)
-        du = uf[None, :] - uf[:, None]
-        dv = vf[None, :] - vf[:, None]
-        inner = 0.5 * float(np.einsum("ij,ij,ij->", op.pair_weights, du, dv))
         tail = float(np.sum(uf * vf * op.box_tail))
-        return (inner + tail) * vol
+        return (graph_form(op.pair_weights, uf, vf) + tail) * vol
     mask = np.asarray(region_mask, dtype=bool)
     sub = op.pair_weights[np.ix_(op.domain.interior_mask, op.domain.interior_mask)]
     sub = sub[np.ix_(mask, mask)]
     uu = np.asarray(u, dtype=float)[mask]
     vv = np.asarray(v, dtype=float)[mask]
-    du = uu[None, :] - uu[:, None]
-    dv = vv[None, :] - vv[:, None]
-    return 0.5 * float(np.einsum("ij,ij,ij->", sub, du, dv)) * vol
+    return graph_form(sub, uu, vv, cell_volume=vol)
 
 
 def seminorm(op: AssembledOperator, u: np.ndarray,
@@ -501,13 +514,27 @@ def seminorm(op: AssembledOperator, u: np.ndarray,
     return math.sqrt(max(kernel_form(op, u, u, region_mask), 0.0))
 
 
+def pair_rows(weights: np.ndarray, u: np.ndarray,
+              v: np.ndarray | None = None) -> np.ndarray:
+    """Per-row pair form rho_i = 1/2 Sum_j W_ij (u_j - u_i)(v_j - v_i).
+
+    Evaluated through the row-sum identity in the module docstring, on
+    inputs centred on their first entry.
+    """
+    u = np.asarray(u, dtype=float)
+    v = u if v is None else np.asarray(v, dtype=float)
+    u = u - u[0]
+    v = v - v[0]
+    cols = np.stack([np.ones_like(u), u, v, u * v], axis=1)
+    r, wu, wv, wuv = (weights @ cols).T
+    return 0.5 * (wuv - u * wv - v * wu + r * u * v)
+
+
 def graph_form(weights: np.ndarray, u: np.ndarray, v: np.ndarray | None = None,
                cell_volume: float = 1.0) -> float:
-    """Pure pair form 1/2 Sum W_ij du dv with no exterior terms."""
-    v = u if v is None else v
-    du = u[None, :] - u[:, None]
-    dv = v[None, :] - v[:, None]
-    return 0.5 * float(np.einsum("ij,ij,ij->", weights, du, dv)) * cell_volume
+    """Pure pair form 1/2 Sum W_ij du dv with no exterior terms: the sum
+    of ``pair_rows``."""
+    return float(pair_rows(weights, u, v).sum()) * cell_volume
 
 
 # --------------------------------------------------------------------------

@@ -38,6 +38,7 @@ __all__ = [
     "drifted_operator",
     "gaussian",
     "bump",
+    "tanh_drift",
     "interval_power",
     "sum_of",
     "scaled",
@@ -64,8 +65,6 @@ class SmoothFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     dim: int
     support_radius: float | None = None
-    bound: float | None = None
-    osc_bound: float | None = None
     kink_points: tuple = ()
     kink_spheres: tuple = ()  # entries (center, radius)
     far_value: float = 0.0  # constant value beyond support_radius
@@ -100,7 +99,7 @@ def gaussian(dim: int, width: float = 1.0, center: Sequence[float] | None = None
 
     # effective support: |g| < 1e-16 amplitude outside ~8.6 widths
     reach = float(np.linalg.norm(c) + 8.6 * width)
-    return SmoothFunction(fn, dim, support_radius=reach, bound=abs(amplitude))
+    return SmoothFunction(fn, dim, support_radius=reach)
 
 
 def bump(dim: int, center: Sequence[float] | None = None, radius: float = 1.0,
@@ -117,7 +116,24 @@ def bump(dim: int, center: Sequence[float] | None = None, radius: float = 1.0,
         return out
 
     reach = float(np.linalg.norm(c) + radius)
-    return SmoothFunction(fn, dim, support_radius=reach, bound=abs(amplitude))
+    return SmoothFunction(fn, dim, support_radius=reach)
+
+
+def tanh_drift(dim: int, amplitude: float = 0.3,
+               slope: float = 2.0) -> SmoothFunction:
+    """Smoothed step a tanh(k x_0) along the first axis, with plateaus +-a.
+
+    For slopes k >= 1/2 the function equals +-a to rounding beyond
+    radius 40, so it is declared with ``far_value=0``: 0 is the mean of
+    the two plateaus over antipodal points x + z and x - z, and that
+    antipodal mean is all the far-field tail term of a centrally
+    symmetric kernel sees of the function.
+    """
+
+    def fn(pts: np.ndarray) -> np.ndarray:
+        return amplitude * np.tanh(slope * pts[:, 0])
+
+    return SmoothFunction(fn, dim, support_radius=40.0)
 
 
 def interval_power(alpha: float, dim: int = 1) -> SmoothFunction:
@@ -131,7 +147,7 @@ def interval_power(alpha: float, dim: int = 1) -> SmoothFunction:
         kinks: dict = {"kink_points": ((-1.0,), (1.0,))}
     else:
         kinks = {"kink_spheres": ((np.zeros(dim), 1.0),)}
-    return SmoothFunction(fn, dim, support_radius=1.0, bound=1.0, **kinks)
+    return SmoothFunction(fn, dim, support_radius=1.0, **kinks)
 
 
 def sum_of(terms: Iterable[SmoothFunction]) -> SmoothFunction:
@@ -145,10 +161,7 @@ def sum_of(terms: Iterable[SmoothFunction]) -> SmoothFunction:
     reach = None if any(r is None for r in radii) else float(max(radii))
     kp = tuple(p for t in terms for p in t.kink_points)
     ks = tuple(p for t in terms for p in t.kink_spheres)
-    bnd = None
-    if all(t.bound is not None for t in terms):
-        bnd = float(sum(t.bound for t in terms))
-    return SmoothFunction(fn, dim, support_radius=reach, bound=bnd,
+    return SmoothFunction(fn, dim, support_radius=reach,
                           kink_points=kp, kink_spheres=ks,
                           far_value=float(sum(t.far_value for t in terms)))
 
@@ -156,7 +169,6 @@ def sum_of(terms: Iterable[SmoothFunction]) -> SmoothFunction:
 def scaled(f: SmoothFunction, factor: float) -> SmoothFunction:
     return SmoothFunction(lambda pts: factor * f(pts), f.dim,
                           support_radius=f.support_radius,
-                          bound=None if f.bound is None else abs(factor) * f.bound,
                           kink_points=f.kink_points, kink_spheres=f.kink_spheres,
                           far_value=factor * f.far_value)
 
@@ -165,7 +177,6 @@ def shifted(f: SmoothFunction, constant: float) -> SmoothFunction:
     """f + constant; keeps the support bookkeeping via far_value."""
     return SmoothFunction(lambda pts: f(pts) + constant, f.dim,
                           support_radius=f.support_radius,
-                          bound=None if f.bound is None else f.bound + abs(constant),
                           kink_points=f.kink_points, kink_spheres=f.kink_spheres,
                           far_value=f.far_value + constant)
 
@@ -189,7 +200,6 @@ class QuadratureScheme:
     polar_order: int = 8
     panel_ratio: float = 2.0
     tail_tolerance: float = 1e-6
-    tail_estimate_enabled: bool = True
     far_cap: float = 1e12
 
     def __post_init__(self) -> None:
@@ -402,9 +412,7 @@ def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
 
     offsets = np.concatenate(chunks_o)
     weights = np.concatenate(chunks_w)
-    tail_mass, tail_rest = 0.0, 0.0
-    if quad.tail_estimate_enabled:
-        tail_mass, tail_rest = _tail_mass(spec, x, dirs, aw, r_target, quad)
+    tail_mass, tail_rest = _tail_mass(spec, x, dirs, aw, r_target, quad)
 
     rule = PointRule(x=x, offsets=offsets, weights=weights, tail_mass=tail_mass,
                      tail_bound=tail_rest + quad.tail_tolerance,

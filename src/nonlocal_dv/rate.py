@@ -24,8 +24,11 @@ from .lattice import (
     AssembledOperator,
     GridFunction,
     LatticeDomain,
+    _full_values,
     assemble,
+    graph_form,
     kernel_form,
+    pair_rows,
 )
 from .operators import SmoothFunction
 from .spectral import principal_eigenpair
@@ -52,20 +55,6 @@ class DensitySpec:
         if self.lambda_ <= 0.0:
             raise DomainError("scale parameter must be positive")
 
-    def rescaled(self, lam: float) -> "DensitySpec":
-        """Concentrate around the center: x maps to center + lam*(x - center)."""
-        if lam <= 0.0:
-            raise DomainError("scale parameter must be positive")
-        base, center, dim = self.f, self.center, self.f.dim
-
-        def fn(pts):
-            return base((pts - center) / lam) / lam**dim
-
-        reach = float(np.linalg.norm(center)) + lam * base.support_radius
-        scaled_f = SmoothFunction(fn, dim, support_radius=reach,
-                                  bound=base.bound / lam**dim)
-        return replace(self, f=scaled_f, lambda_=self.lambda_ * lam)
-
     def mass(self, domain: LatticeDomain) -> float:
         vals = self.f(domain.interior_points)
         return float(vals.sum()) * domain.cell_volume
@@ -87,13 +76,6 @@ class DensitySpec:
         return vals / total if renormalize else vals
 
 
-@dataclass(frozen=True)
-class ExponentParam:
-    """Log of a positive candidate, so the candidate e^w is positive for free."""
-
-    w: GridFunction
-
-
 def density_lattice(f: DensitySpec, cells: int | None = None,
                     margin: float = 1.0, pad: float = 0.5) -> LatticeDomain:
     """Interval/box lattice covering the density support plus padding."""
@@ -107,14 +89,6 @@ def density_lattice(f: DensitySpec, cells: int | None = None,
         return LatticeDomain.interval(float(lower[0]), float(upper[0]),
                                       cells, margin=margin)
     return LatticeDomain.box(lower, upper, [cells] * dim, margin=margin)
-
-
-def _shifted_apply(op: AssembledOperator, values: np.ndarray,
-                   far_value: float) -> np.ndarray:
-    # the assembled matrix embeds data by zero; a constant far state is
-    # handled exactly by applying to (values - far), since constants are
-    # annihilated by both the kernel and the drift blocks
-    return op.matrix @ (values - far_value)
 
 
 def rayleigh_integral(
@@ -138,7 +112,10 @@ def rayleigh_integral(
     uv = u.values
     if uv[supp].min() <= 0.0:
         raise DomainError("candidate must be positive on the density support")
-    applied = _shifted_apply(op, uv, far_value)
+    # the assembled matrix embeds data by zero; a constant far state is
+    # handled exactly by applying to (values - far), since constants are
+    # annihilated by both the kernel and the drift blocks
+    applied = op.matrix @ (uv - far_value)
     return float(fv[supp] @ (applied[supp] / uv[supp])) * u.domain.cell_volume
 
 
@@ -168,11 +145,8 @@ def drift_pairing(op: AssembledOperator, f_values: np.ndarray) -> float:
     if op.drift_values is None:
         return 0.0
     mask = op.domain.interior_mask
-    full = np.zeros(len(op.domain.points))
-    full[mask] = f_values
-    dh = op.drift_values[None, :] - op.drift_values[:, None]
-    df = full[None, :] - full[:, None]
-    inner = 0.5 * float(np.einsum("ij,ij,ij->", op.pair_weights, df, dh))
+    inner = graph_form(op.pair_weights, _full_values(op, f_values),
+                       op.drift_values)
     far = float(f_values @ op.drift_far[mask])
     return (inner - far) * op.domain.cell_volume
 
@@ -214,7 +188,6 @@ def I_decomposed(
     f: DensitySpec,
     h: SmoothFunction | None,
     spec: KernelSpec,
-    w_init: ExponentParam | None = None,
     domain: LatticeDomain | None = None,
     tol: float = 1e-8,
     max_iter: int = 500,
@@ -224,7 +197,8 @@ def I_decomposed(
 
     Returns (I_value, E_value, w_min) with I = energy(sqrt f) - pairing/2 - E
     and E the minimum of the hyperbolic form over exponent fields, found by
-    quasi-Newton descent started from w_init (zero by default).  Pass a
+    quasi-Newton descent started from the zero field.  w_min is the
+    minimizing exponent field on the interior nodes.  Pass a
     pre-assembled operator to skip the assembly; it must carry the same
     kernel and drift.
     """
@@ -246,8 +220,6 @@ def I_decomposed(
     supp = fv > 0.0
     n_supp = int(supp.sum())
     x0 = np.zeros(n_supp)
-    if w_init is not None:
-        x0 = np.asarray(w_init.w.values, dtype=float)[supp]
     trace: list[float] = []
 
     def objective(x):
@@ -271,7 +243,7 @@ def I_decomposed(
     w_full[supp] = result.x
     E_value = float(result.fun)
     I_value = energy - 0.5 * pairing - E_value
-    return I_value, E_value, ExponentParam(GridFunction(domain, w_full))
+    return I_value, E_value, GridFunction(domain, w_full)
 
 
 def minimize_rayleigh(
@@ -343,14 +315,8 @@ def pointwise_energy_bracket(op: AssembledOperator, g_values: np.ndarray,
                              v_values: np.ndarray) -> np.ndarray:
     """Pointwise symmetric bilinear bracket with zero extension and tails."""
     mask = op.domain.interior_mask
-    g_full = np.zeros(len(op.domain.points))
-    v_full = np.zeros(len(op.domain.points))
-    g_full[mask] = g_values
-    v_full[mask] = v_values
-    W_int = op.pair_weights[mask, :]
-    dg = g_full[None, :] - g_values[:, None]
-    dv = v_full[None, :] - v_values[:, None]
-    inner = 0.5 * np.einsum("ij,ij,ij->i", W_int, dg, dv)
+    inner = pair_rows(op.pair_weights, _full_values(op, g_values),
+                      _full_values(op, v_values))[mask]
     return inner + 0.5 * g_values * v_values * op.box_tail[mask]
 
 

@@ -148,9 +148,7 @@ def rescale_density(f: DensitySpec, lambda_: float, x0,
     reach = float(np.linalg.norm(x0)) + lam * base.support_radius
     kinks = tuple(tuple(x0 + lam * np.asarray(p, dtype=float))
                   for p in base.kink_points)
-    g = SmoothFunction(fn, dim, support_radius=reach,
-                       bound=None if base.bound is None else base.bound / lam ** dim,
-                       kink_points=kinks)
+    g = SmoothFunction(fn, dim, support_radius=reach, kink_points=kinks)
     return DensitySpec(g, sqrt_f_regularity=f.sqrt_f_regularity,
                        center=x0, lambda_=f.lambda_ * lam)
 
@@ -362,14 +360,14 @@ class GaussianProbe:
             return out
 
         reach = 8.6 * max(w1, wb)
-        return SmoothFunction(fn, dim, support_radius=reach, bound=1.0)
+        return SmoothFunction(fn, dim, support_radius=reach)
 
     def function(self) -> SmoothFunction:
         """The probe in physical coordinates."""
         R = self.frame
         ff = self.frame_function()
         return SmoothFunction(lambda pts: ff(pts @ R.T), self.dim,
-                              support_radius=ff.support_radius, bound=1.0)
+                              support_radius=ff.support_radius)
 
     def grid(self):
         """Frame-aligned extents and counts resolving the collapsed axis."""

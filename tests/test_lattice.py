@@ -117,7 +117,7 @@ def test_maximum_principle_with_small_drift():
     spec = fractional_kernel(1, 0.5, normalized=True)
     dom = LatticeDomain.interval(-1.0, 1.0, 60, margin=1.0)
     h_fn = SmoothFunction(lambda p: 0.45 * np.tanh(p[:, 0]), 1,
-                          osc_bound=0.9, support_radius=40.0)
+                          support_radius=40.0)
     op = assemble(dom, spec, drift=h_fn)
     assert op.drift_oscillation() < 1.0
     rng = np.random.default_rng(2)
@@ -145,7 +145,7 @@ def test_fractional_poisson_benchmark():
 def test_matrix_apply_matches_pointwise_operator():
     spec = fractional_kernel(1, 0.5, normalized=True)
     h_fn = SmoothFunction(lambda p: 0.45 * np.tanh(p[:, 0]), 1,
-                          osc_bound=0.9, support_radius=40.0)
+                          support_radius=40.0)
     u_fn = bump(1, radius=0.8)
     sup_err = {}
     for n in (40, 80):

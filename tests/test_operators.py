@@ -124,7 +124,7 @@ def test_product_rule_on_shared_rule():
 def test_carre_du_champ_symmetric():
     spec = _aniso_2d_spec()
     u = gaussian(2, width=0.9)
-    h = SmoothFunction(lambda p: 0.45 * np.tanh(p[:, 0]), 2, osc_bound=0.9)
+    h = SmoothFunction(lambda p: 0.45 * np.tanh(p[:, 0]), 2)
     x = np.array([0.3, -0.2])
     assert carre_du_champ(u, h, spec, x) == pytest.approx(
         carre_du_champ(h, u, spec, x), rel=1e-13)
@@ -133,7 +133,7 @@ def test_carre_du_champ_symmetric():
 def test_drifted_is_sum_of_parts():
     spec = _aniso_2d_spec()
     u = gaussian(2, width=0.9)
-    h = SmoothFunction(lambda p: 0.45 * np.tanh(p[:, 0]), 2, osc_bound=0.9)
+    h = SmoothFunction(lambda p: 0.45 * np.tanh(p[:, 0]), 2)
     x = np.array([0.3, -0.2])
     whole = drifted_operator(u, h, spec, x)
     parts = (nonlocal_laplacian(u, spec, x) + carre_du_champ(u, h, spec, x))

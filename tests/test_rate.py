@@ -30,6 +30,7 @@ from nonlocal_dv.rate import (
     rayleigh_integral,
     sqrt_substitution_residual,
 )
+from nonlocal_dv.recovery import rescale_density
 
 LOCAL_DIRICHLET_REFERENCE = 4.9128804
 
@@ -44,13 +45,13 @@ def density():
 @pytest.fixture(scope="module")
 def drift():
     return SmoothFunction(lambda p: 0.3 * np.tanh(2.0 * p[:, 0]), 1,
-                          osc_bound=0.6, support_radius=40.0)
+                          support_radius=40.0)
 
 
 def test_density_mass_and_rescaling(density):
     dom = density_lattice(density, cells=200)
     assert density.mass(dom) == pytest.approx(1.0, abs=1e-4)
-    small = density.rescaled(0.6)
+    small = rescale_density(density, 0.6, density.center)
     dom_s = density_lattice(small, cells=200)
     assert small.mass(dom_s) == pytest.approx(1.0, abs=1e-4)
     assert small.lambda_ == pytest.approx(0.6)
@@ -128,7 +129,7 @@ def test_decomposition_reduces_to_closed_form_without_drift(density):
     closed = I_closed_form_h0(density, spec, domain=dom)
     assert abs(E_val) < 1e-12
     assert I_val == pytest.approx(closed, rel=1e-10)
-    assert np.abs(w_min.w.values).max() < 1e-6
+    assert np.abs(w_min.values).max() < 1e-6
 
 
 def test_decomposition_matches_direct_minimization(density, drift):
@@ -163,7 +164,7 @@ def test_error_form_lower_bound(density, drift):
         assert error_form_value(op, fv, w) >= bound - 1e-12
     _, E_val, w_min = I_decomposed(density, drift, spec, domain=dom)
     assert E_val >= bound - 1e-12
-    assert E_val == pytest.approx(error_form_value(op, fv, w_min.w.values),
+    assert E_val == pytest.approx(error_form_value(op, fv, w_min.values),
                                   abs=1e-12)
 
 

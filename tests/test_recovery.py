@@ -201,7 +201,7 @@ def test_fourier_energy_scaling_exact_on_mapped_grids():
     s, c = 0.4, 2.0
     g = gaussian(1)
     squeezed = SmoothFunction(lambda pts: g(c * pts), 1,
-                              support_radius=g.support_radius / c, bound=1.0)
+                              support_radius=g.support_radius / c)
     base = fourier_energy(np.eye(1), g, s, extents=12.0, counts=1024)
     val = fourier_energy(np.eye(1), squeezed, s, extents=12.0 / c, counts=1024)
     assert val == pytest.approx(c ** (2 * s - 1) * base, rel=1e-12)
@@ -256,9 +256,9 @@ def test_fourier_energy_rotation_covariance():
     g = SmoothFunction(
         lambda pts: np.exp(-0.5 * ((pts[:, 0] / 0.8) ** 2
                                    + (pts[:, 1] / 1.3) ** 2)),
-        2, support_radius=12.0, bound=1.0)
+        2, support_radius=12.0)
     grot = SmoothFunction(lambda pts: g(pts @ R), 2,
-                          support_radius=12.0, bound=1.0)
+                          support_radius=12.0)
     lhs = fourier_energy(A, grot, 0.5, extents=12.0, counts=384)
     rhs = fourier_energy(R.T @ A @ R, g, 0.5, extents=12.0, counts=384)
     assert lhs == pytest.approx(rhs, rel=1e-3)
@@ -321,7 +321,7 @@ def test_recover_requires_geometric_sequence():
 def test_drift_probe_constant_drift_zero(density):
     spec = spec_1d(0.5)
     h = SmoothFunction(lambda pts: np.full(pts.shape[0], 0.7), 1,
-                       support_radius=0.5, bound=0.7, far_value=0.7)
+                       support_radius=0.5, far_value=0.7)
     res = drift_probe(h, spec, np.array([0.2]), f=density)
     assert np.abs(res.values).max() <= 1e-13
     assert res.limit == pytest.approx(0.0, abs=1e-13)
@@ -359,7 +359,7 @@ def sample_grid():
 def test_constancy_check_constant():
     spec = spec_1d(0.5)
     w = SmoothFunction(lambda pts: np.full(pts.shape[0], 2.5), 1,
-                       support_radius=0.5, bound=2.5, far_value=2.5)
+                       support_radius=0.5, far_value=2.5)
     rep = constancy_check(w, spec, sample_grid())
     assert rep.max_operator_value <= 1e-12
     assert rep.oscillation <= 1e-14

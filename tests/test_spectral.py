@@ -35,7 +35,7 @@ def drifted_op(n=60, s=0.5, amp=0.4, potential=None):
     spec = fractional_kernel(1, s, normalized=True)
     dom = LatticeDomain.interval(-1.0, 1.0, n, margin=1.0)
     h_fn = SmoothFunction(lambda p: amp * np.tanh(2.0 * p[:, 0]), 1,
-                          osc_bound=2.0 * amp, support_radius=40.0)
+                          support_radius=40.0)
     return assemble(dom, spec, drift=h_fn if amp else None, potential=potential)
 
 
@@ -221,7 +221,7 @@ def test_demo_consistency_with_pointwise_operators():
         lambda p: np.maximum(0.0, 1.0 - p[:, 0] ** 2) ** (1.0 + s), 1,
         support_radius=1.0, kink_points=(-1.0, 1.0))
     h = SmoothFunction(lambda p: 2.0 * (np.abs(p[:, 0]) >= 1.0), 1,
-                       support_radius=1.0, far_value=2.0, osc_bound=2.0,
+                       support_radius=1.0, far_value=2.0,
                        kink_points=(-1.0, 1.0))
     for k in (0, len(rep.grid) // 2, len(rep.grid) - 1):
         x = np.array([rep.grid[k]])
