@@ -17,15 +17,18 @@ fails on a mismatch; ``eigen.dense_check`` only selects whether the dense
 eigenvalue and the gap are reported in the summary.
 
 Environment: ``NONLOCAL_DV_LOG`` selects the log level (DEBUG .. ERROR).
-``--threads`` caps the BLAS pool sizes by exporting the usual variables;
-the orchestration itself is single-threaded.
+``--threads`` sets the thread count of the OpenBLAS pools that numpy and
+scipy load, through their runtime setters, and exits with status 2 when
+neither can be found; the orchestration itself is single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
+import importlib
 import importlib.metadata
 import json
 import logging
@@ -671,7 +674,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int,
                         help="override the config seed")
     parser.add_argument("--threads", type=int,
-                        help="cap BLAS thread pools at this count")
+                        help="set the OpenBLAS thread pools to this count")
     return parser
 
 
@@ -719,6 +722,28 @@ def _run(args: argparse.Namespace) -> int:
     return code
 
 
+# numpy and scipy each bundle an OpenBLAS build with its own pool; both are
+# loaded by now, so only their runtime setters change the pool sizes
+_OPENBLAS_SETTERS = (("numpy", "scipy_openblas_set_num_threads64_"),
+                     ("scipy", "scipy_openblas_set_num_threads"))
+
+
+def _set_blas_threads(count: int) -> int:
+    """Set every bundled OpenBLAS pool to ``count`` threads; return how
+    many pools were set."""
+    found = 0
+    for package, symbol in _OPENBLAS_SETTERS:
+        pkg = importlib.import_module(package)
+        libdir = Path(pkg.__file__).parent.parent / f"{package}.libs"
+        for lib in sorted(libdir.glob("libscipy_openblas*.so")):
+            setter = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter(count)
+                found += 1
+    return found
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -730,9 +755,10 @@ def main(argv=None) -> int:
         if args.threads < 1:
             print("--threads must be at least 1", file=sys.stderr)
             return 2
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
+        if not _set_blas_threads(args.threads):
+            print("--threads: found no OpenBLAS thread setter in the numpy "
+                  "or scipy libraries", file=sys.stderr)
+            return 2
     try:
         return _run(args)
     except ConfigError as exc:

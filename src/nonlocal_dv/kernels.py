@@ -138,12 +138,15 @@ class AnisotropyField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.variant == "constant":
             return np.broadcast_to(self.matrix, (points.shape[0], self.dim, self.dim))
+        # a per-point matrix_fn shows itself by failing on the batch with one
+        # of these errors or by answering in the wrong shape; any other error
+        # is the caller's and propagates
         try:
             mats = np.asarray(self.matrix_fn(points), dtype=float)
-            if mats.shape == (points.shape[0], self.dim, self.dim):
-                return mats
-        except Exception:
-            pass
+        except (ValueError, TypeError, IndexError):
+            mats = None
+        if mats is not None and mats.shape == (points.shape[0], self.dim, self.dim):
+            return mats
         out = np.empty((points.shape[0], self.dim, self.dim))
         for i, p in enumerate(points):
             out[i] = np.asarray(self.matrix_fn(p), dtype=float)

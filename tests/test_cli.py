@@ -8,11 +8,11 @@ whose probe energies come from the spectral-side oracle.
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
 
+from nonlocal_dv import cli
 from nonlocal_dv.cli import main
 
 KERNEL_1D = {"variant": "constant", "matrix": [[1.0]], "s": 0.5,
@@ -261,16 +261,53 @@ def test_unknown_check_id_exits_2(tmp_path, capsys):
     assert "checks" in capsys.readouterr().err
 
 
-def test_threads_flag(tmp_path, monkeypatch):
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+def openblas_pools():
+    """(getter, setter) of the OpenBLAS copies bundled with numpy and scipy."""
+    import ctypes
+    from pathlib import Path
+
+    import scipy
+
+    pools = []
+    for pkg, suffix in ((np, "64_"), (scipy, "")):
+        libdir = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for lib in sorted(libdir.glob("libscipy_openblas*.so")):
+            handle = ctypes.CDLL(str(lib))
+            getter = getattr(handle, "scipy_openblas_get_num_threads" + suffix, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                setter = getattr(handle, "scipy_openblas_set_num_threads" + suffix)
+                setter.argtypes = [ctypes.c_int]
+                pools.append((getter, setter))
+    return pools
+
+
+def test_threads_flag(tmp_path):
     assert main(["verify", "--threads", "0"]) == 2
     cfg = write_config(tmp_path, "cfg.json", {
         "kernel": KERNEL_1D,
         "eval": {"function": {"kind": "bump"}, "points": [[0.0]]},
     })
-    assert main(["operator-eval", "--config", cfg, "--output-dir",
-                 str(tmp_path / "out"), "--threads", "2"]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+    pools = openblas_pools()
+    assert len(pools) == 2
+    before = [getter() for getter, _ in pools]
+    try:
+        for _, setter in pools:
+            setter(2)
+        assert main(["operator-eval", "--config", cfg, "--output-dir",
+                     str(tmp_path / "out"), "--threads", "1"]) == 0
+        assert [getter() for getter, _ in pools] == [1, 1]
+    finally:
+        for (_, setter), count in zip(pools, before):
+            setter(count)
+
+
+def test_threads_flag_without_setter(monkeypatch, capsys):
+    # a BLAS without the OpenBLAS setters cannot honour the flag: refuse it
+    monkeypatch.setattr(cli, "_OPENBLAS_SETTERS",
+                        (("numpy", "no_such_setter"), ("scipy", "no_such_setter")))
+    assert main(["verify", "--threads", "1"]) == 2
+    assert "OpenBLAS" in capsys.readouterr().err
 
 
 def test_log_env_smoke(tmp_path, monkeypatch):

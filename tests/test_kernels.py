@@ -124,3 +124,30 @@ def test_spec_from_config_constant():
     assert spec.s == 0.5
     got = kernel_eval(spec, np.zeros(2), np.array([1.0, 0.0]))
     assert got == pytest.approx(2.0 ** -1.5, rel=1e-13)
+
+
+def per_point_matrix(p):
+    # defined for one point only: a batch of points fails on the float()
+    return np.diag([2.0 + float(np.sin(p[0])), 1.5])
+
+
+def test_per_point_matrix_fn_falls_back_to_loop():
+    field = AnisotropyField.separable_sum(per_point_matrix, 2)
+    pts = np.array([[0.1, 0.2], [-0.4, 0.3], [0.9, -1.0]])
+    mats = field.single_point_matrices(pts)
+    assert mats.shape == (3, 2, 2)
+    for p, m in zip(pts, mats):
+        assert np.array_equal(m, per_point_matrix(p))
+
+
+def test_matrix_fn_error_on_batch_propagates():
+    # a RuntimeError is the user's failure, not a sign of a per-point
+    # function: it must reach the caller instead of switching to the loop
+    def mfn(pts):
+        if np.ndim(pts) == 2:
+            raise RuntimeError("batch evaluation failed")
+        return per_point_matrix(pts)
+
+    field = AnisotropyField.separable_sum(mfn, 2)
+    with pytest.raises(RuntimeError, match="batch evaluation failed"):
+        field.single_point_matrices(np.array([[0.1, 0.2], [-0.4, 0.3]]))

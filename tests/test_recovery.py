@@ -221,6 +221,69 @@ def test_fourier_energy_aliasing_check():
 # ---------------------------------------------------------------------------
 # probes and matrix recovery
 
+def random_spd(rng, dim):
+    Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return Q @ np.diag(rng.uniform(0.6, 2.5, size=dim)) @ Q.T
+
+
+def product_function(factors):
+    def fn(pts):
+        out = factors[0](pts[:, 0])
+        for k in range(1, len(factors)):
+            out = out * factors[k](pts[:, k])
+        return out
+    return SmoothFunction(fn, len(factors), support_radius=20.0)
+
+
+@pytest.mark.parametrize("s", [0.35, 0.5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fourier_energy_factor_route_matches_sampled_probes(dim, s):
+    # the separable route against one fftn of the sampled probe, for every
+    # probe tag and both widths, on small grids
+    A = random_spd(np.random.default_rng(dim), dim)
+    axes = list(range(dim)) + [(k, m) for k in range(dim)
+                               for m in range(k + 1, dim)]
+    counts = [64] + [24] * (dim - 1)
+    tags = set()
+    for axis in axes:
+        for width in (1.0, 0.7):
+            p = GaussianProbe(dim, 0.5, axis, narrow_width=width)
+            R = p.frame
+            ext, _ = p.grid()
+            ref = fourier_energy(R @ A @ R.T, p.frame_function(), s,
+                                 extents=ext, counts=counts)
+            sep = fourier_energy(R @ A @ R.T, p.factors(), s,
+                                 extents=ext, counts=counts)
+            assert abs(sep / ref - 1.0) <= 1e-13
+            tags.add(p.tag.split("(")[0])
+    assert tags == ({"identity"} if dim == 1
+                    else {"identity", "axis_swap", "rotation"})
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fourier_energy_factor_route_matches_sampled_product(dim):
+    # a non-Gaussian product: a Gaussian, a bump and an off-centre Gaussian
+    one_bump = bump(1, radius=1.5)
+    factors = [lambda x: np.exp(-0.5 * (x / 0.8) ** 2),
+               lambda x: one_bump(x[:, None]),
+               lambda x: np.exp(-0.5 * ((x - 0.4) / 1.2) ** 2)][:dim]
+    A = random_spd(np.random.default_rng(10 + dim), dim)
+    counts = [48, 40, 32][:dim]
+    ref = fourier_energy(A, product_function(factors), 0.4, extents=8.0,
+                         counts=counts)
+    sep = fourier_energy(A, factors, 0.4, extents=8.0, counts=counts)
+    assert abs(sep / ref - 1.0) <= 1e-13
+
+
+def test_fourier_energy_rejects_malformed_g():
+    gauss = GaussianProbe(2, 0.5, 0).factors()
+    for g in (gauss[:1], gauss[0], [gauss[0], 1.0], gaussian(3)):
+        with pytest.raises(DomainError, match="sequence of 2"):
+            fourier_energy(np.eye(2), g, 0.5, counts=16)
+    with pytest.raises(DomainError, match="same shape"):
+        fourier_energy(np.eye(2), [gauss[0], lambda x: x[:3]], 0.5, counts=16)
+
+
 def test_probe_frame_identities():
     rng = np.random.default_rng(3)
     for dim in (2, 3):
