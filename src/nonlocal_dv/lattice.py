@@ -13,7 +13,8 @@ for grid functions, built from pairwise kernel weights
 with two corrections: the singular self-cell of each node is
 redistributed onto its lattice neighbours through symmetrized radial
 moment integrals, and the kernel mass beyond the bounding box enters
-each diagonal through an analytic per-ray tail.  By construction the
+each diagonal through ``operators.far_field`` along rays that start at
+the box boundary.  By construction the
 drift-free block is symmetric and satisfies the discrete
 integration-by-parts identity
 
@@ -44,11 +45,11 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 from .errors import CapacityError, DomainError, SolverError
 from .kernels import KernelSpec
-from .operators import QuadratureScheme, SmoothFunction, _directions
+from .operators import QuadratureScheme, SmoothFunction, _directions, far_field
 
 __all__ = [
     "LatticeDomain",
@@ -58,7 +59,6 @@ __all__ = [
     "kernel_form",
     "pair_rows",
     "graph_form",
-    "seminorm",
     "dirichlet_solve",
     "estimate_shift",
 ]
@@ -287,75 +287,6 @@ def _box_exit_distances(pts: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     return t.min(axis=2)
 
 
-def _box_tails(spec: KernelSpec, domain: LatticeDomain,
-               quad: QuadratureScheme) -> np.ndarray:
-    """T_i = Int_{outside the bounding box} K(x_i, y) dy."""
-    dirs, aw = _directions(spec.dim, quad)
-    pts = domain.points
-    exit_d = _box_exit_distances(pts, domain.lower, domain.upper, dirs)
-    s = spec.s
-    if spec.field.variant == "constant":
-        q_unit = np.einsum("da,ab,db->d", dirs, spec.field.matrix, dirs)
-        kdir = spec.prefactor * q_unit ** (-spec.bounds.exponent)
-        return np.einsum("d,d,id->i", aw, kdir, exit_d ** (-2.0 * s)) / (2.0 * s)
-    gl_x, gl_w = roots_legendre(quad.radial_order)
-    total = np.zeros(len(pts))
-    a = exit_d.copy()
-    for _ in range(60):
-        b = a * quad.panel_ratio
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        rho = mid[:, :, None] + half[:, :, None] * gl_x[None, None, :]
-        wr = half[:, :, None] * gl_w[None, None, :]
-        y = pts[:, None, None, :] + rho[..., None] * dirs[None, :, None, :]
-        xs = np.broadcast_to(pts[:, None, None, :], y.shape)
-        qv = spec.field.quadratic_form(y.reshape(-1, spec.dim),
-                                       xs.reshape(-1, spec.dim)).reshape(rho.shape)
-        kv = spec.prefactor * qv ** (-spec.bounds.exponent)
-        panel = np.einsum("idr,idr,d->i", wr * rho ** (spec.dim - 1), kv, aw)
-        total += panel
-        a = b
-        if a.min() > quad.far_cap or panel.max() < 1e-9 * max(total.max(), 1e-300):
-            break
-    sigma = 2.0 * np.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
-    total += (spec.prefactor * sigma * spec.bounds.lower ** (-spec.bounds.exponent)
-              * a.min(axis=1) ** (-2.0 * s) / (2.0 * s))
-    return total
-
-
-def _drift_far(spec: KernelSpec, domain: LatticeDomain, drift: SmoothFunction,
-               quad: QuadratureScheme) -> np.ndarray:
-    """S_i = Int_{outside the box} (h(y) - h(x_i)) K(x_i, y) dy."""
-    dirs, aw = _directions(spec.dim, quad)
-    pts = domain.points
-    h_at = drift(pts)
-    exit_d = _box_exit_distances(pts, domain.lower, domain.upper, dirs)
-    gl_x, gl_w = roots_legendre(quad.radial_order)
-    total = np.zeros(len(pts))
-    a = exit_d.copy()
-    covered = a.copy()
-    for _ in range(60):
-        b = a * quad.panel_ratio
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        rho = mid[:, :, None] + half[:, :, None] * gl_x[None, None, :]
-        wr = half[:, :, None] * gl_w[None, None, :]
-        y = (pts[:, None, None, :] + rho[..., None] * dirs[None, :, None, :])
-        yf = y.reshape(-1, spec.dim)
-        xs = np.broadcast_to(pts[:, None, None, :], y.shape).reshape(-1, spec.dim)
-        qv = spec.field.quadratic_form(yf, xs).reshape(rho.shape)
-        kv = spec.prefactor * qv ** (-spec.bounds.exponent)
-        dh = drift(yf).reshape(rho.shape) - h_at[:, None, None]
-        panel = np.einsum("idr,idr,d->i", wr * rho ** (spec.dim - 1) * dh, kv, aw)
-        total += panel
-        a = b
-        covered = a
-        if covered.min() > quad.far_cap or np.abs(panel).max() < 1e-10 * max(
-                np.abs(total).max(), 1e-300):
-            break
-    return total
-
-
 # --------------------------------------------------------------------------
 # assembly
 
@@ -366,7 +297,7 @@ class AssembledOperator:
 
     ``pair_weights`` covers all box nodes (exterior ones included) so
     the zero-data exterior mass is resolved discretely near the domain
-    boundary and analytically beyond the box (``box_tail``).
+    boundary and by ``far_field`` beyond the box (``box_tail``).
     """
 
     domain: LatticeDomain
@@ -432,7 +363,9 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
                 # half of the symmetrized moment; the mirror pair adds the rest
                 W[i, jj] += 0.5 * (mom[i, a] + mom[jj, a]) / (h * h)
 
-    tails = _box_tails(spec, domain, quad)
+    exit_d = _box_exit_distances(pts, domain.lower, domain.upper,
+                                 _directions(spec.dim, quad)[0])
+    tails = far_field(spec, pts, exit_d, quad)
 
     mask = domain.interior_mask
     row_sums = W.sum(axis=1)
@@ -444,7 +377,10 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     drift_mat = None
     if drift is not None:
         drift_vals = np.asarray(drift(pts), dtype=float)
-        far = _drift_far(spec, domain, drift, quad)
+        # S_i = Int_{outside the box} (h - h_i) K splits exactly into the
+        # rays out to the drift's support and the kernel mass T_i
+        far = (far_field(spec, pts, exit_d, quad, g=drift)
+               + (drift.far_value - drift_vals) * tails)
         # B_ij = 1/2 W_ij (h_j - h_i); centring h keeps a constant drift
         # exactly zero.  Off the diagonal lap equals W on interior pairs.
         hc = drift_vals - drift_vals[0]
@@ -506,12 +442,6 @@ def kernel_form(op: AssembledOperator, u: np.ndarray, v: np.ndarray | None = Non
     uu = np.asarray(u, dtype=float)[mask]
     vv = np.asarray(v, dtype=float)[mask]
     return graph_form(sub, uu, vv, cell_volume=vol)
-
-
-def seminorm(op: AssembledOperator, u: np.ndarray,
-             region_mask: np.ndarray | None = None) -> float:
-    """Square root of the kernel energy of u."""
-    return math.sqrt(max(kernel_form(op, u, u, region_mask), 0.0))
 
 
 def pair_rows(weights: np.ndarray, u: np.ndarray,

@@ -13,7 +13,15 @@ Gauss-Jacobi nodes adapted to the r^(1-2s) behaviour near the centre,
 the annulus uses geometric panels with Gauss-Legendre nodes (panel edges
 are forced onto any known kink radii of the integrand), and the far
 field beyond the quadrature radius is accounted for by a kernel tail
-mass that is exact for constant fields.
+mass.  That mass, like every exterior integral of the package, comes
+from ``far_field``: along each ray from a start radius outwards, in
+closed form for the kernel mass of a constant field and otherwise on
+geometric Gauss-Legendre panels.  For a function g that equals g_inf
+beyond a declared radius the rays stop there, because
+
+    Int (g - g(x)) K = Int (g - g_inf) K + (g_inf - g(x)) Int K
+
+for any constant g_inf.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ __all__ = [
     "QuadratureScheme",
     "PointRule",
     "build_rule",
+    "far_field",
     "nonlocal_laplacian",
     "carre_du_champ",
     "drifted_operator",
@@ -123,11 +132,18 @@ def tanh_drift(dim: int, amplitude: float = 0.3,
                slope: float = 2.0) -> SmoothFunction:
     """Smoothed step a tanh(k x_0) along the first axis, with plateaus +-a.
 
-    For slopes k >= 1/2 the function equals +-a to rounding beyond
-    radius 40, so it is declared with ``far_value=0``: 0 is the mean of
-    the two plateaus over antipodal points x + z and x - z, and that
-    antipodal mean is all the far-field tail term of a centrally
-    symmetric kernel sees of the function.
+    It is declared with support radius 40 and ``far_value=0``: 0 is the
+    mean of the two plateaus over antipodal points x + z and x - z, and
+    for slopes k >= 1/2 that mean vanishes to rounding once |z_0| is a
+    few units.  The pointwise rules and the lattice far field
+    (``far_field``) stop their rays at |x| + 40 and close the rest with
+    this far value.  Where K(x, x + z) = K(x, x - z), as for constant
+    fields, the closure is exact up to the rays nearly parallel to the
+    plateaus: against rays run to the stop rule it moves the drift far
+    field of a 2D box lattice (s = 1/2, 24 directions) by about 1e-11 of
+    its maximum.  For separable fields the two antipodal kernel values
+    differ and the closure is approximate: 1e-5 to 8e-5 of the maximum
+    for ``separable_sum`` fields with amplitude 0.1 on the same lattices.
     """
 
     def fn(pts: np.ndarray) -> np.ndarray:
@@ -187,10 +203,15 @@ def shifted(f: SmoothFunction, constant: float) -> SmoothFunction:
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Resolution parameters for the pointwise rules.
+    """Resolution parameters for the pointwise and lattice rules.
 
     ``refined(k)`` doubles the polynomial orders k times; errors on
     smooth integrands must shrink monotonically with k.
+    ``tail_tolerance`` sets the kernel mass a pointwise rule may leave to
+    its analytic tail bound, and it is the relative stop of every
+    ``far_field`` panel integral: a node's panels end once one adds
+    less than this fraction of the node's running total.  ``far_cap``
+    is the radius at which those panels end regardless.
     """
 
     inner_radius: float = 0.125
@@ -224,15 +245,13 @@ class PointRule:
     ``offsets``/``weights`` define a node rule containing the kernel
     factor: sums of w * (u(x + z) - u(x)) approximate the principal
     value integral over the covered region.  ``tail_mass`` is the kernel
-    mass beyond ``quad_radius``; ``tail_bound`` bounds what the tail
-    treatment may miss for a unit-bounded integrand.
+    mass beyond ``quad_radius``.
     """
 
     x: np.ndarray
     offsets: np.ndarray
     weights: np.ndarray
     tail_mass: float
-    tail_bound: float
     quad_radius: float
     inner_pair_count: int
 
@@ -295,33 +314,73 @@ def _kernel_at_offsets(spec: KernelSpec, x: np.ndarray, offsets: np.ndarray) -> 
     return spec.prefactor * q ** (-spec.bounds.exponent)
 
 
-def _tail_mass(spec: KernelSpec, x: np.ndarray, dirs: np.ndarray, aw: np.ndarray,
-               radius: float, quad: QuadratureScheme) -> tuple[float, float]:
-    """Kernel mass over |y - x| > radius and a bound on the uncovered rest."""
-    s = spec.s
-    if spec.field.variant == "constant":
-        q = spec.field.quadratic_form(x + dirs, np.broadcast_to(x, dirs.shape))
-        ang = float(np.sum(aw * q ** (-spec.bounds.exponent)))  # q at unit offsets
-        return spec.prefactor * ang * radius ** (-2.0 * s) / (2.0 * s), 0.0
-    # variable field: geometric panels with kernel quadrature, then ellipticity bound
-    nodes, wts = roots_legendre(quad.radial_order)
-    mass = 0.0
-    a = radius
-    for _ in range(200):
-        b = a * quad.panel_ratio
-        rho = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-        wr = 0.5 * (b - a) * wts
-        offs = rho[:, None, None] * dirs[None, :, :]
-        kv = _kernel_at_offsets(spec, x, offs.reshape(-1, spec.dim)).reshape(len(rho), len(dirs))
-        panel = float(np.einsum("r,a,ra->", wr * rho ** (spec.dim - 1), aw, kv))
-        mass += panel
-        a = b
-        if a > quad.far_cap or panel < 1e-6 * max(mass, 1e-300):
-            break
+def _ellipticity_tail(spec: KernelSpec, radius: float | np.ndarray) -> float | np.ndarray:
+    """Bound on the kernel mass beyond ``radius`` from the lower ellipticity
+    bound: sigma_N lower^(-(N+2s)/2) radius^(-2s) / (2s)."""
     sigma = 2.0 * np.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
-    rest = (spec.prefactor * sigma * spec.bounds.lower ** (-spec.bounds.exponent)
-            * a ** (-2.0 * s) / (2.0 * s))
-    return mass + rest, rest
+    return (spec.prefactor * sigma * spec.bounds.lower ** (-spec.bounds.exponent)
+            * radius ** (-2.0 * spec.s) / (2.0 * spec.s))
+
+
+def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
+              quad: QuadratureScheme, g: SmoothFunction | None = None) -> np.ndarray:
+    """Exterior integral per node along the rays of ``_directions``.
+
+    ``start[i, k]`` is the radius where ray k of ``_directions(spec.dim,
+    quad)`` begins for node x_i.  Returns, for each row x_i of ``pts``,
+
+        Sum_theta w_theta Int_{start[i, theta]}^{end_i}
+            rho^(N-1) (g(x_i + rho theta) - g_inf) K(x_i, x_i + rho theta) drho
+
+    with g_inf = ``g.far_value``.  The integrand vanishes beyond
+    end_i = |x_i| + ``g.support_radius``; without a support radius
+    end_i is infinite.  ``g=None`` means g = 1, g_inf = 0: the kernel
+    mass beyond ``start``, in closed form for constant fields and
+    otherwise completed by the ellipticity bound beyond the last panel.
+    Panels grow by ``quad.panel_ratio``; a node stops once all its rays
+    reach end_i, its radius passes ``quad.far_cap``, or its latest panel
+    is below ``quad.tail_tolerance`` of its running total (of the panel
+    magnitudes, so that a signed integrand cannot stall the test).
+    """
+    dirs, aw = _directions(spec.dim, quad)
+    s = spec.s
+    if g is None and spec.field.variant == "constant":
+        q_unit = np.einsum("da,ab,db->d", dirs, spec.field.matrix, dirs)
+        kdir = spec.prefactor * q_unit ** (-spec.bounds.exponent)
+        return np.einsum("d,d,id->i", aw, kdir, start ** (-2.0 * s)) / (2.0 * s)
+    end = np.full(len(pts), np.inf)
+    if g is not None and g.support_radius is not None:
+        end = np.linalg.norm(pts, axis=1) + g.support_radius
+    stop = np.maximum(start, end[:, None])
+    gl_x, gl_w = roots_legendre(quad.radial_order)
+    total = np.zeros(len(pts))
+    size = np.zeros(len(pts))  # running sum of |panel|, the total's scale
+    a = np.array(start, dtype=float)
+    live = np.flatnonzero((a < stop).any(axis=1))
+    while live.size:
+        x, lo = pts[live], a[live]
+        hi = np.minimum(lo * quad.panel_ratio, stop[live])
+        mid = 0.5 * (lo + hi)[:, None, :]
+        half = 0.5 * (hi - lo)[:, None, :]
+        rho = mid + half * gl_x[None, :, None]  # (node, radius, direction)
+        wr = half * gl_w[None, :, None]
+        y = (x[:, None, None, :] + rho[..., None] * dirs[None, None, :, :]).reshape(-1, spec.dim)
+        xs = np.broadcast_to(x[:, None, None, :], rho.shape + (spec.dim,)).reshape(-1, spec.dim)
+        kv = spec.prefactor * spec.field.quadratic_form(y, xs).reshape(rho.shape) ** (
+            -spec.bounds.exponent)
+        wf = wr * rho ** (spec.dim - 1)
+        if g is not None:
+            wf = wf * (g(y).reshape(rho.shape) - g.far_value)
+        panel = np.einsum("ird,d,ird->i", wf, aw, kv)
+        total[live] += panel
+        size[live] += np.abs(panel)
+        a[live] = hi
+        done = ((np.abs(panel) < quad.tail_tolerance * size[live])
+                | (hi.min(axis=1) > quad.far_cap) | (hi >= stop[live]).all(axis=1))
+        live = live[~done]
+    if g is None:
+        total += _ellipticity_tail(spec, a.min(axis=1))
+    return total
 
 
 _RULE_CACHE: dict = {}
@@ -329,9 +388,7 @@ _RULE_CACHE: dict = {}
 
 def _tolerance_radius(spec: KernelSpec, quad: QuadratureScheme) -> float:
     """Radius R with (upper kernel bound tail mass) <= tail_tolerance."""
-    sigma = 2.0 * np.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
-    s_up = spec.prefactor * sigma * spec.bounds.lower ** (-spec.bounds.exponent)
-    r = (s_up / (2.0 * spec.s * quad.tail_tolerance)) ** (1.0 / (2.0 * spec.s))
+    r = (_ellipticity_tail(spec, 1.0) / quad.tail_tolerance) ** (1.0 / (2.0 * spec.s))
     return float(min(max(r, quad.outer_radius), quad.far_cap))
 
 
@@ -371,8 +428,7 @@ def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
         hit = _RULE_CACHE.get(cache_key)
         if hit is not None:
             return PointRule(x=x, offsets=hit.offsets, weights=hit.weights,
-                             tail_mass=hit.tail_mass, tail_bound=hit.tail_bound,
-                             quad_radius=hit.quad_radius,
+                             tail_mass=hit.tail_mass, quad_radius=hit.quad_radius,
                              inner_pair_count=hit.inner_pair_count)
 
     dirs, aw = _directions(spec.dim, quad)
@@ -412,10 +468,9 @@ def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
 
     offsets = np.concatenate(chunks_o)
     weights = np.concatenate(chunks_w)
-    tail_mass, tail_rest = _tail_mass(spec, x, dirs, aw, r_target, quad)
+    tail_mass = float(far_field(spec, x[None, :], np.full((1, len(dirs)), r_target), quad)[0])
 
     rule = PointRule(x=x, offsets=offsets, weights=weights, tail_mass=tail_mass,
-                     tail_bound=tail_rest + quad.tail_tolerance,
                      quad_radius=r_target,
                      inner_pair_count=len(w_pairs))
     if cache_key is not None:
