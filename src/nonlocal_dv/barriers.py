@@ -165,17 +165,25 @@ def J_quadrature(A, y1: float, s: float) -> float:
     p = (N + 2.0 * s) / 2.0
     if N == 1:
         return float(abs(A[0, 0] * y1 * y1) ** -p)
+    # the callbacks run about a million times: read the entries into Python
+    # floats once, grouped as the products below evaluate them
+    a = A.tolist()
+    c0 = a[0][0] * y1 * y1
     if N == 2:
+        c1, a11 = 2.0 * a[0][1] * y1, a[1][1]
+
         def f(t):
-            return abs(A[0, 0] * y1 * y1 + 2.0 * A[0, 1] * y1 * t
-                       + A[1, 1] * t * t) ** -p
+            return abs(c0 + c1 * t + a11 * t * t) ** -p
 
         with _quiet_quadrature():
             val, err = quad(f, -np.inf, np.inf, limit=200)
     elif N == 3:
+        c1, a01, a02 = 2.0 * y1, a[0][1], a[0][2]
+        a11, b12, a22 = a[1][1], 2.0 * a[1][2], a[2][2]
+
         def f(v, u):
-            q = (A[0, 0] * y1 * y1 + 2.0 * y1 * (A[0, 1] * u + A[0, 2] * v)
-                 + A[1, 1] * u * u + 2.0 * A[1, 2] * u * v + A[2, 2] * v * v)
+            q = (c0 + c1 * (a01 * u + a02 * v)
+                 + a11 * u * u + b12 * u * v + a22 * v * v)
             return abs(q) ** -p
 
         with _quiet_quadrature():
@@ -378,25 +386,26 @@ def barrier_scan(config: BarrierConfig,
     r = config.radius
     floor = config.floor
 
-    def evaluate(alpha: float, dists: np.ndarray):
+    def rules_at(dists: np.ndarray) -> tuple[np.ndarray, list]:
+        # d^alpha has the same support and kinks for every alpha, and so
+        # the same rules
+        xs = np.zeros((len(dists), dim))
+        xs[:, 0] = r - dists
+        fns = (_distance_power(dim, r, 1.0),)
+        return xs, build_rule(spec, xs, q, fns=fns if config.h is None else fns + (config.h,))
+
+    def evaluate(alpha: float, dists: np.ndarray, at: tuple[np.ndarray, list]):
+        xs, rules = at
         u = _distance_power(dim, r, alpha)
-        fns = (u, config.h) if config.h is not None else (u,)
-        norm = np.empty(len(dists))
-        drift = np.empty(len(dists))
-        for i, d in enumerate(dists):
-            x = np.zeros(dim)
-            x[0] = r - d
-            rule = build_rule(spec, x, q, fns=fns)
-            lap = nonlocal_laplacian(u, spec, x, q, rule=rule)
-            dr = 0.0
-            if config.h is not None:
-                dr = carre_du_champ(u, config.h, spec, x, q, rule=rule)
-            drift[i] = dr
-            norm[i] = d ** (2.0 * s - alpha) * (lap + dr)
-        return norm, drift
+        lap = nonlocal_laplacian(u, spec, xs, q, rule=rules)
+        drift = np.zeros(len(dists))
+        if config.h is not None:
+            drift = carre_du_champ(u, config.h, spec, xs, q, rule=rules)
+        return dists ** (2.0 * s - alpha) * (lap + drift), drift
 
     distances = np.geomspace(config.delta, floor, config.points)
-    normalized, drifts = evaluate(config.alpha, distances)
+    at = rules_at(distances)
+    normalized, drifts = evaluate(config.alpha, distances, at)
 
     significant = np.abs(drifts) > 1e-13
     if significant.sum() >= 2:
@@ -408,9 +417,11 @@ def barrier_scan(config: BarrierConfig,
     if config.sign_checks:
         window = min(config.delta, 0.05 * r)
         ladder = np.geomspace(max(window, floor * 1.5), floor, 3)
+        if not np.array_equal(ladder, distances):
+            at = rules_at(ladder)
         for a_ref, expected in ((s / 2.0, "negative"),
                                 ((1.0 + s) / 2.0, "positive")):
-            vals, _ = evaluate(a_ref, ladder)
+            vals, _ = evaluate(a_ref, ladder, at)
             lo, hi = float(vals.min()), float(vals.max())
             ok = hi < 0.0 if expected == "negative" else lo > 0.0
             checks.append(SignCheck(a_ref, lo, hi, expected, ok))

@@ -425,17 +425,15 @@ def _cmd_operator_eval(cfg: dict, seed: int):
     u = _function_from_config(cfg["eval"]["function"], dim, "eval.function")
     h = (_function_from_config(cfg["drift"], dim, "drift")
          if "drift" in cfg else None)
-    rows = []
-    worst = 0.0
     for k, point in enumerate(cfg["eval"]["points"]):
         if len(point) != dim:
             raise ConfigError(f"point must have {dim} coordinates",
                               field_path=f"eval.points.{k}")
-        x = np.asarray(point, dtype=float)
-        lap = nonlocal_laplacian(u, spec, x)
-        dr = carre_du_champ(u, h, spec, x) if h is not None else 0.0
-        rows.append(tuple(x) + (lap, dr, lap + dr))
-        worst = max(worst, abs(lap + dr))
+    xs = np.asarray(cfg["eval"]["points"], dtype=float).reshape(-1, dim)
+    lap = nonlocal_laplacian(u, spec, xs)
+    dr = carre_du_champ(u, h, spec, xs) if h is not None else np.zeros(len(xs))
+    rows = [tuple(x) + (a, b, a + b) for x, a, b in zip(xs, lap, dr)]
+    worst = float(max([0.0, *np.abs(lap + dr)]))
     _log.info("evaluated operator at %d points", len(rows))
     results = {"points": len(rows), "max_abs_value": worst,
                "with_drift": h is not None}

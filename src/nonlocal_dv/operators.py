@@ -1,6 +1,7 @@
 """Pointwise evaluation of the nonlocal operators attached to a kernel.
 
-For a kernel K this module evaluates, at a single point x,
+For a kernel K this module evaluates, at a point x or at each row of an
+(m, dim) array of points,
 
     L u(x)     = p.v. Int (u(y) - u(x)) K(x, y) dy,
     B(u, v)(x) = 1/2 Int (u(y) - u(x)) (v(y) - v(x)) K(x, y) dy,
@@ -22,6 +23,12 @@ beyond a declared radius the rays stop there, because
     Int (g - g(x)) K = Int (g - g_inf) K + (g_inf - g(x)) Int K
 
 for any constant g_inf.
+
+The rules of m points are built in one pass and equal, bit for bit, the
+rules of the points taken one by one: the radii and panel edges are set
+point by point, the kernel values at all nodes come from quadratic-form
+calls in chunks of at most ``_KERNEL_CHUNK_BYTES`` of temporaries, and
+the m tail masses from one ``far_field`` call.
 """
 
 from __future__ import annotations
@@ -285,7 +292,6 @@ def _directions(dim: int, quad: QuadratureScheme) -> tuple[np.ndarray, np.ndarra
 
 def _half_set(dirs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # representative of each antipodal pair: first nonzero coordinate > 0
-    keys = dirs[:, ::-1].T  # lexsort uses last key as primary
     positive = np.zeros(len(dirs), dtype=bool)
     for i in range(len(dirs)):
         for c in dirs[i]:
@@ -308,10 +314,28 @@ def _panel_edges(r0: float, r1: float, ratio: float, breaks: Sequence[float]) ->
     return edges
 
 
-def _kernel_at_offsets(spec: KernelSpec, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    xs = np.broadcast_to(x, offsets.shape)
-    q = spec.field.quadratic_form(xs + offsets, xs)
-    return spec.prefactor * q ** (-spec.bounds.exponent)
+# Bytes of quadratic-form temporaries one kernel chunk may hold.  A row of
+# ``AnisotropyField.quadratic_form`` peaks at 7, 20 and 42 doubles in dims
+# 1-3 for the separable product of ``spec_from_config`` (tracemalloc), the
+# most of the three variants, so a chunk has budget / (8 (4 dim^2 + 2 dim
+# + 2)) rows.
+_KERNEL_CHUNK_BYTES = 1 << 22
+
+
+def _kernel_at_offsets(spec: KernelSpec, pts: np.ndarray, offsets: np.ndarray,
+                       ends: np.ndarray) -> np.ndarray:
+    """K(x_i, x_i + z) for the offsets z; rows ends[i-1]:ends[i] belong to
+    x_i = pts[i].  Each row is computed alone, so the chunking does not
+    change a value."""
+    dim = spec.dim
+    step = max(1, _KERNEL_CHUNK_BYTES // (8 * (4 * dim * dim + 2 * dim + 2)))
+    out = np.empty(len(offsets))
+    for lo in range(0, len(offsets), step):
+        hi = min(lo + step, len(offsets))
+        xs = pts[np.searchsorted(ends, np.arange(lo, hi), side="right")]
+        q = spec.field.quadratic_form(xs + offsets[lo:hi], xs)
+        out[lo:hi] = spec.prefactor * q ** (-spec.bounds.exponent)
+    return out
 
 
 def _ellipticity_tail(spec: KernelSpec, radius: float | np.ndarray) -> float | np.ndarray:
@@ -320,6 +344,15 @@ def _ellipticity_tail(spec: KernelSpec, radius: float | np.ndarray) -> float | n
     sigma = 2.0 * np.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
     return (spec.prefactor * sigma * spec.bounds.lower ** (-spec.bounds.exponent)
             * radius ** (-2.0 * spec.s) / (2.0 * spec.s))
+
+
+def _support_exits(pts: np.ndarray, dirs: np.ndarray, radius: float) -> np.ndarray:
+    """Distance along each ray from x_i to its exit from the ball of the
+    given radius about the origin; -inf where the ray misses the ball."""
+    b = pts @ dirs.T
+    disc = b * b - np.einsum("ia,ia->i", pts, pts)[:, None] + radius * radius
+    with np.errstate(invalid="ignore"):
+        return np.where(disc > 0.0, np.sqrt(disc) - b, -np.inf)
 
 
 def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
@@ -337,53 +370,67 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
     end_i is infinite.  ``g=None`` means g = 1, g_inf = 0: the kernel
     mass beyond ``start``, in closed form for constant fields and
     otherwise completed by the ellipticity bound beyond the last panel.
-    Panels grow by ``quad.panel_ratio``; a node stops once all its rays
-    reach end_i, its radius passes ``quad.far_cap``, or its latest panel
-    is below ``quad.tail_tolerance`` of its running total (of the panel
-    magnitudes, so that a signed integrand cannot stall the test).
+    Panels grow by ``quad.panel_ratio`` and are split where a ray leaves
+    the ball of radius ``g.support_radius``, the edge of g's support; a
+    node stops once all its rays reach end_i, its radius passes
+    ``quad.far_cap``, or the magnitude of its latest panel is below
+    ``quad.tail_tolerance`` of the running sum of those magnitudes.  The
+    magnitude integrates |g - g_inf| K, so that a signed integrand can
+    neither stall the test nor stop it where its rays cancel.
+    For a constant field A the kernel along a ray is
+    rho^(N-1) K = kdir(theta) rho^(-1-2s) with kdir(theta) = K(0, theta),
+    so no quadratic form is evaluated.
     """
     dirs, aw = _directions(spec.dim, quad)
     s = spec.s
-    if g is None and spec.field.variant == "constant":
+    constant = spec.field.variant == "constant"
+    if constant:
         q_unit = np.einsum("da,ab,db->d", dirs, spec.field.matrix, dirs)
         kdir = spec.prefactor * q_unit ** (-spec.bounds.exponent)
-        return np.einsum("d,d,id->i", aw, kdir, start ** (-2.0 * s)) / (2.0 * s)
+        if g is None:
+            return np.einsum("d,d,id->i", aw, kdir, start ** (-2.0 * s)) / (2.0 * s)
     end = np.full(len(pts), np.inf)
+    split = np.full(np.shape(start), -np.inf)
     if g is not None and g.support_radius is not None:
         end = np.linalg.norm(pts, axis=1) + g.support_radius
+        split = _support_exits(pts, dirs, g.support_radius)
     stop = np.maximum(start, end[:, None])
     gl_x, gl_w = roots_legendre(quad.radial_order)
     total = np.zeros(len(pts))
-    size = np.zeros(len(pts))  # running sum of |panel|, the total's scale
+    size = np.zeros(len(pts))  # running sum of panel magnitudes, the total's scale
     a = np.array(start, dtype=float)
     live = np.flatnonzero((a < stop).any(axis=1))
     while live.size:
         x, lo = pts[live], a[live]
-        hi = np.minimum(lo * quad.panel_ratio, stop[live])
+        edge = np.where(lo < split[live], split[live], stop[live])
+        hi = np.minimum(lo * quad.panel_ratio, edge)
         mid = 0.5 * (lo + hi)[:, None, :]
         half = 0.5 * (hi - lo)[:, None, :]
         rho = mid + half * gl_x[None, :, None]  # (node, radius, direction)
         wr = half * gl_w[None, :, None]
         y = (x[:, None, None, :] + rho[..., None] * dirs[None, None, :, :]).reshape(-1, spec.dim)
-        xs = np.broadcast_to(x[:, None, None, :], rho.shape + (spec.dim,)).reshape(-1, spec.dim)
-        kv = spec.prefactor * spec.field.quadratic_form(y, xs).reshape(rho.shape) ** (
-            -spec.bounds.exponent)
-        wf = wr * rho ** (spec.dim - 1)
+        if constant:  # kv is rho^(N-1) K here
+            wf, kv = wr, kdir * rho ** (-1.0 - 2.0 * s)
+        else:
+            xs = np.broadcast_to(x[:, None, None, :], rho.shape + (spec.dim,)).reshape(-1, spec.dim)
+            kv = spec.prefactor * spec.field.quadratic_form(y, xs).reshape(rho.shape) ** (
+                -spec.bounds.exponent)
+            wf = wr * rho ** (spec.dim - 1)
         if g is not None:
             wf = wf * (g(y).reshape(rho.shape) - g.far_value)
         panel = np.einsum("ird,d,ird->i", wf, aw, kv)
+        # a signed g can cancel between rays, and a panel sum near 0 then
+        # says nothing about the panels still to come
+        mag = np.abs(panel) if g is None else np.einsum("ird,d,ird->i", np.abs(wf), aw, kv)
         total[live] += panel
-        size[live] += np.abs(panel)
+        size[live] += mag
         a[live] = hi
-        done = ((np.abs(panel) < quad.tail_tolerance * size[live])
+        done = ((mag < quad.tail_tolerance * size[live])
                 | (hi.min(axis=1) > quad.far_cap) | (hi >= stop[live]).all(axis=1))
         live = live[~done]
     if g is None:
         total += _ellipticity_tail(spec, a.min(axis=1))
     return total
-
-
-_RULE_CACHE: dict = {}
 
 
 def _tolerance_radius(spec: KernelSpec, quad: QuadratureScheme) -> float:
@@ -392,17 +439,10 @@ def _tolerance_radius(spec: KernelSpec, quad: QuadratureScheme) -> float:
     return float(min(max(r, quad.outer_radius), quad.far_cap))
 
 
-def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
-               fns: Sequence[SmoothFunction] = (),
-               need_tolerance_radius: bool = False) -> PointRule:
-    """Assemble the pointwise rule at x for the given integrand functions.
-
-    The quadrature radius covers the supports of all ``fns`` (relative
-    to x); if any function has unbounded support, or
-    ``need_tolerance_radius`` is set, the radius is grown until the
-    kernel tail bound drops below the scheme's tail tolerance.
-    """
-    x = np.asarray(x, dtype=float).reshape(spec.dim)
+def _rule_radii(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
+                fns: Sequence[SmoothFunction],
+                need_tolerance_radius: bool) -> tuple[float, float, list[float]]:
+    """Inner radius, quadrature radius and kink radii of the rule at x."""
     breaks: list[float] = []
     for f in fns:
         breaks.extend(f.radial_breakpoints(x))
@@ -418,66 +458,80 @@ def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
     if pos_breaks:
         r_in = min(r_in, 0.5 * min(pos_breaks))
     r_in = min(r_in, r_target / 8.0)
+    return r_in, r_target, pos_breaks
 
-    cache_key = None
-    if spec.field.variant == "constant":
-        # id() is unsafe here (reused after gc); key on kernel content
-        cache_key = (spec.field.matrix.tobytes(), spec.s, spec.normalized,
-                     spec.bounds, quad, round(r_in, 15), round(r_target, 6),
-                     tuple(round(b, 12) for b in sorted(pos_breaks)))
-        hit = _RULE_CACHE.get(cache_key)
-        if hit is not None:
-            return PointRule(x=x, offsets=hit.offsets, weights=hit.weights,
-                             tail_mass=hit.tail_mass, quad_radius=hit.quad_radius,
-                             inner_pair_count=hit.inner_pair_count)
 
+def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
+               fns: Sequence[SmoothFunction] = (),
+               need_tolerance_radius: bool = False) -> PointRule | list[PointRule]:
+    """Assemble the pointwise rule at x for the given integrand functions.
+
+    The quadrature radius covers the supports of all ``fns`` (relative
+    to x); if any function has unbounded support, or
+    ``need_tolerance_radius`` is set, the radius is grown until the
+    kernel tail bound drops below the scheme's tail tolerance.
+
+    A point of shape (dim,) gives its rule; an (m, dim) array gives the
+    list of the m rules, each equal to the rule of its point alone.  The
+    radii, kink radii and panel edges are set point by point, then the
+    kernel values at every node of every point come from chunked
+    quadratic-form calls (``_KERNEL_CHUNK_BYTES``) and all tail masses
+    from one ``far_field`` call.
+    """
+    arr = np.asarray(x, dtype=float)
+    pts = arr if arr.ndim == 2 else arr.reshape(1, spec.dim)
+    if pts.shape[1] != spec.dim:
+        raise DomainError(f"points must have {spec.dim} coordinates, got shape {arr.shape}")
     dirs, aw = _directions(spec.dim, quad)
     hdirs, haw = _half_set(dirs, aw)
     s = spec.s
-
-    # inner ball: Gauss-Jacobi in the radius with weight rho^(1-2s)
+    dim = spec.dim
+    # the inner ball pairs each node with its mirror image; a constant
+    # field gives both the same kernel value
+    mirrored = spec.field.variant != "constant"
     gj_x, gj_w = roots_jacobi(quad.radial_order, 0.0, 1.0 - 2.0 * s)
-    rho_in = 0.5 * r_in * (1.0 + gj_x)
-    w_in = (0.5 * r_in) ** (2.0 - 2.0 * s) * gj_w
-    offs_p = rho_in[:, None, None] * hdirs[None, :, :]  # (nr, nd, dim)
-    kp = _kernel_at_offsets(spec, x, offs_p.reshape(-1, spec.dim))
-    if spec.field.variant == "constant":
-        kbar = kp
-    else:
-        km = _kernel_at_offsets(spec, x, -offs_p.reshape(-1, spec.dim))
-        kbar = 0.5 * (kp + km)
-    radial_fac = (w_in * rho_in ** (2.0 * s - 1.0) * rho_in ** (spec.dim - 1))[:, None]
-    w_pairs = (radial_fac * haw[None, :]).reshape(-1) * kbar
-    inner_offsets = np.concatenate([offs_p.reshape(-1, spec.dim),
-                                    -offs_p.reshape(-1, spec.dim)])
-    inner_weights = np.concatenate([w_pairs, w_pairs])
-
-    # annulus: geometric Gauss-Legendre panels honouring kink radii
     gl_x, gl_w = roots_legendre(quad.radial_order)
-    edges = _panel_edges(r_in, r_target, quad.panel_ratio, pos_breaks)
-    chunks_o = [inner_offsets]
-    chunks_w = [inner_weights]
-    for a, b in zip(edges[:-1], edges[1:]):
-        rho = 0.5 * (b - a) * gl_x + 0.5 * (b + a)
-        wr = 0.5 * (b - a) * gl_w
-        offs = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, spec.dim)
-        kv = _kernel_at_offsets(spec, x, offs)
-        ww = ((wr * rho ** (spec.dim - 1))[:, None] * aw[None, :]).reshape(-1) * kv
-        chunks_o.append(offs)
-        chunks_w.append(ww)
 
-    offsets = np.concatenate(chunks_o)
-    weights = np.concatenate(chunks_w)
-    tail_mass = float(far_field(spec, x[None, :], np.full((1, len(dirs)), r_target), quad)[0])
+    # per point, nodes +inner, -inner, annulus and their weights without
+    # the kernel factor
+    offsets: list[np.ndarray] = []
+    factors: list[np.ndarray] = []
+    radii = np.empty(len(pts))
+    for i, xi in enumerate(pts):
+        r_in, radii[i], breaks = _rule_radii(spec, xi, quad, fns, need_tolerance_radius)
+        # inner ball: Gauss-Jacobi in the radius with weight rho^(1-2s)
+        rho_in = 0.5 * r_in * (1.0 + gj_x)
+        w_in = (0.5 * r_in) ** (2.0 - 2.0 * s) * gj_w
+        offs_p = (rho_in[:, None, None] * hdirs[None, :, :]).reshape(-1, dim)
+        radial_fac = (w_in * rho_in ** (2.0 * s - 1.0) * rho_in ** (dim - 1))[:, None]
+        w_pairs = (radial_fac * haw[None, :]).reshape(-1)
+        # annulus: geometric Gauss-Legendre panels honouring kink radii
+        edges = _panel_edges(r_in, radii[i], quad.panel_ratio, breaks)
+        width = 0.5 * np.subtract(edges[1:], edges[:-1])[:, None]
+        rho = (width * gl_x + 0.5 * np.add(edges[1:], edges[:-1])[:, None]).reshape(-1)
+        wr = (width * gl_w).reshape(-1)
+        offsets.append(np.concatenate([
+            offs_p, -offs_p, (rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim)]))
+        factors.append(np.concatenate([
+            w_pairs, w_pairs, ((wr * rho ** (dim - 1))[:, None] * aw[None, :]).reshape(-1)]))
 
-    rule = PointRule(x=x, offsets=offsets, weights=weights, tail_mass=tail_mass,
-                     quad_radius=r_target,
-                     inner_pair_count=len(w_pairs))
-    if cache_key is not None:
-        if len(_RULE_CACHE) > 256:
-            _RULE_CACHE.clear()
-        _RULE_CACHE[cache_key] = rule
-    return rule
+    counts = np.array([len(o) for o in offsets], dtype=int)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    offsets = np.concatenate(offsets or [np.empty((0, dim))])
+    weights = _kernel_at_offsets(spec, pts, offsets, ends)
+    # one kernel value per antipodal pair: the mean of the two, or for a
+    # constant field the value at the +inner node
+    n_pair = quad.radial_order * len(hdirs)
+    plus = starts[:, None] + np.arange(n_pair)
+    kbar = 0.5 * (weights[plus] + weights[plus + n_pair]) if mirrored else weights[plus]
+    weights[plus] = weights[plus + n_pair] = kbar
+    weights *= np.concatenate(factors or [np.empty(0)])
+    tails = far_field(spec, pts, np.repeat(radii[:, None], len(dirs), axis=1), quad)
+    rules = [PointRule(x=xi, offsets=offsets[lo:hi], weights=weights[lo:hi],
+                       tail_mass=float(tail), quad_radius=float(r), inner_pair_count=n_pair)
+             for xi, lo, hi, tail, r in zip(pts, starts, ends, tails, radii)]
+    return rules[0] if arr.ndim < 2 else rules
 
 
 # --------------------------------------------------------------------------
@@ -488,14 +542,21 @@ _DEFAULT = QuadratureScheme()
 
 def nonlocal_laplacian(u: SmoothFunction, spec: KernelSpec, x: np.ndarray,
                        quad: QuadratureScheme = _DEFAULT,
-                       rule: PointRule | None = None) -> float:
+                       rule: PointRule | Sequence[PointRule] | None = None) -> float | np.ndarray:
     """L u(x) = p.v. Int (u(y) - u(x)) K(x, y) dy.
 
     The far field contributes -u(x) times the kernel tail mass, exact
-    whenever u vanishes beyond the quadrature radius.
+    whenever u vanishes beyond the quadrature radius.  An (m, dim) array
+    of points, or a list of their rules, gives the array of the m values.
     """
     if rule is None:
         rule = build_rule(spec, x, quad, fns=(u,))
+    if isinstance(rule, PointRule):
+        return _laplacian_at(u, rule)
+    return np.array([_laplacian_at(u, r) for r in rule])
+
+
+def _laplacian_at(u: SmoothFunction, rule: PointRule) -> float:
     ux = u(rule.x)
     vals = u(rule.x + rule.offsets)
     return float(np.dot(rule.weights, vals - ux) + (u.far_value - ux) * rule.tail_mass)
@@ -503,16 +564,23 @@ def nonlocal_laplacian(u: SmoothFunction, spec: KernelSpec, x: np.ndarray,
 
 def carre_du_champ(u: SmoothFunction, v: SmoothFunction, spec: KernelSpec,
                    x: np.ndarray, quad: QuadratureScheme = _DEFAULT,
-                   rule: PointRule | None = None) -> float:
+                   rule: PointRule | Sequence[PointRule] | None = None) -> float | np.ndarray:
     """B(u, v)(x) = 1/2 Int (u(y) - u(x)) (v(y) - v(x)) K(x, y) dy.
 
     The integrand is O(|y - x|^(2 - N - 2s)) near x, so no principal
-    value is needed; the paired-node rule is reused unchanged.
+    value is needed; the paired-node rule is reused unchanged.  Points
+    and rules batch as in ``nonlocal_laplacian``.
     """
     if rule is None:
         both_supported = u.support_radius is not None and v.support_radius is not None
         rule = build_rule(spec, x, quad, fns=(u, v),
                           need_tolerance_radius=not both_supported)
+    if isinstance(rule, PointRule):
+        return _carre_du_champ_at(u, v, rule)
+    return np.array([_carre_du_champ_at(u, v, r) for r in rule])
+
+
+def _carre_du_champ_at(u: SmoothFunction, v: SmoothFunction, rule: PointRule) -> float:
     ux, vx = u(rule.x), v(rule.x)
     du = u(rule.x + rule.offsets) - ux
     dv = v(rule.x + rule.offsets) - vx
@@ -525,8 +593,9 @@ def carre_du_champ(u: SmoothFunction, v: SmoothFunction, spec: KernelSpec,
 
 
 def drifted_operator(u: SmoothFunction, h: SmoothFunction, spec: KernelSpec,
-                     x: np.ndarray, quad: QuadratureScheme = _DEFAULT) -> float:
-    """(L u + B(u, h))(x) with a single shared rule for both terms."""
+                     x: np.ndarray, quad: QuadratureScheme = _DEFAULT) -> float | np.ndarray:
+    """(L u + B(u, h))(x) with a single shared rule for both terms; an
+    (m, dim) array of points gives the array of the m values."""
     both = u.support_radius is not None and h.support_radius is not None
     rule = build_rule(spec, x, quad, fns=(u, h), need_tolerance_radius=not both)
     return (nonlocal_laplacian(u, spec, x, quad, rule=rule)

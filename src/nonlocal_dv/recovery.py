@@ -599,8 +599,7 @@ def drift_probe(h: SmoothFunction, spec: KernelSpec, x0,
         g = rescale_density(f, float(lam), x0)
         dom = probe_domain(f, float(lam), x0, cells=cells)
         fv = g.values_on(dom)
-        applied = np.array([nonlocal_laplacian(h, spec, p)
-                            for p in dom.interior_points])
+        applied = nonlocal_laplacian(h, spec, dom.interior_points)
         vals.append(float(fv @ applied) * dom.cell_volume)
         op = assemble(dom, spec, drift=h)
         pairs.append(-drift_pairing(op, fv))
@@ -627,7 +626,7 @@ def constancy_check(w: SmoothFunction, spec: KernelSpec, sample_points,
     pts = np.asarray(sample_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != w.dim:
         raise DomainError("sample points must have shape (m, dim)")
-    applied = np.array([nonlocal_laplacian(w, spec, p) for p in pts])
+    applied = nonlocal_laplacian(w, spec, pts)
     field_vals = np.append(w(pts), w.far_value)
     oscillation = float(field_vals.max() - field_vals.min())
     max_op = float(np.abs(applied).max())

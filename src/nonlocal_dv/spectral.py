@@ -26,7 +26,14 @@ from .errors import (
 )
 from .kernels import fractional_kernel
 from .lattice import AssembledOperator, GridFunction, estimate_shift
-from .operators import SmoothFunction, carre_du_champ, interval_power, nonlocal_laplacian
+from .operators import (
+    QuadratureScheme,
+    SmoothFunction,
+    build_rule,
+    carre_du_champ,
+    interval_power,
+    nonlocal_laplacian,
+)
 
 
 @dataclass(frozen=True)
@@ -233,12 +240,11 @@ def maxprinciple_violation_demo(
 
     half = int(round(0.95 / grid_step))
     grid = np.arange(-half, half + 1) * grid_step
-    base = np.empty(len(grid))
-    unit_term = np.empty(len(grid))
-    for k, xk in enumerate(grid):
-        x = np.array([xk])
-        base[k] = -nonlocal_laplacian(u, spec, x)
-        unit_term[k] = carre_du_champ(u, jump_unit, spec, x)
+    # u and the jump share their support and kinks, so one rule set serves both
+    xs = grid[:, None]
+    rules = build_rule(spec, xs, QuadratureScheme(), fns=(u, jump_unit))
+    base = -nonlocal_laplacian(u, spec, xs, rule=rules)
+    unit_term = carre_du_champ(u, jump_unit, spec, xs, rule=rules)
 
     if drift_jump is None:
         positive = base > 0.0

@@ -31,6 +31,7 @@ from .operators import (
     QuadratureScheme,
     SmoothFunction,
     bump,
+    build_rule,
     carre_du_champ,
     gaussian,
     interval_power,
@@ -131,17 +132,18 @@ def _check_operator_identities(rng: np.random.Generator) -> CheckResult:
         v = gaussian(dim, width=0.7)
         w = SmoothFunction(lambda p: u(p) * v(p), dim,
                            support_radius=0.8)
-        points = ([np.array([0.0]), np.array([-0.5]), np.array([0.3])]
-                  if dim == 1 else
-                  [np.array([0.1, -0.2]), np.array([-0.4, 0.3])])
-        for x in points:
-            lw = nonlocal_laplacian(w, spec, x, quad=quad_scheme)
-            lu = nonlocal_laplacian(u, spec, x, quad=quad_scheme)
-            lv = nonlocal_laplacian(v, spec, x, quad=quad_scheme)
-            buv = carre_du_champ(u, v, spec, x, quad=quad_scheme)
-            ux = u(x[None, :])[0]
-            vx = v(x[None, :])[0]
-            worst_point = max(worst_point, abs(lw - ux * lv - vx * lu - 2.0 * buv))
+        xs = (np.array([[0.0], [-0.5], [0.3]]) if dim == 1 else
+              np.array([[0.1, -0.2], [-0.4, 0.3]]))
+        # w has the support of u and v the wider one, so u and w share a
+        # rule, and so do v and B(u, v)
+        near = build_rule(spec, xs, quad_scheme, fns=(u,))
+        wide = build_rule(spec, xs, quad_scheme, fns=(u, v))
+        lw = nonlocal_laplacian(w, spec, xs, rule=near)
+        lu = nonlocal_laplacian(u, spec, xs, rule=near)
+        lv = nonlocal_laplacian(v, spec, xs, rule=wide)
+        buv = carre_du_champ(u, v, spec, xs, rule=wide)
+        residual = np.abs(lw - u(xs) * lv - v(xs) * lu - 2.0 * buv)
+        worst_point = max(worst_point, float(residual.max()))
     measure = max(worst_discrete, worst_point)
     return CheckResult(
         "operator_identities",
@@ -163,7 +165,7 @@ def _check_shape_law(rng: np.random.Generator) -> CheckResult:
     for s in (0.3, 0.5, 0.7):
         spec = fractional_kernel(1, s, normalized=True)
         u = interval_power(1.0 + s, 1)
-        vals = np.array([-nonlocal_laplacian(u, spec, np.array([x])) for x in xs])
+        vals = -nonlocal_laplacian(u, spec, xs[:, None])
         model = 1.0 - (1.0 + 2.0 * s) * xs**2
         c = float(vals @ model / (model @ model))
         rel = float((np.abs(vals - c * model) / np.abs(c * model)).max())

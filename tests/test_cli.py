@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from nonlocal_dv import cli
+from nonlocal_dv import cli, operators
 from nonlocal_dv.cli import main
 
 KERNEL_1D = {"variant": "constant", "matrix": [[1.0]], "s": 0.5,
@@ -60,6 +60,39 @@ def test_operator_eval_deterministic_outputs(tmp_path):
     summary = read_summary(outs[0], "operator_eval")
     assert summary["results"]["points"] == 2
     assert summary["provenance"]["config_sha256"]
+
+
+def test_operator_eval_names_bad_point(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "kernel": KERNEL_1D,
+        "eval": {"function": {"kind": "bump"}, "points": [[0.0], [0.1, 0.2]]},
+    })
+    assert main(["operator-eval", "--config", cfg,
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert "eval.points.1" in capsys.readouterr().err
+
+
+def test_operator_eval_one_far_field_call_per_rule_set(tmp_path, monkeypatch):
+    # the Laplacian and the drift form each build one rule set for all
+    # points, so a variable field takes two far_field calls, not two per point
+    calls = []
+    real = operators.far_field
+
+    def counting(spec, pts, *args, **kwargs):
+        calls.append(len(pts))
+        return real(spec, pts, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "far_field", counting)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "kernel": {"variant": "separable_product",
+                   "matrix": [[1.2, 0.3], [0.3, 0.8]], "s": 0.5},
+        "eval": {"function": {"kind": "gaussian", "width": 0.7},
+                 "points": [[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6]]},
+        "drift": {"kind": "tanh", "amplitude": 0.3, "slope": 2.0},
+    })
+    assert main(["operator-eval", "--config", cfg,
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    assert calls == [3, 3]
 
 
 def test_eigen_reference_and_positivity(tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nonlocal_dv.kernels import spec_from_config
-from nonlocal_dv.lattice import LatticeDomain, assemble
+from nonlocal_dv.lattice import LatticeDomain, _box_exit_distances, assemble
 from nonlocal_dv.operators import (
     QuadratureScheme,
     SmoothFunction,
@@ -70,9 +70,10 @@ _BUMP = shifted(bump(2, center=[0.4, 0.0], radius=1.0, amplitude=0.5), 0.3)
 def test_drift_far_field_cut_at_support(variant, drift):
     spec = spec_from_config({"variant": variant, "matrix": _MATRICES[2], "s": 0.5})
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [8, 8], margin=0.25)
-    # the two sides place their panels differently, and a ray crosses the
-    # bump's edge, where the bump is not analytic, inside a panel: 16 nodes
-    # per panel leave about 4e-7 of max|S| there, 64 nodes about 2e-10
+    # the unbounded side has no support radius, so no panel edge where a
+    # ray leaves it, and its rays cross the bump's edge, where the bump is
+    # not analytic, inside a panel: 16 nodes per panel leave about 4e-7 of
+    # max|S| there, 64 nodes about 2e-10
     quad = QuadratureScheme(tail_tolerance=1e-12, radial_order=64, angular_count=8)
     cut = assemble(dom, spec, drift=drift, quad=quad).drift_far
     unbounded = SmoothFunction(drift.fn, drift.dim)
@@ -80,3 +81,32 @@ def test_drift_far_field_cut_at_support(variant, drift):
     full = assemble(dom, spec, drift=unbounded, quad=quad).drift_far
     assert np.abs(full).max() > 0.0
     np.testing.assert_allclose(cut, full, rtol=0.0, atol=1e-9 * np.abs(full).max())
+
+
+def test_drift_far_field_split_at_support_exit():
+    # at the default 16 nodes, the panel edge where each ray leaves the
+    # ball of the support radius keeps the bump's edge in a short panel:
+    # about 7e-11 of max|S| from the 64-node values, 6e-7 without the edge
+    spec = spec_from_config({"variant": "constant", "matrix": _MATRICES[2], "s": 0.5})
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [8, 8], margin=0.25)
+    got = assemble(dom, spec, drift=_BUMP, quad=QuadratureScheme(angular_count=8)).drift_far
+    fine = QuadratureScheme(tail_tolerance=1e-12, radial_order=64, angular_count=8)
+    ref = assemble(dom, spec, drift=_BUMP, quad=fine).drift_far
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
+
+
+def test_drift_far_field_stop_ignores_cancelling_rays():
+    # a node near the edge of a 40-cell box lattice: one panel of the tanh
+    # drift sums to 2e-8 over its rays while each ray still adds about 1e-2;
+    # a stop on the panel sum loses 1e-4 of the value there
+    spec = spec_from_config({"variant": "constant", "s": 0.5, "matrix": [
+        [2.2073872906685277, -0.1874812713828642],
+        [-0.18748127138286427, 2.2883280870706737]]})
+    drift = tanh_drift(2, amplitude=0.2898360228401422, slope=2.0)
+    quad = QuadratureScheme()
+    x = np.array([[-0.925, 1.275]])
+    start = _box_exit_distances(x, np.full(2, -1.3), np.full(2, 1.3),
+                                _directions(2, quad)[0])
+    got = far_field(spec, x, start, quad, g=drift)
+    ref = far_field(spec, x, start, QuadratureScheme(tail_tolerance=1e-12), g=drift)
+    np.testing.assert_allclose(got, ref, rtol=1e-9)

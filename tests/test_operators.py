@@ -10,12 +10,15 @@ import math
 import numpy as np
 import pytest
 
+from nonlocal_dv import operators
+from nonlocal_dv.errors import DomainError
 from nonlocal_dv.extrapolate import richardson_limit
 from nonlocal_dv.kernels import (
     AnisotropyField,
     EllipticityBounds,
     KernelSpec,
     fractional_kernel,
+    spec_from_config,
 )
 from nonlocal_dv.operators import (
     QuadratureScheme,
@@ -27,6 +30,8 @@ from nonlocal_dv.operators import (
     gaussian,
     interval_power,
     nonlocal_laplacian,
+    sum_of,
+    tanh_drift,
 )
 
 
@@ -179,3 +184,96 @@ def test_tail_mass_drops_with_radius():
     r2 = build_rule(spec, np.array([0.0]), QuadratureScheme(), fns=(bump(1, radius=8.0),))
     assert 0 < r2.tail_mass < r1.tail_mass
     assert r1.tail_mass == pytest.approx(4.0 * r2.tail_mass, rel=1e-10)
+
+
+# --------------------------------------------------------------------------
+# point arrays: one batch equals its points one by one, bit for bit
+
+_MATRICES = {
+    1: [[1.3]],
+    2: [[1.2, 0.3], [0.3, 0.8]],
+    3: [[1.1, 0.2, 0.0], [0.2, 0.9, 0.1], [0.0, 0.1, 1.4]],
+}
+
+
+def _batch_case(dim, variant):
+    spec = spec_from_config({"variant": variant, "matrix": _MATRICES[dim], "s": 0.4})
+    # kinked u: breakpoints, inner radius and quadrature radius all move
+    # with the point; the points span the kink sphere and lie at several radii
+    u = sum_of([interval_power(0.7, dim), bump(dim, radius=0.8)])
+    h = tanh_drift(dim, amplitude=0.3)
+    pts = np.random.default_rng(dim).uniform(-1.2, 1.2, size=(4, dim))
+    return spec, u, h, pts
+
+
+def _assert_same_rule(got, want):
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.offsets, want.offsets)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.tail_mass == want.tail_mass
+    assert got.quad_radius == want.quad_radius
+    assert got.inner_pair_count == want.inner_pair_count
+
+
+@pytest.mark.parametrize("variant", ["constant", "separable_sum", "separable_product"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batch_equals_points(dim, variant):
+    spec, u, h, pts = _batch_case(dim, variant)
+    quad = QuadratureScheme()
+    for fns in ((u,), (u, h)):
+        rules = build_rule(spec, pts, quad, fns=fns)
+        assert len(rules) == len(pts)
+        for x, rule in zip(pts, rules):
+            _assert_same_rule(rule, build_rule(spec, x, quad, fns=fns))
+    assert len({r.quad_radius for r in rules}) == len(pts)
+    lap = nonlocal_laplacian(u, spec, pts)
+    drift = carre_du_champ(u, h, spec, pts)
+    whole = drifted_operator(u, h, spec, pts)
+    for k, x in enumerate(pts):
+        one = nonlocal_laplacian(u, spec, x)
+        assert isinstance(one, float) and lap[k] == one
+        assert drift[k] == carre_du_champ(u, h, spec, x)
+        assert whole[k] == drifted_operator(u, h, spec, x)
+
+
+@pytest.mark.parametrize("variant", ["constant", "separable_product"])
+def test_batch_across_kernel_chunks(monkeypatch, variant):
+    spec, u, h, pts = _batch_case(2, variant)
+    quad = QuadratureScheme()
+    want = [build_rule(spec, x, quad, fns=(u, h)) for x in pts]
+    # 1000 rows per chunk: chunk edges fall inside points, and one point
+    # spans several chunks
+    monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", 1000 * 8 * (4 * 4 + 2 * 2 + 2))
+    got = build_rule(spec, pts, quad, fns=(u, h))
+    assert min(len(r.weights) for r in got) > 2000
+    for g, w in zip(got, want):
+        _assert_same_rule(g, w)
+
+
+def test_point_shapes():
+    spec = fractional_kernel(1, 0.5, normalized=True)
+    u = gaussian(1)
+    one = nonlocal_laplacian(u, spec, np.array([0.3]))
+    batch = nonlocal_laplacian(u, spec, np.array([[0.3]]))
+    assert isinstance(one, float)
+    assert batch.shape == (1,) and batch[0] == one
+    assert nonlocal_laplacian(u, spec, np.empty((0, 1))).shape == (0,)
+    with pytest.raises(DomainError):
+        build_rule(fractional_kernel(2, 0.5), np.zeros((2, 4)), QuadratureScheme())
+
+
+def test_batch_makes_one_far_field_call(monkeypatch):
+    # each rule set of a batch takes all its tail masses from one call
+    calls = []
+    real = operators.far_field
+
+    def counting(spec, pts, *args, **kwargs):
+        calls.append(len(pts))
+        return real(spec, pts, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "far_field", counting)
+    spec, u, h, pts = _batch_case(2, "separable_product")
+    nonlocal_laplacian(u, spec, pts)
+    carre_du_champ(u, h, spec, pts)
+    drifted_operator(u, h, spec, pts)
+    assert calls == [len(pts)] * 3
