@@ -95,16 +95,24 @@ def test_drift_far_field_split_at_support_exit():
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
 
 
-def test_drift_far_field_stop_ignores_cancelling_rays():
-    # a node near the edge of a 40-cell box lattice: one panel of the tanh
-    # drift sums to 2e-8 over its rays while each ray still adds about 1e-2;
-    # a stop on the panel sum loses 1e-4 of the value there
-    spec = spec_from_config({"variant": "constant", "s": 0.5, "matrix": [
-        [2.2073872906685277, -0.1874812713828642],
-        [-0.18748127138286427, 2.2883280870706737]]})
-    drift = tanh_drift(2, amplitude=0.2898360228401422, slope=2.0)
+# nodes of 40-cell box lattices on [-1.3, 1.3]^2 where one panel of the
+# tanh drift sums to nearly 0 over its rays while each ray still adds about
+# 1e-2: a stop on the panel sum loses 1e-4 of the far field there, with
+# (first case) and without (second case) a panel edge at the support exit
+_CANCELLING = [
+    ([[2.2073872906685277, -0.1874812713828642],
+      [-0.18748127138286427, 2.2883280870706737]], 0.2898360228401422, [-0.925, 1.275]),
+    ([[1.4981354596968544, 0.5814691021108505],
+      [0.5814691021108503, 1.1847300125004432]], 0.39870519819088523, [-0.625, -0.775]),
+]
+
+
+@pytest.mark.parametrize("matrix, amplitude, node", _CANCELLING)
+def test_drift_far_field_stop_ignores_cancelling_rays(matrix, amplitude, node):
+    spec = spec_from_config({"variant": "constant", "s": 0.5, "matrix": matrix})
+    drift = tanh_drift(2, amplitude=amplitude, slope=2.0)
     quad = QuadratureScheme()
-    x = np.array([[-0.925, 1.275]])
+    x = np.array([node])
     start = _box_exit_distances(x, np.full(2, -1.3), np.full(2, 1.3),
                                 _directions(2, quad)[0])
     got = far_field(spec, x, start, quad, g=drift)
