@@ -10,7 +10,10 @@ optionally multiplied by the constant that makes the isotropic case
 field variants are supported: a constant matrix, the separable sum
 ``A(x, y) = M(x) + M(y)`` and the symmetrised separable product
 ``A(x, y) = M(x) M(y) + M(y) M(x)``.  All variants are symmetric under
-swapping ``x`` and ``y`` by construction.
+swapping ``x`` and ``y`` by construction.  For the separable variants
+z^T A(x, y) z is formed from M(x) and M(y) without forming A
+(``AnisotropyField.point_terms`` and ``separable_form``), so the part of
+M(x) can be computed once and reused for many y.
 """
 
 from __future__ import annotations
@@ -164,6 +167,33 @@ class AnisotropyField:
             return mx + my
         return mx @ my + my @ mx
 
+    def point_terms(self, mats: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The share of z^T A(x, y) z that needs only M(x), for a separable
+        field: z^T M(x) z for the sum, M(x) z for the product.
+
+        ``mats`` holds one-point matrices with shape (..., dim, dim) and
+        ``z`` vectors with shape (..., dim); leading axes broadcast.
+        """
+        if self.variant == "separable_sum":
+            return np.einsum("...i,...ij,...j->...", z, mats, z)
+        # column by column: several times faster than einsum at dim <= 3
+        mz = mats[..., 0] * z[..., None, 0]
+        for j in range(1, self.dim):
+            mz += mats[..., j] * z[..., None, j]
+        return mz
+
+    def separable_form(self, tx: np.ndarray, my: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """z^T A(x, y) z from tx = ``point_terms(M(x), z)`` and M(y), without
+        forming A: z^T M(x) z + z^T M(y) z for the sum, and for the
+        product, whose M are symmetric,
+        z^T (M(x) M(y) + M(y) M(x)) z = 2 (M(x) z)^T M(y) z.
+        Leading axes broadcast, so tx can be computed once per x and
+        reused for many y.
+        """
+        if self.variant == "separable_sum":
+            return tx + np.einsum("...i,...ij,...j->...", z, my, z)
+        return 2.0 * np.einsum("...i,...ij,...j->...", tx, my, z)
+
     def quadratic_form(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """(x - y)^T A(x, y) (x - y) for paired rows; shape (m,)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -171,8 +201,8 @@ class AnisotropyField:
         z = x - y
         if self.variant == "constant":
             return np.einsum("mi,ij,mj->m", z, self.matrix, z)
-        a = self.pair_matrices(x, y)
-        return np.einsum("mi,mij,mj->m", z, a, z)
+        return self.separable_form(self.point_terms(self.single_point_matrices(x), z),
+                                   self.single_point_matrices(y), z)
 
 
 @dataclass(frozen=True)
@@ -297,9 +327,15 @@ def spec_from_config(cfg: dict) -> KernelSpec:
 
         def matrix_fn(points: np.ndarray, _base=base, _amp=amp) -> np.ndarray:
             pts = np.atleast_2d(points)
-            bump = _amp * np.sin(pts.sum(axis=1))
-            out = np.broadcast_to(_base, (pts.shape[0], dim, dim)).copy()
-            out += bump[:, None, None] * np.eye(dim)
+            # sum(axis=1) adds the same terms in the same order, but a
+            # reduction over short rows costs ten times this loop
+            phase = pts[:, 0].copy()
+            for a in range(1, dim):
+                phase += pts[:, a]
+            out = np.empty((len(pts), dim, dim))
+            out[...] = _base
+            # the diagonals of all the matrices, a strided view of out
+            out.reshape(len(pts), dim * dim)[:, :: dim + 1] += (_amp * np.sin(phase))[:, None]
             return out
 
         eigs = np.linalg.eigvalsh(base)

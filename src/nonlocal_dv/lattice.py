@@ -49,7 +49,8 @@ from scipy.special import roots_jacobi
 
 from .errors import CapacityError, DomainError, SolverError
 from .kernels import KernelSpec
-from .operators import QuadratureScheme, SmoothFunction, _directions, far_field
+from .operators import (QuadratureScheme, SmoothFunction, _chunk_rows, _directions,
+                        _ray_kernel, _ray_terms, far_field)
 
 __all__ = [
     "LatticeDomain",
@@ -224,21 +225,19 @@ class GridFunction:
 
 def _pair_quadratic_forms(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
     """q_ij = (x_i - x_j)^T A(x_i, x_j) (x_i - x_j) for all node pairs."""
-    n = len(pts)
     if spec.field.variant == "constant":
         A = spec.field.matrix
         g = pts @ A @ pts.T
         r = np.diag(g)
         return r[:, None] + r[None, :] - g - g.T
-    mats = spec.field.single_point_matrices(pts)
+    fld = spec.field
+    mats = fld.single_point_matrices(pts)
     diff = pts[:, None, :] - pts[None, :, :]
-    if spec.field.variant == "separable_sum":
-        # q = d^T M_i d + d^T M_j d
-        e = np.einsum("ija,iab,ijb->ij", diff, mats, diff)
+    if fld.variant == "separable_sum":
+        # q = e + e^T with e_ij = d_ij^T M_i d_ij, since d_ji = -d_ij
+        e = fld.point_terms(mats[:, None], diff)
         return e + e.T
-    # separable_product: q = 2 (M_i d_ij) . (M_j d_ij); note md[j,i] = -M_j d_ij
-    md = np.einsum("iab,ijb->ija", mats, diff)
-    return -2.0 * np.einsum("ija,jia->ij", md, md)
+    return fld.separable_form(fld.point_terms(mats[:, None], diff), mats[None], diff)
 
 
 def _self_cell_moments(spec: KernelSpec, pts: np.ndarray,
@@ -260,19 +259,19 @@ def _self_cell_moments(spec: KernelSpec, pts: np.ndarray,
         radial = rho_max ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
         c = 0.5 * np.einsum("d,d,d,da->a", aw, kdir, radial, dirs**2)
         return np.broadcast_to(c, (len(pts), spec.dim)).copy()
-    # variable field: evaluate the kernel on (node, direction, radius) tuples
-    rho = rho_max[:, None] * t[None, :]  # (nd, nr)
+    # variable field: the kernel on (node, radius, direction) samples, a
+    # chunk of nodes at a time
+    rho = t[:, None] * rho_max[None, :]  # (nr, nd)
     wrad = (0.5 * rho_max) ** (2.0 - 2.0 * s)
+    tx = _ray_terms(spec, pts, dirs)
     out = np.empty((len(pts), spec.dim))
-    offs = rho[:, :, None] * dirs[:, None, :]  # (nd, nr, dim)
-    for i, x in enumerate(pts):
-        y = (x[None, None, :] + offs).reshape(-1, spec.dim)
-        xs = np.broadcast_to(x, y.shape)
-        qv = spec.field.quadratic_form(y, xs).reshape(len(dirs), len(t))
-        kv = spec.prefactor * qv ** (-spec.bounds.exponent)
-        g = kv * rho ** (spec.dim + 2.0 * s)  # smooth part rho^(N+2s) K
-        radial = wrad * np.einsum("r,dr->d", gj_w, g)
-        out[i] = 0.5 * np.einsum("d,d,da->a", aw, radial, dirs**2)
+    rows = _chunk_rows(spec, rho.size)
+    for lo in range(0, len(pts), rows):
+        sl = slice(lo, lo + rows)
+        y = pts[sl, None, None, :] + rho[..., None] * dirs
+        g = _ray_kernel(spec, tx[sl], y, rho, dirs) * rho ** (spec.dim + 2.0 * s)
+        radial = wrad * np.einsum("r,ird->id", gj_w, g)  # smooth part rho^(N+2s) K
+        out[sl] = 0.5 * np.einsum("d,id,da->ia", aw, radial, dirs**2)
     return out
 
 

@@ -26,9 +26,12 @@ for any constant g_inf.
 
 The rules of m points are built in one pass and equal, bit for bit, the
 rules of the points taken one by one: the radii and panel edges are set
-point by point, the kernel values at all nodes come from quadratic-form
-calls in chunks of at most ``_KERNEL_CHUNK_BYTES`` of temporaries, and
-the m tail masses from one ``far_field`` call.
+point by point, the kernel values at all nodes come from chunks of at
+most ``_KERNEL_CHUNK_BYTES`` of temporaries, and the m tail masses from
+one ``far_field`` call.  For a separable field every kernel value is
+formed from the one-point matrices (``AnisotropyField.point_terms`` and
+``separable_form``), with M(x) evaluated once per point or node and
+M(y) once per sample.
 """
 
 from __future__ import annotations
@@ -149,8 +152,16 @@ def tanh_drift(dim: int, amplitude: float = 0.3,
     plateaus: against rays run to the stop rule it moves the drift far
     field of a 2D box lattice (s = 1/2, 24 directions) by about 1e-11 of
     its maximum.  For separable fields the two antipodal kernel values
-    differ and the closure is approximate: 1e-5 to 8e-5 of the maximum
-    for ``separable_sum`` fields with amplitude 0.1 on the same lattices.
+    differ and the closure is approximate, but its error is small next
+    to that of the default scheme.  On a 16-cell box lattice with a
+    ``separable_sum`` field of amplitude 0.1, the closure moves the
+    drift far field S by about 3e-6 of max|S|, while the default scheme
+    leaves S about 8e-5 of max|S| from converged values.  That error
+    comes from the panels: 16 radial nodes do not resolve the
+    oscillation of M(y) along far rays (6e-5 at tolerance 1e-10, 9e-6 at
+    32 nodes), and the tail tolerance 1e-6 stops the panels early (3e-5
+    at 128 nodes).
+    ``tests/test_far_field.py`` measures these numbers.
     """
 
     def fn(pts: np.ndarray) -> np.ndarray:
@@ -314,28 +325,68 @@ def _panel_edges(r0: float, r1: float, ratio: float, breaks: Sequence[float]) ->
     return edges
 
 
-# Bytes of quadratic-form temporaries one kernel chunk may hold.  A row of
-# ``AnisotropyField.quadratic_form`` peaks at 7, 20 and 42 doubles in dims
-# 1-3 for the separable product of ``spec_from_config`` (tracemalloc), the
-# most of the three variants, so a chunk has budget / (8 (4 dim^2 + 2 dim
-# + 2)) rows.
+# Bytes of temporaries one kernel chunk may hold; ``_chunk_rows`` divides
+# it by the peak cost of a kernel sample.  Under tracemalloc, with one
+# chunk per call, a sample of ``far_field`` (the kernel mass or the tanh
+# drift, live and per-node arrays included) peaks at 11.5, 14.7 and 20.7
+# doubles in dims 1-3 for the separable fields of ``spec_from_config``
+# and at 8.4, 10.6 and 13.6 for a constant field; a row of
+# ``_kernel_at_offsets`` at 6.0, 11.7 and 19.2 and a sample of the
+# lattice's self-cell moments at 5.1, 8.3 and 14.4.  dim^2 + dim + 10
+# doubles bounds them all.
 _KERNEL_CHUNK_BYTES = 1 << 22
+
+
+def _chunk_rows(spec: KernelSpec, samples_per_row: int) -> int:
+    """Rows of ``samples_per_row`` kernel samples that fit in one chunk."""
+    doubles = spec.dim * spec.dim + spec.dim + 10
+    return max(1, _KERNEL_CHUNK_BYTES // (8 * doubles * samples_per_row))
 
 
 def _kernel_at_offsets(spec: KernelSpec, pts: np.ndarray, offsets: np.ndarray,
                        ends: np.ndarray) -> np.ndarray:
     """K(x_i, x_i + z) for the offsets z; rows ends[i-1]:ends[i] belong to
-    x_i = pts[i].  Each row is computed alone, so the chunking does not
-    change a value."""
-    dim = spec.dim
-    step = max(1, _KERNEL_CHUNK_BYTES // (8 * (4 * dim * dim + 2 * dim + 2)))
+    x_i = pts[i].  M(x_i) is evaluated once per point.  Each row is
+    computed alone, so the chunking does not change a value."""
+    fld = spec.field
+    constant = fld.variant == "constant"
+    mx = None if constant else fld.single_point_matrices(pts)
+    step = _chunk_rows(spec, 1)
     out = np.empty(len(offsets))
     for lo in range(0, len(offsets), step):
         hi = min(lo + step, len(offsets))
-        xs = pts[np.searchsorted(ends, np.arange(lo, hi), side="right")]
-        q = spec.field.quadratic_form(xs + offsets[lo:hi], xs)
+        own = np.searchsorted(ends, np.arange(lo, hi), side="right")
+        xs, z = pts[own], offsets[lo:hi]
+        if constant:
+            q = fld.quadratic_form(xs + z, xs)
+        else:
+            q = fld.separable_form(fld.point_terms(mx[own], z),
+                                   fld.single_point_matrices(xs + z), z)
         out[lo:hi] = spec.prefactor * q ** (-spec.bounds.exponent)
     return out
+
+
+def _ray_terms(spec: KernelSpec, pts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """``point_terms`` of M(x_i) and each direction theta_d, the share of
+    every ray's quadratic form that needs only x_i; shape (node,
+    direction) or (node, direction, dim)."""
+    fld = spec.field
+    return fld.point_terms(fld.single_point_matrices(pts)[:, None], dirs)
+
+
+def _ray_kernel(spec: KernelSpec, tx: np.ndarray, y: np.ndarray, rho: np.ndarray,
+                dirs: np.ndarray) -> np.ndarray:
+    """K(x_i, y) at y = x_i + rho theta_d for a separable field.
+
+    ``y`` has shape (node, radius, direction, dim) and ``rho`` broadcasts
+    to its first three axes; ``tx`` holds the ``_ray_terms`` of the nodes.
+    With z = rho theta the form is rho^2 times the form of theta, so only
+    M(y) is evaluated here.
+    """
+    fld = spec.field
+    my = fld.single_point_matrices(y.reshape(-1, spec.dim)).reshape(y.shape + (spec.dim,))
+    q = rho * rho * fld.separable_form(tx[:, None], my, dirs)
+    return spec.prefactor * q ** (-spec.bounds.exponent)
 
 
 def _ellipticity_tail(spec: KernelSpec, radius: float | np.ndarray) -> float | np.ndarray:
@@ -379,7 +430,11 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
     neither stall the test nor stop it where its rays cancel.
     For a constant field A the kernel along a ray is
     rho^(N-1) K = kdir(theta) rho^(-1-2s) with kdir(theta) = K(0, theta),
-    so no quadratic form is evaluated.
+    so no quadratic form is evaluated; for a separable field the terms
+    of M(x_i) and theta come once per node and ray (``_ray_terms``).
+    Each panel step takes the live nodes in chunks of at most
+    ``_KERNEL_CHUNK_BYTES`` of temporaries; every node is computed alone,
+    so the chunking does not change a value.
     """
     dirs, aw = _directions(spec.dim, quad)
     s = spec.s
@@ -389,6 +444,8 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
         kdir = spec.prefactor * q_unit ** (-spec.bounds.exponent)
         if g is None:
             return np.einsum("d,d,id->i", aw, kdir, start ** (-2.0 * s)) / (2.0 * s)
+    else:
+        tx = _ray_terms(spec, pts, dirs)
     end = np.full(len(pts), np.inf)
     split = np.full(np.shape(start), -np.inf)
     if g is not None and g.support_radius is not None:
@@ -399,35 +456,36 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
     total = np.zeros(len(pts))
     size = np.zeros(len(pts))  # running sum of panel magnitudes, the total's scale
     a = np.array(start, dtype=float)
+    rows = _chunk_rows(spec, quad.radial_order * len(dirs))
     live = np.flatnonzero((a < stop).any(axis=1))
     while live.size:
-        x, lo = pts[live], a[live]
-        edge = np.where(lo < split[live], split[live], stop[live])
+        # the next chunk of live nodes takes one panel step, and those that
+        # go on rejoin the end of the queue
+        idx, live = live[:rows], live[rows:]
+        lo = a[idx]
+        edge = np.where(lo < split[idx], split[idx], stop[idx])
         hi = np.minimum(lo * quad.panel_ratio, edge)
         mid = 0.5 * (lo + hi)[:, None, :]
         half = 0.5 * (hi - lo)[:, None, :]
         rho = mid + half * gl_x[None, :, None]  # (node, radius, direction)
         wr = half * gl_w[None, :, None]
-        y = (x[:, None, None, :] + rho[..., None] * dirs[None, None, :, :]).reshape(-1, spec.dim)
+        y = pts[idx, None, None, :] + rho[..., None] * dirs
         if constant:  # kv is rho^(N-1) K here
             wf, kv = wr, kdir * rho ** (-1.0 - 2.0 * s)
         else:
-            xs = np.broadcast_to(x[:, None, None, :], rho.shape + (spec.dim,)).reshape(-1, spec.dim)
-            kv = spec.prefactor * spec.field.quadratic_form(y, xs).reshape(rho.shape) ** (
-                -spec.bounds.exponent)
-            wf = wr * rho ** (spec.dim - 1)
+            wf, kv = wr * rho ** (spec.dim - 1), _ray_kernel(spec, tx[idx], y, rho, dirs)
         if g is not None:
-            wf = wf * (g(y).reshape(rho.shape) - g.far_value)
+            wf = wf * (g(y.reshape(-1, spec.dim)).reshape(rho.shape) - g.far_value)
         panel = np.einsum("ird,d,ird->i", wf, aw, kv)
         # a signed g can cancel between rays, and a panel sum near 0 then
         # says nothing about the panels still to come
         mag = np.abs(panel) if g is None else np.einsum("ird,d,ird->i", np.abs(wf), aw, kv)
-        total[live] += panel
-        size[live] += mag
-        a[live] = hi
-        done = ((mag < quad.tail_tolerance * size[live])
-                | (hi.min(axis=1) > quad.far_cap) | (hi >= stop[live]).all(axis=1))
-        live = live[~done]
+        total[idx] += panel
+        size[idx] += mag
+        a[idx] = hi
+        done = ((mag < quad.tail_tolerance * size[idx])
+                | (hi.min(axis=1) > quad.far_cap) | (hi >= stop[idx]).all(axis=1))
+        live = np.concatenate([live, idx[~done]])
     if g is None:
         total += _ellipticity_tail(spec, a.min(axis=1))
     return total
@@ -474,8 +532,8 @@ def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
     A point of shape (dim,) gives its rule; an (m, dim) array gives the
     list of the m rules, each equal to the rule of its point alone.  The
     radii, kink radii and panel edges are set point by point, then the
-    kernel values at every node of every point come from chunked
-    quadratic-form calls (``_KERNEL_CHUNK_BYTES``) and all tail masses
+    kernel values at every node of every point come in chunks of
+    ``_KERNEL_CHUNK_BYTES`` (``_kernel_at_offsets``) and all tail masses
     from one ``far_field`` call.
     """
     arr = np.asarray(x, dtype=float)

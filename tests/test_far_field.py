@@ -8,15 +8,19 @@ and adds the rest through the kernel mass; with no support declared the
 rays run on, which gives the reference.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nonlocal_dv.kernels import spec_from_config
-from nonlocal_dv.lattice import LatticeDomain, _box_exit_distances, assemble
+from nonlocal_dv import operators
+from nonlocal_dv.kernels import AnisotropyField, KernelSpec, spec_from_config
+from nonlocal_dv.lattice import LatticeDomain, _box_exit_distances, _self_cell_moments, assemble
 from nonlocal_dv.operators import (
     QuadratureScheme,
     SmoothFunction,
     _directions,
+    build_rule,
     bump,
     far_field,
     shifted,
@@ -118,3 +122,146 @@ def test_drift_far_field_stop_ignores_cancelling_rays(matrix, amplitude, node):
     got = far_field(spec, x, start, quad, g=drift)
     ref = far_field(spec, x, start, QuadratureScheme(tail_tolerance=1e-12), g=drift)
     np.testing.assert_allclose(got, ref, rtol=1e-9)
+
+
+@pytest.mark.parametrize("variant", ["constant", "separable_sum", "separable_product"])
+def test_far_field_chunks_change_no_bit(monkeypatch, variant):
+    spec = spec_from_config({"variant": variant, "matrix": _MATRICES[2], "s": 0.5})
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [8, 8], margin=0.25)
+    drift = tanh_drift(2, amplitude=0.3, slope=2.0)
+    quad = QuadratureScheme(angular_count=8)
+    n_dirs = len(_directions(2, quad)[0])
+    samples = quad.radial_order * n_dirs
+    start = np.random.default_rng(2).uniform(0.2, 3.0, size=(len(dom.points), n_dirs))
+    whole = assemble(dom, spec, drift=drift, quad=quad)
+    mass = far_field(spec, dom.points, start, quad)
+    assert operators._chunk_rows(spec, samples) >= len(dom.points)
+    # three nodes per chunk, so every panel step of the 100 nodes is split
+    monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", 3 * 8 * (2 * 2 + 2 + 10) * samples)
+    assert operators._chunk_rows(spec, samples) == 3
+    chunked = assemble(dom, spec, drift=drift, quad=quad)
+    assert np.array_equal(far_field(spec, dom.points, start, quad), mass)
+    assert np.array_equal(chunked.box_tail, whole.box_tail)
+    assert np.array_equal(chunked.drift_far, whole.drift_far)
+    # the self-cell moments are chunked the same way
+    assert np.array_equal(chunked.pair_weights, whole.pair_weights)
+
+
+def test_far_field_memory_is_bounded_in_bytes(monkeypatch):
+    # 196 nodes x 384 samples per panel step would hold about 8 MB at once;
+    # in chunks the call stays within the budget plus a few arrays of one
+    # double per node and ray (about 6, measured on 2D boxes of 10 to 40 cells)
+    spec = spec_from_config({"variant": "separable_product", "matrix": _MATRICES[2], "s": 0.5})
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [10, 10], margin=0.3)
+    drift = tanh_drift(2, amplitude=0.3, slope=2.0)
+    quad = QuadratureScheme()
+    dirs = _directions(2, quad)[0]
+    start = _box_exit_distances(dom.points, dom.lower, dom.upper, dirs)
+    budget = 1 << 20
+    monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", budget)
+    far_field(spec, dom.points[:1], start[:1], quad, g=drift)  # first-call allocations
+    tracemalloc.start()
+    try:
+        far_field(spec, dom.points, start, quad, g=drift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget + 8 * 8 * len(dom.points) * len(dirs)
+
+
+@pytest.mark.parametrize("variant", ["separable_sum", "separable_product"])
+def test_matrix_fn_sees_each_node_once(variant):
+    # M(x) is evaluated once per node or point, not on a copy of x for
+    # every sample; no sample y lands on a node here
+    spec = spec_from_config({"variant": variant, "matrix": _MATRICES[2], "s": 0.5})
+    seen = []
+
+    def recording(p):
+        seen.append(np.array(p, ndmin=2))
+        return spec.field.matrix_fn(p)
+
+    field = AnisotropyField(variant, 2, matrix_fn=recording)
+    counted = KernelSpec(field, spec.bounds)
+    pts = np.array([[0.1, -0.2], [0.7, 0.4], [-0.5, 0.9]])
+    quad = QuadratureScheme(angular_count=8)
+    start = np.full((len(pts), 8), 0.3)
+    drift = tanh_drift(2, amplitude=0.3, slope=2.0)
+    rules = build_rule(spec, pts, quad, fns=(drift,))
+    offsets = np.concatenate([r.offsets for r in rules])
+    ends = np.cumsum([len(r.offsets) for r in rules])
+    for stage in (lambda: far_field(counted, pts, start, quad),
+                  lambda: far_field(counted, pts, start, quad, g=drift),
+                  lambda: operators._kernel_at_offsets(counted, pts, offsets, ends),
+                  lambda: _self_cell_moments(counted, pts, quad, 0.25)):
+        seen.clear()
+        stage()
+        rows = np.concatenate(seen)
+        assert len(rows) > 100 * len(pts)
+        hits = [(rows == x).all(axis=1).sum() for x in pts]
+        assert hits == [1] * len(pts)
+
+
+@pytest.mark.parametrize("variant", ["separable_sum", "separable_product"])
+def test_per_point_matrix_fn_through_hoisted_kernels(variant):
+    # M(x) is evaluated once per node and M(y) on arrays of samples; a
+    # per-point matrix_fn takes the looped fallback at both and gives the
+    # values of the batch function
+    spec = spec_from_config({"variant": variant, "matrix": _MATRICES[2], "s": 0.5})
+    fn = spec.field.matrix_fn
+    field = AnisotropyField(variant, 2, matrix_fn=lambda p: fn(np.reshape(p, (1, 2)))[0])
+    looped = KernelSpec(field, spec.bounds)
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4])
+    drift = tanh_drift(2, amplitude=0.3, slope=2.0)
+    quad = QuadratureScheme(angular_count=4, tail_tolerance=1e-4)
+    want = assemble(dom, spec, drift=drift, quad=quad)
+    got = assemble(dom, looped, drift=drift, quad=quad)
+    for name in ("pair_weights", "box_tail", "drift_far"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-13, atol=0.0)
+    pts = dom.points[:3]
+    for g, w in zip(build_rule(looped, pts, quad, fns=(drift,)), build_rule(spec, pts, quad, fns=(drift,))):
+        np.testing.assert_allclose(g.weights, w.weights, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(g.tail_mass, w.tail_mass, rtol=1e-13, atol=0.0)
+
+
+# nodes of the 16-cell box lattice on [-1, 1]^2 with margin 0.3: the four
+# where the default drift far field is furthest from the order-64 values,
+# and (last) the node of max|S| over the lattice
+_FAR_NODES = np.array([[1.3125, -1.0625], [-1.3125, -0.0625], [-1.0625, 1.3125],
+                       [-0.9375, 0.0625], [-0.3125, -1.3125]])
+
+
+def test_drift_far_field_convergence_on_separable_field():
+    # S_i = Int_{outside the box} (h - h(x_i)) K for a separable_sum field,
+    # whose M(y) = base + 0.1 sin(y_1 + y_2) I oscillates along every ray
+    spec = spec_from_config({"variant": "separable_sum", "matrix": _MATRICES[2], "s": 0.5})
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [16, 16], margin=0.3)
+    drift = tanh_drift(2, amplitude=0.3, slope=2.0)
+
+    def far(order, tolerance, g=drift):
+        quad = QuadratureScheme(radial_order=order, tail_tolerance=tolerance)
+        start = _box_exit_distances(_FAR_NODES, dom.lower, dom.upper, _directions(2, quad)[0])
+        return (far_field(spec, _FAR_NODES, start, quad, g=g)
+                + (g.far_value - g(_FAR_NODES)) * far_field(spec, _FAR_NODES, start, quad))
+
+    ref = far(256, 1e-10)  # order 512 moves it by 9e-7 of max|S|
+    scale = np.abs(ref).max()
+
+    def err(order, tolerance):
+        return np.abs(far(order, tolerance) - ref).max() / scale
+
+    # the default scheme (16 nodes, tolerance 1e-6): 7.6e-5 of max|S|
+    assert err(16, 1e-6) < 1e-4
+    # the radial order at tolerance 1e-10: 6.0e-5, 8.5e-6 and 2.1e-6 at
+    # 16, 32 and 128 nodes, as the panels resolve more of the oscillation
+    radial = [err(n, 1e-10) for n in (16, 32, 128)]
+    assert radial[0] > radial[1] > radial[2]
+    assert radial[0] < 8e-5 and radial[1] < 1.2e-5 and radial[2] < 3e-6
+    # the tail tolerance at 128 nodes: 1e-6 stops the panels early and
+    # leaves 2.7e-5, 1e-8 leaves 1.9e-6
+    tail = [err(128, tol) for tol in (1e-6, 1e-8)]
+    assert tail[0] > tail[1]
+    assert tail[0] < 4e-5 and tail[1] < 3e-6
+    # the antipodal closure beyond |x| + 40: rays run on to the tolerance
+    # move S by 2.7e-6 of max|S|, a small part of the default's error
+    closure = np.abs(far(256, 1e-10, SmoothFunction(drift.fn, 2)) - ref).max() / scale
+    assert closure < 4e-6

@@ -151,3 +151,74 @@ def test_matrix_fn_error_on_batch_propagates():
     field = AnisotropyField.separable_sum(mfn, 2)
     with pytest.raises(RuntimeError, match="batch evaluation failed"):
         field.single_point_matrices(np.array([[0.1, 0.2], [-0.4, 0.3]]))
+
+
+# --------------------------------------------------------------------------
+# z^T A(x, y) z from the one-point matrices M(x) and M(y)
+
+_BASES = {
+    1: [[1.3]],
+    2: [[1.2, 0.3], [0.3, 0.8]],
+    3: [[1.1, 0.2, 0.0], [0.2, 0.9, 0.1], [0.0, 0.1, 1.4]],
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_builtin_matrix_fn_is_base_plus_bump(dim):
+    cfg = {"variant": "separable_sum", "matrix": _BASES[dim], "s": 0.5, "amplitude": 0.3}
+    pts = np.random.default_rng(dim).uniform(-4.0, 4.0, size=(50, dim))
+    want = np.asarray(_BASES[dim]) + 0.3 * np.sin(pts.sum(axis=1))[:, None, None] * np.eye(dim)
+    assert np.array_equal(spec_from_config(cfg).field.matrix_fn(pts), want)
+
+
+def looped(field):
+    """The same field through a per-point matrix_fn: a batch of several
+    points fails on the reshape, one point answers in the wrong shape."""
+    fn = field.matrix_fn
+    return AnisotropyField(field.variant, field.dim,
+                           matrix_fn=lambda p: fn(np.reshape(p, (1, field.dim)))[0])
+
+
+def explicit_form(field, x, y, z):
+    return np.einsum("...i,...ij,...j->...", z, field.pair_matrices(x, y), z)
+
+
+@pytest.mark.parametrize("variant, per_point", [
+    ("constant", False),
+    ("separable_sum", False),
+    ("separable_sum", True),
+    ("separable_product", False),
+    ("separable_product", True),
+])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_separable_form_matches_pair_matrices(dim, variant, per_point):
+    cfg = {"variant": variant, "matrix": _BASES[dim], "s": 0.5, "amplitude": 0.3}
+    field = spec_from_config(cfg).field
+    rng = np.random.default_rng(dim)
+    if per_point:
+        field = looped(field)
+        with pytest.raises(ValueError):
+            field.matrix_fn(rng.normal(size=(2, dim)))
+    x, y = rng.uniform(-2.0, 2.0, size=(2, 30, dim))
+    np.testing.assert_allclose(field.quadratic_form(x, y), explicit_form(field, x, y, x - y),
+                               rtol=1e-14, atol=0.0)
+    if variant == "constant":
+        return
+    # any z, not only x - y
+    z = rng.normal(size=(30, dim))
+    mx, my = field.single_point_matrices(x), field.single_point_matrices(y)
+    np.testing.assert_allclose(field.separable_form(field.point_terms(mx, z), my, z),
+                               explicit_form(field, x, y, z), rtol=1e-14, atol=0.0)
+    # hoisted as along rays: the terms of x_i and theta_d, computed once,
+    # serve y = x_i + rho theta_d at every radius, and z = rho theta_d
+    # scales the form by rho^2
+    xs, dirs = x[:3], rng.normal(size=(4, dim))
+    rho = rng.uniform(0.1, 5.0, size=(3, 5, 4))
+    ys = xs[:, None, None, :] + rho[..., None] * dirs
+    tx = field.point_terms(field.single_point_matrices(xs)[:, None], dirs)
+    mys = field.single_point_matrices(ys.reshape(-1, dim)).reshape(ys.shape + (dim,))
+    got = rho * rho * field.separable_form(tx[:, None], mys, dirs)
+    xb = np.broadcast_to(xs[:, None, None, :], ys.shape).reshape(-1, dim)
+    zb = (rho[..., None] * dirs).reshape(-1, dim)
+    np.testing.assert_allclose(got.reshape(-1), explicit_form(field, xb, ys.reshape(-1, dim), zb),
+                               rtol=1e-14, atol=0.0)
