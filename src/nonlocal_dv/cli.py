@@ -12,9 +12,14 @@ JSON and CSV files are byte-identical across runs.  Each JSON summary
 carries a provenance block with the config digest and, per result key,
 the fully qualified routine that produced it.
 
-``eigen`` always cross-checks the iteration against one dense solve and
-fails on a mismatch; ``eigen.dense_check`` only selects whether the dense
-eigenvalue and the gap are reported in the summary.
+``eigen`` reports the Collatz-Wielandt bounds ``lambda1_lower`` and
+``lambda1_upper`` of the principal function; when every off-diagonal
+entry of the operator matrix is positive they certify ``lambda1`` to
+10 tol max(1, |lambda1|), and are null for any other sign pattern.  With
+``eigen.dense_check`` (the default) the iteration is also cross-checked
+against one dense eigenvalue solve, and a mismatch fails the run.  With
+``"dense_check": false`` the dense solve runs only where there is no
+bracket; the dense eigenvalue and the gap are reported whenever it ran.
 
 Environment: ``NONLOCAL_DV_LOG`` selects the log level (DEBUG .. ERROR).
 ``--threads`` sets the thread count of the OpenBLAS pools that numpy and
@@ -455,10 +460,15 @@ def _cmd_eigen(cfg: dict, seed: int):
     opts = cfg.get("eigen", {})
     op = assemble(dom, spec, drift=h)
     _log.info("assembled %d-node operator", op.n)
+    # without dense_check the dense solve runs only where no bracket exists
+    cross_check = True if opts.get("dense_check", True) else None
     pair = principal_eigenpair(op, tol=opts.get("tol", 1e-9),
-                               max_iter=opts.get("max_iter", 200))
+                               max_iter=opts.get("max_iter", 200),
+                               cross_check=cross_check)
     results = {
         "lambda1": pair.lambda1,
+        "lambda1_lower": pair.lambda1_lower,
+        "lambda1_upper": pair.lambda1_upper,
         "residual": pair.residual,
         "iterations": pair.iterations,
         "principal_min": float(pair.phi1.values.min()),
@@ -468,10 +478,13 @@ def _cmd_eigen(cfg: dict, seed: int):
     sources = {"lambda1": "nonlocal_dv.spectral.principal_eigenpair"}
     if h is not None:
         results["drift_oscillation"] = op.drift_oscillation()
-    if opts.get("dense_check", True):
+    if pair.dense_lambda1 is not None:
         results["dense_lambda1"] = pair.dense_lambda1
         results["iteration_vs_dense"] = abs(pair.lambda1 - pair.dense_lambda1)
-        sources["dense_lambda1"] = "nonlocal_dv.spectral.dense_eigenpair"
+        sources["dense_lambda1"] = (
+            "nonlocal_dv.spectral.dense_eigenpair"
+            if pair.lambda1_lower is None
+            else "nonlocal_dv.spectral.perron_eigenvalue")
     return 0, results, sources, pair.phi1.save
 
 

@@ -4,8 +4,20 @@ The principal eigenvalue is the smallest real part over the spectrum of the
 negated operator matrix, singled out by having a one-signed eigenfunction.
 Two routes are provided and kept independent on purpose: an inverse power
 iteration on the shifted matrix (the constructive route) and a dense
-full-spectrum solve with Perron-type selection (the oracle route).  The
-module also carries the sup- and min-max characterizations of that value,
+spectrum solve (the oracle route).
+
+Which certificate backs lambda1 depends on the sign pattern of the matrix.
+When every off-diagonal entry is positive (true for the assembled operator
+whenever the drift oscillation is below 2), the negated matrix is an
+irreducible Z-matrix, and the iteration's positive iterate phi certifies
+lambda1 by the Collatz-Wielandt bracket
+min_i (-M phi/phi)_i <= lambda1 <= max_i (-M phi/phi)_i, the discrete form
+of the Donsker-Varadhan value sup_{phi>0} inf (-L phi/phi).  The dense
+oracle then needs eigenvalues only (``perron_eigenvalue``): by
+Perron-Frobenius the one of smallest real part is real, simple and
+principal.  Otherwise there is no bracket, and the oracle is
+``dense_eigenpair``, which selects by the sign of the eigenvectors.  The
+module also carries the sup- and min-max characterizations of the value,
 and a sign demo built from the jump-drift construction on an interval.
 """
 
@@ -42,7 +54,11 @@ class EigenPair:
 
     phi1 is normalized to unit sup norm and is strictly positive on the
     interior nodes; residual is the sup norm of (matrix @ phi + lambda phi).
-    dense_lambda1 is the dense-solver eigenvalue the iteration was
+    lambda1_lower and lambda1_upper are the Collatz-Wielandt bounds min and
+    max of (-matrix @ phi1)/phi1, which contain the principal eigenvalue
+    when every off-diagonal entry of the matrix is positive; they are None
+    for any other sign pattern, and lambda1 then rests on the dense oracle
+    alone.  dense_lambda1 is the dense-solver eigenvalue the iteration was
     cross-checked against, or None when no cross-check ran.
     """
 
@@ -51,6 +67,8 @@ class EigenPair:
     residual: float
     iterations: int
     dense_lambda1: float | None = None
+    lambda1_lower: float | None = None
+    lambda1_upper: float | None = None
 
 
 def _sign_fixed(vec: np.ndarray) -> np.ndarray:
@@ -59,25 +77,45 @@ def _sign_fixed(vec: np.ndarray) -> np.ndarray:
     return out / np.abs(out[dominant])
 
 
-def _residual(matrix: np.ndarray, vec: np.ndarray, lam: float) -> float:
-    return float(np.abs(matrix @ vec + lam * vec).max() / np.abs(vec).max())
+def _residual(product: np.ndarray, vec: np.ndarray, lam: float) -> float:
+    """Relative residual of (lam, vec) from product = matrix @ vec."""
+    return float(np.abs(product + lam * vec).max() / np.abs(vec).max())
+
+
+def _positive_off_diagonal(matrix: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the square matrix is > 0."""
+    n = matrix.shape[0]
+    if n < 2:
+        return True
+    # past the first entry, each row of the (n-1, n+1) view of the flat
+    # matrix holds n off-diagonal entries and then the next diagonal one
+    flat = np.ascontiguousarray(matrix).reshape(-1)
+    return bool(flat[1:].reshape(n - 1, n + 1)[:, :n].min() > 0.0)
 
 
 def principal_eigenpair(
     op: AssembledOperator,
     tol: float = 1e-9,
     max_iter: int = 200,
-    cross_check: bool = True,
+    cross_check: bool | None = True,
 ) -> EigenPair:
     """Inverse power iteration for the principal eigenpair.
 
     Each step solves (C - matrix) u_next = u with C a diagonal-dominance
     shift, renormalizes in sup norm, and reestimates the eigenvalue by the
-    least-squares fit lambda = -<matrix u, u>/<u, u>.  Stops once the
-    residual drops below tol.  With cross_check the result is compared
-    against the dense-solver eigenvalue and a mismatch beyond 10x tol is
-    treated as an oracle inconsistency, and the dense eigenvalue is kept
-    on the result.
+    least-squares fit lambda = -<matrix u, u>/<u, u>; the one product
+    matrix @ u of a step serves the fit, the residual and the bracket.
+    Stops once the residual drops below tol.  When every off-diagonal entry
+    of the matrix is positive, it also needs the Collatz-Wielandt bracket
+    of u to be no wider than 10 tol max(1, |lambda|), iterating further on
+    the same factorization until it is; the bracket then certifies lambda
+    to the gate of the dense cross-check.
+
+    cross_check selects the dense oracle: True always runs it, False never
+    does, and None runs it only when there is no bracket.  The oracle is
+    ``perron_eigenvalue`` under the sign pattern and ``dense_eigenpair``
+    otherwise.  A mismatch beyond 10x tol is treated as an oracle
+    inconsistency, and the dense eigenvalue is kept on the result.
     """
     if op.drift_values is not None and op.drift_oscillation() >= 1.0:
         warnings.warn(
@@ -85,23 +123,36 @@ def principal_eigenpair(
             "is not guaranteed in this regime" % op.drift_oscillation(),
             stacklevel=2,
         )
-    shift = estimate_shift(op)
-    shifted = shift * np.eye(op.n) - op.matrix
-    lu, piv = scipy.linalg.lu_factor(shifted)
+    matrix = op.matrix
+    bracketed = _positive_off_diagonal(matrix)
+    # C - matrix, built in the column order getrf factors in place
+    shifted = np.negative(matrix, order="F")
+    shifted[np.diag_indices(op.n)] += estimate_shift(op)
+    lu, piv = scipy.linalg.lu_factor(shifted, overwrite_a=True)
 
     u = np.ones(op.n)
     lam = 0.0
     res = np.inf
+    lower = upper = None
     for iteration in range(1, max_iter + 1):
         u = _sign_fixed(scipy.linalg.lu_solve((lu, piv), u))
-        lam = -float(u @ (op.matrix @ u)) / float(u @ u)
-        res = _residual(op.matrix, u, lam)
-        if res < tol:
+        product = matrix @ u
+        lam = -float(u @ product) / float(u @ u)
+        res = _residual(product, u, lam)
+        if res >= tol:
+            continue
+        if not bracketed or u.min() <= 0.0:
+            break
+        ratio = -product / u
+        lower, upper = float(ratio.min()), float(ratio.max())
+        if upper - lower <= 10 * tol * max(1.0, abs(lam)):
             break
     else:
+        width = ("" if lower is None
+                 else "; bracket width %.3e" % (upper - lower))
         raise ConvergenceError(
-            "eigen iteration did not converge in %d steps; last residual %.3e"
-            % (max_iter, res)
+            "eigen iteration did not converge in %d steps; last residual %.3e%s"
+            % (max_iter, res, width)
         )
 
     if u.min() <= 0.0:
@@ -109,8 +160,9 @@ def principal_eigenpair(
             "converged eigenvector changes sign; no principal pair found"
         )
     dense_lambda1 = None
-    if cross_check:
-        dense_lambda1 = dense_eigenpair(op).lambda1
+    if cross_check or (cross_check is None and lower is None):
+        dense_lambda1 = (perron_eigenvalue(op) if bracketed
+                         else dense_eigenpair(op).lambda1)
         scale = max(1.0, abs(dense_lambda1))
         if abs(lam - dense_lambda1) > 10 * tol * scale:
             raise OracleInconsistencyError(
@@ -118,7 +170,30 @@ def principal_eigenpair(
                 % (lam, dense_lambda1)
             )
     return EigenPair(lam, GridFunction(op.domain, u), res, iteration,
-                     dense_lambda1)
+                     dense_lambda1, lower, upper)
+
+
+def perron_eigenvalue(op: AssembledOperator) -> float:
+    """Eigenvalue-only oracle for a matrix with positive off-diagonal entries.
+
+    The negated matrix is then an irreducible Z-matrix, so by
+    Perron-Frobenius its eigenvalue of smallest real part is real, simple
+    and has a positive eigenvector: no eigenvector needs to be computed to
+    select it.  Raises DomainError for any other sign pattern, and
+    OracleInconsistencyError if the selected eigenvalue is not real.
+    """
+    if not _positive_off_diagonal(op.matrix):
+        raise DomainError("off-diagonal entries must all be positive")
+    # a Fortran-ordered negation that geev may overwrite, so eig makes no
+    # copy of its own
+    vals = scipy.linalg.eig(np.negative(op.matrix, order="F"), right=False,
+                            overwrite_a=True)
+    idx = np.argmin(vals.real)
+    if abs(vals[idx].imag) > 1e-9 * max(1.0, np.abs(vals).max()):
+        raise OracleInconsistencyError(
+            "eigenvalue of smallest real part %r is not real" % vals[idx]
+        )
+    return float(vals[idx].real)
 
 
 def dense_eigenpair(op: AssembledOperator) -> EigenPair:
@@ -141,7 +216,7 @@ def dense_eigenpair(op: AssembledOperator) -> EigenPair:
             return EigenPair(
                 lam,
                 GridFunction(op.domain, candidate),
-                _residual(op.matrix, candidate, lam),
+                _residual(op.matrix @ candidate, candidate, lam),
                 0,
             )
     raise PositivityError(

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nonlocal_dv import cli, operators
 from nonlocal_dv.cli import main
@@ -115,6 +116,34 @@ def test_eigen_reference_and_positivity(tmp_path):
     assert all(float(line.split(",")[2]) > 0.0 for line in lines[1:])
     # the grid sidecar makes the eigenfunction reloadable
     assert (out / "eigen_data.json").exists()
+
+
+def test_eigen_without_dense_check_is_certified_by_bracket(tmp_path,
+                                                          monkeypatch):
+    calls = []
+    real = scipy.linalg.eig
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", counting)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "kernel": {"variant": "constant", "matrix": [[1.2, 0.3], [0.3, 0.8]],
+                   "s": 0.5},
+        "domain": {"shape": "box", "lower": [-1.0, -1.0],
+                   "upper": [1.0, 1.0], "cells": 8, "margin": 0.25},
+        "drift": {"kind": "tanh", "amplitude": 0.4, "slope": 2.0},
+        "eigen": {"dense_check": False},
+    })
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", cfg, "--output-dir", str(out)]) == 0
+    assert calls == []
+    res = read_summary(out, "eigen")["results"]
+    assert res["lambda1_lower"] <= res["lambda1"] <= res["lambda1_upper"]
+    gate = 10 * 1e-9 * max(1.0, abs(res["lambda1"]))
+    assert res["lambda1_upper"] - res["lambda1_lower"] <= gate
+    assert "dense_lambda1" not in res
 
 
 def test_dv_functional_closed_form_agreement(tmp_path):

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nonlocal_dv import spectral
 from nonlocal_dv.errors import (
     ConvergenceError,
     DomainError,
@@ -18,11 +19,18 @@ from nonlocal_dv.errors import (
 )
 from nonlocal_dv.kernels import fractional_kernel
 from nonlocal_dv.lattice import LatticeDomain, assemble
-from nonlocal_dv.operators import SmoothFunction, bump, carre_du_champ, nonlocal_laplacian
+from nonlocal_dv.operators import (
+    SmoothFunction,
+    bump,
+    carre_du_champ,
+    nonlocal_laplacian,
+    tanh_drift,
+)
 from nonlocal_dv.spectral import (
     dense_eigenpair,
     maxprinciple_violation_demo,
     minmax_value,
+    perron_eigenvalue,
     principal_eigenpair,
     principal_left_vector,
     sup_characterization_check,
@@ -37,6 +45,13 @@ def drifted_op(n=60, s=0.5, amp=0.4, potential=None):
     h_fn = SmoothFunction(lambda p: amp * np.tanh(2.0 * p[:, 0]), 1,
                           support_radius=40.0)
     return assemble(dom, spec, drift=h_fn if amp else None, potential=potential)
+
+
+def drifted_box_op(cells=8, amp=0.4):
+    spec = fractional_kernel(2, 0.5, normalized=True)
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [cells, cells],
+                            margin=0.25)
+    return assemble(dom, spec, drift=tanh_drift(2, amplitude=amp))
 
 
 def test_interval_reference_value():
@@ -119,6 +134,45 @@ def test_iteration_rejects_sign_changing_candidate():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             principal_eigenpair(bad, tol=1e-10, max_iter=200)
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: drifted_op(n=60, amp=0.45,
+                       potential=lambda p: 0.5 * np.sin(2 * p[:, 0])),
+    lambda: drifted_box_op(cells=10, amp=0.4),
+], ids=["interval", "box"])
+def test_perron_oracle_and_bracket_contain_dense_eigenvalue(make_op):
+    op = make_op()
+    dense = dense_eigenpair(op).lambda1
+    scale = max(1.0, abs(dense))
+    assert abs(perron_eigenvalue(op) - dense) <= 1e-12 * scale
+    pair = principal_eigenpair(op, tol=1e-9, max_iter=400, cross_check=None)
+    # the bracket certifies lambda1, so no dense solve ran
+    assert pair.dense_lambda1 is None
+    lower, upper = pair.lambda1_lower, pair.lambda1_upper
+    assert upper - lower <= 10 * 1e-9 * scale
+    assert lower <= pair.lambda1 <= upper
+    assert lower - 1e-12 * scale <= dense <= upper + 1e-12 * scale
+
+
+def test_sign_pattern_failure_takes_vector_route():
+    op = drifted_op(n=30, amp=0.3)
+    matrix = op.matrix.copy()
+    matrix[-1, -2] = matrix[-2, -1] = 0.0
+    holed = dataclasses.replace(op, matrix=matrix)
+    pair = principal_eigenpair(holed, tol=1e-10, max_iter=400,
+                               cross_check=None)
+    assert pair.lambda1_lower is None and pair.lambda1_upper is None
+    assert pair.dense_lambda1 == dense_eigenpair(holed).lambda1
+    with pytest.raises(DomainError):
+        perron_eigenvalue(holed)
+    # a zero anywhere off the diagonal, first or last, breaks the pattern
+    for i, j in [(0, 1), (1, 0), (op.n - 2, op.n - 1), (op.n - 1, 0)]:
+        probe = op.matrix.copy()
+        probe[i, j] = 0.0
+        assert not spectral._positive_off_diagonal(probe)
+    assert spectral._positive_off_diagonal(op.matrix)
+    assert spectral._positive_off_diagonal(np.array([[-3.0]]))
 
 
 def test_sup_characterization():
