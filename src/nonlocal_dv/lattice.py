@@ -229,7 +229,10 @@ def _pair_quadratic_forms(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
         A = spec.field.matrix
         g = pts @ A @ pts.T
         r = np.diag(g)
-        return r[:, None] + r[None, :] - g - g.T
+        q = np.add.outer(r, r)
+        q -= g
+        q -= g.T
+        return q
     fld = spec.field
     mats = fld.single_point_matrices(pts)
     diff = pts[:, None, :] - pts[None, :, :]
@@ -345,9 +348,12 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     h = domain.spacing
     vol = domain.cell_volume
 
-    q = _pair_quadratic_forms(spec, pts)
-    np.fill_diagonal(q, 1.0)
-    W = spec.prefactor * q ** (-spec.bounds.exponent) * vol
+    # W = prefactor q^(-exponent) vol, formed in place on the pair forms q
+    W = _pair_quadratic_forms(spec, pts)
+    np.fill_diagonal(W, 1.0)
+    W **= -spec.bounds.exponent
+    W *= spec.prefactor
+    W *= vol
     np.fill_diagonal(W, 0.0)
 
     if self_cell:

@@ -227,6 +227,15 @@ def diffusion_limit(spec: KernelSpec, f: DensitySpec, x0,
 
 _DEFAULT_COUNTS = {1: 2048, 2: 256, 3: 96}
 
+# Gauss-Legendre rule for the origin cell of the spectral grid
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+
+# the factor route drops, per axis, the smallest |ghat_k|^2 up to this share
+# of the axis sum, and keeps the sub-grid only if the dropped part of the sum
+# is provably below _SUM_TOL of the kept part
+_SUM_TOL = 1e-18
+_AXIS_SHARE = 1e-6 * _SUM_TOL
+
 
 def _quadratic_form(Ainv: np.ndarray, axes) -> np.ndarray:
     """<Ainv xi, xi> on the tensor grid of ``axes``, nested over the axes.
@@ -260,16 +269,79 @@ def _sampled_transform(g: SmoothFunction, axes, hs) -> list:
 
 def _factor_transforms(factors, axes, hs) -> list:
     # |ghat|^2 of a product is the product of the axis |ghat_k|^2
-    dim = len(axes)
     out = []
     for k, (f, x, h) in enumerate(zip(factors, axes, hs)):
         vals = np.asarray(f(x), dtype=float)
         if vals.shape != x.shape:
             raise DomainError("factor %d must map an axis of shape %s to the "
                               "same shape, not %s" % (k, x.shape, vals.shape))
-        ghat2 = np.abs(np.fft.fft(vals)) ** 2 * (h / np.sqrt(2 * np.pi)) ** 2
-        out.append(ghat2.reshape((-1,) + (1,) * (dim - 1 - k)))
+        out.append(np.abs(np.fft.fft(vals)) ** 2 * (h / np.sqrt(2 * np.pi)) ** 2)
     return out
+
+
+def _grid_sum(Ainv: np.ndarray, s: float, freqs, ghat2) -> float:
+    """Sum of max(<Ainv xi, xi>, 0)^s |ghat|^2 over the grid of ``freqs``.
+
+    ``ghat2`` holds arrays whose product broadcasts to that grid.
+    """
+    weight = _quadratic_form(Ainv, freqs)
+    np.maximum(weight, 0.0, out=weight)
+    weight **= s
+    for factor in ghat2:
+        weight *= factor
+    return float(np.sum(weight))
+
+
+def _mass_mask(ghat2: np.ndarray) -> np.ndarray:
+    """Entries of one axis |ghat_k|^2 that carry its mass, index 0 always.
+
+    The smallest entries are dropped while their sum stays below
+    ``_AXIS_SHARE`` of the axis total.
+    """
+    order = np.argsort(ghat2, kind="stable")
+    drop = np.searchsorted(np.cumsum(ghat2[order]), _AXIS_SHARE * ghat2.sum())
+    keep = np.ones(ghat2.size, dtype=bool)
+    keep[order[:drop]] = False
+    keep[0] = True
+    return keep
+
+
+def _dropped_bound(Ainv: np.ndarray, s: float, freqs, ghat2, keep) -> float:
+    """Bound on what the points outside the ``keep`` masks add to the sum.
+
+    The clamped weight is at most W_max = (lambda_max(Ainv) sum_k max xi_k^2)^s
+    on the whole grid, so the dropped points add at most
+    W_max (prod_k S_k - prod_k K_k), S_k and K_k the full and kept sums of
+    axis k.  The difference is taken as sum_k K_1..K_{k-1} D_k S_{k+1}..S_N,
+    with the dropped sums D_k summed directly, so that no digits cancel.
+    """
+    w_max = (np.linalg.eigvalsh(Ainv).max()
+             * sum(float((x ** 2).max()) for x in freqs)) ** s
+    dropped, head = 0.0, 1.0
+    for k, (f, m) in enumerate(zip(ghat2, keep)):
+        tail = float(np.prod([g.sum() for g in ghat2[k + 1:]]))
+        dropped += head * float(f[~m].sum()) * tail
+        head *= float(f[m].sum())
+    return w_max * dropped
+
+
+def _factor_sum(Ainv: np.ndarray, s: float, freqs, ghat2) -> tuple:
+    """Grid sum of the factor route, on the tensor sub-grid with the mass.
+
+    The sub-grid keeps ``_mass_mask`` of each axis.  Unless the bound on
+    the dropped part is below ``_SUM_TOL`` of the kept sum, the same sum
+    runs again with every index kept.  Returns the sum and the kept axis
+    factors, shaped to broadcast; index 0 of each is the zero frequency.
+    """
+    dim = len(freqs)
+    for keep in ([_mass_mask(f) for f in ghat2],
+                 [np.ones(f.size, dtype=bool) for f in ghat2]):
+        sub = [f[m].reshape((-1,) + (1,) * (dim - 1 - k))
+               for k, (f, m) in enumerate(zip(ghat2, keep))]
+        total = _grid_sum(Ainv, s, [x[m] for x, m in zip(freqs, keep)], sub)
+        if _dropped_bound(Ainv, s, freqs, ghat2, keep) < _SUM_TOL * total:
+            break
+    return total, sub
 
 
 def _spectral_sum(A: np.ndarray, g, s: float, ext: np.ndarray,
@@ -278,26 +350,21 @@ def _spectral_sum(A: np.ndarray, g, s: float, ext: np.ndarray,
     Ainv = np.linalg.inv(A)
     hs = 2.0 * ext / cnt
     axes = [-ext[k] + hs[k] * (np.arange(cnt[k]) + 0.5) for k in range(dim)]
+    freqs = [2 * np.pi * np.fft.fftfreq(int(cnt[k]), d=hs[k]) for k in range(dim)]
     if isinstance(g, SmoothFunction):
         ghat2 = _sampled_transform(g, axes, hs)
+        total = _grid_sum(Ainv, s, freqs, ghat2)
     else:
-        ghat2 = _factor_transforms(g, axes, hs)
-    freqs = [2 * np.pi * np.fft.fftfreq(int(cnt[k]), d=hs[k]) for k in range(dim)]
-    weight = _quadratic_form(Ainv, freqs)
-    np.maximum(weight, 0.0, out=weight)
-    weight **= s
-    for factor in ghat2:
-        weight *= factor
+        total, ghat2 = _factor_sum(Ainv, s, freqs, _factor_transforms(g, axes, hs))
     dxi = float(np.prod([np.pi / ext[k] for k in range(dim)]))
-    total = float(np.sum(weight)) * dxi
+    total *= dxi
     # the weight has a kink at the origin where the midpoint value vanishes;
     # integrate it exactly over the origin cell with a tensor Gauss rule
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     cell = [np.pi / ext[k] for k in range(dim)]
-    q0 = _quadratic_form(Ainv, [0.5 * cell[k] * gl_x for k in range(dim)])
+    q0 = _quadratic_form(Ainv, [0.5 * cell[k] * _GL_X for k in range(dim)])
     w0 = np.ones(())
     for k in range(dim):
-        w0 = np.multiply.outer(w0, 0.5 * cell[k] * gl_w)
+        w0 = np.multiply.outer(w0, 0.5 * cell[k] * _GL_W)
     origin = float(np.prod([factor.flat[0] for factor in ghat2]))
     total += float(np.sum(q0 ** s * w0)) * origin
     return total / float(np.sqrt(np.linalg.det(A)))
@@ -321,6 +388,16 @@ def fourier_energy(matrix, g, s: float, extents=None, counts=None,
     it is transformed alone, and |ghat|^2 is the outer product of the axis
     transforms.  On a function of product form the two routes agree to
     rounding; the second costs dim one-dimensional transforms.
+
+    On the second route the weight <A^{-1} xi, xi>^s is formed only on the
+    tensor sub-grid that carries the mass: each axis drops its smallest
+    |ghat_k|^2 entries while their sum stays below 1e-24 of the axis sum
+    S_k, and always keeps the zero frequency.  The clamped weight is at
+    most W_max = (lambda_max(A^{-1}) sum_k max xi_k^2)^s on the grid, so the
+    dropped points add at most W_max (prod_k S_k - prod_k K_k), K_k the
+    kept axis sums.  Unless that bound is below 1e-18 of the kept sum, as
+    for a factor whose spectrum does not decay, the full grid is summed.
+    The sampled route always sums the full grid.
     """
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     dim = A.shape[0]

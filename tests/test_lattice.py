@@ -1,5 +1,7 @@
 """Lattice assembly: exact discrete identities and benchmark solves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,22 @@ def test_capacity_and_domain_errors():
     spec = fractional_kernel(2, 0.5)
     with pytest.raises(DomainError):
         assemble(LatticeDomain.interval(-1.0, 1.0, 10), spec)
+
+
+def test_assemble_peak_memory_constant_field():
+    # the pair forms and weights are formed in place: at peak, assembly
+    # holds about two n_total x n_total arrays (g and q), not three
+    spec = fractional_kernel(2, 0.5)
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [24, 24], margin=0.5)
+    assemble(LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4]), spec)
+    n_total = len(dom.points)
+    tracemalloc.start()
+    try:
+        assemble(dom, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n_total ** 2
 
 
 def test_estimate_shift_dominance(op_1d):

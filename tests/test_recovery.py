@@ -30,6 +30,7 @@ from nonlocal_dv.operators import (
     shifted,
     sum_of,
 )
+from nonlocal_dv import recovery
 from nonlocal_dv.rate import DensitySpec, I_closed_form_h0, density_lattice
 from nonlocal_dv.recovery import (
     GaussianProbe,
@@ -282,6 +283,108 @@ def test_fourier_energy_rejects_malformed_g():
             fourier_energy(np.eye(2), g, 0.5, counts=16)
     with pytest.raises(DomainError, match="same shape"):
         fourier_energy(np.eye(2), [gauss[0], lambda x: x[:3]], 0.5, counts=16)
+
+
+@pytest.fixture
+def grid_sums(monkeypatch):
+    """Record the grid shape of every weight sum ``fourier_energy`` forms."""
+    shapes = []
+    inner = recovery._grid_sum
+
+    def record(Ainv, s, freqs, ghat2):
+        shapes.append(tuple(len(x) for x in freqs))
+        return inner(Ainv, s, freqs, ghat2)
+
+    monkeypatch.setattr(recovery, "_grid_sum", record)
+    return shapes
+
+
+def full_grid_energy(monkeypatch, *args, **kwargs):
+    # with a zero axis share no index is dropped: the full-grid sum
+    with monkeypatch.context() as m:
+        m.setattr(recovery, "_AXIS_SHARE", 0.0)
+        return fourier_energy(*args, **kwargs)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fourier_energy_sub_grid_matches_full_grid(dim, s, grid_sums,
+                                                   monkeypatch):
+    # on the default probe grids the sum over the sub-grid with the mass
+    # agrees with the full-grid sum to rounding, for every probe tag and
+    # both widths, and the bound accepts the sub-grid
+    A = random_spd(np.random.default_rng(20 + dim), dim)
+    axes = list(range(dim)) + [(k, m) for k in range(dim)
+                               for m in range(k + 1, dim)]
+    for axis in axes:
+        for width in (1.0, 0.7):
+            for lam in (0.5, 0.125):
+                p = GaussianProbe(dim, lam, axis, narrow_width=width)
+                R = p.frame
+                ext, cnt = p.grid()
+                del grid_sums[:]
+                sub = fourier_energy(R @ A @ R.T, p.factors(), s,
+                                     extents=ext, counts=cnt)
+                assert len(grid_sums) == 1
+                assert np.prod(grid_sums[0]) < 0.6 ** dim * np.prod(cnt)
+                full = full_grid_energy(monkeypatch, R @ A @ R.T, p.factors(),
+                                        s, extents=ext, counts=cnt)
+                assert abs(sub / full - 1.0) <= 1e-14
+
+
+def test_fourier_energy_sub_grid_keeps_the_zero_frequency(grid_sums,
+                                                          monkeypatch):
+    # an odd factor has no mass at xi = 0, yet the origin cell must still
+    # read |ghat(0)|^2 from index 0 of the sub-grid
+    A = random_spd(np.random.default_rng(7), 2)
+    factors = [lambda x: x * np.exp(-0.5 * x * x),
+               lambda x: np.exp(-0.5 * (x / 0.5) ** 2)]
+    sub = fourier_energy(A, factors, 0.5, extents=12.0, counts=[96, 64])
+    assert len(grid_sums) == 1 and grid_sums[0] < (96, 64)
+    full = full_grid_energy(monkeypatch, A, factors, 0.5, extents=12.0,
+                            counts=[96, 64])
+    assert abs(sub / full - 1.0) <= 1e-14
+
+
+def test_fourier_energy_non_decaying_factor_keeps_full_grid(grid_sums,
+                                                            monkeypatch):
+    # a constant factor puts all its mass at index 0; the sub-grid is the
+    # origin alone, where the weight vanishes, so the bound fails and the
+    # full-grid sum is returned bit for bit
+    const = [np.ones_like, np.ones_like]
+    A = random_spd(np.random.default_rng(8), 2)
+    val = fourier_energy(A, const, 0.5, extents=12.0, counts=[96, 64])
+    assert grid_sums == [(1, 1), (96, 64)]
+    assert val == full_grid_energy(monkeypatch, A, const, 0.5, extents=12.0,
+                                   counts=[96, 64])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dropped_bound_holds(dim, monkeypatch):
+    # with a coarse axis share the dropped part is far above rounding; it
+    # must lie between zero and the bound W_max (prod S - prod K)
+    monkeypatch.setattr(recovery, "_AXIS_SHARE", 1e-3)
+    A = random_spd(np.random.default_rng(30 + dim), dim)
+    p = GaussianProbe(dim, 0.25, (0, 1))
+    R = p.frame
+    Ainv = np.linalg.inv(R @ A @ R.T)
+    ext, cnt = p.grid()
+    hs = [2.0 * e / c for e, c in zip(ext, cnt)]
+    axes = [-e + h * (np.arange(c) + 0.5) for e, h, c in zip(ext, hs, cnt)]
+    freqs = [2 * np.pi * np.fft.fftfreq(c, d=h) for c, h in zip(cnt, hs)]
+    ghat2 = recovery._factor_transforms(p.factors(), axes, hs)
+    keep = [recovery._mass_mask(f) for f in ghat2]
+    assert all(m[0] for m in keep)
+
+    def grid_sum(masks):
+        shaped = [f[m].reshape((-1,) + (1,) * (dim - 1 - k))
+                  for k, (f, m) in enumerate(zip(ghat2, masks))]
+        return recovery._grid_sum(Ainv, 0.5, [x[m] for x, m in
+                                              zip(freqs, masks)], shaped)
+
+    dropped = grid_sum([np.ones(c, dtype=bool) for c in cnt]) - grid_sum(keep)
+    bound = recovery._dropped_bound(Ainv, 0.5, freqs, ghat2, keep)
+    assert 0.0 < dropped <= bound
 
 
 def test_probe_frame_identities():
