@@ -30,6 +30,7 @@ neither can be found; the orchestration itself is single-threaded.
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import dataclasses
 import hashlib
@@ -414,9 +415,9 @@ def _csv_cell(value) -> str:
 def _rows_writer(header: tuple[str, ...], rows) -> Callable[[Path], None]:
     def write(path: Path) -> None:
         with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(header)
+            out.writerows([_csv_cell(v) for v in row] for row in rows)
     return write
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "KernelSpec",
     "kernel_eval",
     "normalization_constant",
-    "validate_ellipticity",
     "fractional_kernel",
     "spec_from_config",
 ]
@@ -59,8 +58,8 @@ class EllipticityBounds:
 
     ``lower`` and ``upper`` bound the Rayleigh quotient of ``A(x, y)``
     from below and above, for every pair of points.  They enter the
-    truncation-tail estimates and the ellipticity audit; the kernel
-    itself is computed from the field values, not from the bounds.
+    truncation-tail estimates; the kernel itself is computed from the
+    field values, not from the bounds.
     """
 
     lower: float
@@ -156,7 +155,11 @@ class AnisotropyField:
         return out
 
     def pair_matrices(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """A(x_i, y_i) for paired rows; shape (m, dim, dim)."""
+        """A(x_i, y_i) for paired rows; shape (m, dim, dim).
+
+        Forms A explicitly: the reference that ``point_terms`` and
+        ``separable_form`` are tested against.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if self.variant == "constant":
@@ -249,49 +252,6 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if np.isscalar(x) or (np.asarray(x).ndim == 1):
         return values if values.size > 1 else float(values[0])
     return values
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    min_quotient: float
-    max_quotient: float
-    lower: float
-    upper: float
-    samples: int
-
-    @property
-    def passed(self) -> bool:
-        return self.lower <= self.min_quotient and self.max_quotient <= self.upper
-
-
-def validate_ellipticity(
-    spec: KernelSpec,
-    points: np.ndarray,
-    rng: np.random.Generator | None = None,
-    directions: int = 16,
-) -> EllipticityReport:
-    """Audit the spectral bounds on sampled point pairs.
-
-    Evaluates Rayleigh quotients ``z^T A(x, y) z / |z|^2`` over all pairs
-    from ``points`` and ``directions`` random unit vectors, and compares
-    with the declared bounds.
-    """
-    rng = rng or np.random.default_rng(0)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    xs, ys = pts[ii.ravel()], pts[jj.ravel()]
-    mats = spec.field.pair_matrices(xs, ys)
-    dirs = rng.standard_normal((directions, spec.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    quot = np.einsum("di,mij,dj->md", dirs, mats, dirs)
-    return EllipticityReport(
-        min_quotient=float(quot.min()),
-        max_quotient=float(quot.max()),
-        lower=spec.bounds.lower,
-        upper=spec.bounds.upper,
-        samples=int(quot.size),
-    )
 
 
 def fractional_kernel(dim: int, s: float, normalized: bool = True) -> KernelSpec:

@@ -156,16 +156,6 @@ class LatticeDomain:
             raise DomainError("empty interior")
         return dom
 
-    @classmethod
-    def custom(cls, lower, upper, cells, inside: Callable[[np.ndarray], np.ndarray],
-               margin: float = 0.0) -> "LatticeDomain":
-        """Domain given by a membership callable on the bounding box."""
-        dom = cls.box(lower, upper, cells, margin=margin, descriptor="custom")
-        dom.interior_mask = np.asarray(inside(dom.points), dtype=bool)
-        if not dom.interior_mask.any():
-            raise DomainError("empty interior")
-        return dom
-
     def neighbor_table(self) -> np.ndarray:
         """(n_total, dim, 2) indices of the -/+ axis neighbours, -1 at the box edge."""
         idx = np.arange(len(self.points)).reshape(self.shape)
@@ -295,11 +285,15 @@ def _box_exit_distances(pts: np.ndarray, lower: np.ndarray, upper: np.ndarray,
 
 @dataclass
 class AssembledOperator:
-    """Dense matrices for L + B(., h) + V over interior nodes.
+    """The dense matrix of L + B(., h) + V over interior nodes.
 
-    ``pair_weights`` covers all box nodes (exterior ones included) so
-    the zero-data exterior mass is resolved discretely near the domain
-    boundary and by ``far_field`` beyond the box (``box_tail``).
+    ``matrix`` is the one interior matrix: the Laplace block, the drift
+    block and diag(V) summed.  The Laplace block does not depend on the
+    drift, so ``assemble(..., drift=None)`` (with no potential) gives the
+    drift-free part bit for bit.  ``pair_weights`` covers all box nodes
+    (exterior ones included) so the zero-data exterior mass is resolved
+    discretely near the domain boundary and by ``far_field`` beyond the
+    box (``box_tail``).
     """
 
     domain: LatticeDomain
@@ -310,9 +304,7 @@ class AssembledOperator:
     drift: SmoothFunction | None
     drift_values: np.ndarray | None  # (n_total,)
     drift_far: np.ndarray | None  # (n_total,)
-    laplace_matrix: np.ndarray  # (n_int, n_int)
-    drift_matrix: np.ndarray | None
-    matrix: np.ndarray  # laplace + drift + diag(V)
+    matrix: np.ndarray  # (n_int, n_int): Laplace block + drift block + diag(V)
 
     @property
     def n(self) -> int:
@@ -331,7 +323,7 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
              potential: np.ndarray | Callable | None = None,
              quad: QuadratureScheme | None = None,
              self_cell: bool = True) -> AssembledOperator:
-    """Build the dense operator matrices on the lattice.
+    """Build the dense operator matrix on the lattice.
 
     The self-cell redistribution adds 1/2 (c_a(x_i) + c_a(x_j)) / h^2 to
     each axis-neighbour pair weight, keeping the matrix symmetric; only
@@ -374,12 +366,11 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
 
     mask = domain.interior_mask
     row_sums = W.sum(axis=1)
-    lap = W[np.ix_(mask, mask)].copy()
+    lap = W[np.ix_(mask, mask)]  # a fresh array: the matrix is built in it
     np.fill_diagonal(lap, np.diag(lap) - row_sums[mask] - tails[mask])
 
     drift_vals = None
     far = None
-    drift_mat = None
     if drift is not None:
         drift_vals = np.asarray(drift(pts), dtype=float)
         # S_i = Int_{outside the box} (h - h_i) K splits exactly into the
@@ -390,11 +381,12 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
         # exactly zero.  Off the diagonal lap equals W on interior pairs.
         hc = drift_vals - drift_vals[0]
         hc_int = hc[mask]
-        drift_mat = lap * hc_int
-        drift_mat -= hc_int[:, None] * lap
-        drift_mat *= 0.5
+        block = lap * hc_int
+        block -= hc_int[:, None] * lap
+        block *= 0.5
         b_rows = 0.5 * (W @ hc - hc * row_sums)
-        np.fill_diagonal(drift_mat, -b_rows[mask] - 0.5 * far[mask])
+        np.fill_diagonal(block, -b_rows[mask] - 0.5 * far[mask])
+        lap += block
 
     n_int = int(mask.sum())
     if potential is None:
@@ -403,16 +395,11 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
         V = np.asarray(potential(domain.interior_points), dtype=float).reshape(n_int)
     else:
         V = np.asarray(potential, dtype=float).reshape(n_int)
-
-    matrix = lap.copy()
-    if drift_mat is not None:
-        matrix += drift_mat
-    matrix[np.arange(n_int), np.arange(n_int)] += V
+    lap[np.arange(n_int), np.arange(n_int)] += V
 
     return AssembledOperator(
         domain=domain, spec=spec, pair_weights=W, box_tail=tails, potential=V,
-        drift=drift, drift_values=drift_vals, drift_far=far,
-        laplace_matrix=lap, drift_matrix=drift_mat, matrix=matrix)
+        drift=drift, drift_values=drift_vals, drift_far=far, matrix=lap)
 
 
 # --------------------------------------------------------------------------

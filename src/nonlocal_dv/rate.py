@@ -254,6 +254,7 @@ def minimize_rayleigh(
     eps: float = 1e-8,
     tol: float = 1e-6,
     max_iter: int = 2000,
+    op: AssembledOperator | None = None,
 ):
     """Directly minimize the averaged ratio over positive candidates u = e^w.
 
@@ -261,11 +262,15 @@ def minimize_rayleigh(
     the floor perturbs the value by order sqrt(eps).  The tolerance is looser
     than the decomposition route because floor nodes contribute near-flat
     directions.  Returns the minimal value, the minimizer, and the iteration
-    count.
+    count.  Pass a pre-assembled operator to skip the assembly; it must
+    carry the same kernel and drift.
     """
-    if domain is None:
-        domain = density_lattice(f)
-    op = assemble(domain, spec, drift=h)
+    if op is None:
+        if domain is None:
+            domain = density_lattice(f)
+        op = assemble(domain, spec, drift=h)
+    else:
+        domain = op.domain
     fv = f.values_on(domain) + eps
     fv /= fv.sum() * domain.cell_volume
     vol = domain.cell_volume
@@ -323,11 +328,17 @@ def pointwise_energy_bracket(op: AssembledOperator, g_values: np.ndarray,
 def sqrt_substitution_residual(op: AssembledOperator,
                                f_values: np.ndarray) -> float:
     """Residual of the substitution identity 2u(op u) = op f - 2*bracket(u,u)
-    at u = sqrt(f), exact discretely with consistent zero extension."""
+    at u = sqrt(f), exact discretely with consistent zero extension.
+
+    The identity holds for the Laplace block alone, so ``op`` must carry
+    no drift and a zero potential; otherwise DomainError is raised.
+    """
+    if op.drift is not None or op.potential.any():
+        raise DomainError("the substitution identity needs an operator "
+                          "with no drift and no potential")
     sqf = np.sqrt(f_values)
-    lhs = 2.0 * sqf * (op.laplace_matrix @ sqf)
-    rhs = op.laplace_matrix @ f_values \
-        - 2.0 * pointwise_energy_bracket(op, sqf, sqf)
+    lhs = 2.0 * sqf * (op.matrix @ sqf)
+    rhs = op.matrix @ f_values - 2.0 * pointwise_energy_bracket(op, sqf, sqf)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -388,6 +399,6 @@ def dual_gap(f: DensitySpec, V_family, domain: LatticeDomain,
                                    cross_check=False)
         values.append(pair.lambda1 + float(fv @ V_int) * vol)
     best = max(values)
-    reference, _, _ = I_decomposed(f, h, spec, domain=domain)
+    reference, _, _ = I_decomposed(f, h, spec, op=base)
     return DualGapReport(values=values, best=best, reference=reference,
                          gap=reference - best)

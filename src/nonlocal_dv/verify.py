@@ -103,7 +103,7 @@ def _check_operator_identities(rng: np.random.Generator) -> CheckResult:
     spec2 = fractional_kernel(2, 0.5, normalized=True)
     ops.append(assemble(LatticeDomain.ball([0.0, 0.0], 1.0, 14, margin=0.3), spec2))
     for op in ops:
-        M = op.laplace_matrix
+        M = op.matrix
         mask = op.domain.interior_mask
         W = op.pair_weights[np.ix_(mask, mask)]
         # data vanishes outside the interior, so the exterior pair mass and
@@ -196,8 +196,8 @@ def _check_rate_minimization(rng: np.random.Generator) -> CheckResult:
     for radius in (0.6, 0.8, 1.0):
         dens = _normalized_bump(radius)
         dom = density_lattice(dens, cells=80)
-        direct, u_min, iters = minimize_rayleigh(dens, None, spec, domain=dom)
         op = assemble(dom, spec)
+        direct, u_min, iters = minimize_rayleigh(dens, None, spec, op=op)
         closed = I_closed_form_h0(dens, spec, op=op)
         rel = abs(-direct - closed) / abs(closed)
         worst_rel = max(worst_rel, rel)

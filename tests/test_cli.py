@@ -7,6 +7,7 @@ with the normalized kernel, and the hidden diag(4, 1) recovery fixture
 whose probe energies come from the spectral-side oracle.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -179,6 +180,11 @@ def test_recover_matrix_hidden_fixture(tmp_path):
     assert lines[0] == ("transform_tag,lambda,raw_energy,normalized_energy,"
                         "error_estimate")
     assert len(lines) == res["probes"] + 1
+    # tags such as rotation(0,1) hold a comma: they are quoted, one field
+    with open(out / "recover_matrix_data.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 5 for row in rows)
+    assert "rotation(0,1)" in [row[0] for row in rows]
 
 
 def test_recover_drift_pointwise_agreement(tmp_path):

@@ -14,7 +14,6 @@ from nonlocal_dv.kernels import (
     kernel_eval,
     normalization_constant,
     spec_from_config,
-    validate_ellipticity,
 )
 
 
@@ -84,23 +83,6 @@ def test_nonsymmetric_matrix_rejected():
 def test_indefinite_matrix_rejected():
     with pytest.raises(EllipticityError):
         AnisotropyField.constant(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-def test_ellipticity_audit_passes_and_fails():
-    field = AnisotropyField.constant(np.diag([4.0, 1.0]))
-    rng = np.random.default_rng(11)
-    pts = rng.normal(size=(12, 2))
-
-    ok = validate_ellipticity(
-        KernelSpec(field, EllipticityBounds(1.0, 4.0, 0.5, 2)), pts, rng=rng
-    )
-    assert ok.passed
-    assert 1.0 - 1e-12 <= ok.min_quotient <= ok.max_quotient <= 4.0 + 1e-12
-
-    bad = validate_ellipticity(
-        KernelSpec(field, EllipticityBounds(2.0, 3.0, 0.5, 2)), pts, rng=rng
-    )
-    assert not bad.passed
 
 
 def test_normalized_prefactor_applied():

@@ -21,7 +21,7 @@ from nonlocal_dv.lattice import (
     graph_form,
     kernel_form,
 )
-from nonlocal_dv.operators import SmoothFunction, bump, drifted_operator
+from nonlocal_dv.operators import SmoothFunction, bump, drifted_operator, tanh_drift
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def test_zero_function_zero_energy(op_1d):
 
 def test_row_sum_is_negative_exterior_mass(op_1d):
     # constant-1 interior data: only the exterior mass survives in each row
-    M = op_1d.laplace_matrix
+    M = op_1d.matrix
     mask = op_1d.domain.interior_mask
     W = op_1d.pair_weights
     ext = W[np.ix_(mask, ~mask)].sum(axis=1) + op_1d.box_tail[mask]
@@ -47,7 +47,7 @@ def test_row_sum_is_negative_exterior_mass(op_1d):
 
 
 def test_symmetric_negative_definite(op_1d):
-    M = op_1d.laplace_matrix
+    M = op_1d.matrix
     assert np.abs(M - M.T).max() == 0.0
     assert np.linalg.eigvalsh(M).max() < 0.0
 
@@ -57,7 +57,7 @@ def test_integration_by_parts_exact(op_1d):
     for _ in range(5):
         u = rng.normal(size=op_1d.n)
         v = rng.normal(size=op_1d.n)
-        lhs = float(u @ (op_1d.laplace_matrix @ v)) * op_1d.domain.cell_volume
+        lhs = float(u @ (op_1d.matrix @ v)) * op_1d.domain.cell_volume
         scale = max(abs(lhs), 1.0)
         assert abs(lhs + kernel_form(op_1d, u, v)) < 1e-10 * scale
 
@@ -182,9 +182,6 @@ def test_ball_domain_2d():
 def test_capacity_and_domain_errors():
     with pytest.raises(CapacityError):
         LatticeDomain.interval(-1.0, 1.0, 9000)
-    with pytest.raises(DomainError):
-        LatticeDomain.custom([-1.0], [1.0], [10],
-                             inside=lambda pts: np.zeros(len(pts), dtype=bool))
     spec = fractional_kernel(2, 0.5)
     with pytest.raises(DomainError):
         assemble(LatticeDomain.interval(-1.0, 1.0, 10), spec)
@@ -204,6 +201,26 @@ def test_assemble_peak_memory_constant_field():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 8 * n_total ** 2
+
+
+def test_assemble_retained_memory_with_drift():
+    # after assembly only W, the one interior matrix and per-node vectors
+    # stay alive; the Laplace and drift blocks are not kept beside it
+    spec = fractional_kernel(2, 0.5)
+    drift = tanh_drift(2, amplitude=0.3)
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [24, 24], margin=0.5)
+    assemble(LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4]), spec,
+             drift=drift)
+    n_total = len(dom.points)
+    n_int = dom.n_interior
+    tracemalloc.start()
+    try:
+        op = assemble(dom, spec, drift=drift)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert op.matrix.shape == (n_int, n_int)
+    assert kept <= 8 * (n_total ** 2 + 1.5 * n_int ** 2)
 
 
 def test_estimate_shift_dominance(op_1d):

@@ -143,7 +143,8 @@ def test_drift_forms_match_pairwise_sum(case, data):
     assert _close(pairing, ref,
                   (scale.sum() + np.abs(far).sum()) * dom.cell_volume)
 
-    # the drift block applied to interior data u is the per-row form
+    # the matrix applied to interior data u (zero outside) is, per row, the
+    # Laplace form Sum_j W_ij (u_j - u_i) - T_i u_i plus the drift form
     # 1/2 Sum_j W_ij (h_j - h_i)(u_j - u_i) minus half the far integral
     u = rng.normal(size=op.n)
     full_u = np.zeros(len(dom.points))
@@ -151,12 +152,17 @@ def test_drift_forms_match_pairwise_sum(case, data):
     ref_rows = np.empty(op.n)
     row_scale = np.empty(op.n)
     for a, i in enumerate(np.nonzero(mask)[0]):
+        du = full_u - full_u[i]
+        du_abs = np.abs(full_u) + abs(full_u[i])
+        tail = op.box_tail[i] * u[a]
         dh = 0.5 * W[i] * (h - h[i])
-        ref_rows[a] = dh @ (full_u - full_u[i]) - 0.5 * op.drift_far[i] * u[a]
-        row_scale[a] = (np.abs(dh) @ (np.abs(full_u) + abs(full_u[i]))
-                        + 0.5 * abs(op.drift_far[i] * u[a]))
-    assert np.all(np.abs(op.drift_matrix @ u - ref_rows) <= REL * row_scale)
+        far_u = 0.5 * op.drift_far[i] * u[a]
+        ref_rows[a] = W[i] @ du - tail + dh @ du - far_u
+        row_scale[a] = ((np.abs(W[i]) + np.abs(dh)) @ du_abs
+                        + abs(tail) + abs(far_u))
+    assert np.all(np.abs(op.matrix @ u - ref_rows) <= REL * row_scale)
 
     if kind == "constant":
         assert pairing == 0.0
-        assert not op.drift_matrix.any()
+        # the drift block is exactly zero: the matrix is the drift-free one
+        assert np.array_equal(op.matrix, assemble(dom, spec, quad=_QUAD).matrix)

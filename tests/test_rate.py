@@ -171,11 +171,17 @@ def test_error_form_lower_bound(density, drift):
 def test_first_order_and_substitution_identities(density, drift):
     spec = fractional_kernel(1, 0.5, normalized=True)
     dom = density_lattice(density, cells=70)
-    for h in (None, drift):
-        op = assemble(dom, spec, drift=h)
-        fv = density.values_on(dom)
+    fv = density.values_on(dom)
+    plain = assemble(dom, spec)
+    drifted = assemble(dom, spec, drift=drift)
+    for op in (plain, drifted):
         assert first_order_residual(op, fv) < 1e-11
-        assert sqrt_substitution_residual(op, fv) < 1e-11
+    # the substitution identity is one of the Laplace block alone
+    assert sqrt_substitution_residual(plain, fv) < 1e-11
+    with pytest.raises(DomainError):
+        sqrt_substitution_residual(drifted, fv)
+    with pytest.raises(DomainError):
+        sqrt_substitution_residual(assemble(dom, spec, potential=np.ones(plain.n)), fv)
 
 
 def test_symmetric_weight_relabeling(density, drift):

@@ -81,7 +81,7 @@ def test_spectral_shift_identity():
 def test_symmetric_case_matches_eigvalsh():
     op = drifted_op(n=50, amp=0.0, potential=lambda p: p[:, 0] ** 2)
     pair = principal_eigenpair(op, tol=1e-10, max_iter=400)
-    sym = np.linalg.eigvalsh(-(op.laplace_matrix + np.diag(op.potential))).min()
+    sym = np.linalg.eigvalsh(-op.matrix).min()
     assert pair.lambda1 == pytest.approx(sym, abs=1e-8)
 
 
