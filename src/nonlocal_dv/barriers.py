@@ -298,7 +298,6 @@ class BarrierConfig:
     points: int = 8
     mesh: float = 0.005
     d_min: float | None = None
-    sign_checks: bool = True
 
     def __post_init__(self) -> None:
         if self.domain not in ("interval", "ball"):
@@ -369,17 +368,16 @@ def _distance_power(dim: int, radius: float, alpha: float) -> SmoothFunction:
 _SCAN_QUAD = QuadratureScheme(radial_order=32)
 
 
-def barrier_scan(config: BarrierConfig,
-                 quad_scheme: QuadratureScheme | None = None) -> BarrierReport:
+def barrier_scan(config: BarrierConfig) -> BarrierReport:
     """Measure the normalized barrier quantity through the boundary layer.
 
     Reports d^(2s - alpha) (L d^alpha + B(h, d^alpha)) on a geometric
     distance ladder, the raw drift column with its log-log rate, and the
     sign consistency of the two reference exponents on either side of the
     threshold alpha = s (evaluated on a smaller window where the
-    asymptotic sign has set in).
+    asymptotic sign has set in).  Every rule uses ``_SCAN_QUAD``, radial
+    order 32.
     """
-    q = _SCAN_QUAD if quad_scheme is None else quad_scheme
     spec = config.spec
     s = spec.bounds.s
     dim = spec.bounds.dim
@@ -392,15 +390,16 @@ def barrier_scan(config: BarrierConfig,
         xs = np.zeros((len(dists), dim))
         xs[:, 0] = r - dists
         fns = (_distance_power(dim, r, 1.0),)
-        return xs, build_rule(spec, xs, q, fns=fns if config.h is None else fns + (config.h,))
+        return xs, build_rule(spec, xs, _SCAN_QUAD,
+                              fns=fns if config.h is None else fns + (config.h,))
 
     def evaluate(alpha: float, dists: np.ndarray, at: tuple[np.ndarray, list]):
         xs, rules = at
         u = _distance_power(dim, r, alpha)
-        lap = nonlocal_laplacian(u, spec, xs, q, rule=rules)
+        lap = nonlocal_laplacian(u, spec, xs, _SCAN_QUAD, rule=rules)
         drift = np.zeros(len(dists))
         if config.h is not None:
-            drift = carre_du_champ(u, config.h, spec, xs, q, rule=rules)
+            drift = carre_du_champ(u, config.h, spec, xs, _SCAN_QUAD, rule=rules)
         return dists ** (2.0 * s - alpha) * (lap + drift), drift
 
     distances = np.geomspace(config.delta, floor, config.points)
@@ -414,17 +413,16 @@ def barrier_scan(config: BarrierConfig,
         drift_rate = np.inf
 
     checks: list[SignCheck] = []
-    if config.sign_checks:
-        window = min(config.delta, 0.05 * r)
-        ladder = np.geomspace(max(window, floor * 1.5), floor, 3)
-        if not np.array_equal(ladder, distances):
-            at = rules_at(ladder)
-        for a_ref, expected in ((s / 2.0, "negative"),
-                                ((1.0 + s) / 2.0, "positive")):
-            vals, _ = evaluate(a_ref, ladder, at)
-            lo, hi = float(vals.min()), float(vals.max())
-            ok = hi < 0.0 if expected == "negative" else lo > 0.0
-            checks.append(SignCheck(a_ref, lo, hi, expected, ok))
+    window = min(config.delta, 0.05 * r)
+    ladder = np.geomspace(max(window, floor * 1.5), floor, 3)
+    if not np.array_equal(ladder, distances):
+        at = rules_at(ladder)
+    for a_ref, expected in ((s / 2.0, "negative"),
+                            ((1.0 + s) / 2.0, "positive")):
+        vals, _ = evaluate(a_ref, ladder, at)
+        lo, hi = float(vals.min()), float(vals.max())
+        ok = hi < 0.0 if expected == "negative" else lo > 0.0
+        checks.append(SignCheck(a_ref, lo, hi, expected, ok))
 
     return BarrierReport(config.alpha, distances, normalized, drifts,
                          float(normalized.min()), float(normalized.max()),

@@ -496,7 +496,7 @@ def _cmd_dv_functional(cfg: dict, seed: int):
     h = (_function_from_config(cfg["drift"], dim, "drift")
          if "drift" in cfg else None)
     op = assemble(dom, spec, drift=h)
-    I_val, E_val, w_min = I_decomposed(dens, h, spec, domain=dom, op=op)
+    I_val, E_val, w_min = I_decomposed(dens, op)
     fv = dens.values_on(dom)
     results = {
         "I_value": I_val,
@@ -512,7 +512,7 @@ def _cmd_dv_functional(cfg: dict, seed: int):
         "sqrt_density_energy": "nonlocal_dv.lattice.kernel_form",
     }
     if h is None:
-        results["closed_form_no_drift"] = I_closed_form_h0(dens, spec, op=op)
+        results["closed_form_no_drift"] = I_closed_form_h0(dens, op)
         sources["closed_form_no_drift"] = "nonlocal_dv.rate.I_closed_form_h0"
     return 0, results, sources, w_min.save
 

@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 MAX_NODES = 8000
+_SHIFT_MARGIN = 1.0  # added to the dominance bound of estimate_shift
+_SOLVE_RESIDUAL_TOL = 1e-6  # largest relative residual of dirichlet_solve
 
 
 # --------------------------------------------------------------------------
@@ -463,20 +465,20 @@ def graph_form(weights: np.ndarray, u: np.ndarray, v: np.ndarray | None = None,
 # solves
 
 
-def estimate_shift(op: AssembledOperator, margin: float = 1.0) -> float:
+def estimate_shift(op: AssembledOperator) -> float:
     """Shift C making C*I - (L + B + V) strictly row diagonally dominant."""
     M = op.matrix
     off = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
-    return float(max(0.0, (np.diag(M) + off).max()) + margin)
+    return float(max(0.0, (np.diag(M) + off).max()) + _SHIFT_MARGIN)
 
 
-def dirichlet_solve(op: AssembledOperator, C: float, rhs: np.ndarray,
-                    residual_tol: float = 1e-6) -> tuple[GridFunction, float]:
+def dirichlet_solve(op: AssembledOperator, C: float,
+                    rhs: np.ndarray) -> tuple[GridFunction, float]:
     """Solve (L + B + V - C) u = rhs on the interior nodes.
 
     Returns the solution and the achieved residual sup-norm.  A relative
-    residual above ``residual_tol`` raises SolverError with a condition
-    estimate.
+    residual above ``_SOLVE_RESIDUAL_TOL`` raises SolverError with a
+    condition estimate.
     """
     from scipy.linalg import solve as _dsolve
 
@@ -488,7 +490,7 @@ def dirichlet_solve(op: AssembledOperator, C: float, rhs: np.ndarray,
         raise SolverError(f"linear solve failed: {exc}") from exc
     res = float(np.abs(M @ u - rhs).max())
     scale = max(float(np.abs(rhs).max()), float(np.abs(u).max()), 1e-30)
-    if not np.isfinite(res) or res > residual_tol * scale:
+    if not np.isfinite(res) or res > _SOLVE_RESIDUAL_TOL * scale:
         cond = float(np.linalg.cond(M))
         raise SolverError(f"ill-conditioned system: residual {res:.2e}, cond {cond:.2e}")
     return GridFunction(op.domain, u), res

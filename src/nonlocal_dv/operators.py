@@ -219,6 +219,15 @@ def shifted(f: SmoothFunction, constant: float) -> SmoothFunction:
 # quadrature scheme
 
 
+# Inner Gauss-Jacobi radius and least tolerance radius of a pointwise rule,
+# growth of consecutive geometric panels, and the radius where the panels
+# of ``far_field`` end whatever they add.
+_INNER_RADIUS = 0.125
+_OUTER_RADIUS = 32.0
+_PANEL_RATIO = 2.0
+_FAR_CAP = 1e12
+
+
 @dataclass(frozen=True)
 class QuadratureScheme:
     """Resolution parameters for the pointwise and lattice rules.
@@ -228,24 +237,16 @@ class QuadratureScheme:
     ``tail_tolerance`` sets the kernel mass a pointwise rule may leave to
     its analytic tail bound, and it is the relative stop of every
     ``far_field`` panel integral: a node's panels end once one adds
-    less than this fraction of the node's running total.  ``far_cap``
-    is the radius at which those panels end regardless.
+    less than this fraction of the node's running total, or once they
+    pass the radius ``_FAR_CAP``.
     """
 
-    inner_radius: float = 0.125
-    outer_radius: float = 32.0
     radial_order: int = 16
     angular_count: int = 24
     polar_order: int = 8
-    panel_ratio: float = 2.0
     tail_tolerance: float = 1e-6
-    far_cap: float = 1e12
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.inner_radius < self.outer_radius:
-            raise DomainError("need 0 < inner_radius < outer_radius")
-        if self.panel_ratio <= 1.0:
-            raise DomainError("panel_ratio must exceed 1")
         if self.angular_count % 2:
             raise DomainError("angular_count must be even")
 
@@ -421,10 +422,10 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
     end_i is infinite.  ``g=None`` means g = 1, g_inf = 0: the kernel
     mass beyond ``start``, in closed form for constant fields and
     otherwise completed by the ellipticity bound beyond the last panel.
-    Panels grow by ``quad.panel_ratio`` and are split where a ray leaves
+    Panels grow by ``_PANEL_RATIO`` and are split where a ray leaves
     the ball of radius ``g.support_radius``, the edge of g's support; a
     node stops once all its rays reach end_i, its radius passes
-    ``quad.far_cap``, or the magnitude of its latest panel is below
+    ``_FAR_CAP``, or the magnitude of its latest panel is below
     ``quad.tail_tolerance`` of the running sum of those magnitudes.  The
     magnitude integrates |g - g_inf| K, so that a signed integrand can
     neither stall the test nor stop it where its rays cancel.
@@ -464,7 +465,7 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
         idx, live = live[:rows], live[rows:]
         lo = a[idx]
         edge = np.where(lo < split[idx], split[idx], stop[idx])
-        hi = np.minimum(lo * quad.panel_ratio, edge)
+        hi = np.minimum(lo * _PANEL_RATIO, edge)
         mid = 0.5 * (lo + hi)[:, None, :]
         half = 0.5 * (hi - lo)[:, None, :]
         rho = mid + half * gl_x[None, :, None]  # (node, radius, direction)
@@ -484,7 +485,7 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
         size[idx] += mag
         a[idx] = hi
         done = ((mag < quad.tail_tolerance * size[idx])
-                | (hi.min(axis=1) > quad.far_cap) | (hi >= stop[idx]).all(axis=1))
+                | (hi.min(axis=1) > _FAR_CAP) | (hi >= stop[idx]).all(axis=1))
         live = np.concatenate([live, idx[~done]])
     if g is None:
         total += _ellipticity_tail(spec, a.min(axis=1))
@@ -494,7 +495,7 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
 def _tolerance_radius(spec: KernelSpec, quad: QuadratureScheme) -> float:
     """Radius R with (upper kernel bound tail mass) <= tail_tolerance."""
     r = (_ellipticity_tail(spec, 1.0) / quad.tail_tolerance) ** (1.0 / (2.0 * spec.s))
-    return float(min(max(r, quad.outer_radius), quad.far_cap))
+    return float(min(max(r, _OUTER_RADIUS), _FAR_CAP))
 
 
 def _rule_radii(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
@@ -505,13 +506,13 @@ def _rule_radii(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
     for f in fns:
         breaks.extend(f.radial_breakpoints(x))
     supports = [f.support_radius for f in fns]
-    r_target = quad.inner_radius * 4.0
+    r_target = _INNER_RADIUS * 4.0
     if supports and all(r is not None for r in supports):
         r_target = max(r_target, max(float(np.linalg.norm(x)) + r for r in supports))
     if need_tolerance_radius or not supports or any(r is None for r in supports):
         r_target = max(r_target, _tolerance_radius(spec, quad))
 
-    r_in = quad.inner_radius
+    r_in = _INNER_RADIUS
     pos_breaks = [b for b in breaks if b > 0]
     if pos_breaks:
         r_in = min(r_in, 0.5 * min(pos_breaks))
@@ -564,7 +565,7 @@ def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
         radial_fac = (w_in * rho_in ** (2.0 * s - 1.0) * rho_in ** (dim - 1))[:, None]
         w_pairs = (radial_fac * haw[None, :]).reshape(-1)
         # annulus: geometric Gauss-Legendre panels honouring kink radii
-        edges = _panel_edges(r_in, radii[i], quad.panel_ratio, breaks)
+        edges = _panel_edges(r_in, radii[i], _PANEL_RATIO, breaks)
         width = 0.5 * np.subtract(edges[1:], edges[:-1])[:, None]
         rho = (width * gl_x + 0.5 * np.add(edges[1:], edges[:-1])[:, None]).reshape(-1)
         wr = (width * gl_w).reshape(-1)
@@ -651,10 +652,11 @@ def _carre_du_champ_at(u: SmoothFunction, v: SmoothFunction, rule: PointRule) ->
 
 
 def drifted_operator(u: SmoothFunction, h: SmoothFunction, spec: KernelSpec,
-                     x: np.ndarray, quad: QuadratureScheme = _DEFAULT) -> float | np.ndarray:
-    """(L u + B(u, h))(x) with a single shared rule for both terms; an
-    (m, dim) array of points gives the array of the m values."""
+                     x: np.ndarray) -> float | np.ndarray:
+    """(L u + B(u, h))(x) with a single shared rule for both terms, on the
+    default scheme; an (m, dim) array of points gives the array of the m
+    values."""
     both = u.support_radius is not None and h.support_radius is not None
-    rule = build_rule(spec, x, quad, fns=(u, h), need_tolerance_radius=not both)
-    return (nonlocal_laplacian(u, spec, x, quad, rule=rule)
-            + carre_du_champ(u, h, spec, x, quad, rule=rule))
+    rule = build_rule(spec, x, _DEFAULT, fns=(u, h), need_tolerance_radius=not both)
+    return (nonlocal_laplacian(u, spec, x, rule=rule)
+            + carre_du_champ(u, h, spec, x, rule=rule))

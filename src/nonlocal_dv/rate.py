@@ -19,13 +19,12 @@ import numpy as np
 import scipy.optimize
 
 from .errors import ConvergenceError, DomainError
-from .kernels import KernelSpec
 from .lattice import (
     AssembledOperator,
     GridFunction,
     LatticeDomain,
     _full_values,
-    assemble,
+    assemble,  # noqa: F401  bound here for the perfbench tracer self-test
     graph_form,
     kernel_form,
     pair_rows,
@@ -35,6 +34,14 @@ from .spectral import principal_eigenpair
 
 _MASS_WARN = 0.01
 _W_BOUND = 30.0  # exp(w) stays within double range
+_LATTICE_MARGIN = 1.0  # box margin of density_lattice and probe_domain
+_SUPPORT_PAD = 0.5  # their padding of the density support
+_ERROR_TOL = 1e-8  # L-BFGS of the error form
+_ERROR_MAX_ITER = 500
+_RAYLEIGH_EPS = 1e-8  # density floor of minimize_rayleigh
+_RAYLEIGH_TOL = 1e-6
+_RAYLEIGH_MAX_ITER = 2000
+_DUAL_TOL = 1e-9  # inverse iteration of dual_gap
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ class DensitySpec:
         vals = self.f(domain.interior_points)
         return float(vals.sum()) * domain.cell_volume
 
-    def values_on(self, domain: LatticeDomain, renormalize: bool = True):
+    def values_on(self, domain: LatticeDomain):
         """Density values on interior nodes, renormalized to unit lattice mass."""
         vals = self.f(domain.interior_points)
         if vals.min() < -1e-12:
@@ -73,41 +80,36 @@ class DensitySpec:
                 "density mass on the lattice is %.6f, not 1" % total,
                 stacklevel=2,
             )
-        return vals / total if renormalize else vals
+        return vals / total
 
 
-def density_lattice(f: DensitySpec, cells: int | None = None,
-                    margin: float = 1.0, pad: float = 0.5) -> LatticeDomain:
+def density_lattice(f: DensitySpec, cells: int | None = None) -> LatticeDomain:
     """Interval/box lattice covering the density support plus padding."""
     dim = f.f.dim
     if cells is None:
         cells = 96 if dim == 1 else 24
-    reach = f.f.support_radius + pad
+    reach = f.f.support_radius + _SUPPORT_PAD
     lower = f.center - reach
     upper = f.center + reach
     if dim == 1:
         return LatticeDomain.interval(float(lower[0]), float(upper[0]),
-                                      cells, margin=margin)
-    return LatticeDomain.box(lower, upper, [cells] * dim, margin=margin)
+                                      cells, margin=_LATTICE_MARGIN)
+    return LatticeDomain.box(lower, upper, [cells] * dim,
+                             margin=_LATTICE_MARGIN)
 
 
-def rayleigh_integral(
-    u: GridFunction,
-    h: SmoothFunction | None,
-    spec: KernelSpec,
-    f: DensitySpec,
-    op: AssembledOperator | None = None,
-    far_value: float = 0.0,
-) -> float:
+def rayleigh_integral(u: GridFunction, f: DensitySpec, op: AssembledOperator,
+                      far_value: float = 0.0) -> float:
     """Density-weighted average of (operator u)/u on the lattice.
 
-    u must be strictly positive wherever the density is positive; values
-    outside the support may vanish.  far_value declares the constant state
-    of u beyond the lattice box (zero for compactly supported candidates).
+    u must live on the operator's lattice and be strictly positive wherever
+    the density is positive; values outside the support may vanish.
+    far_value declares the constant state of u beyond the lattice box (zero
+    for compactly supported candidates).
     """
-    if op is None:
-        op = assemble(u.domain, spec, drift=h)
-    fv = f.values_on(u.domain)
+    if u.domain is not op.domain:
+        raise DomainError("candidate must live on the operator's lattice")
+    fv = f.values_on(op.domain)
     supp = fv > 0.0
     uv = u.values
     if uv[supp].min() <= 0.0:
@@ -119,9 +121,7 @@ def rayleigh_integral(
     return float(fv[supp] @ (applied[supp] / uv[supp])) * u.domain.cell_volume
 
 
-def I_closed_form_h0(f: DensitySpec, spec: KernelSpec,
-                     domain: LatticeDomain | None = None,
-                     op: AssembledOperator | None = None) -> float:
+def I_closed_form_h0(f: DensitySpec, op: AssembledOperator) -> float:
     """Kernel energy of the square root of the density (drift-free value)."""
     if not f.sqrt_f_regularity:
         warnings.warn(
@@ -129,10 +129,6 @@ def I_closed_form_h0(f: DensitySpec, spec: KernelSpec,
             "computed anyway but may converge slowly",
             stacklevel=2,
         )
-    if op is None:
-        if domain is None:
-            domain = density_lattice(f)
-        op = assemble(domain, spec)
     fv = f.values_on(op.domain)
     return kernel_form(op, np.sqrt(fv))
 
@@ -154,11 +150,12 @@ def drift_pairing(op: AssembledOperator, f_values: np.ndarray) -> float:
 def error_form_value(op: AssembledOperator, f_values: np.ndarray,
                      w_values: np.ndarray) -> float:
     """Hyperbolic two-term form at a given exponent field (no minimization)."""
-    val, _ = _error_objective(op, f_values, w_values)
+    val, _ = _error_objective(_error_pieces(op, f_values), w_values)
     return val
 
 
 def _error_pieces(op: AssembledOperator, f_values: np.ndarray):
+    # support, coefficients a and drift increments dh depend on op and f only
     mask = op.domain.interior_mask
     supp = f_values > 0.0
     sqf = np.sqrt(f_values[supp])
@@ -173,42 +170,29 @@ def _error_pieces(op: AssembledOperator, f_values: np.ndarray):
     return supp, a, dh
 
 
-def _error_objective(op, f_values, w_values):
-    supp, a, dh = _error_pieces(op, f_values)
+def _error_objective(pieces, w_values):
+    supp, a, dh = pieces
     w = np.asarray(w_values, dtype=float)[supp]
     dw = w[None, :] - w[:, None]
     theta = np.cosh(dw) - 1.0 + 0.5 * np.sinh(dw) * dh
     value = float((a * theta).sum())
-    grad = np.zeros(len(f_values))
+    grad = np.zeros(len(supp))
     grad[supp] = -2.0 * (a * (np.sinh(dw) + 0.5 * np.cosh(dw) * dh)).sum(axis=1)
     return value, grad
 
 
-def I_decomposed(
-    f: DensitySpec,
-    h: SmoothFunction | None,
-    spec: KernelSpec,
-    domain: LatticeDomain | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    op: AssembledOperator | None = None,
-):
+def I_decomposed(f: DensitySpec, op: AssembledOperator):
     """Split the rate value into energy, drift pairing, and error correction.
 
     Returns (I_value, E_value, w_min) with I = energy(sqrt f) - pairing/2 - E
     and E the minimum of the hyperbolic form over exponent fields, found by
     quasi-Newton descent started from the zero field.  w_min is the
-    minimizing exponent field on the interior nodes.  Pass a
-    pre-assembled operator to skip the assembly; it must carry the same
-    kernel and drift.
+    minimizing exponent field on the interior nodes.  The kernel and the
+    drift are those ``op`` was assembled with; a drift of oscillation 1 or
+    more draws a warning.
     """
-    if op is None:
-        if domain is None:
-            domain = density_lattice(f)
-        op = assemble(domain, spec, drift=h)
-    else:
-        domain = op.domain
-    if h is not None and op.drift_oscillation() >= 1.0:
+    domain = op.domain
+    if op.drift_oscillation() >= 1.0:
         warnings.warn(
             "drift oscillation >= 1; the error-form sign guarantee is lost",
             stacklevel=2,
@@ -217,7 +201,8 @@ def I_decomposed(
     energy = kernel_form(op, np.sqrt(fv))
     pairing = drift_pairing(op, fv)
 
-    supp = fv > 0.0
+    pieces = _error_pieces(op, fv)
+    supp = pieces[0]
     n_supp = int(supp.sum())
     x0 = np.zeros(n_supp)
     trace: list[float] = []
@@ -225,16 +210,16 @@ def I_decomposed(
     def objective(x):
         w_full = np.zeros(len(fv))
         w_full[supp] = x
-        val, grad = _error_objective(op, fv, w_full)
+        val, grad = _error_objective(pieces, w_full)
         trace.append(val)
         return val, grad[supp]
 
     result = scipy.optimize.minimize(
         objective, x0, jac=True, method="L-BFGS-B",
         bounds=[(-_W_BOUND, _W_BOUND)] * n_supp,
-        options={"maxiter": max_iter, "gtol": tol, "ftol": 1e-14},
+        options={"maxiter": _ERROR_MAX_ITER, "gtol": _ERROR_TOL, "ftol": 1e-14},
     )
-    if not result.success and np.abs(result.jac).max() > 100 * tol:
+    if not result.success and np.abs(result.jac).max() > 100 * _ERROR_TOL:
         raise ConvergenceError(
             "error-form descent did not converge: %s; objective trace tail %s"
             % (result.message, [float("%.6g" % t) for t in trace[-5:]])
@@ -246,32 +231,17 @@ def I_decomposed(
     return I_value, E_value, GridFunction(domain, w_full)
 
 
-def minimize_rayleigh(
-    f: DensitySpec,
-    h: SmoothFunction | None,
-    spec: KernelSpec,
-    domain: LatticeDomain | None = None,
-    eps: float = 1e-8,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
-    op: AssembledOperator | None = None,
-):
+def minimize_rayleigh(f: DensitySpec, op: AssembledOperator):
     """Directly minimize the averaged ratio over positive candidates u = e^w.
 
     The density gets an eps floor so the discrete minimizer stays interior;
     the floor perturbs the value by order sqrt(eps).  The tolerance is looser
     than the decomposition route because floor nodes contribute near-flat
     directions.  Returns the minimal value, the minimizer, and the iteration
-    count.  Pass a pre-assembled operator to skip the assembly; it must
-    carry the same kernel and drift.
+    count.  The operator u is averaged against is ``op``, drift included.
     """
-    if op is None:
-        if domain is None:
-            domain = density_lattice(f)
-        op = assemble(domain, spec, drift=h)
-    else:
-        domain = op.domain
-    fv = f.values_on(domain) + eps
+    domain = op.domain
+    fv = f.values_on(domain) + _RAYLEIGH_EPS
     fv /= fv.sum() * domain.cell_volume
     vol = domain.cell_volume
     matrix = op.matrix
@@ -287,9 +257,10 @@ def minimize_rayleigh(
     result = scipy.optimize.minimize(
         objective, np.zeros(op.n), jac=True, method="L-BFGS-B",
         bounds=[(-_W_BOUND, _W_BOUND)] * op.n,
-        options={"maxiter": max_iter, "gtol": tol, "ftol": 1e-14},
+        options={"maxiter": _RAYLEIGH_MAX_ITER, "gtol": _RAYLEIGH_TOL,
+                 "ftol": 1e-14},
     )
-    if not result.success and np.abs(result.jac).max() > 100 * tol:
+    if not result.success and np.abs(result.jac).max() > 100 * _RAYLEIGH_TOL:
         raise ConvergenceError(
             "ratio minimization did not converge: %s" % result.message
         )
@@ -377,28 +348,31 @@ class DualGapReport:
     gap: float
 
 
-def dual_gap(f: DensitySpec, V_family, domain: LatticeDomain,
-             spec: KernelSpec, h: SmoothFunction | None,
-             tol: float = 1e-9) -> DualGapReport:
+def dual_gap(f: DensitySpec, V_family, op: AssembledOperator) -> DualGapReport:
     """Eigenvalue lower bounds against the minimized rate value.
 
     For each potential V the quantity lambda1(op + V) + mean_f(V) bounds the
     rate value from below; the report collects the family values, their max,
     the decomposition reference, and the (nonnegative up to slack) gap.
+    Each V is a callable on the interior points or an array with one value
+    per interior node; any other length raises DomainError.
     """
-    base = assemble(domain, spec, drift=h)
+    domain = op.domain
     fv = f.values_on(domain)
     vol = domain.cell_volume
     values = []
     for V in V_family:
         V_int = np.asarray(V(domain.interior_points)
                            if callable(V) else V, dtype=float)
-        op_V = replace(base, potential=V_int,
-                       matrix=base.matrix + np.diag(V_int))
-        pair = principal_eigenpair(op_V, tol=tol, max_iter=800,
+        if V_int.shape != (op.n,):
+            raise DomainError("potential has shape %s, not one value per "
+                              "interior node (%d)" % (V_int.shape, op.n))
+        op_V = replace(op, potential=op.potential + V_int,
+                       matrix=op.matrix + np.diag(V_int))
+        pair = principal_eigenpair(op_V, tol=_DUAL_TOL, max_iter=800,
                                    cross_check=False)
         values.append(pair.lambda1 + float(fv @ V_int) * vol)
     best = max(values)
-    reference, _, _ = I_decomposed(f, h, spec, op=base)
+    reference, _, _ = I_decomposed(f, op)
     return DualGapReport(values=values, best=best, reference=reference,
                          gap=reference - best)

@@ -26,10 +26,11 @@ from .errors import (
     ResolutionError,
 )
 from .extrapolate import richardson_limit
-from .kernels import KernelSpec, normalization_constant
+from .kernels import KernelSpec
 from .lattice import LatticeDomain, assemble
 from .operators import SmoothFunction, bump, nonlocal_laplacian, scaled
-from .rate import DensitySpec, I_decomposed, density_lattice, drift_pairing
+from .rate import (_LATTICE_MARGIN, _SUPPORT_PAD, DensitySpec, I_decomposed,
+                   density_lattice, drift_pairing)
 
 __all__ = [
     "ProbeResult",
@@ -153,26 +154,27 @@ def rescale_density(f: DensitySpec, lambda_: float, x0,
                        center=x0, lambda_=f.lambda_ * lam)
 
 
-def probe_domain(f: DensitySpec, lambda_: float, x0, cells: int = 64,
-                 margin: float = 1.0, pad: float = 0.5) -> LatticeDomain:
+def probe_domain(f: DensitySpec, lambda_: float, x0,
+                 cells: int = 64) -> LatticeDomain:
     """Exact lam-scaled image of the base density lattice, centered at x0.
 
-    Bounds, padding, and margin all shrink with the scale, so constant
-    coefficient energies obey their power law on these lattices with no
-    discretization residual.
+    Bounds, padding, and margin (those of ``density_lattice``) all shrink
+    with the scale, so constant coefficient energies obey their power law
+    on these lattices with no discretization residual.
     """
     lam = float(lambda_)
     if lam <= 0.0:
         raise DomainError("scale parameter must be positive")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = f.f.dim
-    reach = lam * (f.f.support_radius + pad)
+    reach = lam * (f.f.support_radius + _SUPPORT_PAD)
     lower = x0 - reach
     upper = x0 + reach
     if dim == 1:
         return LatticeDomain.interval(float(lower[0]), float(upper[0]), cells,
-                                      margin=lam * margin)
-    return LatticeDomain.box(lower, upper, [cells] * dim, margin=lam * margin)
+                                      margin=lam * _LATTICE_MARGIN)
+    return LatticeDomain.box(lower, upper, [cells] * dim,
+                             margin=lam * _LATTICE_MARGIN)
 
 
 # --------------------------------------------------------------------------
@@ -181,8 +183,7 @@ def probe_domain(f: DensitySpec, lambda_: float, x0, cells: int = 64,
 
 def diffusion_limit(spec: KernelSpec, f: DensitySpec, x0,
                     lambda_seq=(0.5, 0.25, 0.125),
-                    h: SmoothFunction | None = None,
-                    cells: int = 64) -> DiffusionLimitResult:
+                    h: SmoothFunction | None = None) -> DiffusionLimitResult:
     """Small-scale limit of the scale-normalized rate value at x0.
 
     For each scale the density is concentrated at x0 and the rate value
@@ -201,9 +202,9 @@ def diffusion_limit(spec: KernelSpec, f: DensitySpec, x0,
     raws = []
     for lam in lams:
         g = rescale_density(f, float(lam), x0)
-        dom = probe_domain(f, float(lam), x0, cells=cells)
+        dom = probe_domain(f, float(lam), x0)
         op = assemble(dom, spec, drift=h)
-        I_val, _, _ = I_decomposed(g, h, spec, op=op)
+        I_val, _, _ = I_decomposed(g, op)
         pairing = 0.0 if h is None else drift_pairing(op, g.values_on(dom))
         power = float(lam) ** (2.0 * s)
         vals.append(power * (I_val + 0.5 * pairing))
@@ -235,6 +236,8 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 # is provably below _SUM_TOL of the kept part
 _SUM_TOL = 1e-18
 _AXIS_SHARE = 1e-6 * _SUM_TOL
+
+_ALIASING_TOL = 0.05  # relative move on a doubled grid that check_aliasing refuses
 
 
 def _quadratic_form(Ainv: np.ndarray, axes) -> np.ndarray:
@@ -371,15 +374,14 @@ def _spectral_sum(A: np.ndarray, g, s: float, ext: np.ndarray,
 
 
 def fourier_energy(matrix, g, s: float, extents=None, counts=None,
-                   check_aliasing: bool = False,
-                   aliasing_tol: float = 0.05) -> float:
+                   check_aliasing: bool = False) -> float:
     """Spectral form of the quadratic energy for constant coefficients.
 
     Computes |Det A|^{-1/2} times the integral of <A^{-1} xi, xi>^s |ghat|^2
     in the unitary transform convention, on a midpoint grid of the given
     per-axis extents and counts.  ``check_aliasing`` doubles the counts once
-    and raises when the value moves by more than ``aliasing_tol``
-    relatively; the finer value is returned in that case.
+    and raises ResolutionError when the value moves by more than 5 percent
+    (``_ALIASING_TOL``) relatively; otherwise the finer value is returned.
 
     ``g`` is either a ``SmoothFunction``, sampled on the whole grid and
     transformed with one ``fftn``, or a sequence of ``dim`` one-dimensional
@@ -426,7 +428,7 @@ def fourier_energy(matrix, g, s: float, extents=None, counts=None,
     value = _spectral_sum(A, g, s, ext, cnt)
     if check_aliasing:
         fine = _spectral_sum(A, g, s, ext, 2 * cnt)
-        if abs(fine - value) > aliasing_tol * max(abs(fine), 1e-300):
+        if abs(fine - value) > _ALIASING_TOL * max(abs(fine), 1e-300):
             raise ResolutionError(
                 "doubling the grid moved the spectral energy from %.6g to "
                 "%.6g; the sampling is too coarse for this function"
@@ -538,19 +540,21 @@ def fourier_probe_oracle(matrix, s: float):
 # --------------------------------------------------------------------------
 # matrix recovery
 
+_SPREAD_TOL = 1.5  # largest spread of one probe's normalized energies
+_RHO_TOL = 0.25  # largest |rho - 1|
+
 
 def recover_matrix(energy_oracle, dim: int, s: float,
-                   lambda_seq=(0.5, 0.25, 0.125), second_width: float = 0.7,
-                   spread_tol: float = 1.5, rho_tol: float = 0.25,
-                   normalized: bool = True) -> ReconstructionReport:
+                   lambda_seq=(0.5, 0.25, 0.125),
+                   second_width: float = 0.7) -> ReconstructionReport:
     """Reconstruct the coefficient matrix from an energy oracle.
 
     A probe collapsing along direction e has scale-normalized energy tending
     to C |Det A|^{-1/2} (e' A^{-1} e)^s, C the closed-form constant for the
-    probe widths.  Axis probes therefore give the diagonal of A^{-1} up to a
-    common power of the determinant, diagonal-direction probes give the
-    off-diagonal entries linearly, and the determinant of the assembled data
-    closes the system.  A second probe family at a different width
+    probe widths under a normalized kernel.  Axis probes therefore give the
+    diagonal of A^{-1} up to a common power of the determinant,
+    diagonal-direction probes give the off-diagonal entries linearly, and
+    the determinant of the assembled data closes the system.  A second probe family at a different width
     re-measures the diagonal; the geometric mean of measured over predicted
     is reported as the kernel density factor rho, which the model requires
     to be 1.
@@ -566,8 +570,6 @@ def recover_matrix(energy_oracle, dim: int, s: float,
         raise DomainError("exponent must lie in (0, 1)")
     ratio = float(ratios[0])
     C1 = float(gamma(s + 0.5) * np.pi ** ((dim - 1) / 2.0))
-    if not normalized:
-        C1 /= normalization_constant(dim, s)
     probes: list[ProbeResult] = []
 
     def measure(axis, width: float) -> float:
@@ -580,7 +582,7 @@ def recover_matrix(energy_oracle, dim: int, s: float,
         limit = richardson_limit(norm, ratio=ratio).limit
         floor = 1e-12 * max(abs(v) for v in norm) + 1e-300
         spread = (max(norm) - min(norm)) / max(abs(limit), floor)
-        if spread > spread_tol:
+        if spread > _SPREAD_TOL:
             raise OracleInconsistencyError(
                 "probe %s: normalized energies %s do not settle (spread %.3g)"
                 % (rows[0][0], ["%.4g" % v for v in norm], spread))
@@ -628,7 +630,7 @@ def recover_matrix(energy_oracle, dim: int, s: float,
         pred = width_factor * pref * Ainv[k, k] ** s
         logs.append(np.log((meas / pred) ** (1.0 / s)))
     rho = float(np.exp(np.mean(logs)))
-    if abs(rho - 1.0) > rho_tol:
+    if abs(rho - 1.0) > _RHO_TOL:
         raise OracleInconsistencyError(
             "kernel density factor %.4f is far from 1; the oracle does not "
             "match the probe model" % rho)
@@ -640,6 +642,7 @@ def recover_matrix(energy_oracle, dim: int, s: float,
 
 
 _UNIT_BUMPS: dict[int, DensitySpec] = {}
+_CROSS_TOL = 0.05  # largest relative gap of drift_probe's two routes
 
 
 def _unit_bump(dim: int) -> DensitySpec:
@@ -654,14 +657,15 @@ def _unit_bump(dim: int) -> DensitySpec:
 
 def drift_probe(h: SmoothFunction, spec: KernelSpec, x0,
                 lambda_seq=(0.5, 0.25, 0.125), f: DensitySpec | None = None,
-                cells: int = 40, cross_tol: float = 0.05) -> DriftProbeResult:
+                cells: int = 40) -> DriftProbeResult:
     """Recover the generator applied to the drift at x0 from integrals.
 
     Each scale integrates the pointwise generator values against the
     concentrated density; a second route through assembled pair weights must
     agree, since the integrated first-order term equals minus the lattice
     drift pairing.  The extrapolated limit is cross-checked against direct
-    pointwise quadrature at x0 and the difference reported.
+    pointwise quadrature at x0 and the difference reported; a difference
+    above ``_CROSS_TOL`` relatively raises OracleInconsistencyError.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.size
@@ -683,7 +687,7 @@ def drift_probe(h: SmoothFunction, spec: KernelSpec, x0,
     ref = float(nonlocal_laplacian(h, spec, x0))
     ext = richardson_limit(vals, ratio=float(lams[0] / lams[1]))
     diff = abs(ext.limit - ref)
-    if diff > cross_tol * max(abs(ref), 1e-12) + 1e-10:
+    if diff > _CROSS_TOL * max(abs(ref), 1e-12) + 1e-10:
         raise OracleInconsistencyError(
             "integrated drift limit %.6g disagrees with the pointwise value "
             "%.6g" % (ext.limit, ref))

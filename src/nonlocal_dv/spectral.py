@@ -271,6 +271,10 @@ def minmax_value(op, measure_family, test_family) -> float:
     return float(best)
 
 
+_DEMO_GRID_STEP = 0.05
+_DEMO_TOLERANCE = 1e-6  # largest demo value that counts as nonpositive
+
+
 @dataclass(frozen=True)
 class SignDemoReport:
     s: float
@@ -286,12 +290,8 @@ class SignDemoReport:
     violation_certified: bool
 
 
-def maxprinciple_violation_demo(
-    s: float,
-    drift_jump: float | None = None,
-    grid_step: float = 0.05,
-    tolerance: float = 1e-6,
-) -> SignDemoReport:
+def maxprinciple_violation_demo(s: float,
+                                drift_jump: float | None = None) -> SignDemoReport:
     """Evaluate the jump-drift counterexample on an interval grid.
 
     Takes u = (1-x^2)_+^(1+s) and a drift that is zero on (-1,1) and equal
@@ -313,8 +313,8 @@ def maxprinciple_violation_demo(
         kink_points=(-1.0, 1.0),
     )
 
-    half = int(round(0.95 / grid_step))
-    grid = np.arange(-half, half + 1) * grid_step
+    half = int(round(0.95 / _DEMO_GRID_STEP))
+    grid = np.arange(-half, half + 1) * _DEMO_GRID_STEP
     # u and the jump share their support and kinks, so one rule set serves both
     xs = grid[:, None]
     rules = build_rule(spec, xs, QuadratureScheme(), fns=(u, jump_unit))
@@ -332,12 +332,12 @@ def maxprinciple_violation_demo(
         s=s,
         drift_jump=float(drift_jump),
         oscillation=abs(float(drift_jump)),
-        tolerance=tolerance,
+        tolerance=_DEMO_TOLERANCE,
         grid=grid,
         base_values=base,
         drift_term_values=drift_term,
         operator_values=values,
         max_value=max_value,
         center_value=center,
-        violation_certified=bool(max_value <= tolerance and center > 0.0),
+        violation_certified=bool(max_value <= _DEMO_TOLERANCE and center > 0.0),
     )

@@ -197,8 +197,8 @@ def _check_rate_minimization(rng: np.random.Generator) -> CheckResult:
         dens = _normalized_bump(radius)
         dom = density_lattice(dens, cells=80)
         op = assemble(dom, spec)
-        direct, u_min, iters = minimize_rayleigh(dens, None, spec, op=op)
-        closed = I_closed_form_h0(dens, spec, op=op)
+        direct, u_min, iters = minimize_rayleigh(dens, op)
+        closed = I_closed_form_h0(dens, op)
         rel = abs(-direct - closed) / abs(closed)
         worst_rel = max(worst_rel, rel)
         fo = first_order_residual(op, dens.values_on(dom))
@@ -230,7 +230,7 @@ def _check_scalar_error_form(rng: np.random.Generator) -> CheckResult:
     drift = tanh_drift(1, amplitude=0.3)
     dom = density_lattice(dens, cells=60)
     op = assemble(dom, spec, drift=drift)
-    _, E_val, w_min = I_decomposed(dens, drift, spec, domain=dom, op=op)
+    _, E_val, w_min = I_decomposed(dens, op)
     direct = error_form_value(op, dens.values_on(dom), w_min.values)
     denom = max(abs(direct), 1e-10)
     rel = abs(E_val - direct) / denom

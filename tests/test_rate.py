@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nonlocal_dv import rate
 from nonlocal_dv.errors import DomainError
 from nonlocal_dv.kernels import fractional_kernel
 from nonlocal_dv.lattice import GridFunction, LatticeDomain, assemble, kernel_form
@@ -61,7 +62,7 @@ def test_rayleigh_constant_function_vanishes(density):
     spec = fractional_kernel(1, 0.5, normalized=True)
     dom = density_lattice(density, cells=80)
     u = GridFunction(dom, np.ones(dom.n_interior))
-    val = rayleigh_integral(u, None, spec, density, far_value=1.0)
+    val = rayleigh_integral(u, density, assemble(dom, spec), far_value=1.0)
     assert abs(val) < 1e-12
 
 
@@ -71,15 +72,14 @@ def test_rayleigh_at_sqrt_density_is_closed_form(density):
     op = assemble(dom, spec)
     fv = density.values_on(dom)
     u = GridFunction(dom, np.sqrt(fv))
-    val = rayleigh_integral(u, None, spec, density, op=op)
-    closed = I_closed_form_h0(density, spec, domain=dom)
+    val = rayleigh_integral(u, density, op)
+    closed = I_closed_form_h0(density, op)
     assert val == pytest.approx(-closed, rel=1e-12)
     # additive regularization converges to the same value from above
     errs = []
     for eps in (1e-3, 1e-5):
         ueps = GridFunction(dom, np.sqrt(fv) + eps)
-        veps = rayleigh_integral(ueps, None, spec, density, op=op,
-                                 far_value=eps)
+        veps = rayleigh_integral(ueps, density, op, far_value=eps)
         assert veps >= val - 1e-12
         errs.append(abs(veps - val))
     assert errs[1] < errs[0]
@@ -89,11 +89,11 @@ def test_rayleigh_lower_bound_over_random_candidates(density):
     spec = fractional_kernel(1, 0.5, normalized=True)
     dom = density_lattice(density, cells=60)
     op = assemble(dom, spec)
-    closed = I_closed_form_h0(density, spec, domain=dom)
+    closed = I_closed_form_h0(density, op)
     rng = np.random.default_rng(17)
     for _ in range(8):
         u = GridFunction(dom, 0.2 + rng.uniform(0.0, 1.0, size=dom.n_interior))
-        assert rayleigh_integral(u, None, spec, density, op=op) >= -closed - 1e-10
+        assert rayleigh_integral(u, density, op) >= -closed - 1e-10
 
 
 def test_rayleigh_requires_positive_candidate(density):
@@ -101,14 +101,25 @@ def test_rayleigh_requires_positive_candidate(density):
     dom = density_lattice(density, cells=40)
     u = GridFunction(dom, np.zeros(dom.n_interior))
     with pytest.raises(DomainError):
-        rayleigh_integral(u, None, spec, density)
+        rayleigh_integral(u, density, assemble(dom, spec))
+
+
+def test_rayleigh_rejects_candidate_off_the_operator_lattice(density):
+    spec = fractional_kernel(1, 0.5, normalized=True)
+    op = assemble(density_lattice(density, cells=40), spec)
+    for cells in (30, 40):
+        # a different node count, and an equal lattice that is not op's
+        dom = density_lattice(density, cells=cells)
+        u = GridFunction(dom, np.ones(dom.n_interior))
+        with pytest.raises(DomainError):
+            rayleigh_integral(u, density, op, far_value=1.0)
 
 
 def test_closed_form_warns_without_regularity(density):
     spec = fractional_kernel(1, 0.5, normalized=True)
     rough = DensitySpec(density.f, sqrt_f_regularity=False)
     with pytest.warns(UserWarning):
-        I_closed_form_h0(rough, spec, domain=density_lattice(density, cells=40))
+        I_closed_form_h0(rough, assemble(density_lattice(density, cells=40), spec))
 
 
 def test_local_limit_trend(density):
@@ -116,7 +127,7 @@ def test_local_limit_trend(density):
     errs = []
     for s in (0.5, 0.6, 0.75, 0.9):
         spec = fractional_kernel(1, s, normalized=True)
-        val = I_closed_form_h0(density, spec, domain=dom)
+        val = I_closed_form_h0(density, assemble(dom, spec))
         errs.append(LOCAL_DIRICHLET_REFERENCE - val)
     assert all(e > 0 for e in errs)
     assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -125,8 +136,9 @@ def test_local_limit_trend(density):
 def test_decomposition_reduces_to_closed_form_without_drift(density):
     spec = fractional_kernel(1, 0.5, normalized=True)
     dom = density_lattice(density, cells=80)
-    I_val, E_val, w_min = I_decomposed(density, None, spec, domain=dom)
-    closed = I_closed_form_h0(density, spec, domain=dom)
+    op = assemble(dom, spec)
+    I_val, E_val, w_min = I_decomposed(density, op)
+    closed = I_closed_form_h0(density, op)
     assert abs(E_val) < 1e-12
     assert I_val == pytest.approx(closed, rel=1e-10)
     assert np.abs(w_min.values).max() < 1e-6
@@ -135,14 +147,49 @@ def test_decomposition_reduces_to_closed_form_without_drift(density):
 def test_decomposition_matches_direct_minimization(density, drift):
     spec = fractional_kernel(1, 0.5, normalized=True)
     dom = density_lattice(density, cells=80)
-    I_val, E_val, _ = I_decomposed(density, drift, spec, domain=dom)
-    direct_value, u_min, iterations = minimize_rayleigh(density, drift, spec,
-                                                        domain=dom)
+    op = assemble(dom, spec, drift=drift)
+    I_val, E_val, _ = I_decomposed(density, op)
+    direct_value, u_min, iterations = minimize_rayleigh(density, op)
     I_direct = -direct_value
     assert iterations > 0
     assert u_min.values.min() > 0.0
     assert I_val == pytest.approx(I_direct, rel=1e-2)
     assert E_val <= 1e-15
+
+
+def test_decomposition_warns_on_large_drift_oscillation(density):
+    # the warning reads the drift the operator was assembled with
+    spec = fractional_kernel(1, 0.5, normalized=True)
+    strong = SmoothFunction(lambda p: 0.6 * np.tanh(2.0 * p[:, 0]), 1,
+                            support_radius=40.0)
+    op = assemble(density_lattice(density, cells=40), spec, drift=strong)
+    assert op.drift_oscillation() >= 1.0
+    with pytest.warns(UserWarning, match="oscillation"):
+        I_decomposed(density, op)
+
+
+def test_error_pieces_built_once_per_solve(density, drift, monkeypatch):
+    spec = fractional_kernel(1, 0.5, normalized=True)
+    dom = density_lattice(density, cells=40)
+    op = assemble(dom, spec, drift=drift)
+    fv = density.values_on(dom)
+    pieces = rate._error_pieces
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return pieces(*args)
+
+    monkeypatch.setattr(rate, "_error_pieces", counting)
+    _, E_val, w_min = I_decomposed(density, op)
+    assert len(builds) == 1
+    # reference: every evaluation of the objective rebuilds its pieces
+    objective = rate._error_objective
+    monkeypatch.setattr(rate, "_error_objective",
+                        lambda _, w: objective(pieces(op, fv), w))
+    _, E_ref, w_ref = I_decomposed(density, op)
+    assert E_val == E_ref
+    assert np.array_equal(w_min.values, w_ref.values)
 
 
 def test_error_form_lower_bound(density, drift):
@@ -162,7 +209,7 @@ def test_error_form_lower_bound(density, drift):
     for _ in range(5):
         w = 0.5 * rng.normal(size=dom.n_interior)
         assert error_form_value(op, fv, w) >= bound - 1e-12
-    _, E_val, w_min = I_decomposed(density, drift, spec, domain=dom)
+    _, E_val, w_min = I_decomposed(density, op)
     assert E_val >= bound - 1e-12
     assert E_val == pytest.approx(error_form_value(op, fv, w_min.values),
                                   abs=1e-12)
@@ -241,20 +288,46 @@ def test_drift_pairing_against_brute_force(density, drift):
 
 def test_dual_gap_families(density, drift):
     spec = fractional_kernel(1, 0.5, normalized=True)
-    dom = density_lattice(density, cells=60)
+    op = assemble(density_lattice(density, cells=60), spec, drift=drift)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        base = dual_gap(density, [lambda p: np.zeros(len(p))], dom, spec, drift)
+        base = dual_gap(density, [lambda p: np.zeros(len(p))], op)
         wells = [lambda p, a=a: a * p[:, 0] ** 2 for a in
                  (-0.5, -1.0, -2.0, -4.0, -8.0)]
-        rich = dual_gap(density, [lambda p: np.zeros(len(p))] + wells,
-                        dom, spec, drift)
+        rich = dual_gap(density, [lambda p: np.zeros(len(p))] + wells, op)
     assert base.gap >= -1e-8
     assert rich.gap >= -1e-8
     assert rich.gap < base.gap
     # constant potential shifts leave every family value unchanged
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        shifted = dual_gap(density, [lambda p: 2.5 * np.ones(len(p))],
-                           dom, spec, drift)
+        shifted = dual_gap(density, [lambda p: 2.5 * np.ones(len(p))], op)
     assert shifted.values[0] == pytest.approx(base.values[0], abs=1e-7)
+
+
+def test_dual_gap_potentials(density, drift, monkeypatch):
+    spec = fractional_kernel(1, 0.5, normalized=True)
+    dom = density_lattice(density, cells=40)
+    base_V = 0.3 * dom.interior_points[:, 0] ** 2
+    op = assemble(dom, spec, drift=drift, potential=base_V)
+    with pytest.raises(DomainError):
+        dual_gap(density, [np.zeros(op.n + 1)], op)
+    with pytest.raises(DomainError):
+        dual_gap(density, [lambda p: np.zeros(len(p) - 1)], op)
+    # each shifted operator carries the potential its matrix holds
+    seen = []
+    solve = rate.principal_eigenpair
+
+    def capture(op_V, **kwargs):
+        seen.append(op_V)
+        return solve(op_V, **kwargs)
+
+    monkeypatch.setattr(rate, "principal_eigenpair", capture)
+    V = 0.1 * np.ones(op.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dual_gap(density, [V], op)
+    (op_V,) = seen
+    assert np.array_equal(op_V.potential, base_V + V)
+    ref = assemble(dom, spec, drift=drift, potential=base_V + V).matrix
+    assert np.allclose(op_V.matrix, ref, rtol=1e-13, atol=1e-13)

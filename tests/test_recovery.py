@@ -102,11 +102,11 @@ def test_energy_scaling_exact_every_lambda(density, s):
     spec = spec_1d(s)
     x0 = np.zeros(1)
     base_dom = probe_domain(density, 1.0, x0)
-    base = I_closed_form_h0(density, spec, domain=base_dom)
+    base = I_closed_form_h0(density, assemble(base_dom, spec))
     for lam in (0.5, 0.25):
         g = rescale_density(density, lam, x0)
         dom = probe_domain(density, lam, x0)
-        val = I_closed_form_h0(g, spec, domain=dom)
+        val = I_closed_form_h0(g, assemble(dom, spec))
         assert lam ** (2 * s) * val == pytest.approx(base, rel=5e-12)
 
 
@@ -132,8 +132,8 @@ def test_diffusion_limit_smooth_drift_rate(density):
     # no worse than 2 - 2s (here the observed rate is close to 2)
     assert res.rate >= 2 - 2 * 0.5 - 0.2
     assert res.monotone
-    base = I_closed_form_h0(density, spec,
-                            domain=probe_domain(density, 1.0, np.array([0.2])))
+    base = I_closed_form_h0(density,
+                            assemble(probe_domain(density, 1.0, np.array([0.2])), spec))
     assert res.limit == pytest.approx(base, rel=1e-2)
     # the raw sequence keeps the drift correction and must differ
     assert np.abs(res.raw_values - res.values).max() > 1e-6
@@ -150,8 +150,8 @@ def test_diffusion_limit_separable_product_freezes(density):
     m0 = 1.0 + 0.4 * np.exp(-x0[0] ** 2)
     frozen = KernelSpec(AnisotropyField.constant(np.array([[2 * m0 ** 2]])),
                         EllipticityBounds(0.5, 5.0, s, 1), normalized=True)
-    target = I_closed_form_h0(density, frozen,
-                              domain=probe_domain(density, 1.0, x0))
+    target = I_closed_form_h0(density,
+                              assemble(probe_domain(density, 1.0, x0), frozen))
     assert res.limit == pytest.approx(target, rel=2e-2)
 
 
