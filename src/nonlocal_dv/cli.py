@@ -7,6 +7,12 @@ schema-violating config exits with status 2 and names the offending
 field; a numerical failure inside the package exits with status 3 and
 the raising error type; success exits 0.
 
+The summary is written to ``output.json`` and the data to ``output.csv``
+(by default ``<command>_summary.json`` and ``<command>_data.csv``);
+``eigen`` and ``dv-functional`` also write the grid of their CSV to its
+``.json`` sidecar.  A summary path equal to the CSV path, or to that
+sidecar, exits with status 2 before anything is computed.
+
 Outputs are deterministic: for a fixed config file and seed the written
 JSON and CSV files are byte-identical across runs.  Each JSON summary
 carries a provenance block with the config digest and, per result key,
@@ -50,7 +56,7 @@ import numpy as np
 from .barriers import BarrierConfig, barrier_scan, flat_limit_reference
 from .errors import ConfigError, NonlocalError
 from .kernels import spec_from_config
-from .lattice import LatticeDomain, assemble, kernel_form
+from .lattice import LatticeDomain, assemble
 from .operators import (
     SmoothFunction,
     bump,
@@ -66,7 +72,6 @@ from .rate import (
     I_closed_form_h0,
     I_decomposed,
     density_lattice,
-    drift_pairing,
     first_order_residual,
 )
 from .recovery import (
@@ -257,6 +262,11 @@ def _validate_config(cfg: dict, command: str) -> None:
     if best is not None:
         path = ".".join(str(p) for p in best.absolute_path)
         raise ConfigError(best.message, field_path=path or "(top level)")
+    kernel = cfg.get("kernel", {})
+    if kernel.get("variant") == "constant" and "amplitude" in kernel:
+        raise ConfigError("'amplitude' sizes the perturbation of a separable "
+                          "field; a constant kernel has none",
+                          field_path="kernel.amplitude")
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +506,14 @@ def _cmd_dv_functional(cfg: dict, seed: int):
     h = (_function_from_config(cfg["drift"], dim, "drift")
          if "drift" in cfg else None)
     op = assemble(dom, spec, drift=h)
-    I_val, E_val, w_min = I_decomposed(dens, op)
-    fv = dens.values_on(dom)
+    parts = I_decomposed(dens, op)
     results = {
-        "I_value": I_val,
-        "error_form_value": E_val,
-        "sqrt_density_energy": kernel_form(op, np.sqrt(fv)),
-        "drift_pairing": drift_pairing(op, fv) if h is not None else 0.0,
-        "first_order_residual": first_order_residual(op, fv),
-        "exponent_field_max": float(np.abs(w_min.values).max()),
+        "I_value": parts.I_value,
+        "error_form_value": parts.E_value,
+        "sqrt_density_energy": parts.energy,
+        "drift_pairing": parts.pairing,
+        "first_order_residual": first_order_residual(op, dens.values_on(dom)),
+        "exponent_field_max": float(np.abs(parts.w_min.values).max()),
         "nodes": op.n,
     }
     sources = {
@@ -514,7 +523,7 @@ def _cmd_dv_functional(cfg: dict, seed: int):
     if h is None:
         results["closed_form_no_drift"] = I_closed_form_h0(dens, op)
         sources["closed_form_no_drift"] = "nonlocal_dv.rate.I_closed_form_h0"
-    return 0, results, sources, w_min.save
+    return 0, results, sources, parts.w_min.save
 
 
 def _cmd_recover_matrix(cfg: dict, seed: int):
@@ -699,11 +708,24 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+# commands whose CSV is a GridFunction, written with a JSON sidecar beside it
+_SIDECAR_COMMANDS = ("eigen", "dv-functional")
+
+
 def _output_paths(cfg: dict, command: str, out_dir: Path) -> tuple[Path, Path]:
+    """Summary and CSV paths; ConfigError if one output would overwrite
+    the summary."""
     out = cfg.get("output", {})
     stem = command.replace("-", "_")
-    return (out_dir / out.get("json", f"{stem}_summary.json"),
-            out_dir / out.get("csv", f"{stem}_data.csv"))
+    json_path = out_dir / out.get("json", f"{stem}_summary.json")
+    csv_path = out_dir / out.get("csv", f"{stem}_data.csv")
+    if json_path == csv_path:
+        raise ConfigError("the summary and the CSV share the path "
+                          f"{json_path}", field_path="output.json")
+    if command in _SIDECAR_COMMANDS and json_path == csv_path.with_suffix(".json"):
+        raise ConfigError(f"the summary path {json_path} is the JSON sidecar "
+                          "of the CSV", field_path="output.json")
+    return json_path, csv_path
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -720,13 +742,13 @@ def _run(args: argparse.Namespace) -> int:
     if seed < 0:
         raise ConfigError("seed must be nonnegative", field_path="--seed")
     out_dir = Path(args.output_dir)
+    json_path, csv_path = _output_paths(cfg, command, out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}",
                           field_path="--output-dir") from exc
     code, results, sources, write_csv = _HANDLERS[command](cfg, seed)
-    json_path, csv_path = _output_paths(cfg, command, out_dir)
     _write_summary(json_path, command, seed, results, sources,
                    _config_digest(cfg))
     write_csv(csv_path)

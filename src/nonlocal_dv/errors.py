@@ -29,10 +29,6 @@ class PositivityError(NonlocalError):
     """A quantity that must be positive (eigenvector, density) is not."""
 
 
-class SolverError(NonlocalError):
-    """A linear solve failed or returned an untrustworthy residual."""
-
-
 class ResolutionError(NonlocalError):
     """A transform grid is too coarse for the requested tolerance."""
 

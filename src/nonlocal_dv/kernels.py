@@ -101,8 +101,8 @@ class AnisotropyField:
     """Matrix field A(x, y), one of the three supported variants.
 
     ``matrix_fn`` maps an array of points with shape (m, dim) to an
-    array of matrices with shape (m, dim, dim); a plain per-point
-    callable is also accepted and looped over.
+    array of matrices with shape (m, dim, dim), one call for all the
+    points; an answer of any other shape raises DomainError.
     """
 
     variant: str
@@ -140,19 +140,12 @@ class AnisotropyField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.variant == "constant":
             return np.broadcast_to(self.matrix, (points.shape[0], self.dim, self.dim))
-        # a per-point matrix_fn shows itself by failing on the batch with one
-        # of these errors or by answering in the wrong shape; any other error
-        # is the caller's and propagates
-        try:
-            mats = np.asarray(self.matrix_fn(points), dtype=float)
-        except (ValueError, TypeError, IndexError):
-            mats = None
-        if mats is not None and mats.shape == (points.shape[0], self.dim, self.dim):
-            return mats
-        out = np.empty((points.shape[0], self.dim, self.dim))
-        for i, p in enumerate(points):
-            out[i] = np.asarray(self.matrix_fn(p), dtype=float)
-        return out
+        mats = np.asarray(self.matrix_fn(points), dtype=float)
+        want = (points.shape[0], self.dim, self.dim)
+        if mats.shape != want:
+            raise DomainError(f"matrix_fn answered {len(points)} points with "
+                              f"shape {mats.shape}, not {want}")
+        return mats
 
     def pair_matrices(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """A(x_i, y_i) for paired rows; shape (m, dim, dim).
@@ -270,7 +263,8 @@ def spec_from_config(cfg: dict) -> KernelSpec:
     Expected keys: ``variant`` (one of constant / separable_sum /
     separable_product), ``matrix`` (nested lists; for separable variants
     it is the base matrix of a built-in smooth perturbation field),
-    ``s``, and optional ``gamma`` / ``Gamma`` / ``normalized``.
+    ``s``, and optional ``gamma`` / ``Gamma`` / ``normalized``, and for
+    the separable variants ``amplitude``, the size of the perturbation.
     """
     variant = cfg.get("variant", "constant")
     matrix = np.asarray(cfg["matrix"], dtype=float)

@@ -42,12 +42,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import CapacityError, DomainError, SolverError
+from .errors import CapacityError, DomainError
 from .kernels import KernelSpec
 from .operators import (QuadratureScheme, SmoothFunction, _chunk_rows, _directions,
                         _ray_kernel, _ray_terms, far_field)
@@ -60,13 +60,11 @@ __all__ = [
     "kernel_form",
     "pair_rows",
     "graph_form",
-    "dirichlet_solve",
     "estimate_shift",
 ]
 
 MAX_NODES = 8000
 _SHIFT_MARGIN = 1.0  # added to the dominance bound of estimate_shift
-_SOLVE_RESIDUAL_TOL = 1e-6  # largest relative residual of dirichlet_solve
 
 
 # --------------------------------------------------------------------------
@@ -183,10 +181,6 @@ class GridFunction:
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
         if len(self.values) != self.domain.n_interior:
             raise DomainError("value count does not match interior node count")
-
-    @classmethod
-    def from_function(cls, domain: LatticeDomain, fn) -> "GridFunction":
-        return cls(domain, np.asarray(fn(domain.interior_points), dtype=float))
 
     def save(self, csv_path: str | Path) -> None:
         """CSV rows (index, coordinates..., value) plus a JSON sidecar."""
@@ -414,28 +408,20 @@ def _full_values(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
     return vals
 
 
-def kernel_form(op: AssembledOperator, u: np.ndarray, v: np.ndarray | None = None,
-                region_mask: np.ndarray | None = None) -> float:
+def kernel_form(op: AssembledOperator, u: np.ndarray,
+                v: np.ndarray | None = None) -> float:
     """Discrete double-sum energy 1/2 Sum W_ij du dv (h^N included once).
 
-    Default region: every pair with at least one point in the domain,
+    The sum runs over every pair with at least one point in the domain,
     plus the beyond-box mass  Sum u_i v_i T_i  (functions vanish outside
-    the interior).  With ``region_mask`` (over interior nodes) the sum
-    runs over pairs inside the masked region only, without tails.
+    the interior).  The pair sum over a sub-block of nodes alone is
+    ``graph_form`` on that block of ``pair_weights``.
     """
     v = u if v is None else v
-    vol = op.domain.cell_volume
-    if region_mask is None:
-        uf = _full_values(op, u)
-        vf = _full_values(op, v)
-        tail = float(np.sum(uf * vf * op.box_tail))
-        return (graph_form(op.pair_weights, uf, vf) + tail) * vol
-    mask = np.asarray(region_mask, dtype=bool)
-    sub = op.pair_weights[np.ix_(op.domain.interior_mask, op.domain.interior_mask)]
-    sub = sub[np.ix_(mask, mask)]
-    uu = np.asarray(u, dtype=float)[mask]
-    vv = np.asarray(v, dtype=float)[mask]
-    return graph_form(sub, uu, vv, cell_volume=vol)
+    uf = _full_values(op, u)
+    vf = _full_values(op, v)
+    tail = float(np.sum(uf * vf * op.box_tail))
+    return (graph_form(op.pair_weights, uf, vf) + tail) * op.domain.cell_volume
 
 
 def pair_rows(weights: np.ndarray, u: np.ndarray,
@@ -454,15 +440,15 @@ def pair_rows(weights: np.ndarray, u: np.ndarray,
     return 0.5 * (wuv - u * wv - v * wu + r * u * v)
 
 
-def graph_form(weights: np.ndarray, u: np.ndarray, v: np.ndarray | None = None,
-               cell_volume: float = 1.0) -> float:
-    """Pure pair form 1/2 Sum W_ij du dv with no exterior terms: the sum
-    of ``pair_rows``."""
-    return float(pair_rows(weights, u, v).sum()) * cell_volume
+def graph_form(weights: np.ndarray, u: np.ndarray,
+               v: np.ndarray | None = None) -> float:
+    """Pure pair form 1/2 Sum W_ij du dv with no exterior terms and no cell
+    volume: the sum of ``pair_rows``."""
+    return float(pair_rows(weights, u, v).sum())
 
 
 # --------------------------------------------------------------------------
-# solves
+# shift
 
 
 def estimate_shift(op: AssembledOperator) -> float:
@@ -470,27 +456,3 @@ def estimate_shift(op: AssembledOperator) -> float:
     M = op.matrix
     off = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
     return float(max(0.0, (np.diag(M) + off).max()) + _SHIFT_MARGIN)
-
-
-def dirichlet_solve(op: AssembledOperator, C: float,
-                    rhs: np.ndarray) -> tuple[GridFunction, float]:
-    """Solve (L + B + V - C) u = rhs on the interior nodes.
-
-    Returns the solution and the achieved residual sup-norm.  A relative
-    residual above ``_SOLVE_RESIDUAL_TOL`` raises SolverError with a
-    condition estimate.
-    """
-    from scipy.linalg import solve as _dsolve
-
-    rhs = np.asarray(rhs, dtype=float).reshape(op.n)
-    M = op.matrix - C * np.eye(op.n)
-    try:
-        u = _dsolve(M, rhs)
-    except Exception as exc:  # singular factorization
-        raise SolverError(f"linear solve failed: {exc}") from exc
-    res = float(np.abs(M @ u - rhs).max())
-    scale = max(float(np.abs(rhs).max()), float(np.abs(u).max()), 1e-30)
-    if not np.isfinite(res) or res > _SOLVE_RESIDUAL_TOL * scale:
-        cond = float(np.linalg.cond(M))
-        raise SolverError(f"ill-conditioned system: residual {res:.2e}, cond {cond:.2e}")
-    return GridFunction(op.domain, u), res

@@ -6,7 +6,8 @@ For a kernel K this module evaluates, at a point x or at each row of an
     L u(x)     = p.v. Int (u(y) - u(x)) K(x, y) dy,
     B(u, v)(x) = 1/2 Int (u(y) - u(x)) (v(y) - v(x)) K(x, y) dy,
 
-and the drifted combination L u + B(u, h).  The principal value is
+and so the drifted combination L u + B(u, h), whose two terms share
+one rule (``build_rule`` with ``fns=(u, h)``).  The principal value is
 handled by an inner rule whose nodes come in antipodal pairs (y, 2x - y)
 sharing one weight, so the odd part of the integrand cancels exactly and
 the remaining even part is integrable.  The radial direction uses
@@ -37,8 +38,8 @@ M(y) once per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -54,12 +55,10 @@ __all__ = [
     "far_field",
     "nonlocal_laplacian",
     "carre_du_champ",
-    "drifted_operator",
     "gaussian",
     "bump",
     "tanh_drift",
     "interval_power",
-    "sum_of",
     "scaled",
     "shifted",
 ]
@@ -184,22 +183,6 @@ def interval_power(alpha: float, dim: int = 1) -> SmoothFunction:
     return SmoothFunction(fn, dim, support_radius=1.0, **kinks)
 
 
-def sum_of(terms: Iterable[SmoothFunction]) -> SmoothFunction:
-    terms = list(terms)
-    dim = terms[0].dim
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        return np.sum([t(pts) for t in terms], axis=0)
-
-    radii = [t.support_radius for t in terms]
-    reach = None if any(r is None for r in radii) else float(max(radii))
-    kp = tuple(p for t in terms for p in t.kink_points)
-    ks = tuple(p for t in terms for p in t.kink_spheres)
-    return SmoothFunction(fn, dim, support_radius=reach,
-                          kink_points=kp, kink_spheres=ks,
-                          far_value=float(sum(t.far_value for t in terms)))
-
-
 def scaled(f: SmoothFunction, factor: float) -> SmoothFunction:
     return SmoothFunction(lambda pts: factor * f(pts), f.dim,
                           support_radius=f.support_radius,
@@ -232,8 +215,6 @@ _FAR_CAP = 1e12
 class QuadratureScheme:
     """Resolution parameters for the pointwise and lattice rules.
 
-    ``refined(k)`` doubles the polynomial orders k times; errors on
-    smooth integrands must shrink monotonically with k.
     ``tail_tolerance`` sets the kernel mass a pointwise rule may leave to
     its analytic tail bound, and it is the relative stop of every
     ``far_field`` panel integral: a node's panels end once one adds
@@ -249,12 +230,6 @@ class QuadratureScheme:
     def __post_init__(self) -> None:
         if self.angular_count % 2:
             raise DomainError("angular_count must be even")
-
-    def refined(self, levels: int = 1) -> "QuadratureScheme":
-        f = 2**levels
-        return replace(self, radial_order=self.radial_order * f,
-                       angular_count=self.angular_count * f,
-                       polar_order=self.polar_order * f)
 
 
 @dataclass
@@ -650,13 +625,3 @@ def _carre_du_champ_at(u: SmoothFunction, v: SmoothFunction, rule: PointRule) ->
             val += 0.5 * (u.far_value - ux) * (v.far_value - vx) * rule.tail_mass
     return val
 
-
-def drifted_operator(u: SmoothFunction, h: SmoothFunction, spec: KernelSpec,
-                     x: np.ndarray) -> float | np.ndarray:
-    """(L u + B(u, h))(x) with a single shared rule for both terms, on the
-    default scheme; an (m, dim) array of points gives the array of the m
-    values."""
-    both = u.support_radius is not None and h.support_radius is not None
-    rule = build_rule(spec, x, _DEFAULT, fns=(u, h), need_tolerance_radius=not both)
-    return (nonlocal_laplacian(u, spec, x, rule=rule)
-            + carre_du_champ(u, h, spec, x, rule=rule))

@@ -27,7 +27,6 @@ from .lattice import (
     assemble,  # noqa: F401  bound here for the perfbench tracer self-test
     graph_form,
     kernel_form,
-    pair_rows,
 )
 from .operators import SmoothFunction
 from .spectral import principal_eigenpair
@@ -46,12 +45,10 @@ _DUAL_TOL = 1e-9  # inverse iteration of dual_gap
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """Probability density with its concentration point and scale."""
+    """Probability density with its concentration point."""
 
     f: SmoothFunction
-    sqrt_f_regularity: bool = True
     center: np.ndarray = field(default=None)  # type: ignore[assignment]
-    lambda_: float = 1.0
 
     def __post_init__(self):
         center = (np.zeros(self.f.dim) if self.center is None
@@ -59,12 +56,6 @@ class DensitySpec:
         if center.shape != (self.f.dim,):
             raise DomainError("center must match the density dimension")
         object.__setattr__(self, "center", center)
-        if self.lambda_ <= 0.0:
-            raise DomainError("scale parameter must be positive")
-
-    def mass(self, domain: LatticeDomain) -> float:
-        vals = self.f(domain.interior_points)
-        return float(vals.sum()) * domain.cell_volume
 
     def values_on(self, domain: LatticeDomain):
         """Density values on interior nodes, renormalized to unit lattice mass."""
@@ -123,12 +114,6 @@ def rayleigh_integral(u: GridFunction, f: DensitySpec, op: AssembledOperator,
 
 def I_closed_form_h0(f: DensitySpec, op: AssembledOperator) -> float:
     """Kernel energy of the square root of the density (drift-free value)."""
-    if not f.sqrt_f_regularity:
-        warnings.warn(
-            "square-root regularity flag is unset; the closed form is "
-            "computed anyway but may converge slowly",
-            stacklevel=2,
-        )
     fv = f.values_on(op.domain)
     return kernel_form(op, np.sqrt(fv))
 
@@ -181,12 +166,28 @@ def _error_objective(pieces, w_values):
     return value, grad
 
 
-def I_decomposed(f: DensitySpec, op: AssembledOperator):
+@dataclass(frozen=True)
+class RateDecomposition:
+    """The pieces of I = energy - pairing/2 - E that ``I_decomposed`` forms.
+
+    ``energy`` is the kernel energy of sqrt f, ``pairing`` the density/drift
+    pairing (0 without drift), ``E_value`` the minimum of the hyperbolic
+    error form and ``w_min`` its minimizing exponent field.
+    """
+
+    I_value: float
+    energy: float
+    pairing: float
+    E_value: float
+    w_min: GridFunction
+
+
+def I_decomposed(f: DensitySpec, op: AssembledOperator) -> RateDecomposition:
     """Split the rate value into energy, drift pairing, and error correction.
 
-    Returns (I_value, E_value, w_min) with I = energy(sqrt f) - pairing/2 - E
-    and E the minimum of the hyperbolic form over exponent fields, found by
-    quasi-Newton descent started from the zero field.  w_min is the
+    Returns I = energy(sqrt f) - pairing/2 - E with its pieces, E the
+    minimum of the hyperbolic form over exponent fields, found by
+    quasi-Newton descent started from the zero field, and w_min the
     minimizing exponent field on the interior nodes.  The kernel and the
     drift are those ``op`` was assembled with; a drift of oscillation 1 or
     more draws a warning.
@@ -227,8 +228,8 @@ def I_decomposed(f: DensitySpec, op: AssembledOperator):
     w_full = np.zeros(len(fv))
     w_full[supp] = result.x
     E_value = float(result.fun)
-    I_value = energy - 0.5 * pairing - E_value
-    return I_value, E_value, GridFunction(domain, w_full)
+    return RateDecomposition(energy - 0.5 * pairing - E_value, energy, pairing,
+                             E_value, GridFunction(domain, w_full))
 
 
 def minimize_rayleigh(f: DensitySpec, op: AssembledOperator):
@@ -287,48 +288,16 @@ def first_order_residual(op: AssembledOperator, f_values: np.ndarray) -> float:
     return float(np.abs(side1 - side2).max())
 
 
-def pointwise_energy_bracket(op: AssembledOperator, g_values: np.ndarray,
-                             v_values: np.ndarray) -> np.ndarray:
-    """Pointwise symmetric bilinear bracket with zero extension and tails."""
-    mask = op.domain.interior_mask
-    inner = pair_rows(op.pair_weights, _full_values(op, g_values),
-                      _full_values(op, v_values))[mask]
-    return inner + 0.5 * g_values * v_values * op.box_tail[mask]
-
-
-def sqrt_substitution_residual(op: AssembledOperator,
-                               f_values: np.ndarray) -> float:
-    """Residual of the substitution identity 2u(op u) = op f - 2*bracket(u,u)
-    at u = sqrt(f), exact discretely with consistent zero extension.
-
-    The identity holds for the Laplace block alone, so ``op`` must carry
-    no drift and a zero potential; otherwise DomainError is raised.
-    """
-    if op.drift is not None or op.potential.any():
-        raise DomainError("the substitution identity needs an operator "
-                          "with no drift and no potential")
-    sqf = np.sqrt(f_values)
-    lhs = 2.0 * sqf * (op.matrix @ sqf)
-    rhs = op.matrix @ f_values - 2.0 * pointwise_energy_bracket(op, sqf, sqf)
-    return float(np.abs(lhs - rhs).max())
-
-
-def Q_form(dh, dw, variant: str = "derivation"):
+def Q_form(dh, dw):
     """Nonnegative error form in the increment variables (C = 2).
 
-    The derivation-consistent variant carries 1/2 on the odd cross term;
-    the displayed variant carries 1.  Both include the C dh^2/2 = dh^2
-    stabilizer and accept array arguments.
+    cosh dw - 1 + 1/2 sinh(dw) dh + dh^2: the odd cross term carries the
+    1/2 of the derivation, and C dh^2/2 = dh^2 is the stabilizer.  Accepts
+    array arguments.
     """
     dh = np.asarray(dh, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    if variant == "derivation":
-        cross = 0.5 * np.sinh(dw) * dh
-    elif variant == "displayed":
-        cross = np.sinh(dw) * dh
-    else:
-        raise DomainError("variant must be 'derivation' or 'displayed'")
-    return np.cosh(dw) - 1.0 + cross + dh**2
+    return np.cosh(dw) - 1.0 + 0.5 * np.sinh(dw) * dh + dh**2
 
 
 def q_scalar_min(hbar: float) -> float:
@@ -343,7 +312,6 @@ def q_scalar_min(hbar: float) -> float:
 @dataclass(frozen=True)
 class DualGapReport:
     values: list
-    best: float
     reference: float
     gap: float
 
@@ -352,8 +320,9 @@ def dual_gap(f: DensitySpec, V_family, op: AssembledOperator) -> DualGapReport:
     """Eigenvalue lower bounds against the minimized rate value.
 
     For each potential V the quantity lambda1(op + V) + mean_f(V) bounds the
-    rate value from below; the report collects the family values, their max,
-    the decomposition reference, and the (nonnegative up to slack) gap.
+    rate value from below; the report collects the family values, the
+    decomposition reference, and the gap between the reference and the
+    largest value (nonnegative up to slack).
     Each V is a callable on the interior points or an array with one value
     per interior node; any other length raises DomainError.
     """
@@ -372,7 +341,6 @@ def dual_gap(f: DensitySpec, V_family, op: AssembledOperator) -> DualGapReport:
         pair = principal_eigenpair(op_V, tol=_DUAL_TOL, max_iter=800,
                                    cross_check=False)
         values.append(pair.lambda1 + float(fv @ V_int) * vol)
-    best = max(values)
-    reference, _, _ = I_decomposed(f, op)
-    return DualGapReport(values=values, best=best, reference=reference,
-                         gap=reference - best)
+    reference = I_decomposed(f, op).I_value
+    return DualGapReport(values=values, reference=reference,
+                         gap=reference - max(values))

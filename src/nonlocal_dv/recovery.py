@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma
 
-from .errors import (
-    CapacityError,
-    DomainError,
-    OracleInconsistencyError,
-    ReconstructionError,
-    ResolutionError,
-)
+from .errors import DomainError, OracleInconsistencyError, ReconstructionError
 from .extrapolate import richardson_limit
 from .kernels import KernelSpec
 from .lattice import LatticeDomain, assemble
@@ -70,7 +64,6 @@ class ReconstructionReport:
     recovered_matrix: np.ndarray
     rho: float
     per_entry_residuals: np.ndarray
-    drift_values: np.ndarray | None
     probes: tuple
 
 
@@ -115,12 +108,12 @@ class ConstancyReport:
 # density rescaling
 
 
-def rescale_density(f: DensitySpec, lambda_: float, x0,
-                    domain: LatticeDomain | None = None) -> DensitySpec:
+def rescale_density(f: DensitySpec, lambda_: float, x0) -> DensitySpec:
     """Concentrate a unit-mass density: lam^-N f((x - x0)/lam) around x0.
 
-    With a lattice supplied, the rescaled support must stay inside the
-    interior region, otherwise the measurement would lose mass.
+    The result is centred at x0, and its support radius and kinks are
+    those of f scaled by lam about x0.  On the matching ``probe_domain``
+    the rescaled support lies inside the interior region by construction.
     """
     lam = float(lambda_)
     if lam <= 0.0:
@@ -136,22 +129,11 @@ def rescale_density(f: DensitySpec, lambda_: float, x0,
     def fn(pts: np.ndarray) -> np.ndarray:
         return base((pts - x0) / lam) / lam ** dim
 
-    if domain is not None:
-        ipts = domain.interior_points
-        half = 0.5 * domain.spacing
-        lo = ipts.min(axis=0) - half
-        hi = ipts.max(axis=0) + half
-        if (np.any(x0 - lam * base.support_radius < lo)
-                or np.any(x0 + lam * base.support_radius > hi)):
-            raise CapacityError(
-                "rescaled support of radius %.4g around %s escapes the lattice"
-                % (lam * base.support_radius, np.array2string(x0)))
     reach = float(np.linalg.norm(x0)) + lam * base.support_radius
     kinks = tuple(tuple(x0 + lam * np.asarray(p, dtype=float))
                   for p in base.kink_points)
     g = SmoothFunction(fn, dim, support_radius=reach, kink_points=kinks)
-    return DensitySpec(g, sqrt_f_regularity=f.sqrt_f_regularity,
-                       center=x0, lambda_=f.lambda_ * lam)
+    return DensitySpec(g, center=x0)
 
 
 def probe_domain(f: DensitySpec, lambda_: float, x0,
@@ -203,12 +185,10 @@ def diffusion_limit(spec: KernelSpec, f: DensitySpec, x0,
     for lam in lams:
         g = rescale_density(f, float(lam), x0)
         dom = probe_domain(f, float(lam), x0)
-        op = assemble(dom, spec, drift=h)
-        I_val, _, _ = I_decomposed(g, op)
-        pairing = 0.0 if h is None else drift_pairing(op, g.values_on(dom))
+        parts = I_decomposed(g, assemble(dom, spec, drift=h))
         power = float(lam) ** (2.0 * s)
-        vals.append(power * (I_val + 0.5 * pairing))
-        raws.append(power * I_val)
+        vals.append(power * (parts.I_value + 0.5 * parts.pairing))
+        raws.append(power * parts.I_value)
     ratio = float(lams[0] / lams[1])
     ext = richardson_limit(vals, ratio=ratio)
     if not ext.monotone:
@@ -236,8 +216,6 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 # is provably below _SUM_TOL of the kept part
 _SUM_TOL = 1e-18
 _AXIS_SHARE = 1e-6 * _SUM_TOL
-
-_ALIASING_TOL = 0.05  # relative move on a doubled grid that check_aliasing refuses
 
 
 def _quadratic_form(Ainv: np.ndarray, axes) -> np.ndarray:
@@ -373,15 +351,13 @@ def _spectral_sum(A: np.ndarray, g, s: float, ext: np.ndarray,
     return total / float(np.sqrt(np.linalg.det(A)))
 
 
-def fourier_energy(matrix, g, s: float, extents=None, counts=None,
-                   check_aliasing: bool = False) -> float:
+def fourier_energy(matrix, g, s: float, extents=None, counts=None) -> float:
     """Spectral form of the quadratic energy for constant coefficients.
 
     Computes |Det A|^{-1/2} times the integral of <A^{-1} xi, xi>^s |ghat|^2
     in the unitary transform convention, on a midpoint grid of the given
-    per-axis extents and counts.  ``check_aliasing`` doubles the counts once
-    and raises ResolutionError when the value moves by more than 5 percent
-    (``_ALIASING_TOL``) relatively; otherwise the finer value is returned.
+    per-axis extents and counts.  Whether the grid resolves g is the
+    caller's choice: ``GaussianProbe.grid`` sizes it for a probe.
 
     ``g`` is either a ``SmoothFunction``, sampled on the whole grid and
     transformed with one ``fftn``, or a sequence of ``dim`` one-dimensional
@@ -425,20 +401,13 @@ def fourier_energy(matrix, g, s: float, extents=None, counts=None,
         raise DomainError("g must be a SmoothFunction of dimension %d or a "
                           "sequence of %d one-dimensional callables"
                           % (dim, dim))
-    value = _spectral_sum(A, g, s, ext, cnt)
-    if check_aliasing:
-        fine = _spectral_sum(A, g, s, ext, 2 * cnt)
-        if abs(fine - value) > _ALIASING_TOL * max(abs(fine), 1e-300):
-            raise ResolutionError(
-                "doubling the grid moved the spectral energy from %.6g to "
-                "%.6g; the sampling is too coarse for this function"
-                % (value, fine))
-        value = fine
-    return float(value)
+    return float(_spectral_sum(A, g, s, ext, cnt))
 
 
 # --------------------------------------------------------------------------
 # probes
+
+_BROAD_WIDTH = 1.0  # transverse width of every GaussianProbe factor
 
 
 @dataclass(frozen=True)
@@ -448,14 +417,13 @@ class GaussianProbe:
     ``axis`` is either an axis index (the collapsing direction is that
     coordinate axis) or a pair (k, m), in which case the probe collapses
     along (e_k - e_m)/sqrt(2).  The collapsing width is
-    ``narrow_width * lambda_``; every transverse width is ``broad_width``.
+    ``narrow_width * lambda_``; every transverse width is ``_BROAD_WIDTH``.
     """
 
     dim: int
     lambda_: float
     axis: object
     narrow_width: float = 1.0
-    broad_width: float = 1.0
 
     @property
     def tag(self) -> str:
@@ -481,7 +449,7 @@ class GaussianProbe:
     def factors(self) -> tuple:
         """The probe in its own frame, one axis Gaussian per frame axis."""
         widths = ([self.narrow_width * self.lambda_]
-                  + [self.broad_width] * (self.dim - 1))
+                  + [_BROAD_WIDTH] * (self.dim - 1))
         return tuple(_AxisGaussian(w) for w in widths)
 
     def frame_function(self) -> SmoothFunction:
@@ -634,7 +602,7 @@ def recover_matrix(energy_oracle, dim: int, s: float,
         raise OracleInconsistencyError(
             "kernel density factor %.4f is far from 1; the oracle does not "
             "match the probe model" % rho)
-    return ReconstructionReport(A, rho, residuals, None, tuple(probes))
+    return ReconstructionReport(A, rho, residuals, tuple(probes))
 
 
 # --------------------------------------------------------------------------

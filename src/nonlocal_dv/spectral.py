@@ -17,8 +17,8 @@ oracle then needs eigenvalues only (``perron_eigenvalue``): by
 Perron-Frobenius the one of smallest real part is real, simple and
 principal.  Otherwise there is no bracket, and the oracle is
 ``dense_eigenpair``, which selects by the sign of the eigenvectors.  The
-module also carries the sup- and min-max characterizations of the value,
-and a sign demo built from the jump-drift construction on an interval.
+module also carries the min-max characterization of the value, and a sign
+demo built from the jump-drift construction on an interval.
 """
 
 from __future__ import annotations
@@ -230,25 +230,6 @@ def principal_left_vector(op: AssembledOperator) -> np.ndarray:
     return dense_eigenpair(mirrored).phi1.values
 
 
-def sup_characterization_check(
-    op: AssembledOperator,
-    phi: np.ndarray,
-    lam: float,
-    slack: float = 0.0,
-) -> tuple[bool, float]:
-    """Row-wise test of the admissibility inequality behind the sup formula.
-
-    lam is admissible when the negated operator applied to phi dominates
-    lam*phi at every node.  Returns (admissible, worst margin); the margin
-    is min over nodes of (-matrix phi)/phi - lam.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (op.n,) or phi.min() <= 0.0:
-        raise DomainError("candidate must be strictly positive on interior nodes")
-    margin = float((-(op.matrix @ phi) / phi).min() - lam)
-    return margin >= -slack, margin
-
-
 def minmax_value(op, measure_family, test_family) -> float:
     """min over measures of max over test functions of the ratio average.
 
@@ -282,7 +263,6 @@ class SignDemoReport:
     oscillation: float
     tolerance: float
     grid: np.ndarray
-    base_values: np.ndarray
     drift_term_values: np.ndarray
     operator_values: np.ndarray
     max_value: float
@@ -334,7 +314,6 @@ def maxprinciple_violation_demo(s: float,
         oscillation=abs(float(drift_jump)),
         tolerance=_DEMO_TOLERANCE,
         grid=grid,
-        base_values=base,
         drift_term_values=drift_term,
         operator_values=values,
         max_value=max_value,

@@ -230,8 +230,9 @@ def _check_scalar_error_form(rng: np.random.Generator) -> CheckResult:
     drift = tanh_drift(1, amplitude=0.3)
     dom = density_lattice(dens, cells=60)
     op = assemble(dom, spec, drift=drift)
-    _, E_val, w_min = I_decomposed(dens, op)
-    direct = error_form_value(op, dens.values_on(dom), w_min.values)
+    parts = I_decomposed(dens, op)
+    E_val = parts.E_value
+    direct = error_form_value(op, dens.values_on(dom), parts.w_min.values)
     denom = max(abs(direct), 1e-10)
     rel = abs(E_val - direct) / denom
     passed = qmin >= -threshold and rel <= 0.01

@@ -9,12 +9,13 @@ whose probe energies come from the spectral-side oracle.
 
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from nonlocal_dv import cli, operators
+from nonlocal_dv import cli, lattice, operators, rate
 from nonlocal_dv.cli import main
 
 KERNEL_1D = {"variant": "constant", "matrix": [[1.0]], "s": 0.5,
@@ -321,6 +322,93 @@ def test_output_dir_through_file_exits_2(tmp_path, capsys):
     assert main(["operator-eval", "--config", cfg,
                  "--output-dir", str(blocker / "sub")]) == 2
     assert "--output-dir" in capsys.readouterr().err
+
+
+EIGEN_1D = {
+    "kernel": KERNEL_1D,
+    "domain": {"shape": "interval", "lower": -1.0, "upper": 1.0, "cells": 12,
+               "margin": 0.5},
+}
+DV_1D = {
+    "kernel": KERNEL_1D,
+    "density": {"profile": {"kind": "bump", "radius": 0.8}, "cells": 24},
+}
+
+
+@pytest.mark.parametrize("command, payload", [("operator-eval", {
+    "kernel": KERNEL_1D,
+    "eval": {"function": {"kind": "bump"}, "points": [[0.0]]},
+}), ("eigen", EIGEN_1D)])
+def test_summary_path_equal_to_csv_exits_2(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "cfg.json", dict(
+        payload, output={"json": "same.out", "csv": "same.out"}))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+    assert "output.json" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, payload", [("eigen", EIGEN_1D),
+                                              ("dv-functional", DV_1D)])
+def test_summary_path_equal_to_csv_sidecar_exits_2(tmp_path, capsys, command,
+                                                   payload):
+    # the grid sidecar of a CSV named <stem>.csv is <stem>.json; with the
+    # default summary name it would replace the summary
+    stem = command.replace("-", "_")
+    cfg = write_config(tmp_path, "cfg.json", dict(
+        payload, output={"csv": f"{stem}_summary.csv"}))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+    assert "output.json" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, payload", [("eigen", EIGEN_1D),
+                                              ("recover-matrix", {})])
+def test_amplitude_on_constant_kernel_exits_2(tmp_path, capsys, command,
+                                              payload):
+    # only a separable field has a perturbation for amplitude to size
+    cfg = write_config(tmp_path, "cfg.json", dict(
+        payload, kernel=dict(KERNEL_1D, amplitude=0.2)))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+    assert "kernel.amplitude" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _count_calls(monkeypatch, fn):
+    """Wrap ``fn`` under every name a package module binds it to; return
+    the list that records each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nonlocal_dv" or name.startswith("nonlocal_dv."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("drift", [False, True])
+def test_dv_functional_forms_each_rate_piece_once(tmp_path, monkeypatch, drift):
+    # the summary reads the energy and the pairing that I_decomposed formed;
+    # only the independent closed form, without drift, takes a second energy
+    energies = _count_calls(monkeypatch, lattice.kernel_form)
+    pairings = _count_calls(monkeypatch, rate.drift_pairing)
+    payload = dict(DV_1D)
+    if drift:
+        payload["drift"] = {"kind": "tanh", "amplitude": 0.3, "slope": 2.0}
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["dv-functional", "--config", cfg, "--output-dir", str(out)]) == 0
+    assert len(energies) == (1 if drift else 2)
+    assert len(pairings) == 1
+    res = read_summary(out, "dv_functional")["results"]
+    assert (res["drift_pairing"] != 0.0) == drift
 
 
 def test_unknown_check_id_exits_2(tmp_path, capsys):

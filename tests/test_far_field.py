@@ -204,11 +204,12 @@ def test_matrix_fn_sees_each_node_once(variant):
 @pytest.mark.parametrize("variant", ["separable_sum", "separable_product"])
 def test_per_point_matrix_fn_through_hoisted_kernels(variant):
     # M(x) is evaluated once per node and M(y) on arrays of samples; a
-    # per-point matrix_fn takes the looped fallback at both and gives the
-    # values of the batch function
+    # per-point M that the caller loops over each batch gives the values
+    # of the batch function at both
     spec = spec_from_config({"variant": variant, "matrix": _MATRICES[2], "s": 0.5})
     fn = spec.field.matrix_fn
-    field = AnisotropyField(variant, 2, matrix_fn=lambda p: fn(np.reshape(p, (1, 2)))[0])
+    field = AnisotropyField(variant, 2, matrix_fn=lambda pts: np.array(
+        [fn(np.reshape(p, (1, 2)))[0] for p in pts]))
     looped = KernelSpec(field, spec.bounds)
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4])
     drift = tanh_drift(2, amplitude=0.3, slope=2.0)

@@ -113,18 +113,19 @@ def per_point_matrix(p):
     return np.diag([2.0 + float(np.sin(p[0])), 1.5])
 
 
-def test_per_point_matrix_fn_falls_back_to_loop():
-    field = AnisotropyField.separable_sum(per_point_matrix, 2)
-    pts = np.array([[0.1, 0.2], [-0.4, 0.3], [0.9, -1.0]])
-    mats = field.single_point_matrices(pts)
-    assert mats.shape == (3, 2, 2)
-    for p, m in zip(pts, mats):
-        assert np.array_equal(m, per_point_matrix(p))
+def test_matrix_fn_answer_of_wrong_shape_raises():
+    # matrix_fn is called once on the batch; a per-point function answers
+    # with a single (dim, dim) matrix, not a stack of them
+    field = AnisotropyField.separable_sum(lambda pts: per_point_matrix(pts[0]), 2)
+    with pytest.raises(DomainError, match="shape"):
+        field.single_point_matrices(np.array([[0.1, 0.2]]))
+    with pytest.raises(DomainError, match="shape"):
+        field.single_point_matrices(np.array([[0.1, 0.2], [-0.4, 0.3]]))
 
 
 def test_matrix_fn_error_on_batch_propagates():
-    # a RuntimeError is the user's failure, not a sign of a per-point
-    # function: it must reach the caller instead of switching to the loop
+    # an error of matrix_fn on the batch is the user's failure and must
+    # reach the caller
     def mfn(pts):
         if np.ndim(pts) == 2:
             raise RuntimeError("batch evaluation failed")
@@ -153,12 +154,18 @@ def test_builtin_matrix_fn_is_base_plus_bump(dim):
     assert np.array_equal(spec_from_config(cfg).field.matrix_fn(pts), want)
 
 
-def looped(field):
-    """The same field through a per-point matrix_fn: a batch of several
-    points fails on the reshape, one point answers in the wrong shape."""
+def one_point_fn(field):
+    """The field's M at one point: answers in shape (dim, dim)."""
     fn = field.matrix_fn
+    return lambda p: fn(np.reshape(p, (1, field.dim)))[0]
+
+
+def looped(field):
+    """The same field from its per-point M, which the caller loops over
+    the batch: the package calls matrix_fn once per batch."""
+    one = one_point_fn(field)
     return AnisotropyField(field.variant, field.dim,
-                           matrix_fn=lambda p: fn(np.reshape(p, (1, field.dim)))[0])
+                           matrix_fn=lambda pts: np.array([one(p) for p in pts]))
 
 
 def explicit_form(field, x, y, z):
@@ -178,9 +185,11 @@ def test_separable_form_matches_pair_matrices(dim, variant, per_point):
     field = spec_from_config(cfg).field
     rng = np.random.default_rng(dim)
     if per_point:
+        # the bare per-point M is refused; looped over by the caller it serves
+        bare = AnisotropyField(field.variant, dim, matrix_fn=one_point_fn(field))
+        with pytest.raises(DomainError):
+            bare.quadratic_form(rng.normal(size=(1, dim)), rng.normal(size=(1, dim)))
         field = looped(field)
-        with pytest.raises(ValueError):
-            field.matrix_fn(rng.normal(size=(2, dim)))
     x, y = rng.uniform(-2.0, 2.0, size=(2, 30, dim))
     np.testing.assert_allclose(field.quadratic_form(x, y), explicit_form(field, x, y, x - y),
                                rtol=1e-14, atol=0.0)

@@ -26,11 +26,9 @@ from nonlocal_dv.operators import (
     build_rule,
     bump,
     carre_du_champ,
-    drifted_operator,
     gaussian,
     interval_power,
     nonlocal_laplacian,
-    sum_of,
     tanh_drift,
 )
 
@@ -89,12 +87,16 @@ def _aniso_2d_spec():
     return KernelSpec(AnisotropyField.constant(A), EllipticityBounds(0.5, 3.0, 0.5, 2))
 
 
+# the default scheme with every polynomial order doubled
+_DOUBLED = QuadratureScheme(radial_order=32, angular_count=48, polar_order=16)
+
+
 def test_anisotropic_2d_reference():
     # reference from per-angle adaptive radial quadrature plus exact tail
     spec = _aniso_2d_spec()
     u = gaussian(2, width=0.9)
     x = np.array([0.3, -0.2])
-    got = nonlocal_laplacian(u, spec, x, QuadratureScheme().refined(1))
+    got = nonlocal_laplacian(u, spec, x, _DOUBLED)
     assert got == pytest.approx(-6.080733673283, abs=1e-8)
 
 
@@ -103,8 +105,8 @@ def test_refinement_converges():
     u = gaussian(2, width=0.9)
     x = np.array([0.3, -0.2])
     ref = -6.080733673283
-    errs = [abs(nonlocal_laplacian(u, spec, x, QuadratureScheme().refined(k)) - ref)
-            for k in range(2)]
+    errs = [abs(nonlocal_laplacian(u, spec, x, quad) - ref)
+            for quad in (QuadratureScheme(), _DOUBLED)]
     assert errs[1] < errs[0]
     assert errs[1] < 1e-8
 
@@ -136,11 +138,16 @@ def test_carre_du_champ_symmetric():
 
 
 def test_drifted_is_sum_of_parts():
+    # L u + B(u, h) on one rule shared by both terms, against each term on
+    # its own rule
     spec = _aniso_2d_spec()
     u = gaussian(2, width=0.9)
     h = SmoothFunction(lambda p: 0.45 * np.tanh(p[:, 0]), 2)
     x = np.array([0.3, -0.2])
-    whole = drifted_operator(u, h, spec, x)
+    rule = build_rule(spec, x, QuadratureScheme(), fns=(u, h),
+                      need_tolerance_radius=True)
+    whole = (nonlocal_laplacian(u, spec, x, rule=rule)
+             + carre_du_champ(u, h, spec, x, rule=rule))
     parts = (nonlocal_laplacian(u, spec, x) + carre_du_champ(u, h, spec, x))
     assert whole == pytest.approx(parts, rel=1e-6)
 
@@ -200,7 +207,10 @@ def _batch_case(dim, variant):
     spec = spec_from_config({"variant": variant, "matrix": _MATRICES[dim], "s": 0.4})
     # kinked u: breakpoints, inner radius and quadrature radius all move
     # with the point; the points span the kink sphere and lie at several radii
-    u = sum_of([interval_power(0.7, dim), bump(dim, radius=0.8)])
+    power, b = interval_power(0.7, dim), bump(dim, radius=0.8)
+    u = SmoothFunction(lambda p: power(p) + b(p), dim, support_radius=1.0,
+                       kink_points=power.kink_points,
+                       kink_spheres=power.kink_spheres)
     h = tanh_drift(dim, amplitude=0.3)
     pts = np.random.default_rng(dim).uniform(-1.2, 1.2, size=(4, dim))
     return spec, u, h, pts
@@ -228,12 +238,16 @@ def test_batch_equals_points(dim, variant):
     assert len({r.quad_radius for r in rules}) == len(pts)
     lap = nonlocal_laplacian(u, spec, pts)
     drift = carre_du_champ(u, h, spec, pts)
-    whole = drifted_operator(u, h, spec, pts)
+    # L u + B(u, h) with both terms on the shared rules of (u, h)
+    whole = (nonlocal_laplacian(u, spec, pts, rule=rules)
+             + carre_du_champ(u, h, spec, pts, rule=rules))
     for k, x in enumerate(pts):
         one = nonlocal_laplacian(u, spec, x)
         assert isinstance(one, float) and lap[k] == one
         assert drift[k] == carre_du_champ(u, h, spec, x)
-        assert whole[k] == drifted_operator(u, h, spec, x)
+        rule = build_rule(spec, x, quad, fns=(u, h))
+        assert whole[k] == (nonlocal_laplacian(u, spec, x, rule=rule)
+                            + carre_du_champ(u, h, spec, x, rule=rule))
 
 
 @pytest.mark.parametrize("variant", ["constant", "separable_product"])
@@ -276,5 +290,5 @@ def test_batch_makes_one_far_field_call(monkeypatch):
     spec, u, h, pts = _batch_case(2, "separable_product")
     nonlocal_laplacian(u, spec, pts)
     carre_du_champ(u, h, spec, pts)
-    drifted_operator(u, h, spec, pts)
+    build_rule(spec, pts, QuadratureScheme(), fns=(u, h))
     assert calls == [len(pts)] * 3

@@ -14,9 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nonlocal_dv.kernels import spec_from_config
-from nonlocal_dv.lattice import LatticeDomain, assemble, graph_form, kernel_form
+from nonlocal_dv.lattice import (LatticeDomain, assemble, graph_form, kernel_form,
+                                 pair_rows)
 from nonlocal_dv.operators import QuadratureScheme, SmoothFunction
-from nonlocal_dv.rate import drift_pairing, pointwise_energy_bracket
+from nonlocal_dv.rate import drift_pairing
 
 REL = 1e-12
 
@@ -82,14 +83,11 @@ def test_energy_forms_match_pairwise_sum(case, near_constant):
     vol = dom.cell_volume
     u, v = _inputs(rng, op.n, near_constant)
 
-    # region form on the interior: inputs stay nearly constant here
+    # pair form on the interior block: inputs stay nearly constant here
     sub = W[np.ix_(mask, mask)]
-    region = np.ones(op.n, dtype=bool)
     for a, b in ((u, u), (u, v)):
         rows, scale = _pairwise_rows(sub, a, b)
         assert _close(graph_form(sub, a, b), rows.sum(), scale.sum())
-        assert _close(kernel_form(op, a, b, region_mask=region),
-                      rows.sum() * vol, scale.sum() * vol)
 
     # full form: zero extension to the box plus the beyond-box tail
     full_u = np.zeros(len(dom.points))
@@ -102,7 +100,8 @@ def test_energy_forms_match_pairwise_sum(case, near_constant):
     assert _close(kernel_form(op, u, v), ref,
                   (scale.sum() + np.abs(tail).sum()) * vol)
 
-    bracket = pointwise_energy_bracket(op, u, v)
+    # per node: the pair rows of the zero extension plus half the tail
+    bracket = pair_rows(W, full_u, full_v)[mask] + 0.5 * u * v * op.box_tail[mask]
     ref_rows = rows[mask] + 0.5 * tail[mask]
     assert np.all(np.abs(bracket - ref_rows)
                   <= REL * (scale[mask] + 0.5 * np.abs(tail[mask])))

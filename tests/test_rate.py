@@ -14,7 +14,8 @@ from scipy.integrate import quad
 from nonlocal_dv import rate
 from nonlocal_dv.errors import DomainError
 from nonlocal_dv.kernels import fractional_kernel
-from nonlocal_dv.lattice import GridFunction, LatticeDomain, assemble, kernel_form
+from nonlocal_dv.lattice import (GridFunction, LatticeDomain, assemble, kernel_form,
+                                 pair_rows)
 from nonlocal_dv.operators import SmoothFunction, bump, scaled
 from nonlocal_dv.rate import (
     DensitySpec,
@@ -29,7 +30,6 @@ from nonlocal_dv.rate import (
     minimize_rayleigh,
     q_scalar_min,
     rayleigh_integral,
-    sqrt_substitution_residual,
 )
 from nonlocal_dv.recovery import rescale_density
 
@@ -49,13 +49,17 @@ def drift():
                           support_radius=40.0)
 
 
+def _lattice_mass(dens, dom):
+    return float(dens.f(dom.interior_points).sum()) * dom.cell_volume
+
+
 def test_density_mass_and_rescaling(density):
     dom = density_lattice(density, cells=200)
-    assert density.mass(dom) == pytest.approx(1.0, abs=1e-4)
+    assert _lattice_mass(density, dom) == pytest.approx(1.0, abs=1e-4)
     small = rescale_density(density, 0.6, density.center)
     dom_s = density_lattice(small, cells=200)
-    assert small.mass(dom_s) == pytest.approx(1.0, abs=1e-4)
-    assert small.lambda_ == pytest.approx(0.6)
+    assert _lattice_mass(small, dom_s) == pytest.approx(1.0, abs=1e-4)
+    assert small.f.support_radius == pytest.approx(0.6 * density.f.support_radius)
 
 
 def test_rayleigh_constant_function_vanishes(density):
@@ -115,13 +119,6 @@ def test_rayleigh_rejects_candidate_off_the_operator_lattice(density):
             rayleigh_integral(u, density, op, far_value=1.0)
 
 
-def test_closed_form_warns_without_regularity(density):
-    spec = fractional_kernel(1, 0.5, normalized=True)
-    rough = DensitySpec(density.f, sqrt_f_regularity=False)
-    with pytest.warns(UserWarning):
-        I_closed_form_h0(rough, assemble(density_lattice(density, cells=40), spec))
-
-
 def test_local_limit_trend(density):
     dom = density_lattice(density, cells=100)
     errs = []
@@ -137,24 +134,24 @@ def test_decomposition_reduces_to_closed_form_without_drift(density):
     spec = fractional_kernel(1, 0.5, normalized=True)
     dom = density_lattice(density, cells=80)
     op = assemble(dom, spec)
-    I_val, E_val, w_min = I_decomposed(density, op)
+    parts = I_decomposed(density, op)
     closed = I_closed_form_h0(density, op)
-    assert abs(E_val) < 1e-12
-    assert I_val == pytest.approx(closed, rel=1e-10)
-    assert np.abs(w_min.values).max() < 1e-6
+    assert abs(parts.E_value) < 1e-12
+    assert parts.I_value == pytest.approx(closed, rel=1e-10)
+    assert np.abs(parts.w_min.values).max() < 1e-6
 
 
 def test_decomposition_matches_direct_minimization(density, drift):
     spec = fractional_kernel(1, 0.5, normalized=True)
     dom = density_lattice(density, cells=80)
     op = assemble(dom, spec, drift=drift)
-    I_val, E_val, _ = I_decomposed(density, op)
+    parts = I_decomposed(density, op)
     direct_value, u_min, iterations = minimize_rayleigh(density, op)
     I_direct = -direct_value
     assert iterations > 0
     assert u_min.values.min() > 0.0
-    assert I_val == pytest.approx(I_direct, rel=1e-2)
-    assert E_val <= 1e-15
+    assert parts.I_value == pytest.approx(I_direct, rel=1e-2)
+    assert parts.E_value <= 1e-15
 
 
 def test_decomposition_warns_on_large_drift_oscillation(density):
@@ -181,15 +178,15 @@ def test_error_pieces_built_once_per_solve(density, drift, monkeypatch):
         return pieces(*args)
 
     monkeypatch.setattr(rate, "_error_pieces", counting)
-    _, E_val, w_min = I_decomposed(density, op)
+    parts = I_decomposed(density, op)
     assert len(builds) == 1
     # reference: every evaluation of the objective rebuilds its pieces
     objective = rate._error_objective
     monkeypatch.setattr(rate, "_error_objective",
                         lambda _, w: objective(pieces(op, fv), w))
-    _, E_ref, w_ref = I_decomposed(density, op)
-    assert E_val == E_ref
-    assert np.array_equal(w_min.values, w_ref.values)
+    ref = I_decomposed(density, op)
+    assert parts.E_value == ref.E_value
+    assert np.array_equal(parts.w_min.values, ref.w_min.values)
 
 
 def test_error_form_lower_bound(density, drift):
@@ -209,10 +206,10 @@ def test_error_form_lower_bound(density, drift):
     for _ in range(5):
         w = 0.5 * rng.normal(size=dom.n_interior)
         assert error_form_value(op, fv, w) >= bound - 1e-12
-    _, E_val, w_min = I_decomposed(density, op)
-    assert E_val >= bound - 1e-12
-    assert E_val == pytest.approx(error_form_value(op, fv, w_min.values),
-                                  abs=1e-12)
+    parts = I_decomposed(density, op)
+    assert parts.E_value >= bound - 1e-12
+    assert parts.E_value == pytest.approx(
+        error_form_value(op, fv, parts.w_min.values), abs=1e-12)
 
 
 def test_first_order_and_substitution_identities(density, drift):
@@ -223,12 +220,17 @@ def test_first_order_and_substitution_identities(density, drift):
     drifted = assemble(dom, spec, drift=drift)
     for op in (plain, drifted):
         assert first_order_residual(op, fv) < 1e-11
-    # the substitution identity is one of the Laplace block alone
-    assert sqrt_substitution_residual(plain, fv) < 1e-11
-    with pytest.raises(DomainError):
-        sqrt_substitution_residual(drifted, fv)
-    with pytest.raises(DomainError):
-        sqrt_substitution_residual(assemble(dom, spec, potential=np.ones(plain.n)), fv)
+    # the substitution identity 2u (M u) = M f - 2 B(u, u) at u = sqrt(f),
+    # for the Laplace block alone: B(u, u) per node is the pair rows of the
+    # zero extension plus half the beyond-box tail
+    sqf = np.sqrt(fv)
+    mask = dom.interior_mask
+    full = np.zeros(len(dom.points))
+    full[mask] = sqf
+    bracket = (pair_rows(plain.pair_weights, full)[mask]
+               + 0.5 * fv * plain.box_tail[mask])
+    residual = 2.0 * sqf * (plain.matrix @ sqf) - (plain.matrix @ fv - 2.0 * bracket)
+    assert np.abs(residual).max() < 1e-11
 
 
 def test_symmetric_weight_relabeling(density, drift):
@@ -259,12 +261,12 @@ def test_scalar_error_form():
 
 
 def test_q_variants_differ_by_half_cross_term():
+    # the form keeps the derivation's 1/2 on the odd cross term: it sits
+    # half a cross term below the displayed form, which carries sinh(r) hbar
     r, hbar = 0.7, 0.4
-    a = Q_form(hbar, r, variant="derivation")
-    b = Q_form(hbar, r, variant="displayed")
-    assert b - a == pytest.approx(0.5 * np.sinh(r) * hbar, rel=1e-12)
-    with pytest.raises(DomainError):
-        Q_form(0.1, 0.1, variant="other")
+    displayed = np.cosh(r) - 1.0 + np.sinh(r) * hbar + hbar**2
+    assert displayed - Q_form(hbar, r) == pytest.approx(0.5 * np.sinh(r) * hbar,
+                                                        rel=1e-12)
 
 
 def test_drift_pairing_against_brute_force(density, drift):
