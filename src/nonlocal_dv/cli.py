@@ -27,6 +27,12 @@ against one dense eigenvalue solve, and a mismatch fails the run.  With
 ``"dense_check": false`` the dense solve runs only where there is no
 bracket; the dense eigenvalue and the gap are reported whenever it ran.
 
+``dv-functional`` reports the step count and the final Newton decrement
+of its error-form minimization (``error_form_newton_steps``,
+``error_form_newton_decrement``).  A drift that moves by 2 or more across
+the density support leaves that form nonconvex, and the run exits with
+status 3 (``DomainError``).
+
 Environment: ``NONLOCAL_DV_LOG`` selects the log level (DEBUG .. ERROR).
 ``--threads`` sets the thread count of the OpenBLAS pools that numpy and
 scipy load, through their runtime setters, and exits with status 2 when
@@ -514,6 +520,8 @@ def _cmd_dv_functional(cfg: dict, seed: int):
         "drift_pairing": parts.pairing,
         "first_order_residual": first_order_residual(op, dens.values_on(dom)),
         "exponent_field_max": float(np.abs(parts.w_min.values).max()),
+        "error_form_newton_steps": parts.newton_steps,
+        "error_form_newton_decrement": parts.newton_decrement,
         "nodes": op.n,
     }
     sources = {

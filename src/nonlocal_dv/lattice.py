@@ -63,7 +63,9 @@ __all__ = [
     "estimate_shift",
 ]
 
-MAX_NODES = 8000
+# byte limit of the pair forms: two n_total^2 float64 arrays, the
+# constant-field peak, at 8000 nodes
+_PAIR_BYTES_LIMIT = 2 * 8 * 8000 ** 2
 _SHIFT_MARGIN = 1.0  # added to the dominance bound of estimate_shift
 
 
@@ -139,8 +141,6 @@ class LatticeDomain:
         inside = np.all((pts > lower + 1e-12 * h) & (pts < upper - 1e-12 * h), axis=1)
         if not inside.any():
             raise DomainError("empty interior")
-        if len(pts) > MAX_NODES:
-            raise CapacityError(f"{len(pts)} lattice nodes exceed dense-storage cap {MAX_NODES}")
         return cls(descriptor, lo2, up2, h, shape, pts, inside)
 
     @classmethod
@@ -207,6 +207,20 @@ class GridFunction:
 
 # --------------------------------------------------------------------------
 # pairwise weights
+
+
+def _pair_peak_bytes(spec: KernelSpec, n_total: int) -> int:
+    """Peak bytes of ``_pair_quadratic_forms`` on n_total nodes.
+
+    Counted in n_total^2 float64 arrays held at once: g and q for a
+    constant field; the differences (dim arrays), e and e + e^T for a
+    separable sum; the differences, M(x) d and the products of the
+    einsum (dim arrays each) for a separable product.
+    """
+    variant = spec.field.variant
+    arrays = (2 if variant == "constant" else
+              spec.dim + 2 if variant == "separable_sum" else 3 * spec.dim)
+    return arrays * 8 * n_total ** 2
 
 
 def _pair_quadratic_forms(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
@@ -331,8 +345,11 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     quad = quad or QuadratureScheme()
     pts = domain.points
     n_total = len(pts)
-    if n_total > MAX_NODES:
-        raise CapacityError(f"{n_total} nodes exceed dense cap {MAX_NODES}")
+    peak = _pair_peak_bytes(spec, n_total)
+    if peak > _PAIR_BYTES_LIMIT:
+        raise CapacityError(
+            f"the pair forms of {n_total} nodes need about {peak / 2**20:.0f} "
+            f"MiB, over the {_PAIR_BYTES_LIMIT / 2**20:.0f} MiB limit")
     h = domain.spacing
     vol = domain.cell_volume
 

@@ -7,7 +7,9 @@ equals minus the kernel energy of that square root; with a drift the value
 decomposes into the square-root energy, half the density/drift pairing,
 and a nonpositive correction obtained by minimizing a hyperbolic two-term
 form over exponent fields.  Both routes are implemented independently: the
-decomposition and a direct quasi-Newton minimization of the averaged ratio.
+decomposition and a direct minimization of the averaged ratio.  With u = e^w
+both minimizations are convex, with a weighted graph Laplacian as Hessian,
+and both run the same gauge-pinned Newton method (``_newton``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
+import scipy.linalg
 
 from .errors import ConvergenceError, DomainError
 from .lattice import (
@@ -29,17 +31,17 @@ from .lattice import (
     kernel_form,
 )
 from .operators import SmoothFunction
-from .spectral import principal_eigenpair
+from .spectral import _positive_off_diagonal, principal_eigenpair
 
 _MASS_WARN = 0.01
-_W_BOUND = 30.0  # exp(w) stays within double range
 _LATTICE_MARGIN = 1.0  # box margin of density_lattice and probe_domain
 _SUPPORT_PAD = 0.5  # their padding of the density support
-_ERROR_TOL = 1e-8  # L-BFGS of the error form
-_ERROR_MAX_ITER = 500
+# Newton tolerance on lambda^2/2 relative to max(1, |F|), and step cap
+_ERROR_TOL = 1e-14  # the error form of I_decomposed
+_ERROR_MAX_ITER = 50
 _RAYLEIGH_EPS = 1e-8  # density floor of minimize_rayleigh
-_RAYLEIGH_TOL = 1e-6
-_RAYLEIGH_MAX_ITER = 2000
+_RAYLEIGH_TOL = 1e-14
+_RAYLEIGH_MAX_ITER = 50
 _DUAL_TOL = 1e-9  # inverse iteration of dual_gap
 
 
@@ -132,11 +134,60 @@ def drift_pairing(op: AssembledOperator, f_values: np.ndarray) -> float:
     return (inner - far) * op.domain.cell_volume
 
 
+def _newton(fun, w: np.ndarray, pin: int, tol: float, max_steps: int,
+            what: str):
+    """Minimize a convex F that is invariant under w -> w + c by Newton steps.
+
+    ``fun(w)`` returns F, its gradient and its Hessian, a weighted graph
+    Laplacian whose null space is the constant vector.  Entry ``pin`` of w
+    stays fixed, which removes that direction; each step solves the pinned
+    Hessian system by Cholesky and backtracks to the Armijo condition.  The
+    iteration stops when the Newton decrement lambda = sqrt(g^T H^-1 g)
+    satisfies lambda^2/2 <= tol max(1, |F|), and raises ConvergenceError
+    after ``max_steps`` steps.  Returns (w, F, steps, lambda).
+    """
+    free = np.arange(len(w)) != pin
+    value, grad, hess = fun(w)
+    for steps in range(max_steps + 1):
+        g = grad[free]
+        try:
+            factor = scipy.linalg.cho_factor(hess[np.ix_(free, free)])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                "%s: pinned Hessian not positive definite after %d Newton "
+                "steps" % (what, steps)) from exc
+        direction = -scipy.linalg.cho_solve(factor, g)
+        lam2 = max(0.0, -float(g @ direction))  # 0.0, never -0.0
+        if 0.5 * lam2 <= tol * max(1.0, abs(value)):
+            return w, value, steps, float(np.sqrt(lam2))
+        if steps == max_steps:
+            break
+        t = 1.0
+        while True:
+            trial = w.copy()
+            trial[free] += t * direction
+            # an overlong trial step may overflow exp/cosh; its value is
+            # then inf or nan and fails the test below
+            with np.errstate(over="ignore", invalid="ignore"):
+                t_value, t_grad, t_hess = fun(trial)
+            # Armijo with fraction 1/4: the directional derivative is -lam2
+            if t_value <= value - 0.25 * t * lam2:
+                break
+            t *= 0.5
+            if t < 1e-12:
+                raise ConvergenceError(
+                    "%s: Newton line search stalled at decrement %.3g after "
+                    "%d steps" % (what, np.sqrt(lam2), steps))
+        w, value, grad, hess = trial, t_value, t_grad, t_hess
+    raise ConvergenceError(
+        "%s: no convergence in %d Newton steps; decrement %.3g"
+        % (what, max_steps, np.sqrt(lam2)))
+
+
 def error_form_value(op: AssembledOperator, f_values: np.ndarray,
                      w_values: np.ndarray) -> float:
     """Hyperbolic two-term form at a given exponent field (no minimization)."""
-    val, _ = _error_objective(_error_pieces(op, f_values), w_values)
-    return val
+    return _error_objective(_error_pieces(op, f_values), w_values)[0]
 
 
 def _error_pieces(op: AssembledOperator, f_values: np.ndarray):
@@ -152,18 +203,29 @@ def _error_pieces(op: AssembledOperator, f_values: np.ndarray):
     else:
         h_sub = op.drift_values[idx]
         dh = h_sub[None, :] - h_sub[:, None]
+        # theta'' >= cosh(r) (1 - |dh|/2): the form is convex, and has a
+        # minimum, only while every |dh| < 2
+        if np.abs(dh).max() >= 2.0:
+            raise DomainError(
+                "the drift moves by %.3g >= 2 across the density support, so "
+                "the error form is not convex there" % np.abs(dh).max())
     return supp, a, dh
 
 
 def _error_objective(pieces, w_values):
+    """Value of the error form at the exponent field ``w_values`` (one value
+    per interior node), with its gradient and Hessian in the support values
+    of w."""
     supp, a, dh = pieces
     w = np.asarray(w_values, dtype=float)[supp]
     dw = w[None, :] - w[:, None]
-    theta = np.cosh(dw) - 1.0 + 0.5 * np.sinh(dw) * dh
-    value = float((a * theta).sum())
-    grad = np.zeros(len(supp))
-    grad[supp] = -2.0 * (a * (np.sinh(dw) + 0.5 * np.cosh(dw) * dh)).sum(axis=1)
-    return value, grad
+    ch, sh = np.cosh(dw), np.sinh(dw)
+    value = float((a * (ch - 1.0 + 0.5 * sh * dh)).sum())
+    grad = -2.0 * (a * (sh + 0.5 * ch * dh)).sum(axis=1)
+    curv = a * (ch + 0.5 * sh * dh)
+    hess = -2.0 * curv
+    hess[np.diag_indices_from(hess)] += 2.0 * curv.sum(axis=1)
+    return value, grad, hess
 
 
 @dataclass(frozen=True)
@@ -172,7 +234,9 @@ class RateDecomposition:
 
     ``energy`` is the kernel energy of sqrt f, ``pairing`` the density/drift
     pairing (0 without drift), ``E_value`` the minimum of the hyperbolic
-    error form and ``w_min`` its minimizing exponent field.
+    error form and ``w_min`` its minimizing exponent field, which is 0 at
+    the node of largest density.  ``newton_steps`` and ``newton_decrement``
+    are the step count and the final Newton decrement of that minimization.
     """
 
     I_value: float
@@ -180,17 +244,20 @@ class RateDecomposition:
     pairing: float
     E_value: float
     w_min: GridFunction
+    newton_steps: int
+    newton_decrement: float
 
 
 def I_decomposed(f: DensitySpec, op: AssembledOperator) -> RateDecomposition:
     """Split the rate value into energy, drift pairing, and error correction.
 
     Returns I = energy(sqrt f) - pairing/2 - E with its pieces, E the
-    minimum of the hyperbolic form over exponent fields, found by
-    quasi-Newton descent started from the zero field, and w_min the
-    minimizing exponent field on the interior nodes.  The kernel and the
-    drift are those ``op`` was assembled with; a drift of oscillation 1 or
-    more draws a warning.
+    minimum of the hyperbolic form over exponent fields, found by Newton's
+    method started from the zero field, and w_min the minimizing exponent
+    field on the interior nodes.  The kernel and the drift are those ``op``
+    was assembled with.  The form is convex while the drift moves by less
+    than 2 across the density support; otherwise DomainError is raised.  A
+    drift of oscillation 1 or more draws a warning.
     """
     domain = op.domain
     if op.drift_oscillation() >= 1.0:
@@ -204,69 +271,62 @@ def I_decomposed(f: DensitySpec, op: AssembledOperator) -> RateDecomposition:
 
     pieces = _error_pieces(op, fv)
     supp = pieces[0]
-    n_supp = int(supp.sum())
-    x0 = np.zeros(n_supp)
-    trace: list[float] = []
+    w_full = np.zeros(len(fv))
 
     def objective(x):
-        w_full = np.zeros(len(fv))
         w_full[supp] = x
-        val, grad = _error_objective(pieces, w_full)
-        trace.append(val)
-        return val, grad[supp]
+        return _error_objective(pieces, w_full)
 
-    result = scipy.optimize.minimize(
-        objective, x0, jac=True, method="L-BFGS-B",
-        bounds=[(-_W_BOUND, _W_BOUND)] * n_supp,
-        options={"maxiter": _ERROR_MAX_ITER, "gtol": _ERROR_TOL, "ftol": 1e-14},
-    )
-    if not result.success and np.abs(result.jac).max() > 100 * _ERROR_TOL:
-        raise ConvergenceError(
-            "error-form descent did not converge: %s; objective trace tail %s"
-            % (result.message, [float("%.6g" % t) for t in trace[-5:]])
-        )
-    w_full = np.zeros(len(fv))
-    w_full[supp] = result.x
-    E_value = float(result.fun)
+    x, E_value, steps, decrement = _newton(
+        objective, np.zeros(int(supp.sum())), int(np.argmax(fv[supp])),
+        _ERROR_TOL, _ERROR_MAX_ITER, "error form")
+    w_full[supp] = x
     return RateDecomposition(energy - 0.5 * pairing - E_value, energy, pairing,
-                             E_value, GridFunction(domain, w_full))
+                             E_value, GridFunction(domain, w_full), steps,
+                             decrement)
 
 
 def minimize_rayleigh(f: DensitySpec, op: AssembledOperator):
     """Directly minimize the averaged ratio over positive candidates u = e^w.
 
     The density gets an eps floor so the discrete minimizer stays interior;
-    the floor perturbs the value by order sqrt(eps).  The tolerance is looser
-    than the decomposition route because floor nodes contribute near-flat
-    directions.  Returns the minimal value, the minimizer, and the iteration
-    count.  The operator u is averaged against is ``op``, drift included.
+    the floor perturbs the value by order sqrt(eps).  In w the ratio is
+    convex when every off-diagonal entry of ``op.matrix`` is positive (the
+    sign pattern of the Collatz-Wielandt bracket), and it is minimized by
+    Newton's method; otherwise DomainError is raised.  Returns the minimal
+    value, the minimizer (1 at the node of largest density), and the Newton
+    step count.  The operator u is averaged against is ``op``, drift
+    included.
     """
+    if not _positive_off_diagonal(op.matrix):
+        raise DomainError("minimize_rayleigh needs every off-diagonal entry "
+                          "of the operator positive; the ratio is not convex "
+                          "otherwise")
     domain = op.domain
     fv = f.values_on(domain) + _RAYLEIGH_EPS
     fv /= fv.sum() * domain.cell_volume
     vol = domain.cell_volume
-    matrix = op.matrix
+    off = op.matrix.copy()
+    diag = off.diagonal().copy()
+    np.fill_diagonal(off, 0.0)
+    base = float(fv @ diag)
 
     def objective(w):
+        # P_ij = f_i M_ij u_j / u_i off the diagonal: the value is
+        # vol (Sum_i f_i M_ii + Sum P), and each P_ij moves with w_j - w_i
         u = np.exp(w)
-        applied = matrix @ u
-        ratio = applied / u
-        value = float(fv @ ratio) * vol
-        grad = u * (-fv * applied / u**2 + matrix.T @ (fv / u)) * vol
-        return value, grad
+        P = off * np.outer(fv / u, u)
+        rows = P.sum(axis=1)
+        cols = P.sum(axis=0)
+        S = P + P.T
+        hess = -vol * S
+        hess[np.diag_indices_from(hess)] += vol * S.sum(axis=1)
+        return (base + float(rows.sum())) * vol, vol * (cols - rows), hess
 
-    result = scipy.optimize.minimize(
-        objective, np.zeros(op.n), jac=True, method="L-BFGS-B",
-        bounds=[(-_W_BOUND, _W_BOUND)] * op.n,
-        options={"maxiter": _RAYLEIGH_MAX_ITER, "gtol": _RAYLEIGH_TOL,
-                 "ftol": 1e-14},
-    )
-    if not result.success and np.abs(result.jac).max() > 100 * _RAYLEIGH_TOL:
-        raise ConvergenceError(
-            "ratio minimization did not converge: %s" % result.message
-        )
-    u_min = np.exp(result.x)
-    return float(result.fun), GridFunction(domain, u_min), int(result.nit)
+    w, value, steps, _ = _newton(objective, np.zeros(op.n), int(np.argmax(fv)),
+                                 _RAYLEIGH_TOL, _RAYLEIGH_MAX_ITER,
+                                 "ratio minimization")
+    return value, GridFunction(domain, np.exp(w)), steps
 
 
 def first_order_residual(op: AssembledOperator, f_values: np.ndarray) -> float:
@@ -300,13 +360,32 @@ def Q_form(dh, dw):
     return np.cosh(dw) - 1.0 + 0.5 * np.sinh(dw) * dh + dh**2
 
 
-def q_scalar_min(hbar: float) -> float:
-    """Minimum over the exponent increment of the scalar error form."""
-    res = scipy.optimize.minimize_scalar(
-        lambda r: float(Q_form(hbar, r)), bracket=(-2.0, 0.0, 2.0),
-        options={"xtol": 1e-12},
-    )
-    return float(res.fun)
+def q_scalar_min(hbar):
+    """Minimum over the exponent increment r of the scalar error form.
+
+    Accepts a scalar or an array of hbar, |hbar| < 2, where Q is strictly
+    convex in r with its minimum at tanh r = -hbar/2.  One vectorized Newton
+    iteration on dQ/dr = sinh r + hbar cosh r / 2, started from r = 0, runs
+    on every entry at once.  A scalar in gives a float out.
+    """
+    h = np.asarray(hbar, dtype=float)
+    if np.any(np.abs(h) >= 2.0):
+        raise DomainError("the scalar error form has no minimum for |hbar| >= 2")
+    r = np.zeros_like(h)
+    for _ in range(_ERROR_MAX_ITER):
+        # (dQ/dr) / (d2Q/dr2), divided through by cosh r
+        t = np.tanh(r)
+        step = (t + 0.5 * h) / (1.0 + 0.5 * h * t)
+        r = r - step
+        # Newton converges quadratically: after a step of size d the error
+        # is of order d^2, and the value error of order d^4
+        if np.abs(step).max(initial=0.0) <= 1e-10:
+            break
+    else:
+        raise ConvergenceError("scalar error form: Newton iteration did not "
+                               "settle in %d steps" % _ERROR_MAX_ITER)
+    value = Q_form(h, r)
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)

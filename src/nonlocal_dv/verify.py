@@ -197,13 +197,13 @@ def _check_rate_minimization(rng: np.random.Generator) -> CheckResult:
         dens = _normalized_bump(radius)
         dom = density_lattice(dens, cells=80)
         op = assemble(dom, spec)
-        direct, u_min, iters = minimize_rayleigh(dens, op)
+        direct, u_min, steps = minimize_rayleigh(dens, op)
         closed = I_closed_form_h0(dens, op)
         rel = abs(-direct - closed) / abs(closed)
         worst_rel = max(worst_rel, rel)
         fo = first_order_residual(op, dens.values_on(dom))
         worst_fo = max(worst_fo, fo)
-        details.append(f"r={radius}: rel {rel:.1e}, {iters} iters")
+        details.append(f"r={radius}: rel {rel:.1e}, {steps} Newton steps")
         if u_min.values.min() <= 0.0:
             return CheckResult("rate_minimization",
                                "minimizer stayed positive", False,
@@ -224,7 +224,7 @@ def _check_scalar_error_form(rng: np.random.Generator) -> CheckResult:
     del rng
     threshold = 1e-10
     hbars = np.linspace(-1.0, 1.0, 1000)
-    qmin = min(q_scalar_min(h) for h in hbars)
+    qmin = float(q_scalar_min(hbars).min())
     spec = fractional_kernel(1, 0.5, normalized=True)
     dens = _normalized_bump(0.8)
     drift = tanh_drift(1, amplitude=0.3)

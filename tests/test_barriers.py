@@ -152,6 +152,19 @@ def test_j_coupled_closed_vs_quadrature():
             assert abs(qv - cv) / cv < 1e-3
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_j_fixed_rule_matches_closed_form(n):
+    # the tensor rule reads the quadratic form, the closed form the
+    # determinant identity; they agree to rounding, also away from s = 1/2
+    rng = np.random.default_rng(31)
+    for s in (0.2, 0.5, 0.8):
+        for _ in range(3):
+            A = random_spd(rng, n)
+            y1 = (0.5 + rng.random()) * rng.choice([-1.0, 1.0])
+            assert J_quadrature(A, y1, s) == pytest.approx(
+                J_closed_form(A, y1, s), rel=1e-10)
+
+
 def test_j_invalid_inputs():
     with pytest.raises(DomainError):
         J_quadrature(np.eye(2), 0.0, 0.5)

@@ -394,6 +394,41 @@ def _count_calls(monkeypatch, fn):
 
 
 @pytest.mark.parametrize("drift", [False, True])
+def test_dv_functional_reports_newton_diagnostics(tmp_path, drift):
+    payload = dict(DV_1D)
+    if drift:
+        payload["drift"] = {"kind": "tanh", "amplitude": 0.3, "slope": 2.0}
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["dv-functional", "--config", cfg, "--output-dir", str(out)]) == 0
+    res = read_summary(out, "dv_functional")["results"]
+    steps = res["error_form_newton_steps"]
+    decrement = res["error_form_newton_decrement"]
+    if drift:
+        assert steps >= 1
+        assert 0.5 * decrement**2 <= rate._ERROR_TOL * max(
+            1.0, abs(res["error_form_value"]))
+    else:
+        # the zero field is the exact minimizer: no step is taken
+        assert (steps, decrement, res["error_form_value"]) == (0, 0.0, 0.0)
+        assert '"error_form_newton_decrement": 0.0' in (
+            out / "dv_functional_summary.json").read_text()
+
+
+def test_dv_functional_outside_convex_regime_exits_3(tmp_path, capsys):
+    # a tanh drift of amplitude 1.2 moves by more than 2 across the bump
+    payload = dict(DV_1D, drift={"kind": "tanh", "amplitude": 1.2,
+                                 "slope": 2.0})
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    with pytest.warns(UserWarning, match="oscillation"):
+        assert main(["dv-functional", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "DomainError" in err
+    assert "not convex" in err
+
+
+@pytest.mark.parametrize("drift", [False, True])
 def test_dv_functional_forms_each_rate_piece_once(tmp_path, monkeypatch, drift):
     # the summary reads the energy and the pairing that I_decomposed formed;
     # only the independent closed form, without drift, takes a second energy

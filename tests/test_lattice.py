@@ -11,10 +11,14 @@ from nonlocal_dv.kernels import (
     EllipticityBounds,
     KernelSpec,
     fractional_kernel,
+    spec_from_config,
 )
 from nonlocal_dv.lattice import (
+    _PAIR_BYTES_LIMIT,
     GridFunction,
     LatticeDomain,
+    _pair_peak_bytes,
+    _pair_quadratic_forms,
     assemble,
     estimate_shift,
     kernel_form,
@@ -170,11 +174,42 @@ def test_ball_domain_2d():
 
 
 def test_capacity_and_domain_errors():
-    with pytest.raises(CapacityError):
-        LatticeDomain.interval(-1.0, 1.0, 9000)
+    # the byte limit is checked before the first n_total^2 allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            assemble(LatticeDomain.interval(-1.0, 1.0, 9000),
+                     fractional_kernel(1, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # every constant-field lattice of up to 8000 nodes still assembles
+    assert _pair_peak_bytes(fractional_kernel(3, 0.5), 8000) <= _PAIR_BYTES_LIMIT
     spec = fractional_kernel(2, 0.5)
     with pytest.raises(DomainError):
         assemble(LatticeDomain.interval(-1.0, 1.0, 10), spec)
+
+
+@pytest.mark.parametrize("variant", ["constant", "separable_sum",
+                                     "separable_product"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_peak_estimate_bounds_measured_peak(variant, dim):
+    # the capacity check reads this estimate; it must cover what the pair
+    # forms really hold, and not by much more
+    spec = spec_from_config({"variant": variant, "matrix": np.eye(dim).tolist(),
+                             "s": 0.5})
+    cells = 24 if dim == 2 else 8  # 576 and 512 nodes
+    pts = LatticeDomain.box([-1.0] * dim, [1.0] * dim, [cells] * dim).points
+    tracemalloc.start()
+    try:
+        _pair_quadratic_forms(spec, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = _pair_peak_bytes(spec, len(pts))
+    assert peak <= 1.05 * estimate
+    assert estimate <= 1.05 * peak
 
 
 def test_assemble_peak_memory_constant_field():

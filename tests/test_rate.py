@@ -139,6 +139,10 @@ def test_decomposition_reduces_to_closed_form_without_drift(density):
     assert abs(parts.E_value) < 1e-12
     assert parts.I_value == pytest.approx(closed, rel=1e-10)
     assert np.abs(parts.w_min.values).max() < 1e-6
+    # without drift the zero field is the exact minimizer: no Newton step
+    assert (parts.E_value, parts.newton_steps, parts.newton_decrement) == (
+        0.0, 0, 0.0)
+    assert not parts.w_min.values.any()
 
 
 def test_decomposition_matches_direct_minimization(density, drift):
@@ -152,6 +156,73 @@ def test_decomposition_matches_direct_minimization(density, drift):
     assert u_min.values.min() > 0.0
     assert parts.I_value == pytest.approx(I_direct, rel=1e-2)
     assert parts.E_value <= 1e-15
+
+
+@pytest.mark.parametrize("amplitude", [0.3, 0.45])
+def test_error_form_newton_reaches_a_stationary_point(density, amplitude):
+    # the gradient, written out here from the pair weights, obeys the bound
+    # the stopping rule implies: |g|^2 <= lambda^2 lambda_max(H), with
+    # lambda^2 / 2 <= tol max(1, |E|) and H bounded by Gershgorin
+    spec = fractional_kernel(1, 0.5, normalized=True)
+    drift = SmoothFunction(lambda p: amplitude * np.tanh(2.0 * p[:, 0]), 1,
+                           support_radius=40.0)
+    op = assemble(density_lattice(density, cells=60), spec, drift=drift)
+    parts = I_decomposed(density, op)
+    fv = density.values_on(op.domain)
+    supp = fv > 0.0
+    idx = np.nonzero(op.domain.interior_mask)[0][supp]
+    a = (np.sqrt(np.outer(fv[supp], fv[supp])) * op.pair_weights[np.ix_(idx, idx)]
+         * op.domain.cell_volume)
+    h = op.drift_values[idx]
+    w = parts.w_min.values[supp]
+    dw = w[None, :] - w[:, None]
+    dh = h[None, :] - h[:, None]
+    grad = -2.0 * (a * (np.sinh(dw) + 0.5 * np.cosh(dw) * dh)).sum(axis=1)
+    curv = a * (np.cosh(dw) + 0.5 * np.sinh(dw) * dh)
+    lam_max = 4.0 * curv.sum(axis=1).max()
+    pin = np.argmax(fv[supp])
+    assert w[pin] == 0.0
+    assert parts.newton_steps >= 1
+    assert 0.5 * parts.newton_decrement**2 <= rate._ERROR_TOL * max(
+        1.0, abs(parts.E_value))
+    g = np.delete(grad, pin)
+    assert g @ g <= parts.newton_decrement**2 * lam_max * (1.0 + 1e-9)
+    assert np.abs(g).max() < 1e-8
+
+
+def test_rayleigh_newton_reaches_a_stationary_point(density, drift):
+    # gradient of the averaged ratio in w, in the form the direct route
+    # used before: u (-f (M u)/u^2 + M^T (f/u)) vol
+    spec = fractional_kernel(1, 0.5, normalized=True)
+    op = assemble(density_lattice(density, cells=60), spec, drift=drift)
+    value, u_min, steps = minimize_rayleigh(density, op)
+    vol = op.domain.cell_volume
+    fv = density.values_on(op.domain) + rate._RAYLEIGH_EPS
+    fv /= fv.sum() * vol
+    u = u_min.values
+    applied = op.matrix @ u
+    assert value == pytest.approx(float(fv @ (applied / u)) * vol, rel=1e-13)
+    grad = u * (-fv * applied / u**2 + op.matrix.T @ (fv / u)) * vol
+    pin = np.argmax(fv)
+    assert u[pin] == 1.0
+    assert steps >= 1
+    assert np.abs(np.delete(grad, pin)).max() < 1e-10
+
+
+def test_newton_solvers_refuse_the_nonconvex_regime(density):
+    # amplitude 1.2: the drift moves by more than 2 across the density
+    # support, and the assembled matrix has negative off-diagonal entries
+    spec = fractional_kernel(1, 0.5, normalized=True)
+    strong = SmoothFunction(lambda p: 1.2 * np.tanh(2.0 * p[:, 0]), 1,
+                            support_radius=40.0)
+    op = assemble(density_lattice(density, cells=40), spec, drift=strong)
+    off = op.matrix[~np.eye(op.n, dtype=bool)]
+    assert off.min() < 0.0
+    with pytest.raises(DomainError, match="off-diagonal"):
+        minimize_rayleigh(density, op)
+    with pytest.warns(UserWarning, match="oscillation"):
+        with pytest.raises(DomainError, match="not convex"):
+            I_decomposed(density, op)
 
 
 def test_decomposition_warns_on_large_drift_oscillation(density):
@@ -258,6 +329,19 @@ def test_scalar_error_form():
     h = np.linspace(-1.0, 1.0, 41)
     grid = Q_form(h[None, :], r[:, None])
     assert grid.min() >= -1e-10
+
+
+def test_scalar_error_form_vectorized():
+    # one call on 1000 points against the closed form; a scalar gives a float
+    hbar = np.linspace(-1.0, 1.0, 1000)
+    closed = np.sqrt(1.0 - hbar**2 / 4.0) - 1.0 + hbar**2
+    values = q_scalar_min(hbar)
+    assert values.shape == hbar.shape
+    assert np.abs(values - closed).max() < 1e-12
+    assert type(q_scalar_min(0.5)) is float
+    assert q_scalar_min(0.5) == pytest.approx(np.sqrt(0.9375) - 0.75, abs=1e-15)
+    with pytest.raises(DomainError):
+        q_scalar_min(np.array([0.0, 2.0]))
 
 
 def test_q_variants_differ_by_half_cross_term():
