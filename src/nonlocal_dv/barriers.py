@@ -7,6 +7,10 @@ it negative, and at the threshold it drains to zero.  The coefficient in
 the flat-boundary limit factorizes into a one-dimensional profile integral
 and a transverse-layer constant C_star; the layer integral J at fixed
 first coordinate carries the anisotropy through a determinant identity.
+All three have closed forms in Gamma functions.  C_star and J are also
+summed directly on one fixed polar rule (``_layer_rule``, orders 64 and
+128, whose difference is the error estimate), the independent second
+route; no adaptive quadrature runs.
 
 ``barrier_scan`` measures the normalized quantity on a geometric ladder of
 boundary distances with the pointwise quadrature engine and reports sign
@@ -20,13 +24,9 @@ order than the leading d^(alpha - 2s) blow-up.
 from __future__ import annotations
 
 import math
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, dblquad, quad
-from scipy.special import gamma
 
 from .errors import DomainError, ResolutionError
 from .extrapolate import fit_rate
@@ -34,6 +34,7 @@ from .kernels import KernelSpec
 from .operators import (
     QuadratureScheme,
     SmoothFunction,
+    _gauss_rule,
     build_rule,
     carre_du_champ,
     nonlocal_laplacian,
@@ -62,19 +63,11 @@ def _validate_order(s: float) -> None:
         raise DomainError(f"order s must lie in (0, 1), got {s}")
 
 
-@contextmanager
-def _quiet_quadrature():
-    # accuracy is policed through the returned error estimates instead
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        yield
-
-
 def _c_star_closed(N: int, s: float) -> float:
     if N == 1:
         return 1.0
-    return float(np.pi ** ((N - 1) / 2.0) * gamma(s + 0.5)
-                 / gamma((N + 2.0 * s) / 2.0))
+    return float(np.pi ** ((N - 1) / 2.0) * math.gamma(s + 0.5)
+                 / math.gamma((N + 2.0 * s) / 2.0))
 
 
 _C_STAR_VERIFIED: dict = {}
@@ -83,10 +76,15 @@ _C_STAR_VERIFIED: dict = {}
 def C_star_quadrature(N: int, s: float) -> float:
     """Direct quadrature of the transverse-layer integral.
 
-    Dimensions 2 and 3 integrate over the transverse line/plane directly;
-    higher dimensions fall back to the numeric radial integral with the
-    sphere measure, which is still a second route independent of the
-    Gamma-function closed form.
+    Integrates (1 + |z|^2)^(-(N + 2s)/2) over z in R^(N-1) in polar form:
+    the area of the unit sphere S^(N-2) (2 for N = 2, 2 pi for N = 3)
+    times Int_0^inf rho^(N-2) (1 + rho^2)^(-(N + 2s)/2) d rho on the
+    tan-mapped radial nodes of ``_layer_rule``.  Like ``J_quadrature`` it
+    runs orders 64 and 128 and returns the order-128 value; their
+    difference is the error estimate, and ResolutionError is raised when
+    it exceeds 1e-7 relative.  The radial integral is summed from the
+    integrand, not from the Beta-function reduction behind the closed
+    form, so it stays a second route.
     """
     if N < 1:
         raise DomainError(f"dimension must be >= 1, got {N}")
@@ -94,23 +92,17 @@ def C_star_quadrature(N: int, s: float) -> float:
     if N == 1:
         return 1.0
     p = (N + 2.0 * s) / 2.0
-    with _quiet_quadrature():
-        if N == 2:
-            val, err = quad(lambda t: (1.0 + t * t) ** -p, -np.inf, np.inf,
-                            limit=200)
-        elif N == 3:
-            val, err = dblquad(lambda y, x: (1.0 + x * x + y * y) ** -p,
-                               -np.inf, np.inf, -np.inf, np.inf,
-                               epsabs=1e-11, epsrel=1e-11)
-        else:
-            surface = 2.0 * np.pi ** ((N - 1) / 2.0) / math.gamma((N - 1) / 2.0)
-            val, err = quad(lambda r: r ** (N - 2) * (1.0 + r * r) ** -p,
-                            0.0, np.inf, limit=200)
-            val, err = surface * val, surface * err
+    sphere = 2.0 * math.pi ** ((N - 1) / 2.0) / math.gamma((N - 1) / 2.0)
+    vals = []
+    for n in _LAYER_ORDERS:
+        rho, weights, _, _ = _LAYER_RULES[2, n]  # radial weights without rho^(N-2)
+        vals.append(sphere * float(weights @ (rho ** (N - 2) * (1.0 + rho * rho) ** -p)))
+    val = vals[-1]
+    err = abs(vals[-1] - vals[0])
     if err > 1e-7 * max(abs(val), 1.0):
         raise ResolutionError(
             "transverse-layer quadrature reported error %.2g" % err)
-    return float(val)
+    return val
 
 
 def C_star(N: int, s: float) -> float:
@@ -165,7 +157,7 @@ def _layer_rule(N: int, n: int):
     at psi = pi/2, which caps plain Gauss-Legendre in psi at algebraic
     order; under m it vanishes to order 3 + 8s in x instead.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_rule(n)
     m = (35.0 * x - 35.0 * x**3 + 21.0 * x**5 - 5.0 * x**7) / 16.0
     psi = 0.25 * np.pi * (1.0 + m)
     rho = np.tan(psi)
@@ -258,25 +250,28 @@ def half_space_reference(alpha: float, s: float) -> float:
     """Profile integral of the flat-boundary barrier limit.
 
     Principal value of the symmetrized difference of (1 + t)_+^alpha
-    against the one-dimensional kernel power.  Zero at alpha = s; needs
-    alpha < 2s for the far field to integrate.
+    against the one-dimensional kernel power,
+
+        I(alpha, s) = Int_0^inf ((1 + t)^alpha + (1 - t)_+^alpha - 2)
+                      t^(-1 - 2s) dt,
+
+    in closed form.  Continued analytically in s, the three terms are
+    B(-2s, 2s - alpha), B(-2s, 1 + alpha) and 0 (B the Beta function), and
+    the reflection formula turns their sum into
+
+        I(alpha, s) = Gamma(1 + alpha) Gamma(2s - alpha) sin(pi (alpha - s))
+                      / (sin(pi s) Gamma(1 + 2s)).
+
+    Zero at alpha = s, -pi/4 at (1/4, 1/2) and 3 pi/4 at (3/4, 1/2).
+    Needs alpha < 2s for the far field to integrate.
     """
     _validate_order(s)
     if not 0.0 < alpha < 2.0 * s:
         raise DomainError(
             f"profile integral needs 0 < alpha < 2s, got alpha={alpha}")
-
-    def f(t):
-        g = (1.0 + t) ** alpha + max(1.0 - t, 0.0) ** alpha - 2.0
-        return g * t ** (-1.0 - 2.0 * s)
-
-    with _quiet_quadrature():
-        v1, e1 = quad(f, 0.0, 1.0, limit=200)
-        v2, e2 = quad(f, 1.0, np.inf, limit=200)
-    if e1 + e2 > 1e-7 * max(abs(v1 + v2), 1.0):
-        raise ResolutionError(
-            "profile quadrature reported error %.2g" % (e1 + e2))
-    return float(v1 + v2)
+    return (math.gamma(1.0 + alpha) * math.gamma(2.0 * s - alpha)
+            * math.sin(math.pi * (alpha - s))
+            / (math.sin(math.pi * s) * math.gamma(1.0 + 2.0 * s)))
 
 
 def flat_limit_reference(spec: KernelSpec, alpha: float) -> float:

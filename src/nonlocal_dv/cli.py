@@ -33,6 +33,11 @@ of its error-form minimization (``error_form_newton_steps``,
 the density support leaves that form nonconvex, and the run exits with
 status 3 (``DomainError``).
 
+``barrier-check`` reports the flat-boundary limit ``flat_limit`` for a
+constant field with alpha < 2s, and null for any other field or exponent,
+where the limit is not defined; an error while computing it exits with
+status 3.
+
 Environment: ``NONLOCAL_DV_LOG`` selects the log level (DEBUG .. ERROR).
 ``--threads`` sets the thread count of the OpenBLAS pools that numpy and
 scipy load, through their runtime setters, and exits with status 2 when
@@ -627,11 +632,11 @@ def _cmd_barrier_check(cfg: dict, seed: int):
         raise ConfigError(str(exc), field_path="barrier") from exc
     _log.info("scanning %d boundary distances", config.points)
     rep = barrier_scan(config)
+    # the flat-boundary limit exists for constant fields below the
+    # integrability edge alpha < 2s; any failure there is a real one
     flat = None
-    try:
+    if spec.field.variant == "constant" and config.alpha < 2.0 * spec.bounds.s:
         flat = flat_limit_reference(spec, config.alpha)
-    except NonlocalError:
-        pass  # only defined for constant fields below the integrability edge
     results = {
         "alpha": rep.alpha,
         "min_normalized": rep.min_normalized,

@@ -18,11 +18,11 @@ M(x) can be computed once and reused for many y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import DomainError, EllipticityError, SingularityError
 
@@ -49,7 +49,7 @@ def normalization_constant(dim: int, s: float) -> float:
         raise DomainError(f"order s must lie in (0, 1), got {s}")
     if dim < 1:
         raise DomainError(f"dimension must be >= 1, got {dim}")
-    return 4.0**s * _gamma(dim / 2.0 + s) / (np.pi ** (dim / 2.0) * abs(_gamma(-s)))
+    return 4.0**s * math.gamma(dim / 2.0 + s) / (np.pi ** (dim / 2.0) * abs(math.gamma(-s)))
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,12 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import CapacityError, DomainError
 from .kernels import KernelSpec
-from .operators import (QuadratureScheme, SmoothFunction, _chunk_rows, _directions,
-                        _ray_kernel, _ray_terms, far_field)
+from .operators import (_KERNEL_CHUNK_BYTES, QuadratureScheme, SmoothFunction,
+                        _chunk_rows, _directions, _gauss_rule, _ray_kernel,
+                        _ray_terms, far_field)
 
 __all__ = [
     "LatticeDomain",
@@ -210,12 +210,16 @@ class GridFunction:
 
 
 def _pair_peak_bytes(spec: KernelSpec, n_total: int) -> int:
-    """Peak bytes of ``_pair_quadratic_forms`` on n_total nodes.
+    """Peak bytes of ``_pair_quadratic_forms`` on n_total nodes, and so of
+    ``assemble``.
 
     Counted in n_total^2 float64 arrays held at once: g and q for a
     constant field; the differences (dim arrays), e and e + e^T for a
     separable sum; the differences, M(x) d and the products of the
-    einsum (dim arrays each) for a separable product.
+    einsum (dim arrays each) for a separable product.  Past the pair
+    forms, ``assemble`` holds W, the interior matrix and temporaries of
+    at most ``_KERNEL_CHUNK_BYTES``: n_total^2 + n_int^2 <= 2 n_total^2
+    doubles, which this count already covers.
     """
     variant = spec.field.variant
     arrays = (2 if variant == "constant" else
@@ -254,7 +258,7 @@ def _self_cell_moments(spec: KernelSpec, pts: np.ndarray,
     dirs, aw = _directions(spec.dim, quad)
     s = spec.s
     rho_max = (0.5 * h) / np.abs(dirs).max(axis=1)
-    gj_x, gj_w = roots_jacobi(quad.radial_order, 0.0, 1.0 - 2.0 * s)
+    gj_x, gj_w = _gauss_rule(quad.radial_order, 1.0 - 2.0 * s)
     t = 0.5 * (1.0 + gj_x)
     if spec.field.variant == "constant":
         q_unit = np.einsum("da,ab,db->d", dirs, spec.field.matrix, dirs)
@@ -376,30 +380,41 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     exit_d = _box_exit_distances(pts, domain.lower, domain.upper,
                                  _directions(spec.dim, quad)[0])
     tails = far_field(spec, pts, exit_d, quad)
+    drift_vals = None
+    far = None
+    if drift is not None:
+        # before the interior matrix exists, so that the far field's
+        # chunks sit beside W alone.  S_i = Int_{outside the box}
+        # (h - h_i) K splits exactly into the rays out to the drift's
+        # support and the kernel mass T_i
+        drift_vals = np.asarray(drift(pts), dtype=float)
+        far = (far_field(spec, pts, exit_d, quad, g=drift)
+               + (drift.far_value - drift_vals) * tails)
 
     mask = domain.interior_mask
     row_sums = W.sum(axis=1)
     lap = W[np.ix_(mask, mask)]  # a fresh array: the matrix is built in it
     np.fill_diagonal(lap, np.diag(lap) - row_sums[mask] - tails[mask])
 
-    drift_vals = None
-    far = None
     if drift is not None:
-        drift_vals = np.asarray(drift(pts), dtype=float)
-        # S_i = Int_{outside the box} (h - h_i) K splits exactly into the
-        # rays out to the drift's support and the kernel mass T_i
-        far = (far_field(spec, pts, exit_d, quad, g=drift)
-               + (drift.far_value - drift_vals) * tails)
         # B_ij = 1/2 W_ij (h_j - h_i); centring h keeps a constant drift
         # exactly zero.  Off the diagonal lap equals W on interior pairs.
+        # The block is added a chunk of rows at a time: its two row-chunk
+        # temporaries stay within _KERNEL_CHUNK_BYTES, and no n_int^2
+        # array is formed beside lap.
         hc = drift_vals - drift_vals[0]
         hc_int = hc[mask]
-        block = lap * hc_int
-        block -= hc_int[:, None] * lap
-        block *= 0.5
         b_rows = 0.5 * (W @ hc - hc * row_sums)
-        np.fill_diagonal(block, -b_rows[mask] - 0.5 * far[mask])
-        lap += block
+        b_diag = -b_rows[mask] - 0.5 * far[mask]
+        rows = max(1, _KERNEL_CHUNK_BYTES // (16 * len(hc_int)))
+        for lo in range(0, len(hc_int), rows):
+            sl = slice(lo, lo + rows)
+            block = lap[sl] * hc_int
+            block -= hc_int[sl, None] * lap[sl]
+            block *= 0.5
+            r = np.arange(block.shape[0])
+            block[r, lo + r] = b_diag[sl]
+            lap[sl] += block
 
     n_int = int(mask.sum())
     if potential is None:

@@ -37,12 +37,12 @@ M(y) once per sample.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DomainError
 from .kernels import KernelSpec
@@ -250,6 +250,33 @@ class PointRule:
     inner_pair_count: int
 
 
+@functools.cache
+def _gauss_rule(n: int, beta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule on (-1, 1) for the
+    weight (1 + x)^beta, beta > -1.
+
+    beta = 0 is Gauss-Legendre from numpy's ``leggauss``.  Otherwise the
+    rule is Gauss-Jacobi with alpha = 0 by Golub-Welsch: the nodes are the
+    eigenvalues of the symmetric tridiagonal Jacobi matrix of the monic
+    recurrence, and the weights are the weight's total mass 2^(beta+1) /
+    (beta + 1) times the squared first components of the eigenvectors.
+    Every rule is built once per process and shared by all callers, so
+    the arrays are read-only.
+    """
+    if beta == 0.0:
+        x, w = np.polynomial.legendre.leggauss(n)
+    else:
+        k = np.arange(1, n, dtype=float)
+        ab = 2.0 * k + beta
+        diag = np.concatenate([[beta / (beta + 2.0)], beta * beta / (ab * (ab + 2.0))])
+        off = 2.0 * k * (k + beta) / (ab * np.sqrt(ab * ab - 1.0))
+        x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        w = 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _directions(dim: int, quad: QuadratureScheme) -> tuple[np.ndarray, np.ndarray]:
     """Full antipodally-symmetric direction set with surface weights."""
     if dim == 1:
@@ -261,7 +288,7 @@ def _directions(dim: int, quad: QuadratureScheme) -> tuple[np.ndarray, np.ndarra
         return dirs, np.full(m, 2.0 * np.pi / m)
     if dim == 3:
         npol = quad.polar_order + (quad.polar_order % 2)  # even, avoids equator
-        u, wu = roots_legendre(npol)
+        u, wu = _gauss_rule(npol)
         m = quad.angular_count
         ph = 2.0 * np.pi * (np.arange(m) + 0.5) / m
         st = np.sqrt(1.0 - u**2)
@@ -309,7 +336,8 @@ def _panel_edges(r0: float, r1: float, ratio: float, breaks: Sequence[float]) ->
 # and at 8.4, 10.6 and 13.6 for a constant field; a row of
 # ``_kernel_at_offsets`` at 6.0, 11.7 and 19.2 and a sample of the
 # lattice's self-cell moments at 5.1, 8.3 and 14.4.  dim^2 + dim + 10
-# doubles bounds them all.
+# doubles bounds them all.  ``lattice.assemble`` adds its drift block in
+# row chunks of the same budget.
 _KERNEL_CHUNK_BYTES = 1 << 22
 
 
@@ -428,7 +456,7 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
         end = np.linalg.norm(pts, axis=1) + g.support_radius
         split = _support_exits(pts, dirs, g.support_radius)
     stop = np.maximum(start, end[:, None])
-    gl_x, gl_w = roots_legendre(quad.radial_order)
+    gl_x, gl_w = _gauss_rule(quad.radial_order)
     total = np.zeros(len(pts))
     size = np.zeros(len(pts))  # running sum of panel magnitudes, the total's scale
     a = np.array(start, dtype=float)
@@ -523,8 +551,8 @@ def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
     # the inner ball pairs each node with its mirror image; a constant
     # field gives both the same kernel value
     mirrored = spec.field.variant != "constant"
-    gj_x, gj_w = roots_jacobi(quad.radial_order, 0.0, 1.0 - 2.0 * s)
-    gl_x, gl_w = roots_legendre(quad.radial_order)
+    gj_x, gj_w = _gauss_rule(quad.radial_order, 1.0 - 2.0 * s)
+    gl_x, gl_w = _gauss_rule(quad.radial_order)
 
     # per point, nodes +inner, -inner, annulus and their weights without
     # the kernel factor

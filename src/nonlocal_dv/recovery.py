@@ -12,11 +12,11 @@ constancy check recover the first-order data.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import DomainError, OracleInconsistencyError, ReconstructionError
 from .extrapolate import richardson_limit
@@ -537,7 +537,7 @@ def recover_matrix(energy_oracle, dim: int, s: float,
     if not 0.0 < s < 1.0:
         raise DomainError("exponent must lie in (0, 1)")
     ratio = float(ratios[0])
-    C1 = float(gamma(s + 0.5) * np.pi ** ((dim - 1) / 2.0))
+    C1 = float(math.gamma(s + 0.5) * np.pi ** ((dim - 1) / 2.0))
     probes: list[ProbeResult] = []
 
     def measure(axis, width: float) -> float:

@@ -21,15 +21,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .barriers import C_star, J_closed_form, J_quadrature
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 from .kernels import fractional_kernel
 from .lattice import LatticeDomain, assemble, kernel_form
 from .operators import (
     QuadratureScheme,
     SmoothFunction,
+    _gauss_rule,
     bump,
     build_rule,
     carre_du_champ,
@@ -84,8 +84,22 @@ class CheckResult:
 
 
 def _normalized_bump(radius: float) -> DensitySpec:
+    """The 1D bump of the given radius scaled to unit mass.
+
+    The mass is Gauss-Legendre on [-r, r] at orders 128 and 256: the bump
+    is smooth with all derivatives zero at +-r, so the two agree to
+    rounding, and their difference above 1e-12 relative raises
+    ResolutionError.
+    """
     base = bump(1, radius=radius)
-    mass = quad(lambda x: base(np.array([[x]]))[0], -radius, radius)[0]
+    masses = []
+    for n in (128, 256):
+        x, w = _gauss_rule(n)
+        masses.append(radius * float(w @ base(radius * x[:, None])))
+    mass = masses[-1]
+    if abs(masses[-1] - masses[0]) > 1e-12 * mass:
+        raise ResolutionError(
+            "bump mass rules disagree: %.17g vs %.17g" % tuple(masses))
     return DensitySpec(scaled(base, 1.0 / mass))
 
 

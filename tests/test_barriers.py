@@ -2,17 +2,18 @@
 
 Oracle strategy: the transverse-layer constant C_star has a closed form
 through Gamma functions (radial reduction of the layer integral to a Beta
-integral); direct tensor quadrature over the transverse plane provides the
+integral); a fixed radial rule over the transverse plane provides the
 independent route.  The layer integral J likewise has both a closed form
-and a direct scipy quadrature.  Special values frozen here:
+and a direct fixed-rule quadrature.  Special values frozen here:
 
     C_star(2, 1/2) = 2        (antiderivative t/sqrt(1+t^2))
     C_star(3, 1/2) = pi       (polar coordinates)
     C_star(2, 1/4) = 2.3962804695   (Gamma(3/4) sqrt(pi) / Gamma(5/4))
 
-Half-space limit constants of the normalized barrier quantity, via 1D
-quadrature of the symmetrized difference integral, with two exact values
-at s = 1/2 frozen from the antiderivative of the quarter- and
+Half-space limit constants of the normalized barrier quantity come in
+closed form; here they are checked against adaptive and 40-digit
+quadrature of the symmetrized difference integral, and two exact values
+at s = 1/2 are frozen from the antiderivative of the quarter- and
 three-quarter-power barriers:
 
     half_space_reference(1/4, 1/2) = -pi/4
@@ -24,9 +25,11 @@ evaluation of the symmetrized 1D difference integral with the boundary
 crossings as explicit breakpoints.
 """
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from nonlocal_dv.barriers import (
     BarrierConfig,
@@ -34,6 +37,7 @@ from nonlocal_dv.barriers import (
     C_star_quadrature,
     J_closed_form,
     J_quadrature,
+    _c_star_closed,
     barrier_scan,
     flat_limit_reference,
     half_space_reference,
@@ -83,6 +87,15 @@ def test_c_star_dual_route_agreement(N, s):
     closed = C_star(N, s)
     direct = C_star_quadrature(N, s)
     assert abs(closed - direct) <= 1e-6
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_c_star_quadrature_matches_closed_form(N):
+    # the fixed radial rule against the Gamma-function closed form, across
+    # the whole range of s
+    for s in np.linspace(0.05, 0.95, 19):
+        closed = _c_star_closed(N, s)
+        assert abs(C_star_quadrature(N, s) - closed) <= 1e-12 * closed
 
 
 def test_c_star_invalid():
@@ -187,6 +200,64 @@ def test_half_space_reference_threshold_zero():
 def test_half_space_reference_exact_values():
     assert half_space_reference(0.25, 0.5) == pytest.approx(-np.pi / 4, abs=1e-8)
     assert half_space_reference(0.75, 0.5) == pytest.approx(3 * np.pi / 4, abs=1e-8)
+
+
+def _profile_quad(alpha, s):
+    """The profile integral by adaptive quadrature, split at t = 1, with
+    the reported error."""
+    def f(t):
+        g = (1.0 + t) ** alpha + max(1.0 - t, 0.0) ** alpha - 2.0
+        return g * t ** (-1.0 - 2.0 * s)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        v1, e1 = quad(f, 0.0, 1.0, limit=200)
+        v2, e2 = quad(f, 1.0, np.inf, limit=200)
+    return v1 + v2, e1 + e2
+
+
+def test_half_space_reference_matches_quadrature():
+    # the closed form against adaptive quadrature of the defining integral,
+    # wherever the quadrature resolves it
+    compared = 0
+    for s in np.linspace(0.1, 0.9, 9):
+        for frac in np.linspace(0.05, 0.95, 10):
+            alpha = 2.0 * s * frac
+            ref, err = _profile_quad(alpha, s)
+            if err > 1e-7 * max(abs(ref), 1.0):
+                continue
+            compared += 1
+            assert abs(half_space_reference(alpha, s) - ref) <= (
+                1e-6 * max(abs(ref), 1.0))
+    assert compared >= 75
+
+
+@pytest.mark.parametrize("alpha, s", [(0.1, 0.9), (1.7, 0.9), (0.05, 0.3),
+                                      (0.35, 0.2), (1.2, 0.75), (1.89, 0.95)])
+def test_half_space_reference_matches_high_precision(alpha, s):
+    # 40-digit tanh-sinh quadrature of the same integral, also at orders
+    # where the double-precision adaptive rule fails.  Near 0 the even part
+    # (1 + t)^a + (1 - t)^a - 2 is summed from its series, and the
+    # substitutions t = v^m and u = w^k remove the endpoint powers:
+    # Int_0^1 g t^(-1-2s) dt = m Int_0^1 g(t)/t^2 dv,  m = 1/(2 - 2s), and
+    # Int_1^inf ((1 + t)^a - 2) t^(-1-2s) dt
+    #     = k Int_0^1 (1 + w^k)^a dw - 1/s,  k = 1/(2s - a)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a, s_mp = mp.mpf(alpha), mp.mpf(s)
+
+        def g_over_t2(t):
+            if t < mp.mpf("1e-3"):
+                return 2 * sum(mp.binomial(a, 2 * k) * t ** (2 * k - 2)
+                               for k in range(1, 12))
+            return ((1 + t) ** a + (1 - t) ** a - 2) / t ** 2
+
+        m = 1 / (2 - 2 * s_mp)
+        k = 1 / (2 * s_mp - a)
+        near = m * mp.quad(lambda v: g_over_t2(v ** m), [0, 1])
+        far = k * mp.quad(lambda w: (1 + w ** k) ** a, [0, 1]) - 1 / s_mp
+        ref = float(near + far)
+    assert half_space_reference(alpha, s) == pytest.approx(ref, rel=1e-13)
 
 
 def test_half_space_reference_integrability_limit():

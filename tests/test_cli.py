@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nonlocal_dv import cli, lattice, operators, rate
+from nonlocal_dv import barriers, cli, lattice, operators, rate
 from nonlocal_dv.cli import main
+from nonlocal_dv.errors import ResolutionError
 
 KERNEL_1D = {"variant": "constant", "matrix": [[1.0]], "s": 0.5,
              "normalized": True}
@@ -224,6 +225,55 @@ def test_barrier_check_positive_above_threshold(tmp_path):
     assert lines[0] == "d,normalized_value,drift_term"
     assert len(lines) == 4
     assert all(float(line.split(",")[2]) == 0.0 for line in lines[1:])
+
+
+def _barrier_summary(tmp_path, kernel, alpha):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "kernel": kernel,
+        "barrier": {"domain": "interval", "alpha": alpha, "delta": 0.1,
+                    "points": 3, "mesh": 0.01},
+    })
+    out = tmp_path / "out"
+    assert main(["barrier-check", "--config", cfg,
+                 "--output-dir", str(out)]) == 0
+    return read_summary(out, "barrier_check")["results"]
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.1])
+def test_barrier_check_reports_flat_limit_at_high_order(tmp_path, alpha):
+    # alpha < 2s, so the limit exists; at s = 0.9 the adaptive profile
+    # quadrature used to fail and the summary said null
+    kernel = dict(KERNEL_1D, s=0.9)
+    res = _barrier_summary(tmp_path, kernel, alpha)
+    if alpha == 0.9:
+        assert res["flat_limit"] == 0.0  # the threshold exponent alpha = s
+    else:
+        spec = cli._kernel_from_config(kernel)[0]
+        assert res["flat_limit"] < 0.0
+        assert res["flat_limit"] == barriers.flat_limit_reference(spec, alpha)
+
+
+@pytest.mark.parametrize("kernel, alpha", [
+    (dict(KERNEL_1D, s=0.3), 0.75),  # alpha >= 2s: the far field diverges
+    (dict(KERNEL_1D, variant="separable_sum"), 0.75),  # no constant matrix
+])
+def test_barrier_check_flat_limit_null_where_undefined(tmp_path, kernel, alpha):
+    assert _barrier_summary(tmp_path, kernel, alpha)["flat_limit"] is None
+
+
+def test_barrier_check_flat_limit_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def failing(spec, alpha):
+        raise ResolutionError("profile integral failed")
+
+    monkeypatch.setattr(cli, "flat_limit_reference", failing)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "kernel": KERNEL_1D,
+        "barrier": {"domain": "interval", "alpha": 0.75, "delta": 0.1,
+                    "points": 3, "mesh": 0.01},
+    })
+    assert main(["barrier-check", "--config", cfg,
+                 "--output-dir", str(tmp_path / "out")]) == 3
+    assert "ResolutionError" in capsys.readouterr().err
 
 
 def test_verify_subset_passes(tmp_path, capsys):

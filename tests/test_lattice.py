@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nonlocal_dv import lattice
 from nonlocal_dv.errors import CapacityError, DomainError
 from nonlocal_dv.kernels import (
     AnisotropyField,
@@ -246,6 +247,53 @@ def test_assemble_retained_memory_with_drift():
         tracemalloc.stop()
     assert op.matrix.shape == (n_int, n_int)
     assert kept <= 8 * (n_total ** 2 + 1.5 * n_int ** 2)
+
+
+@pytest.mark.parametrize("with_drift", [False, True])
+def test_assemble_peak_is_the_pair_form_peak(with_drift):
+    # past the pair forms, only W, the interior matrix and chunk-sized
+    # temporaries are alive: n_total^2 + n_int^2 doubles, within the
+    # pair-form peak that the capacity check counts.  With no margin
+    # n_int = n_total, and at 3600 nodes a 4 MiB chunk is 4% of n_total^2
+    # doubles
+    spec = fractional_kernel(2, 0.5)
+    drift = tanh_drift(2, amplitude=0.3) if with_drift else None
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [60, 60])
+    assemble(LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4]), spec,
+             drift=drift)
+    tracemalloc.start()
+    try:
+        assemble(dom, spec, drift=drift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = _pair_peak_bytes(spec, len(dom.points))
+    assert peak <= 1.05 * estimate
+    assert estimate <= 1.05 * peak
+
+
+def test_drift_block_in_row_chunks_is_bit_identical(monkeypatch):
+    # the drift block B_ij = 1/2 W_ij (h_j - h_i), formed whole on the
+    # drift-free matrix as the reference, against assembly in one chunk
+    # and in chunks of 3 rows (the last one shorter)
+    spec = fractional_kernel(2, 0.4)
+    drift = tanh_drift(2, amplitude=0.3)
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [10, 10], margin=0.3)
+    op = assemble(dom, spec, drift=drift)
+    mask = dom.interior_mask
+    W = op.pair_weights
+    hc = op.drift_values - op.drift_values[0]
+    hc_int = hc[mask]
+    lap = assemble(dom, spec).matrix
+    block = lap * hc_int
+    block -= hc_int[:, None] * lap
+    block *= 0.5
+    b_rows = 0.5 * (W @ hc - hc * W.sum(axis=1))
+    np.fill_diagonal(block, -b_rows[mask] - 0.5 * op.drift_far[mask])
+    assert op.n % 3 != 0
+    assert np.array_equal(op.matrix, lap + block)
+    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_BYTES", 16 * 3 * op.n)
+    assert np.array_equal(assemble(dom, spec, drift=drift).matrix, op.matrix)
 
 
 def test_estimate_shift_dominance(op_1d):
