@@ -9,22 +9,23 @@ optionally multiplied by the constant that makes the isotropic case
 (``A = Id``) agree with the fractional Laplacian of order ``2s``.  Three
 field variants are supported: a constant matrix, the separable sum
 ``A(x, y) = M(x) + M(y)`` and the symmetrised separable product
-``A(x, y) = M(x) M(y) + M(y) M(x)``.  All variants are symmetric under
-swapping ``x`` and ``y`` by construction.  For the separable variants
-z^T A(x, y) z is formed from M(x) and M(y) without forming A
-(``AnisotropyField.point_terms`` and ``separable_form``), so the part of
-M(x) can be computed once and reused for many y.
+``A(x, y) = M(x) M(y) + M(y) M(x)``, with M(y) = B + f(k . y) I for a
+base matrix B, a scalar profile f and a wave vector k.  Every variant is
+one formula, A(x, y) = C0 + (b(x) + b(y)) C1 + b(x) b(y) C2 with
+b = f(k . y), so z^T A(x, y) z = P + Q b(y) where P and Q need only z
+and x (``AnisotropyField.split``), and all are symmetric in x and y.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EllipticityError, SingularityError
+from .errors import ConfigError, DomainError, EllipticityError, SingularityError
 
 __all__ = [
     "EllipticityBounds",
@@ -35,8 +36,6 @@ __all__ = [
     "fractional_kernel",
     "spec_from_config",
 ]
-
-MatrixFn = Callable[[np.ndarray], np.ndarray]
 
 
 def normalization_constant(dim: int, s: float) -> float:
@@ -100,95 +99,104 @@ def _as_spd(matrix: np.ndarray, dim: int) -> np.ndarray:
 class AnisotropyField:
     """Matrix field A(x, y), one of the three supported variants.
 
-    ``matrix_fn`` maps an array of points with shape (m, dim) to an
-    array of matrices with shape (m, dim, dim), one call for all the
-    points; an answer of any other shape raises DomainError.
+    ``matrix`` is A itself for a constant field and the base B of
+    M(y) = B + b(y) I for a separable one, with b(y) = ``profile``(k . y)
+    and k = ``wave``.  With b declared, every variant is
+
+        A(x, y) = C0 + (b(x) + b(y)) C1 + b(x) b(y) C2
+
+    with (C0, C1, C2) = ``coefficients``: (A) for a constant field,
+    (2B, I) for the separable sum and (2B^2, 2B, 2I) for the separable
+    product, which is exact because M(x) and M(y) commute.  The profile
+    maps a 1-D array of phases to the array of its values, one call for
+    all of them; an answer of any other shape raises DomainError.
     """
 
     variant: str
-    dim: int
-    matrix: np.ndarray | None = None
-    matrix_fn: MatrixFn | None = field(default=None, compare=False)
+    matrix: np.ndarray
+    wave: np.ndarray | None = None
+    profile: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     _VARIANTS = ("constant", "separable_sum", "separable_product")
 
     def __post_init__(self) -> None:
         if self.variant not in self._VARIANTS:
             raise DomainError(f"unknown field variant {self.variant!r}")
-        if self.variant == "constant":
-            if self.matrix is None:
-                raise EllipticityError("constant variant requires a matrix")
-            object.__setattr__(self, "matrix", _as_spd(self.matrix, self.dim))
-        elif self.matrix_fn is None:
-            raise EllipticityError(f"{self.variant} variant requires matrix_fn")
+        matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        object.__setattr__(self, "matrix", _as_spd(matrix, matrix.shape[0]))
+        if self.variant != "constant":
+            wave = np.asarray(self.wave, dtype=float)
+            if self.profile is None or wave.shape != (self.dim,):
+                raise EllipticityError(f"{self.variant} variant requires a profile and "
+                                       f"a wave vector of shape ({self.dim},)")
+            object.__setattr__(self, "wave", wave)
 
     @classmethod
     def constant(cls, matrix: np.ndarray) -> "AnisotropyField":
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        return cls(variant="constant", dim=matrix.shape[0], matrix=matrix)
+        return cls("constant", matrix)
 
-    @classmethod
-    def separable_sum(cls, matrix_fn: MatrixFn, dim: int) -> "AnisotropyField":
-        return cls(variant="separable_sum", dim=dim, matrix_fn=matrix_fn)
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
-    @classmethod
-    def separable_product(cls, matrix_fn: MatrixFn, dim: int) -> "AnisotropyField":
-        return cls(variant="separable_product", dim=dim, matrix_fn=matrix_fn)
+    @functools.cached_property
+    def coefficients(self) -> tuple[np.ndarray, ...]:
+        """(C0,) for a constant field, (C0, C1) for the separable sum and
+        (C0, C1, C2) for the separable product."""
+        B, eye = self.matrix, np.eye(self.dim)
+        return {"constant": (B,), "separable_sum": (2.0 * B, eye),
+                "separable_product": (2.0 * B @ B, 2.0 * B, 2.0 * eye)}[self.variant]
 
-    def single_point_matrices(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the one-point field M at each row of ``points``."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.variant == "constant":
-            return np.broadcast_to(self.matrix, (points.shape[0], self.dim, self.dim))
-        mats = np.asarray(self.matrix_fn(points), dtype=float)
-        want = (points.shape[0], self.dim, self.dim)
-        if mats.shape != want:
-            raise DomainError(f"matrix_fn answered {len(points)} points with "
-                              f"shape {mats.shape}, not {want}")
-        return mats
+    def ridge(self, phase: np.ndarray) -> np.ndarray:
+        """b = f(phase) for an array of phases of any shape; the profile
+        sees them as one 1-D array."""
+        flat = np.reshape(phase, -1)
+        out = np.asarray(self.profile(flat), dtype=float)
+        if out.shape != flat.shape:
+            raise DomainError(f"the profile answered {flat.size} phases with "
+                              f"shape {out.shape}, not {flat.shape}")
+        return out.reshape(np.shape(phase))
+
+    def node_terms(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The phase k . x and the ridge b(x) at each row x of ``points``."""
+        phase = np.atleast_2d(np.asarray(points, dtype=float)) @ self.wave
+        return phase, self.ridge(phase)
+
+    def split(self, z: np.ndarray, bx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P, Q) with z^T A(x, y) z = P + Q b(y) for a separable field:
+        P = z^T C0 z + b(x) z^T C1 z and Q = z^T C1 z + b(x) z^T C2 z.
+
+        ``z`` has shape (..., dim) and ``bx`` broadcasts against its leading
+        axes; P and Q, which may be read-only views, have their shape.
+        """
+        a, b = np.triu_indices(self.dim)
+        mono = np.empty(np.shape(z)[:-1] + (len(a),))
+        for k in range(len(a)):
+            np.multiply(z[..., a[k]], z[..., b[k]], out=mono[..., k])
+        # z^T C z = Sum_{a <= b} (2 - [a = b]) C_ab z_a z_b for a symmetric C
+        forms = mono @ np.stack([(2.0 - (a == b)) * c[a, b] for c in self.coefficients], axis=1)
+        del mono  # freed before P and Q: ``operators._chunk_rows`` counts on it
+        p = forms[..., 0] + bx * forms[..., 1]
+        if forms.shape[-1] == 2:  # the sum: Q = z^T z whatever b(x)
+            return p, np.broadcast_to(forms[..., 1], p.shape)
+        return p, forms[..., 1] + bx * forms[..., 2]
 
     def pair_matrices(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """A(x_i, y_i) for paired rows; shape (m, dim, dim).
 
-        Forms A explicitly: the reference that ``point_terms`` and
-        ``separable_form`` are tested against.
+        Forms M(x) = B + b(x) I and M(y) explicitly and combines them as
+        M(x) + M(y) or M(x) M(y) + M(y) M(x): the reference the one
+        formula is tested against.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if self.variant == "constant":
             return np.broadcast_to(self.matrix, (x.shape[0], self.dim, self.dim))
-        mx = self.single_point_matrices(x)
-        my = self.single_point_matrices(y)
+        mx, my = (self.matrix + self.node_terms(p)[1][:, None, None] * np.eye(self.dim)
+                  for p in (x, y))
         if self.variant == "separable_sum":
             return mx + my
         return mx @ my + my @ mx
-
-    def point_terms(self, mats: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """The share of z^T A(x, y) z that needs only M(x), for a separable
-        field: z^T M(x) z for the sum, M(x) z for the product.
-
-        ``mats`` holds one-point matrices with shape (..., dim, dim) and
-        ``z`` vectors with shape (..., dim); leading axes broadcast.
-        """
-        if self.variant == "separable_sum":
-            return np.einsum("...i,...ij,...j->...", z, mats, z)
-        # column by column: several times faster than einsum at dim <= 3
-        mz = mats[..., 0] * z[..., None, 0]
-        for j in range(1, self.dim):
-            mz += mats[..., j] * z[..., None, j]
-        return mz
-
-    def separable_form(self, tx: np.ndarray, my: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """z^T A(x, y) z from tx = ``point_terms(M(x), z)`` and M(y), without
-        forming A: z^T M(x) z + z^T M(y) z for the sum, and for the
-        product, whose M are symmetric,
-        z^T (M(x) M(y) + M(y) M(x)) z = 2 (M(x) z)^T M(y) z.
-        Leading axes broadcast, so tx can be computed once per x and
-        reused for many y.
-        """
-        if self.variant == "separable_sum":
-            return tx + np.einsum("...i,...ij,...j->...", z, my, z)
-        return 2.0 * np.einsum("...i,...ij,...j->...", tx, my, z)
 
     def quadratic_form(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """(x - y)^T A(x, y) (x - y) for paired rows; shape (m,)."""
@@ -197,8 +205,8 @@ class AnisotropyField:
         z = x - y
         if self.variant == "constant":
             return np.einsum("mi,ij,mj->m", z, self.matrix, z)
-        return self.separable_form(self.point_terms(self.single_point_matrices(x), z),
-                                   self.single_point_matrices(y), z)
+        p, q = self.split(z, self.node_terms(x)[1])
+        return p + q * self.node_terms(y)[1]
 
 
 @dataclass(frozen=True)
@@ -262,9 +270,11 @@ def spec_from_config(cfg: dict) -> KernelSpec:
 
     Expected keys: ``variant`` (one of constant / separable_sum /
     separable_product), ``matrix`` (nested lists; for separable variants
-    it is the base matrix of a built-in smooth perturbation field),
-    ``s``, and optional ``gamma`` / ``Gamma`` / ``normalized``, and for
-    the separable variants ``amplitude``, the size of the perturbation.
+    it is the base B of M(y) = B + a sin(y_1 + ... + y_N) I, the profile
+    f = a sin along the wave vector k = (1, ..., 1)), ``s``, optional
+    ``gamma`` / ``Gamma`` / ``normalized``, and for the separable variants
+    ``amplitude`` a, which must lie below the least eigenvalue of B in
+    size (else ConfigError at ``kernel.amplitude``).
     """
     variant = cfg.get("variant", "constant")
     matrix = np.asarray(cfg["matrix"], dtype=float)
@@ -277,31 +287,17 @@ def spec_from_config(cfg: dict) -> KernelSpec:
         upper = float(cfg.get("Gamma", eigs[-1]))
     else:
         amp = float(cfg.get("amplitude", 0.1))
-        base = _as_spd(matrix, dim)
-
-        def matrix_fn(points: np.ndarray, _base=base, _amp=amp) -> np.ndarray:
-            pts = np.atleast_2d(points)
-            # sum(axis=1) adds the same terms in the same order, but a
-            # reduction over short rows costs ten times this loop
-            phase = pts[:, 0].copy()
-            for a in range(1, dim):
-                phase += pts[:, a]
-            out = np.empty((len(pts), dim, dim))
-            out[...] = _base
-            # the diagonals of all the matrices, a strided view of out
-            out.reshape(len(pts), dim * dim)[:, :: dim + 1] += (_amp * np.sin(phase))[:, None]
-            return out
-
-        eigs = np.linalg.eigvalsh(base)
-        if variant == "separable_sum":
-            default_lo, default_hi = 2 * (eigs[0] - amp), 2 * (eigs[-1] + amp)
-        else:
-            default_lo, default_hi = 2 * (eigs[0] - amp) ** 2, 2 * (eigs[-1] + amp) ** 2
-        lower = float(cfg.get("gamma", default_lo))
-        upper = float(cfg.get("Gamma", default_hi))
-        if variant == "separable_sum":
-            fld = AnisotropyField.separable_sum(matrix_fn, dim)
-        else:
-            fld = AnisotropyField.separable_product(matrix_fn, dim)
+        eigs = np.linalg.eigvalsh(_as_spd(matrix, dim))
+        if abs(amp) >= eigs[0]:
+            raise ConfigError(f"|amplitude| {abs(amp)} leaves M(y) indefinite: the least "
+                              f"eigenvalue of the matrix is {eigs[0]:.6g}",
+                              field_path="kernel.amplitude")
+        fld = AnisotropyField(variant, matrix, wave=np.ones(dim),
+                              profile=lambda t, _amp=amp: _amp * np.sin(t))
+        lo, hi = eigs[0] - abs(amp), eigs[-1] + abs(amp)
+        if variant == "separable_product":
+            lo, hi = lo ** 2, hi ** 2
+        lower = float(cfg.get("gamma", 2 * lo))
+        upper = float(cfg.get("Gamma", 2 * hi))
     bounds = EllipticityBounds(lower=lower, upper=upper, s=s, dim=dim)
     return KernelSpec(field=fld, bounds=bounds, normalized=bool(cfg.get("normalized", False)))

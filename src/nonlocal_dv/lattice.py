@@ -46,11 +46,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, EllipticityError
 from .kernels import KernelSpec
 from .operators import (_KERNEL_CHUNK_BYTES, QuadratureScheme, SmoothFunction,
-                        _chunk_rows, _directions, _gauss_rule, _ray_kernel,
-                        _ray_terms, far_field)
+                        _chunk_rows, _directions, _gauss_rule, _ray_constants,
+                        _ray_kernel, far_field)
 
 __all__ = [
     "LatticeDomain",
@@ -214,37 +214,38 @@ def _pair_peak_bytes(spec: KernelSpec, n_total: int) -> int:
     ``assemble``.
 
     Counted in n_total^2 float64 arrays held at once: g and q for a
-    constant field; the differences (dim arrays), e and e + e^T for a
-    separable sum; the differences, M(x) d and the products of the
-    einsum (dim arrays each) for a separable product.  Past the pair
-    forms, ``assemble`` holds W, the interior matrix and temporaries of
-    at most ``_KERNEL_CHUNK_BYTES``: n_total^2 + n_int^2 <= 2 n_total^2
-    doubles, which this count already covers.
+    constant field; q, g and the Gram form of C1 (or C2), then q, that
+    form and its weight b_i + b_j (or b_i b_j) for a separable field.
+    Past the pair forms, ``assemble`` holds W, the interior matrix and
+    temporaries of at most ``_KERNEL_CHUNK_BYTES``: n_total^2 + n_int^2
+    <= 2 n_total^2 doubles, which this count already covers.
     """
-    variant = spec.field.variant
-    arrays = (2 if variant == "constant" else
-              spec.dim + 2 if variant == "separable_sum" else 3 * spec.dim)
+    arrays = 2 if spec.field.variant == "constant" else 3
     return arrays * 8 * n_total ** 2
 
 
+def _gram_form(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(x_i - x_j)^T C (x_i - x_j) for all node pairs, from the Gram
+    matrix g = X C X^T: g_ii + g_jj - g_ij - g_ji."""
+    g = pts @ c @ pts.T
+    r = np.diag(g)
+    q = np.add.outer(r, r)
+    q -= g
+    q -= g.T
+    return q
+
+
 def _pair_quadratic_forms(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
-    """q_ij = (x_i - x_j)^T A(x_i, x_j) (x_i - x_j) for all node pairs."""
-    if spec.field.variant == "constant":
-        A = spec.field.matrix
-        g = pts @ A @ pts.T
-        r = np.diag(g)
-        q = np.add.outer(r, r)
-        q -= g
-        q -= g.T
-        return q
+    """q_ij = (x_i - x_j)^T A(x_i, x_j) (x_i - x_j) for all node pairs: the
+    Gram forms of C0, C1 and C2 weighted by 1, b_i + b_j and b_i b_j."""
     fld = spec.field
-    mats = fld.single_point_matrices(pts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    if fld.variant == "separable_sum":
-        # q = e + e^T with e_ij = d_ij^T M_i d_ij, since d_ji = -d_ij
-        e = fld.point_terms(mats[:, None], diff)
-        return e + e.T
-    return fld.separable_form(fld.point_terms(mats[:, None], diff), mats[None], diff)
+    q = _gram_form(pts, fld.coefficients[0])
+    if fld.variant == "constant":
+        return q
+    b = fld.node_terms(pts)[1]
+    for c, outer in zip(fld.coefficients[1:], (np.add.outer, np.multiply.outer)):
+        q += _gram_form(pts, c) * outer(b, b)  # the product reuses a temporary
+    return q
 
 
 def _self_cell_moments(spec: KernelSpec, pts: np.ndarray,
@@ -270,13 +271,12 @@ def _self_cell_moments(spec: KernelSpec, pts: np.ndarray,
     # chunk of nodes at a time
     rho = t[:, None] * rho_max[None, :]  # (nr, nd)
     wrad = (0.5 * rho_max) ** (2.0 - 2.0 * s)
-    tx = _ray_terms(spec, pts, dirs)
+    rays = _ray_constants(spec, pts, dirs)
     out = np.empty((len(pts), spec.dim))
     rows = _chunk_rows(spec, rho.size)
     for lo in range(0, len(pts), rows):
         sl = slice(lo, lo + rows)
-        y = pts[sl, None, None, :] + rho[..., None] * dirs
-        g = _ray_kernel(spec, tx[sl], y, rho, dirs) * rho ** (spec.dim + 2.0 * s)
+        g = _ray_kernel(spec, rays, sl, rho) * rho ** (spec.dim + 2.0 * s)
         radial = wrad * np.einsum("r,ird->id", gj_w, g)  # smooth part rho^(N+2s) K
         out[sl] = 0.5 * np.einsum("d,id,da->ia", aw, radial, dirs**2)
     return out
@@ -360,6 +360,8 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     # W = prefactor q^(-exponent) vol, formed in place on the pair forms q
     W = _pair_quadratic_forms(spec, pts)
     np.fill_diagonal(W, 1.0)
+    if not W.min() > 0.0:
+        raise EllipticityError("a pair form is not positive: the field is not elliptic here")
     W **= -spec.bounds.exponent
     W *= spec.prefactor
     W *= vol

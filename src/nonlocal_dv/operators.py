@@ -29,10 +29,10 @@ The rules of m points are built in one pass and equal, bit for bit, the
 rules of the points taken one by one: the radii and panel edges are set
 point by point, the kernel values at all nodes come from chunks of at
 most ``_KERNEL_CHUNK_BYTES`` of temporaries, and the m tail masses from
-one ``far_field`` call.  For a separable field every kernel value is
-formed from the one-point matrices (``AnisotropyField.point_terms`` and
-``separable_form``), with M(x) evaluated once per point or node and
-M(y) once per sample.
+one ``far_field`` call.  For a separable field a kernel value is
+P + Q b(y) (``AnisotropyField.split``) with b(x) evaluated once per
+point or node; along a ray P and Q are fixed per node and direction
+(``_ray_constants``), and a sample is one profile call at k . y.
 """
 
 from __future__ import annotations
@@ -148,19 +148,17 @@ def tanh_drift(dim: int, amplitude: float = 0.3,
     (``far_field``) stop their rays at |x| + 40 and close the rest with
     this far value.  Where K(x, x + z) = K(x, x - z), as for constant
     fields, the closure is exact up to the rays nearly parallel to the
-    plateaus: against rays run to the stop rule it moves the drift far
-    field of a 2D box lattice (s = 1/2, 24 directions) by about 1e-11 of
-    its maximum.  For separable fields the two antipodal kernel values
-    differ and the closure is approximate, but its error is small next
-    to that of the default scheme.  On a 16-cell box lattice with a
-    ``separable_sum`` field of amplitude 0.1, the closure moves the
-    drift far field S by about 3e-6 of max|S|, while the default scheme
-    leaves S about 8e-5 of max|S| from converged values.  That error
-    comes from the panels: 16 radial nodes do not resolve the
-    oscillation of M(y) along far rays (6e-5 at tolerance 1e-10, 9e-6 at
-    32 nodes), and the tail tolerance 1e-6 stops the panels early (3e-5
-    at 128 nodes).
-    ``tests/test_far_field.py`` measures these numbers.
+    plateaus (about 1e-11 of the maximum drift far field of a 2D box
+    lattice, s = 1/2, 24 directions).  For separable fields the antipodal
+    kernel values differ: on a 16-cell box lattice with a
+    ``separable_sum`` field of amplitude 0.1 the closure moves the drift
+    far field S by about 3e-6 of max|S|, while the default scheme leaves
+    S about 8e-5 of max|S| from converged values.  That error comes from
+    the panels: 16 radial nodes do not resolve the oscillation of the
+    ridge b(y) = 0.1 sin(y_1 + y_2) along far rays (6e-5 at tolerance
+    1e-10, 9e-6 at 32 nodes), and the tail tolerance 1e-6 stops the
+    panels early (3e-5 at 128 nodes).  ``tests/test_far_field.py``
+    measures these numbers.
     """
 
     def fn(pts: np.ndarray) -> np.ndarray:
@@ -330,67 +328,68 @@ def _panel_edges(r0: float, r1: float, ratio: float, breaks: Sequence[float]) ->
 
 # Bytes of temporaries one kernel chunk may hold; ``_chunk_rows`` divides
 # it by the peak cost of a kernel sample.  Under tracemalloc, with one
-# chunk per call, a sample of ``far_field`` (the kernel mass or the tanh
-# drift, live and per-node arrays included) peaks at 11.5, 14.7 and 20.7
-# doubles in dims 1-3 for the separable fields of ``spec_from_config``
-# and at 8.4, 10.6 and 13.6 for a constant field; a row of
-# ``_kernel_at_offsets`` at 6.0, 11.7 and 19.2 and a sample of the
-# lattice's self-cell moments at 5.1, 8.3 and 14.4.  dim^2 + dim + 10
-# doubles bounds them all.  ``lattice.assemble`` adds its drift block in
-# row chunks of the same budget.
+# chunk per call, a sample of ``far_field`` (live and per-node arrays
+# included) peaks in dims 1-3 at 9.0, 8.6 and 8.6 doubles for the kernel
+# mass of the separable fields of ``spec_from_config``, and for the tanh
+# drift, which forms the points y, at 10.0, 10.7 and 13.6 for them and at
+# 8.7, 9.6 and 12.5 for a constant field; a row of ``_kernel_at_offsets``
+# at 9.0, 9.2 and 12.0 and a sample of the lattice's self-cell moments at
+# 3.2, 3.1 and 3.1.  dim + 11 doubles bounds them all.
+# ``lattice.assemble`` adds its drift block in row chunks of the same
+# budget.
 _KERNEL_CHUNK_BYTES = 1 << 22
 
 
 def _chunk_rows(spec: KernelSpec, samples_per_row: int) -> int:
     """Rows of ``samples_per_row`` kernel samples that fit in one chunk."""
-    doubles = spec.dim * spec.dim + spec.dim + 10
-    return max(1, _KERNEL_CHUNK_BYTES // (8 * doubles * samples_per_row))
+    return max(1, _KERNEL_CHUNK_BYTES // (8 * (spec.dim + 11) * samples_per_row))
 
 
 def _kernel_at_offsets(spec: KernelSpec, pts: np.ndarray, offsets: np.ndarray,
                        ends: np.ndarray) -> np.ndarray:
     """K(x_i, x_i + z) for the offsets z; rows ends[i-1]:ends[i] belong to
-    x_i = pts[i].  M(x_i) is evaluated once per point.  Each row is
-    computed alone, so the chunking does not change a value."""
+    x_i = pts[i].  b(x_i) and k . x_i are evaluated once per point, and
+    per row the forms of z and b(x_i + z) = f(k . x_i + k . z).  Each row
+    is computed alone, so the chunking does not change a value."""
     fld = spec.field
     constant = fld.variant == "constant"
-    mx = None if constant else fld.single_point_matrices(pts)
+    kx, bx = (None, None) if constant else fld.node_terms(pts)
     step = _chunk_rows(spec, 1)
     out = np.empty(len(offsets))
     for lo in range(0, len(offsets), step):
         hi = min(lo + step, len(offsets))
         own = np.searchsorted(ends, np.arange(lo, hi), side="right")
-        xs, z = pts[own], offsets[lo:hi]
+        z = offsets[lo:hi]
         if constant:
+            xs = pts[own]
             q = fld.quadratic_form(xs + z, xs)
         else:
-            q = fld.separable_form(fld.point_terms(mx[own], z),
-                                   fld.single_point_matrices(xs + z), z)
+            p, q = fld.split(z, bx[own])
+            q = p + q * fld.ridge(kx[own] + z @ fld.wave)
         out[lo:hi] = spec.prefactor * q ** (-spec.bounds.exponent)
     return out
 
 
-def _ray_terms(spec: KernelSpec, pts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """``point_terms`` of M(x_i) and each direction theta_d, the share of
-    every ray's quadratic form that needs only x_i; shape (node,
-    direction) or (node, direction, dim)."""
+def _ray_constants(spec: KernelSpec, pts: np.ndarray,
+                   dirs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(P, Q, k . x_i, k . theta_d) of a separable field: along the ray
+    y = x_i + rho theta_d the form is rho^2 (P + Q f(k . x_i + rho k . theta_d)),
+    with P and Q of shape (node, direction)."""
     fld = spec.field
-    return fld.point_terms(fld.single_point_matrices(pts)[:, None], dirs)
+    kx, bx = fld.node_terms(pts)
+    p, q = fld.split(dirs, bx[:, None])
+    return p, q, kx, dirs @ fld.wave
 
 
-def _ray_kernel(spec: KernelSpec, tx: np.ndarray, y: np.ndarray, rho: np.ndarray,
-                dirs: np.ndarray) -> np.ndarray:
-    """K(x_i, y) at y = x_i + rho theta_d for a separable field.
-
-    ``y`` has shape (node, radius, direction, dim) and ``rho`` broadcasts
-    to its first three axes; ``tx`` holds the ``_ray_terms`` of the nodes.
-    With z = rho theta the form is rho^2 times the form of theta, so only
-    M(y) is evaluated here.
-    """
-    fld = spec.field
-    my = fld.single_point_matrices(y.reshape(-1, spec.dim)).reshape(y.shape + (spec.dim,))
-    q = rho * rho * fld.separable_form(tx[:, None], my, dirs)
-    return spec.prefactor * q ** (-spec.bounds.exponent)
+def _ray_kernel(spec: KernelSpec, rays: tuple[np.ndarray, ...], nodes,
+                rho: np.ndarray) -> np.ndarray:
+    """K(x_i, x_i + rho theta_d) for a separable field, for the nodes
+    ``rays[k][nodes]`` of the ``_ray_constants``; ``rho`` has shape
+    (node, radius, direction), or (radius, direction) for every node.
+    One profile call, one multiply-add and one power per sample."""
+    p, q, kx, kt = rays
+    form = q[nodes, None] * spec.field.ridge(kx[nodes, None, None] + rho * kt) + p[nodes, None]
+    return spec.prefactor * (rho * rho * form) ** (-spec.bounds.exponent)
 
 
 def _ellipticity_tail(spec: KernelSpec, radius: float | np.ndarray) -> float | np.ndarray:
@@ -434,8 +433,9 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
     neither stall the test nor stop it where its rays cancel.
     For a constant field A the kernel along a ray is
     rho^(N-1) K = kdir(theta) rho^(-1-2s) with kdir(theta) = K(0, theta),
-    so no quadratic form is evaluated; for a separable field the terms
-    of M(x_i) and theta come once per node and ray (``_ray_terms``).
+    so no quadratic form is evaluated; for a separable field P and Q
+    come once per node and ray (``_ray_constants``), and a sample is one
+    profile call.  Sample points y are formed only to evaluate g.
     Each panel step takes the live nodes in chunks of at most
     ``_KERNEL_CHUNK_BYTES`` of temporaries; every node is computed alone,
     so the chunking does not change a value.
@@ -449,7 +449,7 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
         if g is None:
             return np.einsum("d,d,id->i", aw, kdir, start ** (-2.0 * s)) / (2.0 * s)
     else:
-        tx = _ray_terms(spec, pts, dirs)
+        rays = _ray_constants(spec, pts, dirs)
     end = np.full(len(pts), np.inf)
     split = np.full(np.shape(start), -np.inf)
     if g is not None and g.support_radius is not None:
@@ -473,12 +473,12 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
         half = 0.5 * (hi - lo)[:, None, :]
         rho = mid + half * gl_x[None, :, None]  # (node, radius, direction)
         wr = half * gl_w[None, :, None]
-        y = pts[idx, None, None, :] + rho[..., None] * dirs
         if constant:  # kv is rho^(N-1) K here
             wf, kv = wr, kdir * rho ** (-1.0 - 2.0 * s)
         else:
-            wf, kv = wr * rho ** (spec.dim - 1), _ray_kernel(spec, tx[idx], y, rho, dirs)
+            wf, kv = wr * rho ** (spec.dim - 1), _ray_kernel(spec, rays, idx, rho)
         if g is not None:
+            y = pts[idx, None, None, :] + rho[..., None] * dirs
             wf = wf * (g(y.reshape(-1, spec.dim)).reshape(rho.shape) - g.far_value)
         panel = np.einsum("ird,d,ird->i", wf, aw, kv)
         # a signed g can cancel between rays, and a panel sum near 0 then

@@ -34,7 +34,7 @@ PACKAGE = ROOT / "src" / "nonlocal_dv"
 # reached only from tests, and kept for the reason above each entry
 ALLOWED = {
     # explicit A(x, y) = M(x) + M(y) or M(x) M(y) + M(y) M(x): the
-    # reference that point_terms and separable_form are tested against
+    # reference for the one formula
     "kernels:AnisotropyField.pair_matrices",
     # the probe as one function of dim variables: the reference for the
     # factor route of fourier_energy

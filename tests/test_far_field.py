@@ -137,7 +137,7 @@ def test_far_field_chunks_change_no_bit(monkeypatch, variant):
     mass = far_field(spec, dom.points, start, quad)
     assert operators._chunk_rows(spec, samples) >= len(dom.points)
     # three nodes per chunk, so every panel step of the 100 nodes is split
-    monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", 3 * 8 * (2 * 2 + 2 + 10) * samples)
+    monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", 3 * 8 * (2 + 11) * samples)
     assert operators._chunk_rows(spec, samples) == 3
     chunked = assemble(dom, spec, drift=drift, quad=quad)
     assert np.array_equal(far_field(spec, dom.points, start, quad), mass)
@@ -170,19 +170,23 @@ def test_far_field_memory_is_bounded_in_bytes(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["separable_sum", "separable_product"])
-def test_matrix_fn_sees_each_node_once(variant):
-    # M(x) is evaluated once per node or point, not on a copy of x for
-    # every sample; no sample y lands on a node here
+def test_profile_sees_each_node_once_and_only_phases(variant):
+    # b(x) = f(k . x) is evaluated once per node or point, not on a copy
+    # of x for every sample, and the profile only ever receives 1-D arrays
+    # of phases: no sample forms an (m, dim, dim) stack.  No sample phase
+    # k . y lands on a node phase here
     spec = spec_from_config({"variant": variant, "matrix": _MATRICES[2], "s": 0.5})
     seen = []
 
-    def recording(p):
-        seen.append(np.array(p, ndmin=2))
-        return spec.field.matrix_fn(p)
+    def recording(t):
+        seen.append(np.array(t))
+        return spec.field.profile(t)
 
-    field = AnisotropyField(variant, 2, matrix_fn=recording)
+    field = AnisotropyField(variant, spec.field.matrix, wave=spec.field.wave,
+                            profile=recording)
     counted = KernelSpec(field, spec.bounds)
     pts = np.array([[0.1, -0.2], [0.7, 0.4], [-0.5, 0.9]])
+    node_phases = pts @ field.wave
     quad = QuadratureScheme(angular_count=8)
     start = np.full((len(pts), 8), 0.3)
     drift = tanh_drift(2, amplitude=0.3, slope=2.0)
@@ -195,21 +199,21 @@ def test_matrix_fn_sees_each_node_once(variant):
                   lambda: _self_cell_moments(counted, pts, quad, 0.25)):
         seen.clear()
         stage()
-        rows = np.concatenate(seen)
-        assert len(rows) > 100 * len(pts)
-        hits = [(rows == x).all(axis=1).sum() for x in pts]
-        assert hits == [1] * len(pts)
+        assert all(t.ndim == 1 for t in seen)
+        phases = np.concatenate(seen)
+        assert len(phases) > 100 * len(pts)
+        assert [(phases == k).sum() for k in node_phases] == [1] * len(pts)
 
 
 @pytest.mark.parametrize("variant", ["separable_sum", "separable_product"])
-def test_per_point_matrix_fn_through_hoisted_kernels(variant):
-    # M(x) is evaluated once per node and M(y) on arrays of samples; a
-    # per-point M that the caller loops over each batch gives the values
-    # of the batch function at both
+def test_per_point_profile_through_hoisted_kernels(variant):
+    # b(x) is evaluated once per node and b(y) on arrays of samples; a
+    # per-point profile that the caller loops over each batch gives the
+    # values of the batch profile at both
     spec = spec_from_config({"variant": variant, "matrix": _MATRICES[2], "s": 0.5})
-    fn = spec.field.matrix_fn
-    field = AnisotropyField(variant, 2, matrix_fn=lambda pts: np.array(
-        [fn(np.reshape(p, (1, 2)))[0] for p in pts]))
+    fn = spec.field.profile
+    field = AnisotropyField(variant, spec.field.matrix, wave=spec.field.wave,
+                            profile=lambda t: np.array([fn(np.array([ti]))[0] for ti in t]))
     looped = KernelSpec(field, spec.bounds)
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4])
     drift = tanh_drift(2, amplitude=0.3, slope=2.0)

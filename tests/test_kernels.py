@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nonlocal_dv import operators
 from nonlocal_dv.errors import DomainError, EllipticityError, SingularityError
 from nonlocal_dv.kernels import (
     AnisotropyField,
@@ -15,6 +16,7 @@ from nonlocal_dv.kernels import (
     normalization_constant,
     spec_from_config,
 )
+from nonlocal_dv.lattice import LatticeDomain, _pair_quadratic_forms
 
 
 def test_normalization_half_in_1d_is_inverse_pi():
@@ -51,18 +53,11 @@ def test_kernel_scaling_constant_field():
 @pytest.mark.parametrize("variant", ["constant", "sum", "product"])
 def test_swap_symmetry(variant):
     rng = np.random.default_rng(7)
-    if variant == "constant":
-        field = AnisotropyField.constant(np.array([[2.0, 0.5], [0.5, 1.5]]))
-    else:
-        def mfn(pts):
-            out = np.tile(np.eye(2), (len(pts), 1, 1))
-            out[:, 0, 0] = 2.0 + 0.4 * np.sin(pts[:, 0])
-            out[:, 1, 1] = 1.5 + 0.3 * np.cos(pts[:, 1])
-            out[:, 0, 1] = out[:, 1, 0] = 0.2 * np.sin(pts.sum(axis=1))
-            return out
-
-        maker = AnisotropyField.separable_sum if variant == "sum" else AnisotropyField.separable_product
-        field = maker(mfn, 2)
+    base = np.array([[2.0, 0.5], [0.5, 1.5]])
+    # a ridge along an oblique wave vector whose profile is not odd
+    name = {"sum": "separable_sum", "product": "separable_product"}.get(variant, variant)
+    field = AnisotropyField(name, base, wave=np.array([1.0, -0.5]),
+                            profile=lambda t: 0.4 * np.sin(t) + 0.2 * np.cos(2.0 * t))
     spec = KernelSpec(field, EllipticityBounds(0.5, 4.0, 0.6, 2))
     for _ in range(20):
         x, y = rng.normal(size=2), rng.normal(size=2)
@@ -108,68 +103,80 @@ def test_spec_from_config_constant():
     assert got == pytest.approx(2.0 ** -1.5, rel=1e-13)
 
 
-def per_point_matrix(p):
-    # defined for one point only: a batch of points fails on the float()
-    return np.diag([2.0 + float(np.sin(p[0])), 1.5])
+def per_point_profile(t):
+    # defined for one phase only: it answers a batch with a scalar
+    return 0.3 * float(np.sin(t[0]))
 
 
-def test_matrix_fn_answer_of_wrong_shape_raises():
-    # matrix_fn is called once on the batch; a per-point function answers
-    # with a single (dim, dim) matrix, not a stack of them
-    field = AnisotropyField.separable_sum(lambda pts: per_point_matrix(pts[0]), 2)
+def _ridge_sum(profile):
+    return AnisotropyField("separable_sum", np.diag([2.0, 1.5]),
+                           wave=np.ones(2), profile=profile)
+
+
+def test_profile_answer_of_wrong_shape_raises():
+    # the profile is called once on the 1-D array of phases; a per-point
+    # profile answers with a scalar, not an array of them
+    field = _ridge_sum(per_point_profile)
     with pytest.raises(DomainError, match="shape"):
-        field.single_point_matrices(np.array([[0.1, 0.2]]))
+        field.quadratic_form(np.array([[0.1, 0.2]]), np.array([[0.5, -0.3]]))
     with pytest.raises(DomainError, match="shape"):
-        field.single_point_matrices(np.array([[0.1, 0.2], [-0.4, 0.3]]))
+        field.ridge(np.array([[0.1, 0.2], [-0.4, 0.3]]))
 
 
-def test_matrix_fn_error_on_batch_propagates():
-    # an error of matrix_fn on the batch is the user's failure and must
+def test_profile_error_on_batch_propagates():
+    # an error of the profile on the batch is the user's failure and must
     # reach the caller
-    def mfn(pts):
-        if np.ndim(pts) == 2:
+    def profile(t):
+        if np.size(t) > 1:
             raise RuntimeError("batch evaluation failed")
-        return per_point_matrix(pts)
+        return per_point_profile(t)
 
-    field = AnisotropyField.separable_sum(mfn, 2)
+    spec = KernelSpec(_ridge_sum(profile), EllipticityBounds(1.0, 5.0, 0.5, 2))
     with pytest.raises(RuntimeError, match="batch evaluation failed"):
-        field.single_point_matrices(np.array([[0.1, 0.2], [-0.4, 0.3]]))
+        kernel_eval(spec, np.array([[0.1, 0.2], [-0.4, 0.3]]),
+                    np.array([[0.5, 0.2], [0.4, 0.3]]))
+
+
+def test_separable_field_needs_wave_and_profile():
+    with pytest.raises(EllipticityError, match="profile"):
+        AnisotropyField("separable_sum", np.eye(2), wave=np.ones(2))
+    with pytest.raises(EllipticityError, match="wave"):
+        AnisotropyField("separable_product", np.eye(2), wave=np.ones(3), profile=np.sin)
 
 
 # --------------------------------------------------------------------------
-# z^T A(x, y) z from the one-point matrices M(x) and M(y)
+# one formula: z^T A(x, y) z = P + Q b(y) against A(x, y) formed explicitly
 
 _BASES = {
     1: [[1.3]],
     2: [[1.2, 0.3], [0.3, 0.8]],
     3: [[1.1, 0.2, 0.0], [0.2, 0.9, 0.1], [0.0, 0.1, 1.4]],
 }
+_WAVES = {1: [0.8], 2: [1.0, -0.6], 3: [0.7, 0.4, -1.1]}
+_PROFILES = {
+    "sin": lambda t: 0.3 * np.sin(t),
+    "exp": lambda t: 0.4 * np.exp(-t * t) - 0.1,
+}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_builtin_matrix_fn_is_base_plus_bump(dim):
+    # the built-in field of the config: M(y) = B + a sin(y_1 + ... + y_N) I
     cfg = {"variant": "separable_sum", "matrix": _BASES[dim], "s": 0.5, "amplitude": 0.3}
-    pts = np.random.default_rng(dim).uniform(-4.0, 4.0, size=(50, dim))
-    want = np.asarray(_BASES[dim]) + 0.3 * np.sin(pts.sum(axis=1))[:, None, None] * np.eye(dim)
-    assert np.array_equal(spec_from_config(cfg).field.matrix_fn(pts), want)
-
-
-def one_point_fn(field):
-    """The field's M at one point: answers in shape (dim, dim)."""
-    fn = field.matrix_fn
-    return lambda p: fn(np.reshape(p, (1, field.dim)))[0]
-
-
-def looped(field):
-    """The same field from its per-point M, which the caller loops over
-    the batch: the package calls matrix_fn once per batch."""
-    one = one_point_fn(field)
-    return AnisotropyField(field.variant, field.dim,
-                           matrix_fn=lambda pts: np.array([one(p) for p in pts]))
+    field = spec_from_config(cfg).field
+    phase = np.random.default_rng(dim).uniform(-12.0, 12.0, size=50)
+    assert np.array_equal(field.matrix, np.asarray(_BASES[dim]))
+    assert np.array_equal(field.wave, np.ones(dim))
+    assert np.array_equal(field.profile(phase), 0.3 * np.sin(phase))
 
 
 def explicit_form(field, x, y, z):
     return np.einsum("...i,...ij,...j->...", z, field.pair_matrices(x, y), z)
+
+
+def looped(profile):
+    """The profile applied phase by phase, a loop the caller writes."""
+    return lambda t: np.array([profile(t[i:i + 1])[0] for i in range(len(t))])
 
 
 @pytest.mark.parametrize("variant, per_point", [
@@ -181,35 +188,55 @@ def explicit_form(field, x, y, z):
 ])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_separable_form_matches_pair_matrices(dim, variant, per_point):
-    cfg = {"variant": variant, "matrix": _BASES[dim], "s": 0.5, "amplitude": 0.3}
-    field = spec_from_config(cfg).field
+    # the one formula A = C0 + (b(x) + b(y)) C1 + b(x) b(y) C2, as every
+    # kernel sample forms it, against A(x, y) formed from M(x) and M(y)
+    profiles = [None] if variant == "constant" else list(_PROFILES.values())
+    for profile in profiles:
+        if per_point:
+            # a per-point profile is refused; looped over by the caller it serves
+            bare = AnisotropyField(variant, _BASES[dim], wave=np.asarray(_WAVES[dim]),
+                                   profile=lambda t, f=profile: float(f(t[:1])[0]))
+            with pytest.raises(DomainError):
+                bare.quadratic_form(np.ones((2, dim)), np.zeros((2, dim)))
+            profile = looped(profile)
+        field = AnisotropyField(variant, _BASES[dim], wave=np.asarray(_WAVES[dim]),
+                                profile=profile)
+        _check_one_formula(KernelSpec(field, EllipticityBounds(0.1, 10.0, 0.4, dim)))
+
+
+def _check_one_formula(spec):
+    field, dim, p = spec.field, spec.dim, spec.bounds.exponent
     rng = np.random.default_rng(dim)
-    if per_point:
-        # the bare per-point M is refused; looped over by the caller it serves
-        bare = AnisotropyField(field.variant, dim, matrix_fn=one_point_fn(field))
-        with pytest.raises(DomainError):
-            bare.quadratic_form(rng.normal(size=(1, dim)), rng.normal(size=(1, dim)))
-        field = looped(field)
+    # kernel_eval, through quadratic_form
     x, y = rng.uniform(-2.0, 2.0, size=(2, 30, dim))
-    np.testing.assert_allclose(field.quadratic_form(x, y), explicit_form(field, x, y, x - y),
+    np.testing.assert_allclose(kernel_eval(spec, x, y),
+                               explicit_form(field, x, y, x - y) ** -p, rtol=1e-14, atol=0.0)
+    # the rows of _kernel_at_offsets: K(x_i, x_i + z) for the offsets of
+    # x_i, on dyadic points where x_i + z - x_i is z exactly
+    pts = np.round(8.0 * x[:4]) / 8.0
+    offsets = rng.choice([-1.0, 1.0], size=(37, dim)) * rng.integers(1, 160, size=(37, dim)) / 64.0
+    ends = np.array([5, 5, 20, 37])
+    own = np.searchsorted(ends, np.arange(37), side="right")
+    want = explicit_form(field, pts[own], pts[own] + offsets, offsets) ** -p
+    np.testing.assert_allclose(operators._kernel_at_offsets(spec, pts, offsets, ends),
+                               want, rtol=1e-14, atol=0.0)
+    # the lattice pair forms, from the Gram forms of C0, C1 and C2; the
+    # lattice lies near the origin, where their cancellation costs little
+    grid = LatticeDomain.box([-1.0] * dim, [1.0] * dim, [4] * dim).points
+    i, j = np.nonzero(~np.eye(len(grid), dtype=bool))
+    want = explicit_form(field, grid[i], grid[j], grid[i] - grid[j])
+    np.testing.assert_allclose(_pair_quadratic_forms(spec, grid)[i, j], want,
                                rtol=1e-14, atol=0.0)
-    if variant == "constant":
+    if field.variant == "constant":
         return
-    # any z, not only x - y
-    z = rng.normal(size=(30, dim))
-    mx, my = field.single_point_matrices(x), field.single_point_matrices(y)
-    np.testing.assert_allclose(field.separable_form(field.point_terms(mx, z), my, z),
-                               explicit_form(field, x, y, z), rtol=1e-14, atol=0.0)
-    # hoisted as along rays: the terms of x_i and theta_d, computed once,
-    # serve y = x_i + rho theta_d at every radius, and z = rho theta_d
-    # scales the form by rho^2
-    xs, dirs = x[:3], rng.normal(size=(4, dim))
-    rho = rng.uniform(0.1, 5.0, size=(3, 5, 4))
-    ys = xs[:, None, None, :] + rho[..., None] * dirs
-    tx = field.point_terms(field.single_point_matrices(xs)[:, None], dirs)
-    mys = field.single_point_matrices(ys.reshape(-1, dim)).reshape(ys.shape + (dim,))
-    got = rho * rho * field.separable_form(tx[:, None], mys, dirs)
-    xb = np.broadcast_to(xs[:, None, None, :], ys.shape).reshape(-1, dim)
-    zb = (rho[..., None] * dirs).reshape(-1, dim)
-    np.testing.assert_allclose(got.reshape(-1), explicit_form(field, xb, ys.reshape(-1, dim), zb),
-                               rtol=1e-14, atol=0.0)
+    # the ray samples: K(x_i, x_i + rho theta_d) from per-ray constants
+    dirs = rng.normal(size=(5, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rho = rng.uniform(0.1, 50.0, size=(4, 6, 5))
+    rays = operators._ray_constants(spec, pts, dirs)
+    got = operators._ray_kernel(spec, rays, slice(None), rho)
+    z = rho[..., None] * dirs
+    xb = np.broadcast_to(pts[:, None, None, :], z.shape)
+    want = explicit_form(field, xb.reshape(-1, dim), (xb + z).reshape(-1, dim),
+                         z.reshape(-1, dim)) ** -p
+    np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-14, atol=0.0)

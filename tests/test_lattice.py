@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nonlocal_dv import lattice
-from nonlocal_dv.errors import CapacityError, DomainError
+from nonlocal_dv.errors import CapacityError, DomainError, EllipticityError
 from nonlocal_dv.kernels import (
     AnisotropyField,
     EllipticityBounds,
@@ -190,6 +190,19 @@ def test_capacity_and_domain_errors():
     spec = fractional_kernel(2, 0.5)
     with pytest.raises(DomainError):
         assemble(LatticeDomain.interval(-1.0, 1.0, 10), spec)
+
+
+def test_non_positive_pair_form_raises_ellipticity_error():
+    # M(y) = diag(0.6, 1) + 0.7 sin(y_1 + y_2) I is indefinite in the lower
+    # corner of the box, so some pair forms of the product are negative:
+    # a typed failure, not NaN weights
+    field = AnisotropyField("separable_product", np.diag([0.6, 1.0]),
+                            wave=np.ones(2), profile=lambda t: 0.7 * np.sin(t))
+    spec = KernelSpec(field, EllipticityBounds(0.05, 9.0, 0.5, 2))
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [8, 8])
+    assert _pair_quadratic_forms(spec, dom.points).min() < 0.0
+    with pytest.raises(EllipticityError, match="pair form"):
+        assemble(dom, spec)
 
 
 @pytest.mark.parametrize("variant", ["constant", "separable_sum",

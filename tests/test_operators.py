@@ -258,7 +258,7 @@ def test_batch_across_kernel_chunks(monkeypatch, variant):
     want = [build_rule(spec, x, quad, fns=(u, h)) for x in pts]
     # 1000 rows per chunk: chunk edges fall inside points, and one point
     # spans several chunks
-    monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", 1000 * 8 * (2 * 2 + 2 + 10))
+    monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", 1000 * 8 * (2 + 11))
     assert operators._chunk_rows(spec, 1) == 1000
     got = build_rule(spec, pts, quad, fns=(u, h))
     assert min(len(r.weights) for r in got) > 2000

@@ -132,8 +132,9 @@ def test_diffusion_limit_smooth_drift_rate(density):
 
 def test_diffusion_limit_separable_product_freezes(density):
     s = 0.5
-    mfun = lambda pts: (1.0 + 0.4 * np.exp(-pts[:, 0] ** 2))[:, None, None]
-    field = AnisotropyField.separable_product(mfun, 1)
+    # M(y) = 1 + 0.4 exp(-y^2): base 1, wave vector 1, profile 0.4 exp(-t^2)
+    field = AnisotropyField("separable_product", [[1.0]], wave=np.ones(1),
+                            profile=lambda t: 0.4 * np.exp(-t ** 2))
     spec = KernelSpec(field, EllipticityBounds(0.5, 5.0, s, 1), normalized=True)
     x0 = np.array([0.3])
     res = diffusion_limit(spec, density, x0)
