@@ -39,9 +39,10 @@ where the limit is not defined; an error while computing it exits with
 status 3.
 
 Environment: ``NONLOCAL_DV_LOG`` selects the log level (DEBUG .. ERROR).
-``--threads`` sets the thread count of the OpenBLAS pools that numpy and
-scipy load, through their runtime setters, and exits with status 2 when
-neither can be found; the orchestration itself is single-threaded.
+``--threads`` sets the thread count of numpy's OpenBLAS pool, the only
+BLAS the package calls, through its runtime setter, and exits with
+status 2 when the setter cannot be found; the orchestration itself is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import csv
 import ctypes
 import dataclasses
 import hashlib
-import importlib
 import importlib.metadata
 import json
 import logging
@@ -756,12 +756,20 @@ def _run(args: argparse.Namespace) -> int:
         raise ConfigError("seed must be nonnegative", field_path="--seed")
     out_dir = Path(args.output_dir)
     json_path, csv_path = _output_paths(cfg, command, out_dir)
+    # made before the run, so that an unwritable path fails early, and
+    # removed again, innermost first, if the handler raises
+    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}",
                           field_path="--output-dir") from exc
-    code, results, sources, write_csv = _HANDLERS[command](cfg, seed)
+    try:
+        code, results, sources, write_csv = _HANDLERS[command](cfg, seed)
+    except BaseException:
+        for path in created:  # the handler writes no file
+            path.rmdir()
+        raise
     _write_summary(json_path, command, seed, results, sources,
                    _config_digest(cfg))
     write_csv(csv_path)
@@ -769,25 +777,22 @@ def _run(args: argparse.Namespace) -> int:
     return code
 
 
-# numpy and scipy each bundle an OpenBLAS build with its own pool; both are
-# loaded by now, so only their runtime setters change the pool sizes
-_OPENBLAS_SETTERS = (("numpy", "scipy_openblas_set_num_threads64_"),
-                     ("scipy", "scipy_openblas_set_num_threads"))
+# numpy's bundled OpenBLAS is loaded by now, so only its runtime setter
+# changes the pool size
+_OPENBLAS_SETTER = "scipy_openblas_set_num_threads64_"
 
 
 def _set_blas_threads(count: int) -> int:
-    """Set every bundled OpenBLAS pool to ``count`` threads; return how
-    many pools were set."""
+    """Set numpy's bundled OpenBLAS pool to ``count`` threads; return how
+    many libraries had the setter."""
     found = 0
-    for package, symbol in _OPENBLAS_SETTERS:
-        pkg = importlib.import_module(package)
-        libdir = Path(pkg.__file__).parent.parent / f"{package}.libs"
-        for lib in sorted(libdir.glob("libscipy_openblas*.so")):
-            setter = getattr(ctypes.CDLL(str(lib)), symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter(count)
-                found += 1
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("libscipy_openblas*.so")):
+        setter = getattr(ctypes.CDLL(str(lib)), _OPENBLAS_SETTER, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter(count)
+            found += 1
     return found
 
 
@@ -804,7 +809,7 @@ def main(argv=None) -> int:
             return 2
         if not _set_blas_threads(args.threads):
             print("--threads: found no OpenBLAS thread setter in the numpy "
-                  "or scipy libraries", file=sys.stderr)
+                  "libraries", file=sys.stderr)
             return 2
     try:
         return _run(args)

@@ -226,8 +226,11 @@ def _pair_peak_bytes(spec: KernelSpec, n_total: int) -> int:
 
 def _gram_form(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
     """(x_i - x_j)^T C (x_i - x_j) for all node pairs, from the Gram
-    matrix g = X C X^T: g_ii + g_jj - g_ij - g_ji."""
-    g = pts @ c @ pts.T
+    matrix g = X C X^T of the nodes centred at their mean: g_ii + g_jj -
+    g_ij - g_ji.  The form is translation invariant, and centring keeps
+    its rounding error independent of where the box lies."""
+    centred = pts - pts.mean(axis=0)
+    g = centred @ c @ centred.T
     r = np.diag(g)
     q = np.add.outer(r, r)
     q -= g

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DomainError
 from .lattice import (
@@ -151,12 +150,14 @@ def _newton(fun, w: np.ndarray, pin: int, tol: float, max_steps: int,
     for steps in range(max_steps + 1):
         g = grad[free]
         try:
-            factor = scipy.linalg.cho_factor(hess[np.ix_(free, free)])
+            chol = np.linalg.cholesky(hess[np.ix_(free, free)])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 "%s: pinned Hessian not positive definite after %d Newton "
                 "steps" % (what, steps)) from exc
-        direction = -scipy.linalg.cho_solve(factor, g)
+        # numpy has no triangular solve: two general solves apply the
+        # factor, in the O(n^3) of the factorization itself
+        direction = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
         lam2 = max(0.0, -float(g @ direction))  # 0.0, never -0.0
         if 0.5 * lam2 <= tol * max(1.0, abs(value)):
             return w, value, steps, float(np.sqrt(lam2))

@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from nonlocal_dv import barriers, cli, lattice, operators, rate
 from nonlocal_dv.cli import main
@@ -121,32 +120,51 @@ def test_eigen_reference_and_positivity(tmp_path):
     assert (out / "eigen_data.json").exists()
 
 
-def test_eigen_without_dense_check_is_certified_by_bracket(tmp_path,
-                                                          monkeypatch):
+def _count_dense_calls(monkeypatch):
+    """Record each call of the dense numpy eigenvalue solvers."""
     calls = []
-    real = scipy.linalg.eig
+    for name in ("eig", "eigvals"):
+        def counting(*args, _real=getattr(np.linalg, name), _name=name,
+                     **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eig", counting)
+def _bracketed_eigen(tmp_path, dense_check: bool) -> dict:
+    """Run ``eigen`` on an operator with a bracket; return its results."""
     cfg = write_config(tmp_path, "cfg.json", {
         "kernel": {"variant": "constant", "matrix": [[1.2, 0.3], [0.3, 0.8]],
                    "s": 0.5},
         "domain": {"shape": "box", "lower": [-1.0, -1.0],
                    "upper": [1.0, 1.0], "cells": 8, "margin": 0.25},
         "drift": {"kind": "tanh", "amplitude": 0.4, "slope": 2.0},
-        "eigen": {"dense_check": False},
+        "eigen": {"dense_check": dense_check},
     })
     out = tmp_path / "out"
     assert main(["eigen", "--config", cfg, "--output-dir", str(out)]) == 0
-    assert calls == []
     res = read_summary(out, "eigen")["results"]
     assert res["lambda1_lower"] <= res["lambda1"] <= res["lambda1_upper"]
     gate = 10 * 1e-9 * max(1.0, abs(res["lambda1"]))
     assert res["lambda1_upper"] - res["lambda1_lower"] <= gate
+    return res
+
+
+def test_eigen_without_dense_check_is_certified_by_bracket(tmp_path,
+                                                          monkeypatch):
+    calls = _count_dense_calls(monkeypatch)
+    res = _bracketed_eigen(tmp_path, dense_check=False)
+    assert calls == []
     assert "dense_lambda1" not in res
+
+
+def test_eigen_dense_check_makes_one_dense_call(tmp_path, monkeypatch):
+    # the positive control of the test above: the counter sees the solve
+    calls = _count_dense_calls(monkeypatch)
+    res = _bracketed_eigen(tmp_path, dense_check=True)
+    assert calls == ["eigvals"]
+    assert "dense_lambda1" in res
 
 
 def test_dv_functional_closed_form_agreement(tmp_path):
@@ -395,7 +413,7 @@ def test_summary_path_equal_to_csv_exits_2(tmp_path, capsys, command, payload):
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
     assert "output.json" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, payload", [("eigen", EIGEN_1D),
@@ -410,7 +428,7 @@ def test_summary_path_equal_to_csv_sidecar_exits_2(tmp_path, capsys, command,
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
     assert "output.json" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, payload", [("eigen", EIGEN_1D),
@@ -440,10 +458,11 @@ def test_amplitude_above_base_eigenvalue_exits_2(tmp_path, capsys, variant,
         "domain": {"shape": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0],
                    "cells": 8},
     })
-    out = tmp_path / "out"
+    # the error comes after the run made the directory and its parent
+    out = tmp_path / "out" / "nested"
     assert main(["eigen", "--config", cfg, "--output-dir", str(out)]) == 2
     assert "kernel.amplitude" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.parent.exists()
 
 
 def _count_calls(monkeypatch, fn):
@@ -522,25 +541,19 @@ def test_unknown_check_id_exits_2(tmp_path, capsys):
     assert "checks" in capsys.readouterr().err
 
 
-def openblas_pools():
-    """(getter, setter) of the OpenBLAS copies bundled with numpy and scipy."""
+def openblas_pool():
+    """(getter, setter) of the OpenBLAS copy bundled with numpy."""
     import ctypes
     from pathlib import Path
 
-    import scipy
-
-    pools = []
-    for pkg, suffix in ((np, "64_"), (scipy, "")):
-        libdir = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
-        for lib in sorted(libdir.glob("libscipy_openblas*.so")):
-            handle = ctypes.CDLL(str(lib))
-            getter = getattr(handle, "scipy_openblas_get_num_threads" + suffix, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                setter = getattr(handle, "scipy_openblas_set_num_threads" + suffix)
-                setter.argtypes = [ctypes.c_int]
-                pools.append((getter, setter))
-    return pools
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    (lib,) = sorted(libdir.glob("libscipy_openblas*.so"))
+    handle = ctypes.CDLL(str(lib))
+    getter = handle.scipy_openblas_get_num_threads64_
+    getter.restype = ctypes.c_int
+    setter = handle.scipy_openblas_set_num_threads64_
+    setter.argtypes = [ctypes.c_int]
+    return getter, setter
 
 
 def test_threads_flag(tmp_path):
@@ -549,24 +562,20 @@ def test_threads_flag(tmp_path):
         "kernel": KERNEL_1D,
         "eval": {"function": {"kind": "bump"}, "points": [[0.0]]},
     })
-    pools = openblas_pools()
-    assert len(pools) == 2
-    before = [getter() for getter, _ in pools]
+    getter, setter = openblas_pool()
+    before = getter()
     try:
-        for _, setter in pools:
-            setter(2)
+        setter(2)
         assert main(["operator-eval", "--config", cfg, "--output-dir",
                      str(tmp_path / "out"), "--threads", "1"]) == 0
-        assert [getter() for getter, _ in pools] == [1, 1]
+        assert getter() == 1
     finally:
-        for (_, setter), count in zip(pools, before):
-            setter(count)
+        setter(before)
 
 
 def test_threads_flag_without_setter(monkeypatch, capsys):
-    # a BLAS without the OpenBLAS setters cannot honour the flag: refuse it
-    monkeypatch.setattr(cli, "_OPENBLAS_SETTERS",
-                        (("numpy", "no_such_setter"), ("scipy", "no_such_setter")))
+    # a BLAS without the OpenBLAS setter cannot honour the flag: refuse it
+    monkeypatch.setattr(cli, "_OPENBLAS_SETTER", "no_such_setter")
     assert main(["verify", "--threads", "1"]) == 2
     assert "OpenBLAS" in capsys.readouterr().err
 

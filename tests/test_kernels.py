@@ -240,3 +240,19 @@ def _check_one_formula(spec):
     want = explicit_form(field, xb.reshape(-1, dim), (xb + z).reshape(-1, dim),
                          z.reshape(-1, dim)) ** -p
     np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("variant", ["constant", "separable_sum"])
+def test_pair_forms_keep_their_digits_far_from_the_origin(variant):
+    # a 16-cell box of width 2 centred at (100, 100): from the Gram matrix
+    # of the raw coordinates the forms lost digits like |x|^2/h^2 (3.5e-10
+    # relative here); the dyadic nodes make the explicit differences exact
+    cfg = {"variant": variant, "matrix": _BASES[2], "s": 0.5}
+    if variant != "constant":
+        cfg["amplitude"] = 0.3
+    spec = spec_from_config(cfg)
+    grid = LatticeDomain.box([99.0, 99.0], [101.0, 101.0], [16, 16]).points
+    i, j = np.nonzero(~np.eye(len(grid), dtype=bool))
+    want = explicit_form(spec.field, grid[i], grid[j], grid[i] - grid[j])
+    np.testing.assert_allclose(_pair_quadratic_forms(spec, grid)[i, j], want,
+                               rtol=1e-13, atol=0.0)

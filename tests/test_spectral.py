@@ -154,6 +154,27 @@ def test_perron_oracle_and_bracket_contain_dense_eigenvalue(make_op):
     assert lower - 1e-12 * scale <= dense <= upper + 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 101])
+def test_shifted_solver_matches_dense_solve(n):
+    # mixed signs and no symmetry; the shift makes shift I - matrix
+    # strictly row diagonally dominant, as estimate_shift does
+    rng = np.random.default_rng(n)
+    matrix = rng.normal(size=(n, n))
+    shift = float((np.abs(matrix).sum(axis=1) + np.diag(matrix)).max()) + 0.1
+    solve = spectral._shifted_solver(matrix, shift)
+    for b in rng.normal(size=(3, n)):
+        want = np.linalg.solve(shift * np.eye(n) - matrix, b)
+        assert np.abs(solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_eigenpair_leaves_the_operator_matrix_untouched():
+    # the block solver reads its off-diagonal blocks as views of the matrix
+    op = drifted_box_op(cells=8, amp=0.4)
+    before = op.matrix.tobytes()
+    principal_eigenpair(op, tol=1e-9, max_iter=400, cross_check=True)
+    assert op.matrix.tobytes() == before
+
+
 def test_sign_pattern_failure_takes_vector_route():
     op = drifted_op(n=30, amp=0.3)
     matrix = op.matrix.copy()

@@ -51,8 +51,8 @@ def test_progress_callback_sees_results():
 def test_solvers_make_no_optimizer_or_integrate_calls(tmp_path, monkeypatch):
     # the rate problems are solved by Newton steps and the scalar minima by
     # one vectorized iteration: no scipy optimizer runs.  No integrate call
-    # can run either, since the package does not import scipy.integrate
-    # (the two import tests below)
+    # can run either, since the package does not import scipy (the two
+    # import tests below)
     calls = []
 
     def counting(name):
@@ -81,12 +81,12 @@ def test_solvers_make_no_optimizer_or_integrate_calls(tmp_path, monkeypatch):
     assert calls == []
 
 
-# quadrature, special functions and optimizers the package does without:
-# closed forms, math.gamma and fixed Gauss rules replace them
-_UNUSED_SCIPY = ("scipy.integrate", "scipy.special", "scipy.optimize")
+# the package does without scipy: closed forms, math.gamma and fixed Gauss
+# rules replace quadrature, special functions and optimizers, and numpy's
+# dense solvers its linear algebra
 
 
-def test_package_does_not_import_scipy_optimize():
+def test_package_does_not_import_scipy():
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -97,13 +97,14 @@ def test_package_does_not_import_scipy_optimize():
             else:
                 continue
             for name in names:
-                assert not name.startswith(_UNUSED_SCIPY), (path, name)
+                assert name != "scipy" and not name.startswith("scipy."), \
+                    (path, name)
 
 
-def test_cli_import_leaves_out_scipy_integrate_special_optimize():
-    # a fresh interpreter: the test session itself has imported all three
+def test_cli_import_leaves_out_scipy():
+    # a fresh interpreter: the test session itself has imported scipy
     code = ("import sys, nonlocal_dv.cli; "
-            f"print(sorted(set({_UNUSED_SCIPY!r}) & set(sys.modules)))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
