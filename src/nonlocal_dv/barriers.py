@@ -23,6 +23,7 @@ order than the leading d^(alpha - 2s) blow-up.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,7 +96,7 @@ def C_star_quadrature(N: int, s: float) -> float:
     sphere = 2.0 * math.pi ** ((N - 1) / 2.0) / math.gamma((N - 1) / 2.0)
     vals = []
     for n in _LAYER_ORDERS:
-        rho, weights, _, _ = _LAYER_RULES[2, n]  # radial weights without rho^(N-2)
+        rho, weights, _, _ = _layer_rule(2, n)  # radial weights without rho^(N-2)
         vals.append(sphere * float(weights @ (rho ** (N - 2) * (1.0 + rho * rho) ** -p)))
     val = vals[-1]
     err = abs(vals[-1] - vals[0])
@@ -146,6 +147,7 @@ def _validate_layer_matrix(matrix) -> np.ndarray:
     return A
 
 
+@functools.cache
 def _layer_rule(N: int, n: int):
     """n-point tensor rule for the transverse integral over R^(N-1).
 
@@ -155,7 +157,8 @@ def _layer_rule(N: int, n: int):
     psi = pi/4 (1 + m(x)) and Gauss-Legendre nodes x on (-1, 1), where
     m'(x) = 35/16 (1 - x^2)^3.  The integrand behaves like cos(psi)^(2s)
     at psi = pi/2, which caps plain Gauss-Legendre in psi at algebraic
-    order; under m it vanishes to order 3 + 8s in x instead.
+    order; under m it vanishes to order 3 + 8s in x instead.  Built on
+    first use and shared by all callers, so the arrays are read-only.
     """
     x, w = _gauss_rule(n)
     m = (35.0 * x - 35.0 * x**3 + 21.0 * x**5 - 5.0 * x**7) / 16.0
@@ -164,15 +167,18 @@ def _layer_rule(N: int, n: int):
     weights = (w * (35.0 / 16.0) * (1.0 - x * x) ** 3 * 0.25 * np.pi
                / np.cos(psi) ** 2 * rho ** (N - 2))
     if N == 2:
-        return rho, weights, np.array([[-1.0], [1.0]]), np.ones(2)
-    phi = 2.0 * np.pi * np.arange(n) / n
-    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    return rho, weights, dirs, np.full(n, 2.0 * np.pi / n)
+        dirs, dir_weights = np.array([[-1.0], [1.0]]), np.ones(2)
+    else:
+        phi = 2.0 * np.pi * np.arange(n) / n
+        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        dir_weights = np.full(n, 2.0 * np.pi / n)
+    for a in (rho, weights, dirs, dir_weights):
+        a.setflags(write=False)
+    return rho, weights, dirs, dir_weights
 
 
 # the two orders whose difference is the error estimate of J_quadrature
 _LAYER_ORDERS = (64, 128)
-_LAYER_RULES = {(N, n): _layer_rule(N, n) for N in (2, 3) for n in _LAYER_ORDERS}
 
 
 def J_quadrature(A, y1: float, s: float) -> float:
@@ -199,7 +205,7 @@ def J_quadrature(A, y1: float, s: float) -> float:
     c0 = A[0, 0] * y1 * y1
     vals = []
     for n in _LAYER_ORDERS:
-        rho, weights, dirs, dir_weights = _LAYER_RULES[N, n]
+        rho, weights, dirs, dir_weights = _layer_rule(N, n)
         # q(rho e) = c0 + rho lin(e) + rho^2 quad(e)
         lin = 2.0 * y1 * (dirs @ A[0, 1:])
         quad_e = np.einsum("ki,ij,kj->k", dirs, A[1:, 1:], dirs)

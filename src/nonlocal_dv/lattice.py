@@ -22,6 +22,11 @@ integration-by-parts identity
 
 exactly, which downstream modules rely on.
 
+Every lattice is a full C-ordered box grid of spacing h (``ball`` only
+changes the mask), so a pair form depends on the integer offset k_i - k_j
+and on the node terms of a separable field alone: the forms are evaluated
+once per offset and gathered into W in row chunks (``_pair_quadratic_forms``).
+
 Every bilinear pair form goes through ``pair_rows``.  For any weight
 matrix W with row sums r = W 1, expanding the products gives
 
@@ -63,8 +68,8 @@ __all__ = [
     "estimate_shift",
 ]
 
-# byte limit of the pair forms: two n_total^2 float64 arrays, the
-# constant-field peak, at 8000 nodes
+# byte limit of assembly (``_pair_peak_bytes``): W and the interior
+# matrix of a lattice of 8000 nodes with no margin
 _PAIR_BYTES_LIMIT = 2 * 8 * 8000 ** 2
 _SHIFT_MARGIN = 1.0  # added to the dominance bound of estimate_shift
 
@@ -156,19 +161,6 @@ class LatticeDomain:
             raise DomainError("empty interior")
         return dom
 
-    def neighbor_table(self) -> np.ndarray:
-        """(n_total, dim, 2) indices of the -/+ axis neighbours, -1 at the box edge."""
-        idx = np.arange(len(self.points)).reshape(self.shape)
-        out = np.full((len(self.points), self.dim, 2), -1, dtype=int)
-        for a in range(self.dim):
-            lo = [slice(None)] * self.dim
-            hi = [slice(None)] * self.dim
-            lo[a] = slice(1, None)
-            hi[a] = slice(None, -1)
-            out[idx[tuple(lo)].reshape(-1), a, 0] = idx[tuple(hi)].reshape(-1)
-            out[idx[tuple(hi)].reshape(-1), a, 1] = idx[tuple(lo)].reshape(-1)
-        return out
-
 
 @dataclass
 class GridFunction:
@@ -209,45 +201,43 @@ class GridFunction:
 # pairwise weights
 
 
-def _pair_peak_bytes(spec: KernelSpec, n_total: int) -> int:
-    """Peak bytes of ``_pair_quadratic_forms`` on n_total nodes, and so of
-    ``assemble``.
+def _pair_peak_bytes(domain: LatticeDomain) -> int:
+    """Peak bytes of ``assemble`` on the lattice: the pair weights W and
+    the interior matrix, n_total^2 + n_int^2 float64, for every field.
 
-    Counted in n_total^2 float64 arrays held at once: g and q for a
-    constant field; q, g and the Gram form of C1 (or C2), then q, that
-    form and its weight b_i + b_j (or b_i b_j) for a separable field.
-    Past the pair forms, ``assemble`` holds W, the interior matrix and
-    temporaries of at most ``_KERNEL_CHUNK_BYTES``: n_total^2 + n_int^2
-    <= 2 n_total^2 doubles, which this count already covers.
+    The pair forms are filled into W in place, and every temporary
+    beside them (a row chunk of the forms, the kernel samples, the drift
+    block) stays within ``_KERNEL_CHUNK_BYTES``.
     """
-    arrays = 2 if spec.field.variant == "constant" else 3
-    return arrays * 8 * n_total ** 2
+    return 8 * (len(domain.points) ** 2 + domain.n_interior ** 2)
 
 
-def _gram_form(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(x_i - x_j)^T C (x_i - x_j) for all node pairs, from the Gram
-    matrix g = X C X^T of the nodes centred at their mean: g_ii + g_jj -
-    g_ij - g_ji.  The form is translation invariant, and centring keeps
-    its rounding error independent of where the box lies."""
-    centred = pts - pts.mean(axis=0)
-    g = centred @ c @ centred.T
-    r = np.diag(g)
-    q = np.add.outer(r, r)
-    q -= g
-    q -= g.T
-    return q
+def _pair_quadratic_forms(spec: KernelSpec, domain: LatticeDomain) -> np.ndarray:
+    """q_ij = (x_i - x_j)^T A(x_i, x_j) (x_i - x_j) for all box node pairs.
 
-
-def _pair_quadratic_forms(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
-    """q_ij = (x_i - x_j)^T A(x_i, x_j) (x_i - x_j) for all node pairs: the
-    Gram forms of C0, C1 and C2 weighted by 1, b_i + b_j and b_i b_j."""
+    On the lattice x_i - x_j = h o with the integer offset o = k_i - k_j,
+    so the forms of C0, C1 and C2 are evaluated once on every offset
+    (2 m_a - 1 per axis of m_a nodes) and gathered by the mixed-radix key
+    of o + m - 1, a chunk of rows at a time, then weighted by 1,
+    b_i + b_j and b_i b_j.
+    """
     fld = spec.field
-    q = _gram_form(pts, fld.coefficients[0])
-    if fld.variant == "constant":
-        return q
-    b = fld.node_terms(pts)[1]
-    for c, outer in zip(fld.coefficients[1:], (np.add.outer, np.multiply.outer)):
-        q += _gram_form(pts, c) * outer(b, b)  # the product reuses a temporary
+    m = np.array(domain.shape)
+    radix = 2 * m - 1
+    d = domain.spacing * (np.indices(radix).reshape(domain.dim, -1).T - (m - 1))
+    tables = [np.einsum("oa,ab,ob->o", d, c, d) for c in fld.coefficients]
+    key = np.ravel_multi_index(np.indices(domain.shape).reshape(domain.dim, -1), radix)
+    centre = np.ravel_multi_index(m - 1, radix)
+    b = None if fld.variant == "constant" else fld.node_terms(domain.points)[1]
+    n = len(key)
+    q = np.empty((n, n))
+    rows = _chunk_rows(spec, n)
+    for lo in range(0, n, rows):
+        sl = slice(lo, lo + rows)
+        at = np.subtract.outer(key[sl] + centre, key)
+        q[sl] = tables[0][at]
+        for t, outer in zip(tables[1:], (np.add.outer, np.multiply.outer)):
+            q[sl] += t[at] * outer(b[sl], b)  # the product reuses a temporary
     return q
 
 
@@ -352,16 +342,16 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     quad = quad or QuadratureScheme()
     pts = domain.points
     n_total = len(pts)
-    peak = _pair_peak_bytes(spec, n_total)
+    peak = _pair_peak_bytes(domain)
     if peak > _PAIR_BYTES_LIMIT:
         raise CapacityError(
-            f"the pair forms of {n_total} nodes need about {peak / 2**20:.0f} "
+            f"the operator on {n_total} nodes needs about {peak / 2**20:.0f} "
             f"MiB, over the {_PAIR_BYTES_LIMIT / 2**20:.0f} MiB limit")
     h = domain.spacing
     vol = domain.cell_volume
 
     # W = prefactor q^(-exponent) vol, formed in place on the pair forms q
-    W = _pair_quadratic_forms(spec, pts)
+    W = _pair_quadratic_forms(spec, domain)
     np.fill_diagonal(W, 1.0)
     if not W.min() > 0.0:
         raise EllipticityError("a pair form is not positive: the field is not elliptic here")
@@ -372,15 +362,14 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
 
     if self_cell:
         mom = _self_cell_moments(spec, pts, quad, h)  # (n_total, dim)
-        table = domain.neighbor_table()
+        idx = np.arange(n_total).reshape(domain.shape)
         for a in range(domain.dim):
-            for side in (0, 1):
-                j = table[:, a, side]
-                ok = j >= 0
-                i = np.nonzero(ok)[0]
-                jj = j[ok]
-                # half of the symmetrized moment; the mirror pair adds the rest
-                W[i, jj] += 0.5 * (mom[i, a] + mom[jj, a]) / (h * h)
+            # the pairs of nodes i and i + e_a
+            along = np.moveaxis(idx, a, 0)
+            i, j = along[:-1].reshape(-1), along[1:].reshape(-1)
+            c = 0.5 * (mom[i, a] + mom[j, a]) / (h * h)
+            W[i, j] += c
+            W[j, i] += c
 
     exit_d = _box_exit_distances(pts, domain.lower, domain.upper,
                                  _directions(spec.dim, quad)[0])

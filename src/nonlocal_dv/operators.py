@@ -245,7 +245,6 @@ class PointRule:
     weights: np.ndarray
     tail_mass: float
     quad_radius: float
-    inner_pair_count: int
 
 
 @functools.cache
@@ -333,10 +332,12 @@ def _panel_edges(r0: float, r1: float, ratio: float, breaks: Sequence[float]) ->
 # mass of the separable fields of ``spec_from_config``, and for the tanh
 # drift, which forms the points y, at 10.0, 10.7 and 13.6 for them and at
 # 8.7, 9.6 and 12.5 for a constant field; a row of ``_kernel_at_offsets``
-# at 9.0, 9.2 and 12.0 and a sample of the lattice's self-cell moments at
-# 3.2, 3.1 and 3.1.  dim + 11 doubles bounds them all.
-# ``lattice.assemble`` adds its drift block in row chunks of the same
-# budget.
+# at 9.0, 9.2 and 12.0, a sample of the lattice's self-cell moments at
+# 3.2, 3.1 and 3.1, and an entry of a row chunk of the lattice's pair
+# forms at 2.0 for a constant field and 3.0 for a separable one (the
+# gather keys, the gathered forms and the node terms).  dim + 11 doubles
+# bounds them all.  ``lattice.assemble`` adds its drift block in row
+# chunks of the same budget.
 _KERNEL_CHUNK_BYTES = 1 << 22
 
 
@@ -591,7 +592,7 @@ def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
     weights *= np.concatenate(factors or [np.empty(0)])
     tails = far_field(spec, pts, np.repeat(radii[:, None], len(dirs), axis=1), quad)
     rules = [PointRule(x=xi, offsets=offsets[lo:hi], weights=weights[lo:hi],
-                       tail_mass=float(tail), quad_radius=float(r), inner_pair_count=n_pair)
+                       tail_mass=float(tail), quad_radius=float(r))
              for xi, lo, hi, tail, r in zip(pts, starts, ends, tails, radii)]
     return rules[0] if arr.ndim < 2 else rules
 

@@ -204,6 +204,11 @@ def test_separable_form_matches_pair_matrices(dim, variant, per_point):
         _check_one_formula(KernelSpec(field, EllipticityBounds(0.1, 10.0, 0.4, dim)))
 
 
+_NON_SQUARE = {1: ([-1.0], [1.0], [8]),
+               2: ([-1.0, -0.5], [1.0, 0.5], [8, 4]),
+               3: ([-1.0, -0.5, -0.5], [1.0, 0.5, 0.5], [4, 2, 2])}
+
+
 def _check_one_formula(spec):
     field, dim, p = spec.field, spec.dim, spec.bounds.exponent
     rng = np.random.default_rng(dim)
@@ -220,13 +225,18 @@ def _check_one_formula(spec):
     want = explicit_form(field, pts[own], pts[own] + offsets, offsets) ** -p
     np.testing.assert_allclose(operators._kernel_at_offsets(spec, pts, offsets, ends),
                                want, rtol=1e-14, atol=0.0)
-    # the lattice pair forms, from the Gram forms of C0, C1 and C2; the
-    # lattice lies near the origin, where their cancellation costs little
-    grid = LatticeDomain.box([-1.0] * dim, [1.0] * dim, [4] * dim).points
-    i, j = np.nonzero(~np.eye(len(grid), dtype=bool))
-    want = explicit_form(field, grid[i], grid[j], grid[i] - grid[j])
-    np.testing.assert_allclose(_pair_quadratic_forms(spec, grid)[i, j], want,
-                               rtol=1e-14, atol=0.0)
+    # the lattice pair forms, gathered from the offset table: on a cube, on
+    # a box with a margin whose axes have different node counts (which
+    # pins the axis order of the gather) and on a ball off the origin
+    lower, upper, cells = _NON_SQUARE[dim]
+    for dom in (LatticeDomain.box([-1.0] * dim, [1.0] * dim, [4] * dim),
+                LatticeDomain.box(lower, upper, cells, margin=0.3),
+                LatticeDomain.ball([0.5, -0.25, 0.125][:dim], 1.0, 4, margin=0.3)):
+        grid = dom.points
+        i, j = np.nonzero(~np.eye(len(grid), dtype=bool))
+        want = explicit_form(field, grid[i], grid[j], grid[i] - grid[j])
+        np.testing.assert_allclose(_pair_quadratic_forms(spec, dom)[i, j], want,
+                                   rtol=1e-14, atol=0.0)
     if field.variant == "constant":
         return
     # the ray samples: K(x_i, x_i + rho theta_d) from per-ray constants
@@ -251,8 +261,9 @@ def test_pair_forms_keep_their_digits_far_from_the_origin(variant):
     if variant != "constant":
         cfg["amplitude"] = 0.3
     spec = spec_from_config(cfg)
-    grid = LatticeDomain.box([99.0, 99.0], [101.0, 101.0], [16, 16]).points
+    dom = LatticeDomain.box([99.0, 99.0], [101.0, 101.0], [16, 16])
+    grid = dom.points
     i, j = np.nonzero(~np.eye(len(grid), dtype=bool))
     want = explicit_form(spec.field, grid[i], grid[j], grid[i] - grid[j])
-    np.testing.assert_allclose(_pair_quadratic_forms(spec, grid)[i, j], want,
+    np.testing.assert_allclose(_pair_quadratic_forms(spec, dom)[i, j], want,
                                rtol=1e-13, atol=0.0)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nonlocal_dv import lattice
+from nonlocal_dv import lattice, operators
 from nonlocal_dv.errors import CapacityError, DomainError, EllipticityError
 from nonlocal_dv.kernels import (
     AnisotropyField,
@@ -185,8 +185,9 @@ def test_capacity_and_domain_errors():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # every constant-field lattice of up to 8000 nodes still assembles
-    assert _pair_peak_bytes(fractional_kernel(3, 0.5), 8000) <= _PAIR_BYTES_LIMIT
+    # every lattice of up to 8000 nodes with no margin passes the check
+    assert _pair_peak_bytes(LatticeDomain.box([-1.0] * 3, [1.0] * 3, [20] * 3)) \
+        <= _PAIR_BYTES_LIMIT
     spec = fractional_kernel(2, 0.5)
     with pytest.raises(DomainError):
         assemble(LatticeDomain.interval(-1.0, 1.0, 10), spec)
@@ -200,7 +201,7 @@ def test_non_positive_pair_form_raises_ellipticity_error():
                             wave=np.ones(2), profile=lambda t: 0.7 * np.sin(t))
     spec = KernelSpec(field, EllipticityBounds(0.05, 9.0, 0.5, 2))
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [8, 8])
-    assert _pair_quadratic_forms(spec, dom.points).min() < 0.0
+    assert _pair_quadratic_forms(spec, dom).min() < 0.0
     with pytest.raises(EllipticityError, match="pair form"):
         assemble(dom, spec)
 
@@ -209,26 +210,34 @@ def test_non_positive_pair_form_raises_ellipticity_error():
                                      "separable_product"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_pair_peak_estimate_bounds_measured_peak(variant, dim):
-    # the capacity check reads this estimate; it must cover what the pair
-    # forms really hold, and not by much more
+    # the capacity check reads this estimate; it must cover what assembly
+    # really holds, and not by much more, whatever the field: the pair
+    # forms of every variant are filled into W in place.  A margin of one
+    # cell makes n_int < n_total; at 3600 and 3375 box nodes a 4 MiB chunk
+    # is under 5% of n_total^2 doubles, and a coarse rule keeps the
+    # kernel samples quick
     spec = spec_from_config({"variant": variant, "matrix": np.eye(dim).tolist(),
                              "s": 0.5})
-    cells = 24 if dim == 2 else 8  # 576 and 512 nodes
-    pts = LatticeDomain.box([-1.0] * dim, [1.0] * dim, [cells] * dim).points
+    cells = 58 if dim == 2 else 13
+    dom = LatticeDomain.box([-1.0] * dim, [1.0] * dim, [cells] * dim,
+                            margin=2.0 / cells)
+    quad = QuadratureScheme(radial_order=4, angular_count=4, polar_order=2)
+    assemble(LatticeDomain.box([-1.0] * dim, [1.0] * dim, [4] * dim), spec, quad=quad)
     tracemalloc.start()
     try:
-        _pair_quadratic_forms(spec, pts)
+        assemble(dom, spec, quad=quad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = _pair_peak_bytes(spec, len(pts))
+    assert dom.n_interior < len(dom.points)
+    estimate = _pair_peak_bytes(dom)
     assert peak <= 1.05 * estimate
     assert estimate <= 1.05 * peak
 
 
 def test_assemble_peak_memory_constant_field():
     # the pair forms and weights are formed in place: at peak, assembly
-    # holds about two n_total x n_total arrays (g and q), not three
+    # holds W and the interior matrix, no second n_total x n_total array
     spec = fractional_kernel(2, 0.5)
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [24, 24], margin=0.5)
     assemble(LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4]), spec)
@@ -264,11 +273,10 @@ def test_assemble_retained_memory_with_drift():
 
 @pytest.mark.parametrize("with_drift", [False, True])
 def test_assemble_peak_is_the_pair_form_peak(with_drift):
-    # past the pair forms, only W, the interior matrix and chunk-sized
-    # temporaries are alive: n_total^2 + n_int^2 doubles, within the
-    # pair-form peak that the capacity check counts.  With no margin
-    # n_int = n_total, and at 3600 nodes a 4 MiB chunk is 4% of n_total^2
-    # doubles
+    # only W, the interior matrix and chunk-sized temporaries are alive:
+    # the n_total^2 + n_int^2 doubles that the capacity check counts.
+    # With no margin n_int = n_total, and at 3600 nodes a 4 MiB chunk is
+    # 4% of n_total^2 doubles
     spec = fractional_kernel(2, 0.5)
     drift = tanh_drift(2, amplitude=0.3) if with_drift else None
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [60, 60])
@@ -280,7 +288,7 @@ def test_assemble_peak_is_the_pair_form_peak(with_drift):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = _pair_peak_bytes(spec, len(dom.points))
+    estimate = _pair_peak_bytes(dom)
     assert peak <= 1.05 * estimate
     assert estimate <= 1.05 * peak
 
@@ -307,6 +315,35 @@ def test_drift_block_in_row_chunks_is_bit_identical(monkeypatch):
     assert np.array_equal(op.matrix, lap + block)
     monkeypatch.setattr(lattice, "_KERNEL_CHUNK_BYTES", 16 * 3 * op.n)
     assert np.array_equal(assemble(dom, spec, drift=drift).matrix, op.matrix)
+
+
+def test_pair_forms_in_row_chunks_are_bit_identical(monkeypatch):
+    # the offset table gathered in one chunk against chunks of 7 rows (the
+    # last one shorter), on a box whose axes have different node counts
+    spec = spec_from_config({"variant": "separable_product",
+                             "matrix": [[1.2, 0.3], [0.3, 0.8]], "s": 0.4,
+                             "amplitude": 0.3})
+    dom = LatticeDomain.box([-1.0, -0.5], [1.0, 0.5], [8, 4], margin=0.3)
+    whole = _pair_quadratic_forms(spec, dom)
+    n = len(dom.points)
+    assert n % 7 != 0
+    monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", 8 * (2 + 11) * 7 * n)
+    assert np.array_equal(_pair_quadratic_forms(spec, dom), whole)
+
+
+def test_self_cell_weights_sit_on_axis_neighbour_pairs():
+    # the self-cell moments go to the pairs of nodes i and i + e_a, both
+    # ways and alike, on a box whose axes have different node counts
+    spec = spec_from_config({"variant": "separable_sum",
+                             "matrix": [[1.2, 0.3], [0.3, 0.8]], "s": 0.4,
+                             "amplitude": 0.3})
+    dom = LatticeDomain.box([-1.0, -0.5], [1.0, 0.5], [8, 4], margin=0.3)
+    added = (assemble(dom, spec).pair_weights
+             - assemble(dom, spec, self_cell=False).pair_weights)
+    k = np.indices(dom.shape).reshape(2, -1).T
+    neighbours = np.abs(k[:, None, :] - k[None, :, :]).sum(axis=2) == 1
+    assert np.array_equal(added != 0.0, neighbours)
+    assert np.array_equal(added, added.T)
 
 
 def test_estimate_shift_dominance(op_1d):

@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import pytest
-import scipy.optimize
 
 from nonlocal_dv.cli import main
 from nonlocal_dv.errors import DomainError
@@ -48,23 +47,10 @@ def test_progress_callback_sees_results():
     assert [r.check_id for r in seen] == ["scalar_error_form"]
 
 
-def test_solvers_make_no_optimizer_or_integrate_calls(tmp_path, monkeypatch):
-    # the rate problems are solved by Newton steps and the scalar minima by
-    # one vectorized iteration: no scipy optimizer runs.  No integrate call
-    # can run either, since the package does not import scipy (the two
-    # import tests below)
-    calls = []
-
-    def counting(name):
-        fn = getattr(scipy.optimize, name)
-
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(scipy.optimize, name, wrapped)
-
-    for name in ("minimize", "minimize_scalar"):
-        counting(name)
+def test_newton_checks_pass_at_another_seed(tmp_path):
+    # the rate problems and the scalar minima are solved by Newton steps,
+    # here on the draws of seed 7 and on a drifted 2-D rate problem; that
+    # no scipy solver can run is pinned by the two import tests below
     results = run_suite(seed=7, check_ids=["rate_minimization",
                                            "scalar_error_form",
                                            "layer_constants"])
@@ -78,7 +64,6 @@ def test_solvers_make_no_optimizer_or_integrate_calls(tmp_path, monkeypatch):
     }))
     assert main(["dv-functional", "--config", str(cfg),
                  "--output-dir", str(tmp_path / "out")]) == 0
-    assert calls == []
 
 
 # the package does without scipy: closed forms, math.gamma and fixed Gauss
