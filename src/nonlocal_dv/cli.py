@@ -2,10 +2,26 @@
 
 Seven commands share one configuration format, a single JSON file whose
 blocks (kernel, domain, density, drift, probe, barrier, eigen, eval) are
-validated against a schema before anything is computed.  A malformed or
+checked against a schema before anything is computed.  A malformed or
 schema-violating config exits with status 2 and names the offending
 field; a numerical failure inside the package exits with status 3 and
 the raising error type; success exits 0.
+
+The schema is a set of JSON Schema dicts, checked by a small walker that
+knows exactly the keywords they use.  It keeps JSON Schema's typing: a
+boolean is not a number and 2.0 is an integer; a non-finite float (NaN,
+Infinity, or a literal such as 1e999 that overflows) is not a number
+either.  The error names one field by a fixed rule: the first violation
+in schema order, each value checked keyword by keyword in the order of
+``_KEYWORD_CHECKS``, so that an object's own ``required`` and
+``additionalProperties`` (named at the object's path) come before its
+``properties``, which go in the schema's order.  Inside an ``anyOf`` the
+walker descends into the one branch whose type the value has and names
+that branch's deepest error, the first of them if several are equally
+deep; it names the ``anyOf``'s own path when no branch has the value's
+type, or when two errors share that deepest path.  On a config with a
+single fault this is the field ``jsonschema.exceptions.best_match``
+names.
 
 The summary is written to ``output.json`` and the data to ``output.csv``
 (by default ``<command>_summary.json`` and ``<command>_data.csv``);
@@ -56,16 +72,16 @@ import importlib.metadata
 import json
 import logging
 import math
+import operator
 import os
 import sys
 from pathlib import Path
 from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from .barriers import BarrierConfig, barrier_scan, flat_limit_reference
-from .errors import ConfigError, NonlocalError
+from .errors import ConfigError, DomainError, NonlocalError
 from .kernels import spec_from_config
 from .lattice import LatticeDomain, assemble
 from .operators import (
@@ -90,6 +106,7 @@ from .recovery import (
     drift_probe,
     fourier_probe_oracle,
     recover_matrix,
+    scale_ratio,
 )
 from .spectral import principal_eigenpair
 from .verify import available_checks, run_suite
@@ -261,18 +278,134 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _validate_config(cfg: dict, command: str) -> None:
-    schema = {
+def _number(value) -> bool:
+    """JSON Schema's number, less NaN and the infinities: a boolean is not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
+
+
+def _integer(value) -> bool:
+    """JSON Schema's integer, which 2.0 is."""
+    return _number(value) and (isinstance(value, int) or value.is_integer())
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _number,
+    "integer": _integer,
+}
+
+
+def _check_type(value, name, schema, path):
+    if not _TYPES[name](value):
+        yield path, f"{value!r} is not of type {name!r}"
+
+
+def _check_enum(value, options, schema, path):
+    if value not in options:
+        yield path, f"{value!r} is not one of {options!r}"
+
+
+def _check_any_of(value, branches, schema, path):
+    typed = [list(_violations(value, b, path)) for b in branches
+             if _TYPES[b["type"]](value)]
+    if not all(typed):
+        return
+    if len(typed) == 1:
+        errors = sorted(typed[0], key=lambda e: (-len(e[0]), e[0]))
+        if len(errors) == 1 or errors[1][0] != errors[0][0]:
+            yield errors[0]
+            return
+    yield path, f"{value!r} is not valid under any of the given schemas"
+
+
+def _check_required(value, names, schema, path):
+    if isinstance(value, dict):
+        for name in names:
+            if name not in value:
+                yield path, f"{name!r} is a required property"
+
+
+def _check_additional(value, allowed, schema, path):
+    if isinstance(value, dict) and allowed is False:
+        extra = [k for k in value if k not in schema.get("properties", {})]
+        if extra:
+            yield path, ("additional properties are not allowed: "
+                         + ", ".join(map(repr, extra)))
+
+
+def _check_properties(value, properties, schema, path):
+    if isinstance(value, dict):
+        for name, sub in properties.items():
+            if name in value:
+                yield from _violations(value[name], sub, path + (name,))
+
+
+def _check_items(value, sub, schema, path):
+    if isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _violations(item, sub, path + (k,))
+
+
+def _bound(fails, word: str):
+    def check(value, limit, schema, path):
+        if _number(value) and fails(value, limit):
+            yield path, f"{value!r} is {word} {limit!r}"
+    return check
+
+
+def _size(kind: type, fails, word: str):
+    def check(value, limit, schema, path):
+        if isinstance(value, kind) and fails(len(value), limit):
+            yield path, f"{value!r} is {word} {limit}"
+    return check
+
+
+# every keyword the schema may use, in the order a node is checked
+_KEYWORD_CHECKS = {
+    "type": _check_type,
+    "enum": _check_enum,
+    "anyOf": _check_any_of,
+    "required": _check_required,
+    "additionalProperties": _check_additional,
+    "properties": _check_properties,
+    "minimum": _bound(operator.lt, "below the minimum"),
+    "maximum": _bound(operator.gt, "above the maximum"),
+    "exclusiveMinimum": _bound(operator.le, "at or below the bound"),
+    "exclusiveMaximum": _bound(operator.ge, "at or above the bound"),
+    "minItems": _size(list, operator.lt, "shorter than the minimum length"),
+    "maxItems": _size(list, operator.gt, "longer than the maximum length"),
+    "items": _check_items,
+    "minLength": _size(str, operator.lt, "shorter than the minimum length"),
+}
+
+
+def _violations(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each violation of ``schema`` by ``value``,
+    in schema order."""
+    for keyword, check in _KEYWORD_CHECKS.items():
+        if keyword in schema:
+            yield from check(value, schema[keyword], schema, path)
+
+
+def _config_schema(command: str) -> dict:
+    return {
         "type": "object",
         "properties": _TOP_PROPERTIES,
         "required": _COMMAND_REQUIRED[command],
         "additionalProperties": False,
     }
-    validator = jsonschema.Draft202012Validator(schema)
-    best = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
-    if best is not None:
-        path = ".".join(str(p) for p in best.absolute_path)
-        raise ConfigError(best.message, field_path=path or "(top level)")
+
+
+def _validate_config(cfg: dict, command: str) -> None:
+    first = next(_violations(cfg, _config_schema(command)), None)
+    if first is not None:
+        path, message = first
+        raise ConfigError(message, field_path=".".join(map(str, path))
+                          or "(top level)")
     kernel = cfg.get("kernel", {})
     if kernel.get("variant") == "constant" and "amplitude" in kernel:
         raise ConfigError("'amplitude' sizes the perturbation of a separable "
@@ -482,11 +615,10 @@ def _cmd_eigen(cfg: dict, seed: int):
     opts = cfg.get("eigen", {})
     op = assemble(dom, spec, drift=h)
     _log.info("assembled %d-node operator", op.n)
-    # without dense_check the dense solve runs only where no bracket exists
-    cross_check = True if opts.get("dense_check", True) else None
+    # the schema takes 50.0 for an integer, which range() does not
     pair = principal_eigenpair(op, tol=opts.get("tol", 1e-9),
-                               max_iter=opts.get("max_iter", 200),
-                               cross_check=cross_check)
+                               max_iter=int(opts.get("max_iter", 200)),
+                               dense_check=opts.get("dense_check", True))
     results = {
         "lambda1": pair.lambda1,
         "lambda1_lower": pair.lambda1_lower,
@@ -545,11 +677,17 @@ def _cmd_recover_matrix(cfg: dict, seed: int):
     if block["variant"] != "constant":
         raise ConfigError("matrix recovery needs a constant-coefficient "
                           "kernel", field_path="kernel.variant")
+    # checks the matrix like every other command; the probes see the
+    # matrix as written, not the symmetrised copy of the spec
+    _, dim = _kernel_from_config(block)
     A = np.asarray(block["matrix"], dtype=float)
     s = float(block["s"])
-    dim = A.shape[0]
     probe = cfg.get("probe", {})
     lam = tuple(probe.get("lambdas", (0.5, 0.25, 0.125)))
+    try:
+        scale_ratio(lam)
+    except DomainError as exc:
+        raise ConfigError(str(exc), field_path="probe.lambdas") from exc
     kwargs = {}
     if "second_width" in probe:
         kwargs["second_width"] = probe["second_width"]

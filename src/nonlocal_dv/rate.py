@@ -419,7 +419,7 @@ def dual_gap(f: DensitySpec, V_family, op: AssembledOperator) -> DualGapReport:
         op_V = replace(op, potential=op.potential + V_int,
                        matrix=op.matrix + np.diag(V_int))
         pair = principal_eigenpair(op_V, tol=_DUAL_TOL, max_iter=800,
-                                   cross_check=False)
+                                   dense_check=False)
         values.append(pair.lambda1 + float(fv @ V_int) * vol)
     reference = I_decomposed(f, op).I_value
     return DualGapReport(values=values, reference=reference,

@@ -39,6 +39,7 @@ __all__ = [
     "fourier_energy",
     "fourier_probe_oracle",
     "recover_matrix",
+    "scale_ratio",
     "drift_probe",
     "constancy_check",
 ]
@@ -512,6 +513,19 @@ _SPREAD_TOL = 1.5  # largest spread of one probe's normalized energies
 _RHO_TOL = 0.25  # largest |rho - 1|
 
 
+def scale_ratio(lambda_seq) -> float:
+    """Common ratio of a decreasing geometric sequence of three or more
+    positive scales; DomainError for any other sequence."""
+    lams = np.asarray(lambda_seq, dtype=float)
+    if (lams.ndim != 1 or lams.size < 3 or np.any(lams <= 0)
+            or np.any(np.diff(lams) >= 0)):
+        raise DomainError("need a decreasing scale sequence of three or more values")
+    ratios = lams[:-1] / lams[1:]
+    if np.abs(ratios - ratios[0]).max() > 1e-9 * ratios[0]:
+        raise DomainError("scale sequence must be geometric")
+    return float(ratios[0])
+
+
 def recover_matrix(energy_oracle, dim: int, s: float,
                    lambda_seq=(0.5, 0.25, 0.125),
                    second_width: float = 0.7) -> ReconstructionReport:
@@ -528,15 +542,9 @@ def recover_matrix(energy_oracle, dim: int, s: float,
     to be 1.
     """
     lams = np.asarray(lambda_seq, dtype=float)
-    if (lams.ndim != 1 or lams.size < 3 or np.any(lams <= 0)
-            or np.any(np.diff(lams) >= 0)):
-        raise DomainError("need a decreasing scale sequence of three or more values")
-    ratios = lams[:-1] / lams[1:]
-    if np.abs(ratios - ratios[0]).max() > 1e-9 * ratios[0]:
-        raise DomainError("scale sequence must be geometric")
+    ratio = scale_ratio(lams)
     if not 0.0 < s < 1.0:
         raise DomainError("exponent must lie in (0, 1)")
-    ratio = float(ratios[0])
     C1 = float(math.gamma(s + 0.5) * np.pi ** ((dim - 1) / 2.0))
     probes: list[ProbeResult] = []
 

@@ -130,7 +130,7 @@ def principal_eigenpair(
     op: AssembledOperator,
     tol: float = 1e-9,
     max_iter: int = 200,
-    cross_check: bool | None = True,
+    dense_check: bool = True,
 ) -> EigenPair:
     """Inverse power iteration for the principal eigenpair.
 
@@ -144,11 +144,11 @@ def principal_eigenpair(
     the same factorization until it is; the bracket then certifies lambda
     to the gate of the dense cross-check.
 
-    cross_check selects the dense oracle: True always runs it, False never
-    does, and None runs it only when there is no bracket.  The oracle is
-    ``perron_eigenvalue`` under the sign pattern and ``dense_eigenpair``
-    otherwise.  A mismatch beyond 10x tol is treated as an oracle
-    inconsistency, and the dense eigenvalue is kept on the result.
+    With dense_check the dense oracle always runs; without it, only when
+    there is no bracket.  The oracle is ``perron_eigenvalue`` under the
+    sign pattern and ``dense_eigenpair`` otherwise.  A mismatch beyond
+    10x tol is treated as an oracle inconsistency, and the dense
+    eigenvalue is kept on the result.
     """
     if op.drift_values is not None and op.drift_oscillation() >= 1.0:
         warnings.warn(
@@ -190,7 +190,7 @@ def principal_eigenpair(
             "converged eigenvector changes sign; no principal pair found"
         )
     dense_lambda1 = None
-    if cross_check or (cross_check is None and lower is None):
+    if dense_check or lower is None:
         dense_lambda1 = (perron_eigenvalue(op) if bracketed
                          else dense_eigenpair(op).lambda1)
         scale = max(1.0, abs(dense_lambda1))

@@ -167,6 +167,22 @@ def test_eigen_dense_check_makes_one_dense_call(tmp_path, monkeypatch):
     assert "dense_lambda1" in res
 
 
+def test_eigen_max_iter_as_integral_float(tmp_path):
+    # JSON Schema counts 50.0 as an integer, so the run must take it as 50
+    outs = []
+    for max_iter in (50, 50.0):
+        out = tmp_path / str(max_iter)
+        cfg = write_config(tmp_path, f"cfg_{max_iter}.json", dict(
+            EIGEN_1D, eigen={"max_iter": max_iter}))
+        assert main(["eigen", "--config", cfg, "--output-dir", str(out)]) == 0
+        outs.append(out)
+    for name in ("eigen_data.csv", "eigen_data.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # the summaries differ only in the config digest
+    first, second = (read_summary(out, "eigen") for out in outs)
+    assert first["results"] == second["results"]
+
+
 def test_dv_functional_closed_form_agreement(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "kernel": KERNEL_1D,
@@ -205,6 +221,32 @@ def test_recover_matrix_hidden_fixture(tmp_path):
         rows = list(csv.reader(fh))
     assert all(len(row) == 5 for row in rows)
     assert "rotation(0,1)" in [row[0] for row in rows]
+
+
+@pytest.mark.parametrize("kernel, probe, field, message", [
+    ({"matrix": [[1.0, 0.0], [0.0]]}, {}, "kernel", "inhomogeneous"),
+    ({"matrix": [[1.0, 0.0]]}, {}, "kernel", "shape"),
+    ({"matrix": [[1.0, 0.5], [0.0, 1.0]]}, {}, "kernel", "symmetric"),
+    ({"matrix": [[1.0, 2.0], [2.0, 1.0]]}, {}, "kernel", "positive definite"),
+    ({}, {"lambdas": [0.5, 0.3, 0.1]}, "probe.lambdas", "geometric"),
+    ({}, {"lambdas": [0.125, 0.25, 0.5]}, "probe.lambdas", "decreasing"),
+], ids=["ragged", "non-square", "asymmetric", "indefinite", "not-geometric",
+        "increasing"])
+def test_recover_matrix_checks_kernel_and_scales(tmp_path, capsys, kernel,
+                                                  probe, field, message):
+    # the same kernel checks as every other command, before any probe runs
+    cfg = write_config(tmp_path, "cfg.json", {
+        "kernel": dict({"variant": "constant", "matrix": [[4.0, 0.0], [0.0, 1.0]],
+                        "s": 0.5}, **kernel),
+        "probe": probe,
+    })
+    out = tmp_path / "out"
+    assert main(["recover-matrix", "--config", cfg,
+                 "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at '{field}':" in err
+    assert message in err
+    assert not out.exists()
 
 
 def test_recover_drift_pointwise_agreement(tmp_path):

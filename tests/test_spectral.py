@@ -145,7 +145,7 @@ def test_perron_oracle_and_bracket_contain_dense_eigenvalue(make_op):
     dense = dense_eigenpair(op).lambda1
     scale = max(1.0, abs(dense))
     assert abs(perron_eigenvalue(op) - dense) <= 1e-12 * scale
-    pair = principal_eigenpair(op, tol=1e-9, max_iter=400, cross_check=None)
+    pair = principal_eigenpair(op, tol=1e-9, max_iter=400, dense_check=False)
     # the bracket certifies lambda1, so no dense solve ran
     assert pair.dense_lambda1 is None
     lower, upper = pair.lambda1_lower, pair.lambda1_upper
@@ -171,7 +171,7 @@ def test_eigenpair_leaves_the_operator_matrix_untouched():
     # the block solver reads its off-diagonal blocks as views of the matrix
     op = drifted_box_op(cells=8, amp=0.4)
     before = op.matrix.tobytes()
-    principal_eigenpair(op, tol=1e-9, max_iter=400, cross_check=True)
+    principal_eigenpair(op, tol=1e-9, max_iter=400, dense_check=True)
     assert op.matrix.tobytes() == before
 
 
@@ -181,7 +181,7 @@ def test_sign_pattern_failure_takes_vector_route():
     matrix[-1, -2] = matrix[-2, -1] = 0.0
     holed = dataclasses.replace(op, matrix=matrix)
     pair = principal_eigenpair(holed, tol=1e-10, max_iter=400,
-                               cross_check=None)
+                               dense_check=False)
     assert pair.lambda1_lower is None and pair.lambda1_upper is None
     assert pair.dense_lambda1 == dense_eigenpair(holed).lambda1
     with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ the solvers the checks run."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,30 +67,41 @@ def test_newton_checks_pass_at_another_seed(tmp_path):
                  "--output-dir", str(tmp_path / "out")]) == 0
 
 
-# the package does without scipy: closed forms, math.gamma and fixed Gauss
-# rules replace quadrature, special functions and optimizers, and numpy's
-# dense solvers its linear algebra
+# the package does without scipy and jsonschema: closed forms, math.gamma
+# and fixed Gauss rules replace quadrature, special functions and
+# optimizers, numpy's dense solvers its linear algebra, and a walker over
+# the schema dicts the config validator
 
 
-def test_package_does_not_import_scipy():
+def _top_level_imports() -> set[str]:
+    names = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            for name in names:
-                assert name != "scipy" and not name.startswith("scipy."), \
-                    (path, name)
+                names.update(alias.name.partition(".")[0]
+                             for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_package_imports_only_its_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PACKAGE.parents[1] / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    listed = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+              for req in requirements}
+    imported = _top_level_imports() - set(sys.stdlib_module_names)
+    # each import is declared and each declared dependency imported
+    assert imported == listed == {"numpy"}
 
 
 def test_cli_import_leaves_out_scipy():
-    # a fresh interpreter: the test session itself has imported scipy
-    code = ("import sys, nonlocal_dv.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    # a fresh interpreter: the test session itself has imported scipy and
+    # jsonschema, which loads attrs, referencing and rpds
+    code = ("import sys, nonlocal_dv.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('scipy', 'jsonschema', 'attrs', "
+            "'referencing', 'rpds')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
