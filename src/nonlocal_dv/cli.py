@@ -475,9 +475,7 @@ def _domain_from_config(block: dict, dim: int) -> LatticeDomain:
                                   field_path="domain.shape")
             lo = _as_list(need("lower"), 1, "domain.lower")[0]
             hi = _as_list(need("upper"), 1, "domain.upper")[0]
-            cells = need("cells")
-            if isinstance(cells, list):
-                cells = cells[0]
+            cells = _as_list(need("cells"), 1, "domain.cells")[0]
             return LatticeDomain.interval(lo, hi, int(cells), margin=margin)
         if shape == "box":
             lo = _as_list(need("lower"), dim, "domain.lower")
@@ -728,6 +726,10 @@ def _cmd_recover_drift(cfg: dict, seed: int):
         raise ConfigError(f"x0 must have {dim} coordinates",
                           field_path="probe.x0")
     lam = tuple(probe.get("lambdas", (0.5, 0.25, 0.125)))
+    try:
+        scale_ratio(lam)
+    except DomainError as exc:
+        raise ConfigError(str(exc), field_path="probe.lambdas") from exc
     res = drift_probe(h, spec, x0, lambda_seq=lam,
                       cells=probe.get("cells", 40))
     offsets = np.linspace(-0.8, 0.8, 9)

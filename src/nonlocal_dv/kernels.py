@@ -110,12 +110,16 @@ class AnisotropyField:
     product, which is exact because M(x) and M(y) commute.  The profile
     maps a 1-D array of phases to the array of its values, one call for
     all of them; an answer of any other shape raises DomainError.
+    ``period``, if given, declares that the profile is periodic with that
+    period; ``operators.far_field`` then closes each ray by the Fourier
+    series of the kernel along it.
     """
 
     variant: str
     matrix: np.ndarray
     wave: np.ndarray | None = None
     profile: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
+    period: float | None = None
 
     _VARIANTS = ("constant", "separable_sum", "separable_product")
 
@@ -271,7 +275,7 @@ def spec_from_config(cfg: dict) -> KernelSpec:
     Expected keys: ``variant`` (one of constant / separable_sum /
     separable_product), ``matrix`` (nested lists; for separable variants
     it is the base B of M(y) = B + a sin(y_1 + ... + y_N) I, the profile
-    f = a sin along the wave vector k = (1, ..., 1)), ``s``, optional
+    f = a sin of period 2 pi along the wave vector k = (1, ..., 1)), ``s``, optional
     ``gamma`` / ``Gamma`` / ``normalized``, and for the separable variants
     ``amplitude`` a, which must lie below the least eigenvalue of B in
     size (else ConfigError at ``kernel.amplitude``).
@@ -293,7 +297,8 @@ def spec_from_config(cfg: dict) -> KernelSpec:
                               f"eigenvalue of the matrix is {eigs[0]:.6g}",
                               field_path="kernel.amplitude")
         fld = AnisotropyField(variant, matrix, wave=np.ones(dim),
-                              profile=lambda t, _amp=amp: _amp * np.sin(t))
+                              profile=lambda t, _amp=amp: _amp * np.sin(t),
+                              period=2.0 * np.pi)
         lo, hi = eigs[0] - abs(amp), eigs[-1] + abs(amp)
         if variant == "separable_product":
             lo, hi = lo ** 2, hi ** 2

@@ -55,7 +55,7 @@ from .errors import CapacityError, DomainError, EllipticityError
 from .kernels import KernelSpec
 from .operators import (_KERNEL_CHUNK_BYTES, QuadratureScheme, SmoothFunction,
                         _chunk_rows, _directions, _gauss_rule, _ray_constants,
-                        _ray_kernel, far_field)
+                        _ray_profile, far_field)
 
 __all__ = [
     "LatticeDomain",
@@ -264,13 +264,15 @@ def _self_cell_moments(spec: KernelSpec, pts: np.ndarray,
     # chunk of nodes at a time
     rho = t[:, None] * rho_max[None, :]  # (nr, nd)
     wrad = (0.5 * rho_max) ** (2.0 - 2.0 * s)
-    rays = _ray_constants(spec, pts, dirs)
+    p, q, kx, kt = _ray_constants(spec, pts, dirs)
     out = np.empty((len(pts), spec.dim))
     rows = _chunk_rows(spec, rho.size)
     for lo in range(0, len(pts), rows):
         sl = slice(lo, lo + rows)
-        g = _ray_kernel(spec, rays, sl, rho) * rho ** (spec.dim + 2.0 * s)
-        radial = wrad * np.einsum("r,ird->id", gj_w, g)  # smooth part rho^(N+2s) K
+        # the smooth part rho^(N+2s) K of the kernel along each ray
+        g = spec.prefactor * _ray_profile(spec, p[sl, None], q[sl, None],
+                                          kx[sl, None, None] + rho * kt)
+        radial = wrad * np.einsum("r,ird->id", gj_w, g)
         out[sl] = 0.5 * np.einsum("d,id,da->ia", aw, radial, dirs**2)
     return out
 
@@ -373,17 +375,18 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
 
     exit_d = _box_exit_distances(pts, domain.lower, domain.upper,
                                  _directions(spec.dim, quad)[0])
-    tails = far_field(spec, pts, exit_d, quad)
     drift_vals = None
     far = None
-    if drift is not None:
+    if drift is None:
+        tails = far_field(spec, pts, exit_d, quad)
+    else:
         # before the interior matrix exists, so that the far field's
         # chunks sit beside W alone.  S_i = Int_{outside the box}
-        # (h - h_i) K splits exactly into the rays out to the drift's
-        # support and the kernel mass T_i
+        # (h - h_i) K splits exactly into Int (h - h_inf) K and the
+        # kernel mass T_i, which one far_field pass gives together
         drift_vals = np.asarray(drift(pts), dtype=float)
-        far = (far_field(spec, pts, exit_d, quad, g=drift)
-               + (drift.far_value - drift_vals) * tails)
+        tails, far = far_field(spec, pts, exit_d, quad, g=drift)
+        far += (drift.far_value - drift_vals) * tails
 
     mask = domain.interior_mask
     row_sums = W.sum(axis=1)

@@ -16,10 +16,13 @@ the annulus uses geometric panels with Gauss-Legendre nodes (panel edges
 are forced onto any known kink radii of the integrand), and the far
 field beyond the quadrature radius is accounted for by a kernel tail
 mass.  That mass, like every exterior integral of the package, comes
-from ``far_field``: along each ray from a start radius outwards, in
-closed form for the kernel mass of a constant field and otherwise on
-geometric Gauss-Legendre panels.  For a function g that equals g_inf
-beyond a declared radius the rays stop there, because
+from ``far_field``: along each ray from a start radius outwards, on
+geometric Gauss-Legendre panels until a closed form takes over.  The
+kernel mass of a constant field is closed form on every ray; that of a
+separable field whose profile declares its period is closed by the
+Fourier series of the kernel along the ray once the ray is a few
+periods out (``_ray_closures``).  A function g that equals a constant
+beyond a declared plateau or radius closes there, because
 
     Int (g - g(x)) K = Int (g - g_inf) K + (g_inf - g(x)) Int K
 
@@ -78,6 +81,9 @@ class SmoothFunction:
     radius about the origin; ``None`` means no such radius is known.
     ``kink_points`` / ``kink_spheres`` list locations where the function
     is only finitely smooth, so panel edges can be aligned with them.
+    ``plateau`` = (e, c, g_plus, g_minus) declares that the function
+    equals g_plus where y . e >= c and g_minus where y . e <= -c;
+    ``far_field`` closes its rays where they enter one.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -86,6 +92,7 @@ class SmoothFunction:
     kink_points: tuple = ()
     kink_spheres: tuple = ()  # entries (center, radius)
     far_value: float = 0.0  # constant value beyond support_radius
+    plateau: tuple | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -141,30 +148,31 @@ def tanh_drift(dim: int, amplitude: float = 0.3,
                slope: float = 2.0) -> SmoothFunction:
     """Smoothed step a tanh(k x_0) along the first axis, with plateaus +-a.
 
-    It is declared with support radius 40 and ``far_value=0``: 0 is the
-    mean of the two plateaus over antipodal points x + z and x - z, and
-    for slopes k >= 1/2 that mean vanishes to rounding once |z_0| is a
-    few units.  The pointwise rules and the lattice far field
-    (``far_field``) stop their rays at |x| + 40 and close the rest with
-    this far value.  Where K(x, x + z) = K(x, x - z), as for constant
-    fields, the closure is exact up to the rays nearly parallel to the
-    plateaus (about 1e-11 of the maximum drift far field of a 2D box
-    lattice, s = 1/2, 24 directions).  For separable fields the antipodal
-    kernel values differ: on a 16-cell box lattice with a
-    ``separable_sum`` field of amplitude 0.1 the closure moves the drift
-    far field S by about 3e-6 of max|S|, while the default scheme leaves
-    S about 8e-5 of max|S| from converged values.  That error comes from
-    the panels: 16 radial nodes do not resolve the oscillation of the
-    ridge b(y) = 0.1 sin(y_1 + y_2) along far rays (6e-5 at tolerance
-    1e-10, 9e-6 at 32 nodes), and the tail tolerance 1e-6 stops the
-    panels early (3e-5 at 128 nodes).  ``tests/test_far_field.py``
-    measures these numbers.
+    The plateaus are declared from |x_0| = 20/|k| on, where tanh rounds
+    to +-1, and ``far_field`` closes each ray where it enters one with the
+    kernel mass beyond: exactly for constant fields, within the tail
+    tolerance for separable ones.  On a 16-cell box lattice with a
+    ``separable_sum`` field of amplitude 0.1 the default scheme leaves
+    the drift far field S 1.2e-10 of max|S| from converged values.
+    Stopping the rays at |x| + 40 instead, and taking the rest to cancel
+    between antipodal rays as the support radius below says, leaves
+    3.3e-6, since the kernel values at x + z and x - z differ.
+    ``tests/test_far_field.py`` measures these numbers.
+
+    The function is also declared with support radius 40 and
+    ``far_value=0``: 0 is the mean of the two plateaus over antipodal
+    points x + z and x - z, which vanishes to rounding once |z_0| is a
+    few units.  The pointwise rules cover |x| + 40 with their panels and
+    close the rest with this far value.
     """
 
     def fn(pts: np.ndarray) -> np.ndarray:
         return amplitude * np.tanh(slope * pts[:, 0])
 
-    return SmoothFunction(fn, dim, support_radius=40.0)
+    axis = np.eye(dim)[0]
+    side = math.copysign(amplitude, slope)
+    return SmoothFunction(fn, dim, support_radius=40.0,
+                          plateau=(axis, 20.0 / abs(slope), side, -side))
 
 
 def interval_power(alpha: float, dim: int = 1) -> SmoothFunction:
@@ -181,11 +189,19 @@ def interval_power(alpha: float, dim: int = 1) -> SmoothFunction:
     return SmoothFunction(fn, dim, support_radius=1.0, **kinks)
 
 
+def _mapped_plateau(f: SmoothFunction, value: Callable[[float], float]) -> tuple | None:
+    if f.plateau is None:
+        return None
+    e, c, upper, lower = f.plateau
+    return e, c, value(upper), value(lower)
+
+
 def scaled(f: SmoothFunction, factor: float) -> SmoothFunction:
     return SmoothFunction(lambda pts: factor * f(pts), f.dim,
                           support_radius=f.support_radius,
                           kink_points=f.kink_points, kink_spheres=f.kink_spheres,
-                          far_value=factor * f.far_value)
+                          far_value=factor * f.far_value,
+                          plateau=_mapped_plateau(f, lambda v: factor * v))
 
 
 def shifted(f: SmoothFunction, constant: float) -> SmoothFunction:
@@ -193,7 +209,8 @@ def shifted(f: SmoothFunction, constant: float) -> SmoothFunction:
     return SmoothFunction(lambda pts: f(pts) + constant, f.dim,
                           support_radius=f.support_radius,
                           kink_points=f.kink_points, kink_spheres=f.kink_spheres,
-                          far_value=f.far_value + constant)
+                          far_value=f.far_value + constant,
+                          plateau=_mapped_plateau(f, lambda v: v + constant))
 
 
 # --------------------------------------------------------------------------
@@ -207,6 +224,20 @@ _INNER_RADIUS = 0.125
 _OUTER_RADIUS = 32.0
 _PANEL_RATIO = 2.0
 _FAR_CAP = 1e12
+# Growth of the panels of a ray's kernel mass in ``far_field``: on [r, 4r]
+# the pole of rho^(-1-2s) at 0 lies 5/3 half-widths from the centre, where
+# 16 Gauss-Legendre nodes are exact to rounding; the profile of a separable
+# field is resolved by the one-period bound on a panel instead.
+_MASS_PANEL_RATIO = 4.0
+# The closure of a ray of a separable field (``_ray_closures``): the first
+# trapezoid rule over one period and its largest size, the size of the
+# Fourier coefficients past a quarter of the rule, relative to their mean,
+# below which the rule has resolved the profile, and the most terms of the
+# integration-by-parts series.
+_PERIOD_SAMPLES = 64
+_PERIOD_SAMPLES_MAX = 4096
+_RESOLVED = 1e-13
+_SERIES_TERMS = 32
 
 
 @dataclass(frozen=True)
@@ -214,10 +245,12 @@ class QuadratureScheme:
     """Resolution parameters for the pointwise and lattice rules.
 
     ``tail_tolerance`` sets the kernel mass a pointwise rule may leave to
-    its analytic tail bound, and it is the relative stop of every
-    ``far_field`` panel integral: a node's panels end once one adds
-    less than this fraction of the node's running total, or once they
-    pass the radius ``_FAR_CAP``.
+    its analytic tail bound, and it bounds what a ``far_field`` ray
+    leaves out: a ray of a separable field closes where the remainder
+    bound of its closure series falls below this fraction of the
+    closure's leading term, and a ray that no closure ends stops once a
+    panel adds less than this fraction of the ray's running magnitude,
+    or once it passes the radius ``_FAR_CAP``.
     """
 
     radial_order: int = 16
@@ -382,123 +415,350 @@ def _ray_constants(spec: KernelSpec, pts: np.ndarray,
     return p, q, kx, dirs @ fld.wave
 
 
-def _ray_kernel(spec: KernelSpec, rays: tuple[np.ndarray, ...], nodes,
-                rho: np.ndarray) -> np.ndarray:
-    """K(x_i, x_i + rho theta_d) for a separable field, for the nodes
-    ``rays[k][nodes]`` of the ``_ray_constants``; ``rho`` has shape
-    (node, radius, direction), or (radius, direction) for every node.
-    One profile call, one multiply-add and one power per sample."""
-    p, q, kx, kt = rays
-    form = q[nodes, None] * spec.field.ridge(kx[nodes, None, None] + rho * kt) + p[nodes, None]
-    return spec.prefactor * (rho * rho * form) ** (-spec.bounds.exponent)
+def _ray_profile(spec: KernelSpec, p: np.ndarray, q: np.ndarray,
+                 phase: np.ndarray) -> np.ndarray:
+    """(P + Q f(phase))^(-(N+2s)/2) for broadcasting P, Q and phases: along a
+    ray of a separable field the kernel is prefactor rho^(-N-2s) times this
+    (``_ray_constants``).  One profile call and one power per sample."""
+    form = q * spec.field.ridge(phase)
+    form += p
+    return np.power(form, -spec.bounds.exponent, out=form)
 
 
 def _ellipticity_tail(spec: KernelSpec, radius: float | np.ndarray) -> float | np.ndarray:
-    """Bound on the kernel mass beyond ``radius`` from the lower ellipticity
-    bound: sigma_N lower^(-(N+2s)/2) radius^(-2s) / (2s)."""
-    sigma = 2.0 * np.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
-    return (spec.prefactor * sigma * spec.bounds.lower ** (-spec.bounds.exponent)
+    """Bound on the kernel mass per unit solid angle beyond ``radius`` from
+    the lower ellipticity bound: lower^(-(N+2s)/2) radius^(-2s) / (2s)."""
+    return (spec.prefactor * spec.bounds.lower ** (-spec.bounds.exponent)
             * radius ** (-2.0 * spec.s) / (2.0 * spec.s))
 
 
-def _support_exits(pts: np.ndarray, dirs: np.ndarray, radius: float) -> np.ndarray:
-    """Distance along each ray from x_i to its exit from the ball of the
-    given radius about the origin; -inf where the ray misses the ball."""
-    b = pts @ dirs.T
-    disc = b * b - np.einsum("ia,ia->i", pts, pts)[:, None] + radius * radius
-    with np.errstate(invalid="ignore"):
-        return np.where(disc > 0.0, np.sqrt(disc) - b, -np.inf)
+def _ray_reach(g: SmoothFunction, x: np.ndarray,
+               theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the rays y = x_r + rho theta_r of ``far_field``: the radius where
+    g is last evaluated, and the constant gamma that g - g_inf equals
+    beyond it.
+
+    If g declares a plateau, a ray that enters it before ``_FAR_CAP``
+    reaches the point where it enters, and gamma is the plateau value less
+    g_inf; a ray that does not, such as one parallel to the plateaus, has
+    no reach.  The support radius is then not read.  Without a plateau a
+    ray reaches |x| + ``g.support_radius``, or nothing without a support
+    radius, with gamma = 0.
+    """
+    m = len(x)
+    if g.plateau is None:
+        reach = (np.full(m, np.inf) if g.support_radius is None
+                 else np.sqrt(np.einsum("ra,ra->r", x, x)) + g.support_radius)
+        return reach, np.zeros(m)
+    e, c, upper, lower = g.plateau
+    u, v = np.einsum("ra,a->r", x, e), np.einsum("ra,a->r", theta, e)
+    # the plateau on the side the ray heads to; a ray along the plateaus is
+    # on one only if it starts there
+    side = np.where(v != 0.0, np.sign(v), np.sign(u))
+    with np.errstate(divide="ignore"):
+        enter = np.where(v != 0.0, (c - side * u) / np.abs(v),
+                         np.where(np.abs(u) >= c, 0.0, np.inf))
+    on = enter <= _FAR_CAP
+    gamma = np.where(on, np.where(side > 0.0, upper, lower) - g.far_value, 0.0)
+    return np.where(on, enter, np.inf), gamma
+
+
+def _support_exit(radius: float, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Distance along each ray y = x_r + rho theta_r to its exit from the
+    ball of the given radius about the origin; -inf where it misses it."""
+    b = np.einsum("ra,ra->r", x, theta)
+    disc = b * b - np.einsum("ra,ra->r", x, x) + radius * radius
+    return np.where(disc > 0.0, np.sqrt(np.maximum(disc, 0.0)) - b, -np.inf)
+
+
+@functools.cache
+def _series_factors(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The term counts K = 2 ... ``_SERIES_TERMS`` of the closure series and
+    log (a)_K / (a + K - 1), a = 1 + 2s, the factor of their remainder bound
+    (``_ray_closures``)."""
+    a = 1.0 + 2.0 * s
+    terms = np.arange(2, _SERIES_TERMS + 1)
+    log_fac = np.array([math.lgamma(a + k) - math.lgamma(a) - math.log(a + k - 1.0)
+                        for k in terms])
+    terms.setflags(write=False)
+    log_fac.setflags(write=False)
+    return terms, log_fac
+
+
+def _ray_closures(spec: KernelSpec, p: np.ndarray, q: np.ndarray, kx: np.ndarray,
+                  kt: np.ndarray, radius: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Where the rays of a separable field with a declared period close, and
+    their kernel mass C(R) = Int_R^inf rho^(N-1) K drho beyond that radius.
+
+    Rays are given by their ``_ray_constants`` P, Q, k . x and k . theta and
+    close at ``radius`` or later.  Along a ray rho^(N-1) K = prefactor
+    rho^(-a) Phi(k . x + rho k . theta) with a = 1 + 2s and Phi = (P + Q
+    f)^(-(N+2s)/2) periodic.  Its Fourier coefficients c_n come from the
+    trapezoid rule over one period, doubled in size until the coefficients
+    past a quarter of the rule are below ``_RESOLVED`` of c_0.  With w =
+    2 pi k . theta / period, K-fold integration by parts of each mode gives
+
+        C(R) = prefactor [c_0 R^(-2s)/(2s)
+               - Sum_{j<K} (a)_j R^(-a-j) w^(-j-1) Psi_{j+1}(phase at R)]
+
+    with Psi_m(t) = Sum_{n != 0} c_n e^{int} / (in)^m, plus a remainder of at
+    most (a)_K |w|^(-K) M_K R^(1-a-K) / (a+K-1), M_K = Sum_{n != 0} |c_n|
+    |n|^(-K).  A ray closes at the least R where, for some K up to
+    ``_SERIES_TERMS``, that bound is ``tol`` of the bound R^(-a) M_1 / |w|
+    on the series' first term, and uses that K.  Where that R passes
+    ``_FAR_CAP`` (k . theta = 0 or nearly), or where Phi is constant, the
+    ray closes at ``radius`` with Phi frozen at its phase there, which is
+    exact for k . theta = 0 and for a constant Phi.  Each ray is computed
+    alone.
+    """
+    fld = spec.field
+    s = spec.s
+    a = 1.0 + 2.0 * s
+    terms, log_fac = _series_factors(s)
+    nu = 2.0 * np.pi / fld.period
+    omega = nu * kt
+    stop = np.empty(len(radius))
+    mass = np.empty(len(radius))
+    todo = np.arange(len(radius))
+    size = _PERIOD_SAMPLES
+    while todo.size:
+        ridge = fld.ridge(fld.period * np.arange(size) / size)
+        n = np.arange(1, size // 4 + 1)
+        # Psi_m = 2 Sum_n n^(-m) Re((-i)^m A_n) with A_n = c_n e^{int}: the
+        # real parts of A and then the imaginary ones against these weights
+        m = np.arange(1, _SERIES_TERMS + 1)
+        power = 2.0 * n[:, None] ** -m.astype(float)
+        turn = np.array([1.0, 0.0, -1.0, 0.0])  # Re (-i)^m by m mod 4
+        modes = np.concatenate([power * turn[m % 4], power * turn[(m - 1) % 4]])
+        rows = _chunk_rows(spec, size + _SERIES_TERMS)
+        unresolved = []
+        for lo in range(0, todo.size, rows):
+            r = todo[lo:lo + rows]
+            phi = np.multiply.outer(q[r], ridge)
+            phi += p[r, None]
+            c = np.fft.rfft(np.power(phi, -spec.bounds.exponent, out=phi), axis=1) / size
+            c0, cn = c[:, 0].real, c[:, 1:len(n) + 1]
+            if size < _PERIOD_SAMPLES_MAX:
+                fine = np.abs(c[:, len(n) + 1:]).max(axis=1) <= _RESOLVED * c0
+                unresolved.append(r[~fine])
+                r, c0, cn = r[fine], c0[fine], cn[fine]
+            # M_1 = 2 Sum |c_n| / n, and M_K <= 2 |c_1| + 2^(1-K) Sum_{n>=2} |c_n|
+            mod = np.abs(cn)
+            m_1 = 2.0 * np.einsum("rn,n->r", mod, 1.0 / n)
+            m_k = 2.0 * (mod[:, :1] + mod[:, 1:].sum(axis=1)[:, None] * 0.5 ** terms)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                log_r = ((log_fac + np.log(m_k / (tol * m_1)[:, None])) / (terms - 1)
+                         - np.log(np.abs(omega[r]))[:, None])
+                best = np.argmin(log_r, axis=1)
+                # a ray with a constant profile takes the frozen closure, exact there
+                rc = np.where(m_1 > 0.0, np.exp(log_r[np.arange(len(r)), best]), np.inf)
+                frozen = ~(rc <= _FAR_CAP)
+                big_r = np.where(frozen, radius[r], np.maximum(radius[r], rc))
+                # e^{int} for n = 1, 2, ... as powers of e^{it}
+                wave = np.exp(1j * nu * (kx[r] + kt[r] * big_r))
+                amp = cn * np.cumprod(np.repeat(wave[:, None], len(n), axis=1), axis=1)
+                psi = np.einsum("rn,nm->rm", np.concatenate([amp.real, amp.imag], axis=1),
+                                modes)
+                # Sum_{j<K} (a)_j R^(-a-j) w^(-j-1) Psi_{j+1}
+                coef = np.cumprod(np.concatenate(
+                    [(big_r ** -a / omega[r])[:, None],
+                     (a + np.arange(_SERIES_TERMS - 1)) / (omega[r] * big_r)[:, None]],
+                    axis=1), axis=1)
+                used = np.arange(_SERIES_TERMS) < terms[best][:, None]
+                series = np.where(used, coef * psi, 0.0).sum(axis=1)
+            closed = c0 * big_r ** (-2.0 * s) / (2.0 * s) - series
+            f = np.flatnonzero(frozen)
+            if f.size:
+                rf = r[f]
+                closed[f] = (_ray_profile(spec, p[rf], q[rf], kx[rf] + kt[rf] * big_r[f])
+                             * big_r[f] ** (-2.0 * s) / (2.0 * s))
+            stop[r] = big_r
+            mass[r] = closed
+        todo = np.concatenate(unresolved) if unresolved else todo[:0]
+        size *= 2
+    return stop, spec.prefactor * mass
 
 
 def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
-              quad: QuadratureScheme, g: SmoothFunction | None = None) -> np.ndarray:
-    """Exterior integral per node along the rays of ``_directions``.
+              quad: QuadratureScheme,
+              g: SmoothFunction | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Exterior integrals per node along the rays of ``_directions``.
 
     ``start[i, k]`` is the radius where ray k of ``_directions(spec.dim,
     quad)`` begins for node x_i.  Returns, for each row x_i of ``pts``,
+    the kernel mass T_i beyond ``start``; with ``g`` the pair (T, G) with
 
-        Sum_theta w_theta Int_{start[i, theta]}^{end_i}
-            rho^(N-1) (g(x_i + rho theta) - g_inf) K(x_i, x_i + rho theta) drho
+        G_i = Sum_theta w_theta Int_{start[i, theta]}^inf
+                  rho^(N-1) (g(x_i + rho theta) - g_inf) K(x_i, x_i + rho theta) drho
 
-    with g_inf = ``g.far_value``.  The integrand vanishes beyond
-    end_i = |x_i| + ``g.support_radius``; without a support radius
-    end_i is infinite.  ``g=None`` means g = 1, g_inf = 0: the kernel
-    mass beyond ``start``, in closed form for constant fields and
-    otherwise completed by the ellipticity bound beyond the last panel.
-    Panels grow by ``_PANEL_RATIO`` and are split where a ray leaves
-    the ball of radius ``g.support_radius``, the edge of g's support; a
-    node stops once all its rays reach end_i, its radius passes
-    ``_FAR_CAP``, or the magnitude of its latest panel is below
-    ``quad.tail_tolerance`` of the running sum of those magnitudes.  The
-    magnitude integrates |g - g_inf| K, so that a signed integrand can
-    neither stall the test nor stop it where its rays cancel.
-    For a constant field A the kernel along a ray is
-    rho^(N-1) K = kdir(theta) rho^(-1-2s) with kdir(theta) = K(0, theta),
-    so no quadratic form is evaluated; for a separable field P and Q
-    come once per node and ray (``_ray_constants``), and a sample is one
-    profile call.  Sample points y are formed only to evaluate g.
-    Each panel step takes the live nodes in chunks of at most
-    ``_KERNEL_CHUNK_BYTES`` of temporaries; every node is computed alone,
-    so the chunking does not change a value.
+    and g_inf = ``g.far_value``; T does not depend on ``g``.  Each (node,
+    direction) pair is a ray that advances on its own, and its kernel
+    mass T_r is
+
+    - closed form for a constant field A: along a ray rho^(N-1) K =
+      kdir(theta) rho^(-1-2s) with kdir(theta) = K(0, theta);
+    - for a separable field with a declared period, panels out to the
+      radius of ``_ray_closures`` plus its closure there;
+    - otherwise panels until one adds less than ``quad.tail_tolerance``
+      of the ray's running sum, completed by the ellipticity bound.
+
+    For G a ray evaluates g on panels out to its reach (``_ray_reach``)
+    and closes with gamma times its kernel mass beyond: exactly past a
+    plateau that g declares, whatever the field, and with 0 past |x_i| +
+    ``g.support_radius``, where the rest is taken to cancel with the
+    antipodal ray (``tanh_drift``).  A ray with no reach stops once g -
+    g_inf varies over a panel by less than the tail tolerance of the
+    running sum of |g - g_inf| K, or once it passes ``_FAR_CAP``, and
+    closes with g - g_inf frozen at its last sample.  The sum integrates
+    |g - g_inf| because a signed g can cancel within a panel, and a panel
+    sum near 0 then says nothing about the panels still to come.
+
+    Panels are Gauss-Legendre and grow by ``_PANEL_RATIO``, or by
+    ``_MASS_PANEL_RATIO`` for the kernel mass.  Without a plateau they
+    are split where a ray leaves the ball of radius ``g.support_radius``,
+    and on a ray of a separable field that has an end each spans at most
+    one period of the profile along the ray.  P and Q of a separable
+    field come once per ray (``_ray_constants``), and a sample is one
+    profile call; sample points y are formed only to evaluate g.  The
+    live rays take panel steps in chunks of at most
+    ``_KERNEL_CHUNK_BYTES`` of temporaries; every ray is computed alone
+    and a node sums its rays in direction order, so the chunking does not
+    change a value.
     """
     dirs, aw = _directions(spec.dim, quad)
     s = spec.s
-    constant = spec.field.variant == "constant"
-    if constant:
-        q_unit = np.einsum("da,ab,db->d", dirs, spec.field.matrix, dirs)
-        kdir = spec.prefactor * q_unit ** (-spec.bounds.exponent)
-        if g is None:
-            return np.einsum("d,d,id->i", aw, kdir, start ** (-2.0 * s)) / (2.0 * s)
-    else:
-        rays = _ray_constants(spec, pts, dirs)
-    end = np.full(len(pts), np.inf)
-    split = np.full(np.shape(start), -np.inf)
-    if g is not None and g.support_radius is not None:
-        end = np.linalg.norm(pts, axis=1) + g.support_radius
-        split = _support_exits(pts, dirs, g.support_radius)
-    stop = np.maximum(start, end[:, None])
+    fld = spec.field
+    constant = fld.variant == "constant"
+    n_dirs = len(dirs)
+    rows = _chunk_rows(spec, quad.radial_order)
     gl_x, gl_w = _gauss_rule(quad.radial_order)
-    total = np.zeros(len(pts))
-    size = np.zeros(len(pts))  # running sum of panel magnitudes, the total's scale
-    a = np.array(start, dtype=float)
-    rows = _chunk_rows(spec, quad.radial_order * len(dirs))
-    live = np.flatnonzero((a < stop).any(axis=1))
-    while live.size:
-        # the next chunk of live nodes takes one panel step, and those that
-        # go on rejoin the end of the queue
-        idx, live = live[:rows], live[rows:]
-        lo = a[idx]
-        edge = np.where(lo < split[idx], split[idx], stop[idx])
-        hi = np.minimum(lo * _PANEL_RATIO, edge)
-        mid = 0.5 * (lo + hi)[:, None, :]
-        half = 0.5 * (hi - lo)[:, None, :]
-        rho = mid + half * gl_x[None, :, None]  # (node, radius, direction)
-        wr = half * gl_w[None, :, None]
-        if constant:  # kv is rho^(N-1) K here
-            wf, kv = wr, kdir * rho ** (-1.0 - 2.0 * s)
-        else:
-            wf, kv = wr * rho ** (spec.dim - 1), _ray_kernel(spec, rays, idx, rho)
-        if g is not None:
-            y = pts[idx, None, None, :] + rho[..., None] * dirs
-            wf = wf * (g(y.reshape(-1, spec.dim)).reshape(rho.shape) - g.far_value)
-        panel = np.einsum("ird,d,ird->i", wf, aw, kv)
-        # a signed g can cancel between rays, and a panel sum near 0 then
-        # says nothing about the panels still to come
-        mag = np.abs(panel) if g is None else np.einsum("ird,d,ird->i", np.abs(wf), aw, kv)
-        total[idx] += panel
-        size[idx] += mag
-        a[idx] = hi
-        done = ((mag < quad.tail_tolerance * size[idx])
-                | (hi.min(axis=1) > _FAR_CAP) | (hi >= stop[idx]).all(axis=1))
-        live = np.concatenate([live, idx[~done]])
-    if g is None:
-        total += _ellipticity_tail(spec, a.min(axis=1))
-    return total
+    if constant:
+        q_unit = np.einsum("da,ab,db->d", dirs, fld.matrix, dirs)
+        kdir = spec.prefactor * q_unit ** (-spec.bounds.exponent)
+        mass = np.einsum("d,d,id->i", aw, kdir, start ** (-2.0 * s)) / (2.0 * s)
+        if g is None:
+            return mass
+    else:
+        p, q, kx, kt = _ray_constants(spec, pts, dirs)
+        with np.errstate(divide="ignore"):
+            period = (np.full(n_dirs, np.inf) if fld.period is None
+                      else fld.period / np.abs(kt))
+
+    def march(a: np.ndarray, stop: np.ndarray, total: np.ndarray,
+              g: SmoothFunction | None) -> None:
+        # every live ray takes one panel step, a chunk at a time, and adds
+        # its panel of (g - g_inf) K (of K for g=None) to total.  Samples
+        # are laid out (radial node, ray), so that every broadcast runs
+        # along the rays, and the steps work in place: numpy's check for an
+        # elidable temporary costs more than an operation on these arrays.
+        ratio = _MASS_PANEL_RATIO if g is None else _PANEL_RATIO
+        size = np.zeros_like(a) if np.isinf(stop).any() else None
+        live = np.flatnonzero(a < stop).astype(np.int32)
+        while live.size:
+            going = []
+            for lo in range(0, live.size, rows):
+                idx = live[lo:lo + rows]
+                i, d = np.divmod(idx, n_dirs)
+                lo_r, end = a[idx], stop[idx]
+                closes = end < np.inf
+                hi = np.minimum(lo_r * ratio, end)
+                if g is not None and g.plateau is None and g.support_radius is not None:
+                    split = _support_exit(g.support_radius, pts[i], dirs[d])
+                    hi = np.where(lo_r < split, np.minimum(hi, split), hi)
+                if not constant:
+                    hi = np.where(closes, np.minimum(hi, lo_r + period[d]), hi)
+                half = 0.5 * (hi - lo_r)
+                rho = np.multiply.outer(gl_x, half)
+                rho += 0.5 * (lo_r + hi)
+                wk = rho ** (-1.0 - 2.0 * s)  # rho^(N-1) K, then times the weights
+                if constant:
+                    wk *= kdir[d] * half
+                else:
+                    phase = rho * kt[d]
+                    phase += kx[i]
+                    wk *= _ray_profile(spec, p[i, d], q[i, d], phase)
+                    wk *= spec.prefactor * half
+                wk *= gl_w[:, None]
+                if g is None:
+                    panel = wk.sum(axis=0)
+                else:
+                    y = np.empty((spec.dim,) + rho.shape)
+                    for c in range(spec.dim):
+                        np.multiply(rho, dirs[d, c], out=y[c])
+                        y[c] += pts[i, c]
+                    w = g(y.reshape(spec.dim, -1).T).reshape(rho.shape)
+                    w -= g.far_value
+                    panel = np.einsum("kr,kr->r", wk, w)
+                    rest[idx] -= wk.sum(axis=0)
+                total[idx] += panel
+                a[idx] = hi
+                done = (hi >= end) | (hi > _FAR_CAP)
+                # a ray with an end runs to it; one without stops once a
+                # panel's |g - g_inf - beta| K adds less than the tail
+                # tolerance of the running sum of its |g - g_inf| K, with
+                # beta = g - g_inf at the panel's end (0 for the kernel mass)
+                test = np.flatnonzero(~done & ~closes)
+                if test.size:
+                    if g is None:
+                        size[idx[test]] += panel[test]
+                        done[test] = panel[test] < quad.tail_tolerance * size[idx[test]]
+                    else:
+                        wt, wkt = w[:, test], wk[:, test]
+                        size[idx[test]] += np.einsum("kr,kr->r", wkt, np.abs(wt))
+                        dev = np.einsum("kr,kr->r", wkt, np.abs(wt - wt[-1]))
+                        done[test] = dev < quad.tail_tolerance * size[idx[test]]
+                out = np.flatnonzero(done)
+                if g is None:  # an open ray's kernel mass past its last panel
+                    out = out[~closes[out]]
+                    total[idx[out]] += _ellipticity_tail(spec, hi[out])
+                elif out.size:
+                    _, beta = _ray_reach(g, pts[i[out]], dirs[d[out]])
+                    beta = np.where(closes[out], beta, w[-1, out])
+                    total[idx[out]] += beta * rest[idx[out]]
+                going.append(idx[~done])
+            live = np.concatenate(going)
+
+    # ray r runs from node r // n_dirs along direction r % n_dirs
+    a = np.array(start, dtype=float).reshape(-1)
+    stop = np.empty_like(a)  # where its panels end
+    if constant:
+        ray_mass = (kdir * start ** (-2.0 * s)).reshape(-1) / (2.0 * s)
+    else:
+        ray_mass = np.zeros_like(a)
+        for lo in range(0, a.size, rows):
+            r = np.arange(lo, min(lo + rows, a.size))
+            i, d = np.divmod(r, n_dirs)
+            if fld.period is None:
+                stop[r] = np.inf
+            else:
+                stop[r], ray_mass[r] = _ray_closures(spec, p[i, d], q[i, d], kx[i], kt[d],
+                                                     a[r], quad.tail_tolerance)
+        march(a, stop, ray_mass, None)
+        mass = np.einsum("id,d->i", ray_mass.reshape(np.shape(start)), aw)
+        if g is None:
+            return mass
+        a[:] = np.reshape(start, -1)
+    # the kernel mass of each ray beyond its last panel, with which it
+    # closes: past its reach g - g_inf is gamma (``_ray_reach``), and on a
+    # ray with no end it is frozen at its last sample
+    rest = ray_mass
+    total = np.empty_like(a)
+    for lo in range(0, a.size, rows):
+        r = np.arange(lo, min(lo + rows, a.size))
+        i, d = np.divmod(r, n_dirs)
+        reach, gamma = _ray_reach(g, pts[i], dirs[d])
+        stop[r] = np.maximum(reach, a[r])
+        # a ray that starts on its plateau is closed already
+        total[r] = np.where(a[r] < stop[r], 0.0, gamma * rest[r])
+    march(a, stop, total, g)
+    return mass, np.einsum("id,d->i", total.reshape(np.shape(start)), aw)
 
 
 def _tolerance_radius(spec: KernelSpec, quad: QuadratureScheme) -> float:
     """Radius R with (upper kernel bound tail mass) <= tail_tolerance."""
-    r = (_ellipticity_tail(spec, 1.0) / quad.tail_tolerance) ** (1.0 / (2.0 * spec.s))
+    sigma = 2.0 * np.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
+    r = (sigma * _ellipticity_tail(spec, 1.0) / quad.tail_tolerance) ** (1.0 / (2.0 * spec.s))
     return float(min(max(r, _OUTER_RADIUS), _FAR_CAP))
 
 

@@ -267,6 +267,30 @@ def test_recover_drift_pointwise_agreement(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("lambdas, message", [
+    ([0.125, 0.25, 0.5], "decreasing"),
+    ([0.5, 0.3, 0.1], "geometric"),
+], ids=["increasing", "not-geometric"])
+def test_recover_drift_checks_scales(tmp_path, capsys, monkeypatch, lambdas, message):
+    # the scales are checked as recover-matrix checks them, before any probe
+    # runs; unchecked, both exited 0, with rate "nan" for the increasing
+    # sequence and a limit extrapolated at the ratio of the first two scales
+    probes = _count_calls(monkeypatch, cli.drift_probe)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "kernel": KERNEL_1D,
+        "drift": {"kind": "gaussian", "width": 0.9, "amplitude": 0.5},
+        "probe": {"x0": [0.2], "lambdas": lambdas, "cells": 40},
+    })
+    out = tmp_path / "out"
+    assert main(["recover-drift", "--config", cfg,
+                 "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at 'probe.lambdas':" in err
+    assert message in err
+    assert probes == []
+    assert not out.exists()
+
+
 def test_barrier_check_positive_above_threshold(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "kernel": KERNEL_1D,
@@ -483,6 +507,18 @@ def test_amplitude_on_constant_kernel_exits_2(tmp_path, capsys, command,
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
     assert "kernel.amplitude" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_interval_takes_exactly_one_cell_count(tmp_path, capsys):
+    # an interval's cells array was read at its first entry and the rest
+    # ignored; a count per axis is one count here, as for a box
+    for cells, code in (([12], 0), ([12, 12], 2)):
+        cfg = write_config(tmp_path, "cfg.json", dict(
+            EIGEN_1D, domain=dict(EIGEN_1D["domain"], cells=cells)))
+        out = tmp_path / f"out{len(cells)}"
+        assert main(["eigen", "--config", cfg, "--output-dir", str(out)]) == code
+    assert "config error at 'domain.cells':" in capsys.readouterr().err
     assert not out.exists()
 
 

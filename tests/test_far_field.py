@@ -1,11 +1,13 @@
 """The exterior integrals of ``operators.far_field`` against exact values.
 
 A ``separable_sum`` field with zero amplitude and base matrix A/2 is the
-constant field A, but it takes the geometric-panel route, so its kernel
-mass can be checked against the constant-field closed form.  The drift
-far field of ``assemble`` stops its rays at the drift's declared support
-and adds the rest through the kernel mass; with no support declared the
-rays run on, which gives the reference.
+constant field A, but its kernel mass takes the separable route
+(``operators._ray_closures``), so it can be checked against the
+constant-field closed form.  The drift far field of ``assemble`` stops
+its rays where the drift enters a declared plateau or leaves its declared
+support, and adds the rest through the kernel mass; with neither
+declared the rays run on until the drift stops varying, which gives the
+reference.
 """
 
 import tracemalloc
@@ -183,7 +185,7 @@ def test_profile_sees_each_node_once_and_only_phases(variant):
         return spec.field.profile(t)
 
     field = AnisotropyField(variant, spec.field.matrix, wave=spec.field.wave,
-                            profile=recording)
+                            profile=recording, period=spec.field.period)
     counted = KernelSpec(field, spec.bounds)
     pts = np.array([[0.1, -0.2], [0.7, 0.4], [-0.5, 0.9]])
     node_phases = pts @ field.wave
@@ -213,7 +215,8 @@ def test_per_point_profile_through_hoisted_kernels(variant):
     spec = spec_from_config({"variant": variant, "matrix": _MATRICES[2], "s": 0.5})
     fn = spec.field.profile
     field = AnisotropyField(variant, spec.field.matrix, wave=spec.field.wave,
-                            profile=lambda t: np.array([fn(np.array([ti]))[0] for ti in t]))
+                            profile=lambda t: np.array([fn(np.array([ti]))[0] for ti in t]),
+                            period=spec.field.period)
     looped = KernelSpec(field, spec.bounds)
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4])
     drift = tanh_drift(2, amplitude=0.3, slope=2.0)
@@ -245,28 +248,111 @@ def test_drift_far_field_convergence_on_separable_field():
     def far(order, tolerance, g=drift):
         quad = QuadratureScheme(radial_order=order, tail_tolerance=tolerance)
         start = _box_exit_distances(_FAR_NODES, dom.lower, dom.upper, _directions(2, quad)[0])
-        return (far_field(spec, _FAR_NODES, start, quad, g=g)
-                + (g.far_value - g(_FAR_NODES)) * far_field(spec, _FAR_NODES, start, quad))
+        mass, g_part = far_field(spec, _FAR_NODES, start, quad, g=g)
+        return g_part + (g.far_value - g(_FAR_NODES)) * mass
 
-    ref = far(256, 1e-10)  # order 512 moves it by 9e-7 of max|S|
+    ref = far(256, 1e-12)  # orders 64 and 128 agree with it to 3e-14 of max|S|
     scale = np.abs(ref).max()
 
-    def err(order, tolerance):
-        return np.abs(far(order, tolerance) - ref).max() / scale
+    def err(order, tolerance, g=drift):
+        return np.abs(far(order, tolerance, g) - ref).max() / scale
 
-    # the default scheme (16 nodes, tolerance 1e-6): 7.6e-5 of max|S|
-    assert err(16, 1e-6) < 1e-4
-    # the radial order at tolerance 1e-10: 6.0e-5, 8.5e-6 and 2.1e-6 at
-    # 16, 32 and 128 nodes, as the panels resolve more of the oscillation
-    radial = [err(n, 1e-10) for n in (16, 32, 128)]
-    assert radial[0] > radial[1] > radial[2]
-    assert radial[0] < 8e-5 and radial[1] < 1.2e-5 and radial[2] < 3e-6
-    # the tail tolerance at 128 nodes: 1e-6 stops the panels early and
-    # leaves 2.7e-5, 1e-8 leaves 1.9e-6
-    tail = [err(128, tol) for tol in (1e-6, 1e-8)]
-    assert tail[0] > tail[1]
-    assert tail[0] < 4e-5 and tail[1] < 3e-6
-    # the antipodal closure beyond |x| + 40: rays run on to the tolerance
-    # move S by 2.7e-6 of max|S|, a small part of the default's error
-    closure = np.abs(far(256, 1e-10, SmoothFunction(drift.fn, 2)) - ref).max() / scale
-    assert closure < 4e-6
+    # the default scheme (16 nodes, tolerance 1e-6): 1.2e-10 of max|S|
+    # (7.6e-5 when the panels ran on to the tolerance)
+    assert err(16, 1e-6) < 1e-8
+    # the error is the closures': one period per panel resolves the ridge
+    # b(y) = 0.1 sin(y_1 + y_2), so 128 nodes leave the same 1.2e-10, and
+    # the tail tolerance sets it: 8.3e-13 at 1e-8, and at 1e-10 the 1.5e-13
+    # of the 16-node panels (2.3e-15 at 32 nodes)
+    assert err(128, 1e-6) < 1e-8
+    tail = [err(16, tol) for tol in (1e-6, 1e-8, 1e-10)]
+    assert tail[0] > tail[1] > tail[2]
+    assert tail[1] < 1e-11 and tail[2] < 1e-12
+    assert err(32, 1e-10) < 1e-14
+    # with neither plateau nor support the rays run on until the drift
+    # stops varying and agree to 1.2e-15; with the support alone they stop
+    # at |x| + 40 and the antipodal closure is 3.3e-6 off, since the
+    # kernel values at x + z and x - z differ
+    assert err(256, 1e-12, SmoothFunction(drift.fn, 2)) < 1e-13
+    assert err(256, 1e-12, SmoothFunction(drift.fn, 2, support_radius=40.0)) > 1e-6
+
+def _tilted_tanh(dim, e, amplitude=0.3, slope=2.0):
+    # a tanh(k y . e), its plateaus declared where tanh rounds to +-1
+    def fn(pts):
+        return amplitude * np.tanh(slope * (pts @ e))
+
+    return SmoothFunction(fn, dim, support_radius=40.0,
+                          plateau=(e, 20.0 / slope, amplitude, -amplitude))
+
+
+@pytest.mark.parametrize("variant, dim", [
+    ("constant", 1), ("constant", 2), ("constant", 3), ("separable_sum", 2), ("separable_sum", 3),
+])
+def test_plateau_closure_matches_rays_run_on(variant, dim):
+    # the rays close where they enter a plateau; with the plateau and the
+    # support stripped they run on until g stops varying.  For dim > 1 the
+    # plateaus are parallel to the first direction, whose rays never enter
+    # one and so run on in both.  They agree to 3e-15 of max|S|
+    a = np.asarray(_MATRICES[dim])
+    cfg = {"variant": variant, "matrix": (a if variant == "constant" else a / 2).tolist(),
+           "s": 0.5}
+    spec = spec_from_config(cfg)
+    quad = QuadratureScheme(radial_order=64, tail_tolerance=1e-12, angular_count=8,
+                            polar_order=2)
+    theta = _directions(dim, quad)[0][0]
+    e = np.array([1.0]) if dim == 1 else np.concatenate([[-theta[1], theta[0]],
+                                                         np.zeros(dim - 2)])
+    drift = _tilted_tanh(dim, e)
+    if dim > 1:
+        assert np.einsum("da,a->d", _directions(dim, quad)[0], e)[0] == 0.0
+    lower, upper, cells, margin = _LATTICES[dim]
+    dom = LatticeDomain.box(lower, upper, cells, margin=margin)
+    closed = assemble(dom, spec, drift=drift, quad=quad).drift_far
+    stripped = SmoothFunction(drift.fn, dim)
+    run_on = assemble(dom, spec, drift=stripped, quad=quad).drift_far
+    scale = np.abs(run_on).max()
+    assert scale > 0.0
+    np.testing.assert_allclose(closed, run_on, rtol=0.0, atol=1e-10 * scale)
+
+
+def test_far_field_samples_on_the_separable_lattice():
+    # the lattice of the benchmark's eigen-separable-sum command (16 cells,
+    # margin 0.3, 484 nodes).  While every node stepped all its rays until
+    # its slowest ray was done, and the separable kernel mass ran its panels
+    # out to the tail tolerance, assembly handed the profile 5,475,472 phases
+    # and the drift 1,556,452 points (484 of them the node values).  The
+    # drift's points cannot halve as the phases do: the rays of the drift
+    # run to where they enter a plateau, up to 88 units out on the rays
+    # nearly parallel to the plateaus, in panels of at most one period of
+    # the profile
+    spec = spec_from_config({"variant": "separable_sum", "matrix": _MATRICES[2], "s": 0.5})
+    phases, points = [], []
+
+    def profile(t):
+        phases.append(np.array(t))
+        return spec.field.profile(t)
+
+    def fn(pts):
+        points.append(np.array(pts))
+        return drift.fn(pts)
+
+    field = AnisotropyField("separable_sum", spec.field.matrix, wave=spec.field.wave,
+                            profile=profile, period=spec.field.period)
+    drift = tanh_drift(2, amplitude=0.3, slope=2.0)
+    counted = SmoothFunction(fn, 2, support_radius=drift.support_radius,
+                             plateau=drift.plateau)
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [16, 16], margin=0.3)
+    assemble(dom, KernelSpec(field, spec.bounds), drift=counted)
+    assert sum(len(t) for t in phases) <= 5475472 // 2
+    assert sum(len(p) for p in points) <= 0.8 * 1556452
+    # no panel is evaluated with zero width: its first and last of 16 nodes
+    # differ.  A call takes the nodes in order, each for all rays of the
+    # step; the first call of the drift is the node values
+    order = QuadratureScheme().radial_order
+    for y in points[1:]:
+        panel = y.reshape(order, -1, 2)
+        assert np.all(np.any(panel[0] != panel[-1], axis=1))
+    for t in phases:
+        if len(t) % order == 0:
+            panel = t.reshape(order, -1)
+            assert np.all(panel[0] != panel[-1])

@@ -243,8 +243,9 @@ def _check_one_formula(spec):
     dirs = rng.normal(size=(5, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     rho = rng.uniform(0.1, 50.0, size=(4, 6, 5))
-    rays = operators._ray_constants(spec, pts, dirs)
-    got = operators._ray_kernel(spec, rays, slice(None), rho)
+    pp, qq, kx, kt = operators._ray_constants(spec, pts, dirs)
+    got = rho ** (-2.0 * p) * operators._ray_profile(spec, pp[:, None], qq[:, None],
+                                                     kx[:, None, None] + rho * kt)
     z = rho[..., None] * dirs
     xb = np.broadcast_to(pts[:, None, None, :], z.shape)
     want = explicit_form(field, xb.reshape(-1, dim), (xb + z).reshape(-1, dim),
