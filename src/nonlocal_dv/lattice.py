@@ -14,7 +14,10 @@ with two corrections: the singular self-cell of each node is
 redistributed onto its lattice neighbours through symmetrized radial
 moment integrals, and the kernel mass beyond the bounding box enters
 each diagonal through ``operators.far_field`` along rays that start at
-the box boundary.  By construction the
+the box boundary.  Only the interior nodes carry unknowns, so W is kept
+as its interior rows I (every box column), and the far field is taken
+at interior nodes alone; the margin nodes of the box serve as
+quadrature points of the exterior mass.  By construction the
 drift-free block is symmetric and satisfies the discrete
 integration-by-parts identity
 
@@ -39,6 +42,18 @@ v leaves rho unchanged, so both inputs are first shifted by one of
 their own entries: a constant input then gives exactly zero, and a
 nearly constant one keeps its digits instead of losing them to the
 cancellation between the four terms.
+
+The rows of exterior nodes are recovered by symmetry.  When u vanishes
+off I, a row e outside I has rho_e = 1/2 Sum_{i in I} W_ie u_i (v_i - v_e),
+so
+
+    1/2 Sum_{all i,j} W_ij du dv
+        = Sum_{i in I} [ rho_i(u, v) + 1/2 Sum_{e not in I} W_ie u_i (v_i - v_e) ],
+
+the second term being the part of rho_i on the exterior columns: the
+pair form of the interior rows with every exterior column counted twice
+(``_box_pair_form``).  When v vanishes off I too, it is
+1/2 u_i v_i m_i with m_i = Sum_{e not in I} W_ie.
 """
 
 from __future__ import annotations
@@ -202,18 +217,22 @@ class GridFunction:
 
 
 def _pair_peak_bytes(domain: LatticeDomain) -> int:
-    """Peak bytes of ``assemble`` on the lattice: the pair weights W and
-    the interior matrix, n_total^2 + n_int^2 float64, for every field.
+    """Peak bytes of ``assemble`` on the lattice: the interior rows of the
+    pair weights W and the interior matrix, n_int n_total + n_int^2
+    float64, for every field.
 
     The pair forms are filled into W in place, and every temporary
     beside them (a row chunk of the forms, the kernel samples, the drift
     block) stays within ``_KERNEL_CHUNK_BYTES``.
     """
-    return 8 * (len(domain.points) ** 2 + domain.n_interior ** 2)
+    n_int = domain.n_interior
+    return 8 * n_int * (len(domain.points) + n_int)
 
 
 def _pair_quadratic_forms(spec: KernelSpec, domain: LatticeDomain) -> np.ndarray:
-    """q_ij = (x_i - x_j)^T A(x_i, x_j) (x_i - x_j) for all box node pairs.
+    """q_ij = (x_i - x_j)^T A(x_i, x_j) (x_i - x_j) for every interior
+    node x_i (row i of the result is the i-th interior node) and every box
+    node x_j.
 
     On the lattice x_i - x_j = h o with the integer offset o = k_i - k_j,
     so the forms of C0, C1 and C2 are evaluated once on every offset
@@ -229,15 +248,18 @@ def _pair_quadratic_forms(spec: KernelSpec, domain: LatticeDomain) -> np.ndarray
     key = np.ravel_multi_index(np.indices(domain.shape).reshape(domain.dim, -1), radix)
     centre = np.ravel_multi_index(m - 1, radix)
     b = None if fld.variant == "constant" else fld.node_terms(domain.points)[1]
+    inner = domain.interior_mask
+    key_int = key[inner]
+    b_int = None if b is None else b[inner]
     n = len(key)
-    q = np.empty((n, n))
+    q = np.empty((len(key_int), n))
     rows = _chunk_rows(spec, n)
-    for lo in range(0, n, rows):
+    for lo in range(0, len(key_int), rows):
         sl = slice(lo, lo + rows)
-        at = np.subtract.outer(key[sl] + centre, key)
+        at = np.subtract.outer(key_int[sl] + centre, key)
         q[sl] = tables[0][at]
         for t, outer in zip(tables[1:], (np.add.outer, np.multiply.outer)):
-            q[sl] += t[at] * outer(b[sl], b)  # the product reuses a temporary
+            q[sl] += t[at] * outer(b_int[sl], b)  # the product reuses a temporary
     return q
 
 
@@ -299,21 +321,23 @@ class AssembledOperator:
     ``matrix`` is the one interior matrix: the Laplace block, the drift
     block and diag(V) summed.  The Laplace block does not depend on the
     drift, so ``assemble(..., drift=None)`` (with no potential) gives the
-    drift-free part bit for bit.  ``pair_weights`` covers all box nodes
-    (exterior ones included) so the zero-data exterior mass is resolved
-    discretely near the domain boundary and by ``far_field`` beyond the
-    box (``box_tail``).
+    drift-free part bit for bit.  ``pair_weights`` holds the rows of the
+    interior nodes, in the order of ``domain.interior_points``, against
+    every box node, so the zero-data exterior mass is resolved discretely
+    near the domain boundary and by ``far_field`` beyond the box
+    (``box_tail``); the rows of exterior nodes follow by symmetry and are
+    not stored (module docstring).
     """
 
     domain: LatticeDomain
     spec: KernelSpec
-    pair_weights: np.ndarray  # (n_total, n_total), includes cell volume
-    box_tail: np.ndarray  # (n_total,)
-    potential: np.ndarray  # (n_interior,)
+    pair_weights: np.ndarray  # (n_int, n_total), includes cell volume
+    box_tail: np.ndarray  # (n_int,)
+    potential: np.ndarray  # (n_int,)
     drift: SmoothFunction | None
     drift_values: np.ndarray | None  # (n_total,)
-    drift_far: np.ndarray | None  # (n_total,)
-    matrix: np.ndarray  # (n_int, n_int): Laplace block + drift block + diag(V)
+    drift_far: np.ndarray | None  # (n_int,)
+    matrix: np.ndarray  # (n_int, n_int), C-ordered: Laplace block + drift block + diag(V)
 
     @property
     def n(self) -> int:
@@ -352,60 +376,72 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     h = domain.spacing
     vol = domain.cell_volume
 
+    mask = domain.interior_mask
+    int_idx = np.flatnonzero(mask)
+    n_int = len(int_idx)
+    rows = np.arange(n_int)  # row r of W is interior node int_idx[r]
+
     # W = prefactor q^(-exponent) vol, formed in place on the pair forms q
     W = _pair_quadratic_forms(spec, domain)
-    np.fill_diagonal(W, 1.0)
+    W[rows, int_idx] = 1.0
     if not W.min() > 0.0:
         raise EllipticityError("a pair form is not positive: the field is not elliptic here")
     W **= -spec.bounds.exponent
     W *= spec.prefactor
     W *= vol
-    np.fill_diagonal(W, 0.0)
+    W[rows, int_idx] = 0.0
 
     if self_cell:
         mom = _self_cell_moments(spec, pts, quad, h)  # (n_total, dim)
         idx = np.arange(n_total).reshape(domain.shape)
+        row_of = np.full(n_total, -1)
+        row_of[int_idx] = rows
         for a in range(domain.dim):
-            # the pairs of nodes i and i + e_a
+            # the pairs of nodes i and i + e_a, on the rows of interior nodes
             along = np.moveaxis(idx, a, 0)
             i, j = along[:-1].reshape(-1), along[1:].reshape(-1)
             c = 0.5 * (mom[i, a] + mom[j, a]) / (h * h)
-            W[i, j] += c
-            W[j, i] += c
+            for row, col in ((i, j), (j, i)):
+                on = mask[row]
+                W[row_of[row[on]], col[on]] += c[on]
 
-    exit_d = _box_exit_distances(pts, domain.lower, domain.upper,
+    # the far field of the interior nodes alone: no row of an exterior
+    # node is read
+    pts_int = pts[mask]
+    exit_d = _box_exit_distances(pts_int, domain.lower, domain.upper,
                                  _directions(spec.dim, quad)[0])
     drift_vals = None
     far = None
     if drift is None:
-        tails = far_field(spec, pts, exit_d, quad)
+        tails = far_field(spec, pts_int, exit_d, quad)
     else:
         # before the interior matrix exists, so that the far field's
         # chunks sit beside W alone.  S_i = Int_{outside the box}
         # (h - h_i) K splits exactly into Int (h - h_inf) K and the
         # kernel mass T_i, which one far_field pass gives together
         drift_vals = np.asarray(drift(pts), dtype=float)
-        tails, far = far_field(spec, pts, exit_d, quad, g=drift)
-        far += (drift.far_value - drift_vals) * tails
+        tails, far = far_field(spec, pts_int, exit_d, quad, g=drift)
+        far += (drift.far_value - drift_vals[mask]) * tails
+    del exit_d  # one double per node and ray: freed before the matrix is formed
 
-    mask = domain.interior_mask
     row_sums = W.sum(axis=1)
-    lap = W[np.ix_(mask, mask)]  # a fresh array: the matrix is built in it
-    np.fill_diagonal(lap, np.diag(lap) - row_sums[mask] - tails[mask])
+    lap = W.take(int_idx, axis=1)  # a fresh C-ordered array: the matrix is built in it
+    np.fill_diagonal(lap, np.diag(lap) - row_sums - tails)
 
     if drift is not None:
         # B_ij = 1/2 W_ij (h_j - h_i); centring h keeps a constant drift
         # exactly zero.  Off the diagonal lap equals W on interior pairs.
         # The block is added a chunk of rows at a time: its two row-chunk
-        # temporaries stay within _KERNEL_CHUNK_BYTES, and no n_int^2
-        # array is formed beside lap.
+        # temporaries stay within half of _KERNEL_CHUNK_BYTES, the other
+        # half holding the per-node vectors, and no n_int^2 array is
+        # formed beside lap.
         hc = drift_vals - drift_vals[0]
         hc_int = hc[mask]
-        b_rows = 0.5 * (W @ hc - hc * row_sums)
-        b_diag = -b_rows[mask] - 0.5 * far[mask]
-        rows = max(1, _KERNEL_CHUNK_BYTES // (16 * len(hc_int)))
-        for lo in range(0, len(hc_int), rows):
-            sl = slice(lo, lo + rows)
+        b_rows = 0.5 * (W @ hc - hc_int * row_sums)
+        b_diag = -b_rows - 0.5 * far
+        chunk = max(1, _KERNEL_CHUNK_BYTES // (32 * n_int))
+        for lo in range(0, n_int, chunk):
+            sl = slice(lo, lo + chunk)
             block = lap[sl] * hc_int
             block -= hc_int[sl, None] * lap[sl]
             block *= 0.5
@@ -413,14 +449,13 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
             block[r, lo + r] = b_diag[sl]
             lap[sl] += block
 
-    n_int = int(mask.sum())
     if potential is None:
         V = np.zeros(n_int)
     elif callable(potential):
         V = np.asarray(potential(domain.interior_points), dtype=float).reshape(n_int)
     else:
         V = np.asarray(potential, dtype=float).reshape(n_int)
-    lap[np.arange(n_int), np.arange(n_int)] += V
+    lap[rows, rows] += V
 
     return AssembledOperator(
         domain=domain, spec=spec, pair_weights=W, box_tail=tails, potential=V,
@@ -441,39 +476,65 @@ def kernel_form(op: AssembledOperator, u: np.ndarray,
                 v: np.ndarray | None = None) -> float:
     """Discrete double-sum energy 1/2 Sum W_ij du dv (h^N included once).
 
-    The sum runs over every pair with at least one point in the domain,
-    plus the beyond-box mass  Sum u_i v_i T_i  (functions vanish outside
-    the interior).  The pair sum over a sub-block of nodes alone is
-    ``graph_form`` on that block of ``pair_weights``.
+    The sum runs over every pair of box nodes with at least one in the
+    domain, plus the beyond-box mass  Sum u_i v_i T_i  (functions vanish
+    outside the interior).  W holds the interior rows only; the exterior
+    rows enter by the identity in the module docstring, where for two
+    functions that vanish off the interior their terms are
+    1/2 u_i v_i m_i, m_i the exterior mass of row i.  The pair sum over
+    the interior nodes alone is ``graph_form`` on the interior columns of
+    ``pair_weights``.
     """
     v = u if v is None else v
-    uf = _full_values(op, u)
-    vf = _full_values(op, v)
-    tail = float(np.sum(uf * vf * op.box_tail))
-    return (graph_form(op.pair_weights, uf, vf) + tail) * op.domain.cell_volume
+    tail = float(np.sum(np.asarray(u, dtype=float) * v * op.box_tail))
+    return (_box_pair_form(op, u, _full_values(op, v)) + tail) * op.domain.cell_volume
+
+
+def _box_pair_form(op: AssembledOperator, u: np.ndarray, v: np.ndarray) -> float:
+    """1/2 Sum_{all box i, j} W_ij (u_j - u_i)(v_j - v_i) for u given on the
+    interior nodes (zero off them) and v on every box node.
+
+    By the identity in the module docstring, the exterior rows add the
+    terms of the interior rows on the exterior columns once more: it is
+    the pair form of the interior rows with every exterior column counted
+    twice.  No cell volume is applied.
+    """
+    mask = op.domain.interior_mask
+    return graph_form(op.pair_weights, _full_values(op, u), v,
+                      rows=np.flatnonzero(mask),
+                      column_weights=np.where(mask, 1.0, 2.0))
 
 
 def pair_rows(weights: np.ndarray, u: np.ndarray,
-              v: np.ndarray | None = None) -> np.ndarray:
-    """Per-row pair form rho_i = 1/2 Sum_j W_ij (u_j - u_i)(v_j - v_i).
+              v: np.ndarray | None = None, rows: np.ndarray | None = None,
+              column_weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-row pair form rho_r = 1/2 Sum_j W_rj c_j (u_j - u_i)(v_j - v_i).
 
-    Evaluated through the row-sum identity in the module docstring, on
-    inputs centred on their first entry.
+    Row r of ``weights`` belongs to node i = ``rows[r]`` (by default
+    i = r, for a square block), u and v hold a value on every column, and
+    c is ``column_weights`` (by default 1).  Evaluated through the
+    row-sum identity in the module docstring, on inputs centred on their
+    first entry.
     """
     u = np.asarray(u, dtype=float)
     v = u if v is None else np.asarray(v, dtype=float)
     u = u - u[0]
     v = v - v[0]
     cols = np.stack([np.ones_like(u), u, v, u * v], axis=1)
+    if column_weights is not None:
+        cols *= column_weights[:, None]
     r, wu, wv, wuv = (weights @ cols).T
+    if rows is not None:
+        u, v = u[rows], v[rows]
     return 0.5 * (wuv - u * wv - v * wu + r * u * v)
 
 
 def graph_form(weights: np.ndarray, u: np.ndarray,
-               v: np.ndarray | None = None) -> float:
+               v: np.ndarray | None = None, rows: np.ndarray | None = None,
+               column_weights: np.ndarray | None = None) -> float:
     """Pure pair form 1/2 Sum W_ij du dv with no exterior terms and no cell
-    volume: the sum of ``pair_rows``."""
-    return float(pair_rows(weights, u, v).sum())
+    volume: the sum of ``pair_rows`` (arguments as there)."""
+    return float(pair_rows(weights, u, v, rows, column_weights).sum())
 
 
 # --------------------------------------------------------------------------
@@ -481,7 +542,16 @@ def graph_form(weights: np.ndarray, u: np.ndarray,
 
 
 def estimate_shift(op: AssembledOperator) -> float:
-    """Shift C making C*I - (L + B + V) strictly row diagonally dominant."""
+    """Shift C making C*I - (L + B + V) strictly row diagonally dominant.
+
+    The absolute row sums are taken a chunk of rows at a time, within
+    ``_KERNEL_CHUNK_BYTES``, so no copy of the matrix is formed.
+    """
     M = op.matrix
-    off = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
+    n = len(M)
+    abs_sums = np.empty(n)
+    chunk = max(1, _KERNEL_CHUNK_BYTES // (8 * n))
+    for lo in range(0, n, chunk):
+        abs_sums[lo:lo + chunk] = np.abs(M[lo:lo + chunk]).sum(axis=1)
+    off = abs_sums - np.abs(np.diag(M))
     return float(max(0.0, (np.diag(M) + off).max()) + _SHIFT_MARGIN)

@@ -24,9 +24,8 @@ from .lattice import (
     AssembledOperator,
     GridFunction,
     LatticeDomain,
-    _full_values,
+    _box_pair_form,
     assemble,  # noqa: F401  bound here for the perfbench tracer self-test
-    graph_form,
     kernel_form,
 )
 from .operators import SmoothFunction
@@ -122,14 +121,14 @@ def I_closed_form_h0(f: DensitySpec, op: AssembledOperator) -> float:
 def drift_pairing(op: AssembledOperator, f_values: np.ndarray) -> float:
     """Bilinear pairing of the density increments with the drift increments.
 
-    Includes the beyond-box contribution through the far drift integrals.
+    The pair sum runs over every pair of box nodes, the drift taking its
+    values on the exterior nodes too, and includes the beyond-box
+    contribution through the far drift integrals.
     """
     if op.drift_values is None:
         return 0.0
-    mask = op.domain.interior_mask
-    inner = graph_form(op.pair_weights, _full_values(op, f_values),
-                       op.drift_values)
-    far = float(f_values @ op.drift_far[mask])
+    inner = _box_pair_form(op, f_values, op.drift_values)
+    far = float(f_values @ op.drift_far)
     return (inner - far) * op.domain.cell_volume
 
 
@@ -193,11 +192,10 @@ def error_form_value(op: AssembledOperator, f_values: np.ndarray,
 
 def _error_pieces(op: AssembledOperator, f_values: np.ndarray):
     # support, coefficients a and drift increments dh depend on op and f only
-    mask = op.domain.interior_mask
     supp = f_values > 0.0
     sqf = np.sqrt(f_values[supp])
-    idx = np.where(mask)[0][supp]
-    W = op.pair_weights[np.ix_(idx, idx)]
+    idx = np.flatnonzero(op.domain.interior_mask)[supp]
+    W = op.pair_weights[np.ix_(np.flatnonzero(supp), idx)]
     a = np.outer(sqf, sqf) * W * op.domain.cell_volume
     if op.drift_values is None:
         dh = np.zeros_like(a)

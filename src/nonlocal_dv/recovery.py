@@ -639,17 +639,19 @@ def drift_probe(h: SmoothFunction, spec: KernelSpec, x0,
     Each scale integrates the pointwise generator values against the
     concentrated density; a second route through assembled pair weights must
     agree, since the integrated first-order term equals minus the lattice
-    drift pairing.  The extrapolated limit is cross-checked against direct
-    pointwise quadrature at x0 and the difference reported; a difference
-    above ``_CROSS_TOL`` relatively raises OracleInconsistencyError.
+    drift pairing.  The scales must form a decreasing geometric sequence
+    of three or more (``scale_ratio``, else DomainError), and the values
+    are extrapolated at its ratio.  The extrapolated limit is
+    cross-checked against direct pointwise quadrature at x0 and the
+    difference reported; a difference above ``_CROSS_TOL`` relatively
+    raises OracleInconsistencyError.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.size
     if f is None:
         f = _unit_bump(dim)
     lams = np.asarray(lambda_seq, dtype=float)
-    if lams.ndim != 1 or lams.size < 2 or np.any(lams <= 0):
-        raise DomainError("need a sequence of at least two positive scales")
+    ratio = scale_ratio(lams)
     vals = []
     pairs = []
     for lam in lams:
@@ -661,7 +663,7 @@ def drift_probe(h: SmoothFunction, spec: KernelSpec, x0,
         op = assemble(dom, spec, drift=h)
         pairs.append(-drift_pairing(op, fv))
     ref = float(nonlocal_laplacian(h, spec, x0))
-    ext = richardson_limit(vals, ratio=float(lams[0] / lams[1]))
+    ext = richardson_limit(vals, ratio=ratio)
     diff = abs(ext.limit - ref)
     if diff > _CROSS_TOL * max(abs(ref), 1e-12) + 1e-10:
         raise OracleInconsistencyError(

@@ -146,9 +146,10 @@ def principal_eigenpair(
 
     With dense_check the dense oracle always runs; without it, only when
     there is no bracket.  The oracle is ``perron_eigenvalue`` under the
-    sign pattern and ``dense_eigenpair`` otherwise.  A mismatch beyond
-    10x tol is treated as an oracle inconsistency, and the dense
-    eigenvalue is kept on the result.
+    sign pattern and ``dense_eigenpair`` otherwise; the factorization of
+    the iteration is released before it runs, so its copy of the matrix
+    can reuse that memory.  A mismatch beyond 10x tol is treated as an
+    oracle inconsistency, and the dense eigenvalue is kept on the result.
     """
     if op.drift_values is not None and op.drift_oscillation() >= 1.0:
         warnings.warn(
@@ -185,6 +186,8 @@ def principal_eigenpair(
             % (max_iter, res, width)
         )
 
+    # the block inverses are freed before the dense oracle copies the matrix
+    del solve
     if u.min() <= 0.0:
         raise PositivityError(
             "converged eigenvector changes sign; no principal pair found"

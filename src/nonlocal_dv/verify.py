@@ -119,10 +119,11 @@ def _check_operator_identities(rng: np.random.Generator) -> CheckResult:
     for op in ops:
         M = op.matrix
         mask = op.domain.interior_mask
-        W = op.pair_weights[np.ix_(mask, mask)]
-        # data vanishes outside the interior, so the exterior pair mass and
-        # the beyond-the-box tail both act through u_i v_i
-        ext = op.pair_weights[np.ix_(mask, ~mask)].sum(axis=1) + op.box_tail[mask]
+        # the interior rows of the pair weights: data vanishes outside the
+        # interior, so the exterior pair mass and the beyond-the-box tail
+        # both act through u_i v_i
+        W = op.pair_weights[:, mask]
+        ext = op.pair_weights[:, ~mask].sum(axis=1) + op.box_tail
         vol = op.domain.cell_volume
         for _ in range(25):
             u = rng.normal(size=op.n)

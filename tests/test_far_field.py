@@ -149,6 +149,34 @@ def test_far_field_chunks_change_no_bit(monkeypatch, variant):
     assert np.array_equal(chunked.pair_weights, whole.pair_weights)
 
 
+@pytest.mark.parametrize("case", ["constant-box", "separable_sum-box", "ball", "interval"])
+def test_far_field_rows_are_the_interior_rows_of_the_box(case):
+    # assemble takes the far field at the interior nodes alone; every ray
+    # is computed alone, so T and S there are, bit for bit, the interior
+    # rows of one far_field call on every box node
+    dim = 1 if case == "interval" else 2
+    variant = "separable_sum" if case == "separable_sum-box" else "constant"
+    spec = spec_from_config({"variant": variant, "matrix": _MATRICES[dim], "s": 0.5})
+    if case == "ball":
+        dom = LatticeDomain.ball([0.25, 0.0], 1.0, 8, margin=0.3)
+    else:
+        lower, upper, cells, margin = _LATTICES[dim]
+        dom = LatticeDomain.box(lower, upper, cells, margin=margin)
+    drift = tanh_drift(dim, amplitude=0.3, slope=2.0)
+    quad = QuadratureScheme(angular_count=8)
+    start = _box_exit_distances(dom.points, dom.lower, dom.upper,
+                                _directions(dim, quad)[0])
+    tails, far = far_field(spec, dom.points, start, quad, g=drift)
+    far += (drift.far_value - drift(dom.points)) * tails
+    mask = dom.interior_mask
+    assert not mask.all()
+    op = assemble(dom, spec, drift=drift, quad=quad)
+    assert np.array_equal(op.box_tail, tails[mask])
+    assert np.array_equal(op.drift_far, far[mask])
+    plain = assemble(dom, spec, quad=quad)
+    assert np.array_equal(plain.box_tail, far_field(spec, dom.points, start, quad)[mask])
+
+
 def test_far_field_memory_is_bounded_in_bytes(monkeypatch):
     # 196 nodes x 384 samples per panel step would hold about 8 MB at once;
     # in chunks the call stays within the budget plus a few arrays of one

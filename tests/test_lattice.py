@@ -1,11 +1,12 @@
 """Lattice assembly: exact discrete identities and benchmark solves."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from nonlocal_dv import lattice, operators
+from nonlocal_dv import lattice, operators, spectral
 from nonlocal_dv.errors import CapacityError, DomainError, EllipticityError
 from nonlocal_dv.kernels import (
     AnisotropyField,
@@ -50,8 +51,7 @@ def test_row_sum_is_negative_exterior_mass(op_1d):
     # constant-1 interior data: only the exterior mass survives in each row
     M = op_1d.matrix
     mask = op_1d.domain.interior_mask
-    W = op_1d.pair_weights
-    ext = W[np.ix_(mask, ~mask)].sum(axis=1) + op_1d.box_tail[mask]
+    ext = op_1d.pair_weights[:, ~mask].sum(axis=1) + op_1d.box_tail
     rows = M @ np.ones(op_1d.n)
     assert np.abs(rows + ext).max() < 1e-12
     assert (rows < 0).all()
@@ -91,7 +91,7 @@ def test_hat_function_against_brute_force():
                 continue
             k = abs(pts[i] - pts[j]) ** (-(1 + 2 * 0.4))
             acc += 0.5 * (full[i] - full[j]) ** 2 * k * dom.spacing
-    acc += float(np.sum(full**2 * op.box_tail))
+    acc += float(np.sum(hat**2 * op.box_tail))
     acc *= dom.cell_volume
     assert kernel_form(op, hat) == pytest.approx(acc, rel=1e-12)
 
@@ -212,10 +212,10 @@ def test_non_positive_pair_form_raises_ellipticity_error():
 def test_pair_peak_estimate_bounds_measured_peak(variant, dim):
     # the capacity check reads this estimate; it must cover what assembly
     # really holds, and not by much more, whatever the field: the pair
-    # forms of every variant are filled into W in place.  A margin of one
-    # cell makes n_int < n_total; at 3600 and 3375 box nodes a 4 MiB chunk
-    # is under 5% of n_total^2 doubles, and a coarse rule keeps the
-    # kernel samples quick
+    # forms of every variant are filled into the interior rows of W in
+    # place.  A margin of one cell makes n_int < n_total; at 3600 and 3375
+    # box nodes a 4 MiB chunk is under 5% of the n_int (n_total + n_int)
+    # doubles, and a coarse rule keeps the kernel samples quick
     spec = spec_from_config({"variant": variant, "matrix": np.eye(dim).tolist(),
                              "s": 0.5})
     cells = 58 if dim == 2 else 13
@@ -252,8 +252,9 @@ def test_assemble_peak_memory_constant_field():
 
 
 def test_assemble_retained_memory_with_drift():
-    # after assembly only W, the one interior matrix and per-node vectors
-    # stay alive; the Laplace and drift blocks are not kept beside it
+    # after assembly only the interior rows of W, the one interior matrix
+    # and per-node vectors stay alive; the Laplace and drift blocks are
+    # not kept beside it
     spec = fractional_kernel(2, 0.5)
     drift = tanh_drift(2, amplitude=0.3)
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [24, 24], margin=0.5)
@@ -268,7 +269,7 @@ def test_assemble_retained_memory_with_drift():
     finally:
         tracemalloc.stop()
     assert op.matrix.shape == (n_int, n_int)
-    assert kept <= 8 * (n_total ** 2 + 1.5 * n_int ** 2)
+    assert kept <= 8 * (n_int * n_total + 1.5 * n_int ** 2)
 
 
 @pytest.mark.parametrize("with_drift", [False, True])
@@ -293,6 +294,86 @@ def test_assemble_peak_is_the_pair_form_peak(with_drift):
     assert estimate <= 1.05 * peak
 
 
+def test_memory_holds_the_interior_rows_and_frees_the_block_factor(monkeypatch):
+    # a timing-free guard: assembly holds the interior rows of W and the
+    # matrix, and when the dense oracle starts, the iteration's block
+    # inverses (2 (n_int/2)^2 doubles, 1.3 MB here) are gone: what is
+    # traced then is W, the matrix and vectors of one double per node
+    spec = fractional_kernel(2, 0.5)
+    drift = tanh_drift(2, amplitude=0.3)
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [24, 24], margin=0.3)
+    n_total, n_int = len(dom.points), dom.n_interior
+    # first-call allocations (cached rules and directions)
+    spectral.principal_eigenpair(assemble(
+        LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4], margin=0.3), spec, drift=drift))
+    at_oracle = []
+    oracle = spectral.perron_eigenvalue
+
+    def traced(op):
+        at_oracle.append(tracemalloc.get_traced_memory()[0])
+        return oracle(op)
+
+    monkeypatch.setattr(spectral, "perron_eigenvalue", traced)
+    tracemalloc.start()
+    try:
+        op = assemble(dom, spec, drift=drift)
+        peak = tracemalloc.get_traced_memory()[1]
+        spectral.principal_eigenpair(op)
+    finally:
+        tracemalloc.stop()
+    assert op.pair_weights.shape == (n_int, n_total)
+    assert peak <= _pair_peak_bytes(dom) + operators._KERNEL_CHUNK_BYTES
+    assert len(at_oracle) == 1
+    blocks = 2 * 8 * (n_int // 2) ** 2
+    assert 32 * 8 * n_total < blocks / 4
+    assert at_oracle[0] <= _pair_peak_bytes(dom) + 32 * 8 * n_total
+
+
+def test_assemble_takes_the_far_field_at_interior_nodes_alone(monkeypatch):
+    # the margin nodes are quadrature points of the exterior mass: no row
+    # of theirs is read, so far_field sees the interior nodes and no other
+    seen = []
+    real = lattice.far_field
+
+    def counting(spec, pts, *args, **kwargs):
+        seen.append(np.array(pts))
+        return real(spec, pts, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "far_field", counting)
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [8, 8], margin=0.3)
+    spec = fractional_kernel(2, 0.5)
+    for drift in (None, tanh_drift(2, amplitude=0.3)):
+        seen.clear()
+        op = assemble(dom, spec, drift=drift)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], dom.interior_points)
+        assert len(seen[0]) == dom.n_interior < len(dom.points)
+    assert op.box_tail.shape == op.drift_far.shape == (dom.n_interior,)
+    assert op.drift_values.shape == (len(dom.points),)
+
+
+@pytest.mark.parametrize("variant", ["constant", "separable_sum"])
+def test_pair_weights_are_the_interior_rows_of_the_box(variant):
+    # the weights of a lattice with a margin are, bit for bit, the
+    # interior rows of the weights of the whole box (every node made
+    # interior); the matrix is a C-ordered gather of their interior columns
+    spec = spec_from_config({"variant": variant, "matrix": [[1.2, 0.3], [0.3, 0.8]],
+                             "s": 0.4})
+    drift = tanh_drift(2, amplitude=0.3)
+    for dom in (LatticeDomain.box([-1.0, -0.5], [1.0, 0.5], [8, 4], margin=0.3),
+                LatticeDomain.ball([0.0, 0.0], 1.0, 8, margin=0.3)):
+        op = assemble(dom, spec, drift=drift)
+        whole = assemble(_whole_box(dom), spec).pair_weights
+        mask = dom.interior_mask
+        assert op.pair_weights.shape == (dom.n_interior, len(dom.points))
+        assert np.array_equal(op.pair_weights, whole[mask])
+        assert op.matrix.flags.c_contiguous
+        # off the diagonal, the drift-free matrix is W on interior pairs
+        plain = assemble(dom, spec).matrix
+        off = ~np.eye(op.n, dtype=bool)
+        assert np.array_equal(plain[off], whole[np.ix_(mask, mask)][off])
+
+
 def test_drift_block_in_row_chunks_is_bit_identical(monkeypatch):
     # the drift block B_ij = 1/2 W_ij (h_j - h_i), formed whole on the
     # drift-free matrix as the reference, against assembly in one chunk
@@ -309,11 +390,11 @@ def test_drift_block_in_row_chunks_is_bit_identical(monkeypatch):
     block = lap * hc_int
     block -= hc_int[:, None] * lap
     block *= 0.5
-    b_rows = 0.5 * (W @ hc - hc * W.sum(axis=1))
-    np.fill_diagonal(block, -b_rows[mask] - 0.5 * op.drift_far[mask])
+    b_rows = 0.5 * (W @ hc - hc_int * W.sum(axis=1))
+    np.fill_diagonal(block, -b_rows - 0.5 * op.drift_far)
     assert op.n % 3 != 0
     assert np.array_equal(op.matrix, lap + block)
-    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_BYTES", 16 * 3 * op.n)
+    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_BYTES", 32 * 3 * op.n)
     assert np.array_equal(assemble(dom, spec, drift=drift).matrix, op.matrix)
 
 
@@ -331,19 +412,33 @@ def test_pair_forms_in_row_chunks_are_bit_identical(monkeypatch):
     assert np.array_equal(_pair_quadratic_forms(spec, dom), whole)
 
 
+def _whole_box(dom):
+    """The lattice of ``dom`` with every box node interior, so that its
+    pair weights hold every row of the box."""
+    return dataclasses.replace(dom, interior_mask=np.ones(len(dom.points), dtype=bool))
+
+
 def test_self_cell_weights_sit_on_axis_neighbour_pairs():
     # the self-cell moments go to the pairs of nodes i and i + e_a, both
-    # ways and alike, on a box whose axes have different node counts
+    # ways and alike, on a box whose axes have different node counts; on
+    # the interior rows of a lattice with a margin they are the rows of
+    # the whole box
     spec = spec_from_config({"variant": "separable_sum",
                              "matrix": [[1.2, 0.3], [0.3, 0.8]], "s": 0.4,
                              "amplitude": 0.3})
     dom = LatticeDomain.box([-1.0, -0.5], [1.0, 0.5], [8, 4], margin=0.3)
-    added = (assemble(dom, spec).pair_weights
-             - assemble(dom, spec, self_cell=False).pair_weights)
+    box = _whole_box(dom)
+    added = (assemble(box, spec).pair_weights
+             - assemble(box, spec, self_cell=False).pair_weights)
     k = np.indices(dom.shape).reshape(2, -1).T
     neighbours = np.abs(k[:, None, :] - k[None, :, :]).sum(axis=2) == 1
     assert np.array_equal(added != 0.0, neighbours)
     assert np.array_equal(added, added.T)
+    rows = dom.interior_mask
+    assert not rows.all()
+    on_rows = (assemble(dom, spec).pair_weights
+               - assemble(dom, spec, self_cell=False).pair_weights)
+    assert np.array_equal(on_rows, added[rows])
 
 
 def test_estimate_shift_dominance(op_1d):

@@ -510,6 +510,18 @@ def test_drift_probe_shift_invariant(density):
     assert res_a.limit == pytest.approx(res_b.limit, abs=1e-12)
 
 
+@pytest.mark.parametrize("lambda_seq", [(0.125, 0.25, 0.5), (0.5, 0.3, 0.1)])
+def test_drift_probe_refuses_scales_that_are_not_a_decreasing_geometric_sequence(
+        monkeypatch, density, lambda_seq):
+    # an increasing sequence would extrapolate to a nan rate, and a
+    # non-geometric one at the wrong ratio: both are refused before any
+    # lattice is assembled
+    monkeypatch.setattr(recovery, "assemble", None)
+    h = scaled(gaussian(1, width=0.9), 0.7)
+    with pytest.raises(DomainError, match="scale sequence"):
+        drift_probe(h, spec_1d(0.5), np.array([0.2]), lambda_seq=lambda_seq, f=density)
+
+
 # ---------------------------------------------------------------------------
 # constancy check
 
