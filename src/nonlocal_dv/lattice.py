@@ -14,9 +14,9 @@ with two corrections: the singular self-cell of each node is
 redistributed onto its lattice neighbours through symmetrized radial
 moment integrals, and the kernel mass beyond the bounding box enters
 each diagonal through ``operators.far_field`` along rays that start at
-the box boundary.  Only the interior nodes carry unknowns, so W is kept
-as its interior rows I (every box column), and the far field is taken
-at interior nodes alone; the margin nodes of the box serve as
+the box boundary.  Only the interior nodes carry unknowns, so W is
+formed as its interior rows I (every box column), and the far field is
+taken at interior nodes alone; the margin nodes of the box serve as
 quadrature points of the exterior mass.  By construction the
 drift-free block is symmetric and satisfies the discrete
 integration-by-parts identity
@@ -28,7 +28,15 @@ exactly, which downstream modules rely on.
 Every lattice is a full C-ordered box grid of spacing h (``ball`` only
 changes the mask), so a pair form depends on the integer offset k_i - k_j
 and on the node terms of a separable field alone: the forms are evaluated
-once per offset and gathered into W in row chunks (``_pair_quadratic_forms``).
+once per offset and gathered in row chunks (``_pair_form_chunks``), and
+each chunk becomes the rows of W it covers (``_pair_weight_chunks``).
+Assembly streams W through these chunks and keeps of each only its row
+sums, its product with the drift and its interior columns, so the
+matrix is the one node-by-node array it holds: solving with the
+operator (``eigen``) holds the matrix and, while the iteration runs,
+its block factor, never W.  ``AssembledOperator.pair_weights`` gathers W
+from the same chunks, bit for bit, on its first read, for the pair forms
+below.
 
 Every bilinear pair form goes through ``pair_rows``.  For any weight
 matrix W with row sums r = W 1, expanding the products gives
@@ -58,6 +66,7 @@ pair form of the interior rows with every exterior column counted twice
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -83,8 +92,9 @@ __all__ = [
     "estimate_shift",
 ]
 
-# byte limit of assembly (``_pair_peak_bytes``): W and the interior
-# matrix of a lattice of 8000 nodes with no margin
+# byte limit of assembly and a first read of its pair weights
+# (``_pair_peak_bytes``): W and the interior matrix of a lattice of 8000
+# nodes with no margin
 _PAIR_BYTES_LIMIT = 2 * 8 * 8000 ** 2
 _SHIFT_MARGIN = 1.0  # added to the dominance bound of estimate_shift
 
@@ -217,28 +227,37 @@ class GridFunction:
 
 
 def _pair_peak_bytes(domain: LatticeDomain) -> int:
-    """Peak bytes of ``assemble`` on the lattice: the interior rows of the
-    pair weights W and the interior matrix, n_int n_total + n_int^2
-    float64, for every field.
+    """Peak bytes of ``assemble`` followed by a first read of
+    ``pair_weights``: the interior rows of the pair weights W and the
+    interior matrix, n_int n_total + n_int^2 float64, for every field.
 
-    The pair forms are filled into W in place, and every temporary
-    beside them (a row chunk of the forms, the kernel samples, the drift
-    block) stays within ``_KERNEL_CHUNK_BYTES``.
+    ``assemble`` alone holds the matrix and one row chunk of W; the read
+    adds W beside the matrix.  Every temporary beside them (a row chunk of
+    the forms, the kernel samples, the drift block) stays within
+    ``_KERNEL_CHUNK_BYTES``.
     """
     n_int = domain.n_interior
     return 8 * n_int * (len(domain.points) + n_int)
 
 
-def _pair_quadratic_forms(spec: KernelSpec, domain: LatticeDomain) -> np.ndarray:
-    """q_ij = (x_i - x_j)^T A(x_i, x_j) (x_i - x_j) for every interior
-    node x_i (row i of the result is the i-th interior node) and every box
-    node x_j.
+def _pair_form_chunks(spec: KernelSpec, domain: LatticeDomain):
+    """Yield (rows, q[rows]) for the pair forms
+    q_ij = (x_i - x_j)^T A(x_i, x_j) (x_i - x_j) of every interior node
+    x_i (row i is the i-th interior node) and every box node x_j, a slice
+    of rows at a time.
 
     On the lattice x_i - x_j = h o with the integer offset o = k_i - k_j,
     so the forms of C0, C1 and C2 are evaluated once on every offset
     (2 m_a - 1 per axis of m_a nodes) and gathered by the mixed-radix key
-    of o + m - 1, a chunk of rows at a time, then weighted by 1,
-    b_i + b_j and b_i b_j.
+    of o + m - 1, then weighted by 1, b_i + b_j and b_i b_j.
+
+    A chunk holds a multiple of 8 rows (at least 8, more than
+    ``_chunk_rows`` allows on boxes of about 5000 nodes or more):
+    OpenBLAS rounds a row of a matrix-vector product by where it falls in
+    its groups of 4 rows per thread, so ``assemble``'s drift product
+    W @ h, taken a chunk at a time, keeps those groups to give the bits of
+    the product on the whole W (chunks of 11 or 14 rows move diagonal
+    entries by an ulp).
     """
     fld = spec.field
     m = np.array(domain.shape)
@@ -251,16 +270,62 @@ def _pair_quadratic_forms(spec: KernelSpec, domain: LatticeDomain) -> np.ndarray
     inner = domain.interior_mask
     key_int = key[inner]
     b_int = None if b is None else b[inner]
-    n = len(key)
-    q = np.empty((len(key_int), n))
-    rows = _chunk_rows(spec, n)
+    rows = _chunk_rows(spec, len(key))
+    rows = max(8, rows - rows % 8)
     for lo in range(0, len(key_int), rows):
         sl = slice(lo, lo + rows)
         at = np.subtract.outer(key_int[sl] + centre, key)
-        q[sl] = tables[0][at]
+        q = tables[0][at]
         for t, outer in zip(tables[1:], (np.add.outer, np.multiply.outer)):
-            q[sl] += t[at] * outer(b_int[sl], b)  # the product reuses a temporary
+            q += t[at] * outer(b_int[sl], b)  # the product reuses a temporary
+        yield sl, q
+
+
+def _pair_quadratic_forms(spec: KernelSpec, domain: LatticeDomain) -> np.ndarray:
+    """The pair forms of every interior row (``_pair_form_chunks``)."""
+    q = np.empty((domain.n_interior, len(domain.points)))
+    for sl, chunk in _pair_form_chunks(spec, domain):
+        q[sl] = chunk
     return q
+
+
+def _pair_weight_chunks(spec: KernelSpec, domain: LatticeDomain,
+                        moments: np.ndarray | None):
+    """Yield (rows, W[rows]) for the pair weights of the interior rows,
+    one chunk of ``_pair_form_chunks`` at a time.
+
+    W = prefactor q^(-exponent) h^N is formed in place on the forms, with
+    W_ii = 0.  With the self-cell moments c (``_self_cell_moments``, None
+    to leave them out), each pair of axis neighbours i and i + e_a gets
+    1/2 (c_a(x_i) + c_a(x_i + e_a)) / h^2 more, on both of its entries.
+    Every entry is computed alone, so the chunking changes no bit.
+    """
+    h = domain.spacing
+    vol = domain.cell_volume
+    int_idx = np.flatnonzero(domain.interior_mask)
+    shape = domain.shape
+    strides = [math.prod(shape[a + 1:]) for a in range(domain.dim)]
+    for sl, w in _pair_form_chunks(spec, domain):
+        nodes = int_idx[sl]
+        r = np.arange(len(nodes))
+        w[r, nodes] = 1.0
+        if not w.min() > 0.0:
+            raise EllipticityError("a pair form is not positive: the field is not elliptic here")
+        w **= -spec.bounds.exponent
+        w *= spec.prefactor
+        w *= vol
+        w[r, nodes] = 0.0
+        if moments is not None:
+            k = np.unravel_index(nodes, shape)
+            for a in range(domain.dim):
+                # the pair (i, j = i + e_a) on row i, then on row j
+                up = k[a] < shape[a] - 1
+                j = nodes[up] + strides[a]
+                w[r[up], j] += 0.5 * (moments[nodes[up], a] + moments[j, a]) / (h * h)
+                down = k[a] > 0
+                i = nodes[down] - strides[a]
+                w[r[down], i] += 0.5 * (moments[i, a] + moments[nodes[down], a]) / (h * h)
+        yield sl, w
 
 
 def _self_cell_moments(spec: KernelSpec, pts: np.ndarray,
@@ -321,17 +386,21 @@ class AssembledOperator:
     ``matrix`` is the one interior matrix: the Laplace block, the drift
     block and diag(V) summed.  The Laplace block does not depend on the
     drift, so ``assemble(..., drift=None)`` (with no potential) gives the
-    drift-free part bit for bit.  ``pair_weights`` holds the rows of the
-    interior nodes, in the order of ``domain.interior_points``, against
-    every box node, so the zero-data exterior mass is resolved discretely
-    near the domain boundary and by ``far_field`` beyond the box
-    (``box_tail``); the rows of exterior nodes follow by symmetry and are
-    not stored (module docstring).
+    drift-free part bit for bit.  ``box_tail`` is the kernel mass beyond
+    the box at each interior node (``far_field``), ``drift_far`` the drift
+    far field there, ``drift_values`` the drift at every box node.
+
+    The pair weights W are not stored: ``assemble`` streams them a row
+    chunk at a time, and ``pair_weights`` gathers them again, bit for bit,
+    on its first read, from the spec, the domain and the self-cell
+    moments kept here (``self_cell_moments``, one row per box node, None
+    when ``self_cell=False``).  So an operator that is only solved never
+    holds W.
     """
 
     domain: LatticeDomain
     spec: KernelSpec
-    pair_weights: np.ndarray  # (n_int, n_total), includes cell volume
+    self_cell_moments: np.ndarray | None  # (n_total, dim)
     box_tail: np.ndarray  # (n_int,)
     potential: np.ndarray  # (n_int,)
     drift: SmoothFunction | None
@@ -342,6 +411,20 @@ class AssembledOperator:
     @property
     def n(self) -> int:
         return self.domain.n_interior
+
+    @functools.cached_property
+    def pair_weights(self) -> np.ndarray:
+        """The rows of the interior nodes, in the order of
+        ``domain.interior_points``, against every box node, cell volume
+        included: (n_int, n_total).  The zero-data exterior mass is
+        resolved by them near the domain boundary and by ``box_tail``
+        beyond the box; the rows of exterior nodes follow by symmetry
+        (module docstring).  Built on first read, then kept."""
+        W = np.empty((self.n, len(self.domain.points)))
+        for sl, w in _pair_weight_chunks(self.spec, self.domain,
+                                         self.self_cell_moments):
+            W[sl] = w
+        return W
 
     def drift_oscillation(self) -> float:
         if self.drift_values is None:
@@ -373,71 +456,63 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
         raise CapacityError(
             f"the operator on {n_total} nodes needs about {peak / 2**20:.0f} "
             f"MiB, over the {_PAIR_BYTES_LIMIT / 2**20:.0f} MiB limit")
-    h = domain.spacing
-    vol = domain.cell_volume
-
     mask = domain.interior_mask
     int_idx = np.flatnonzero(mask)
     n_int = len(int_idx)
-    rows = np.arange(n_int)  # row r of W is interior node int_idx[r]
+    rows = np.arange(n_int)
+    mom = _self_cell_moments(spec, pts, quad, domain.spacing) if self_cell else None
 
-    # W = prefactor q^(-exponent) vol, formed in place on the pair forms q
-    W = _pair_quadratic_forms(spec, domain)
-    W[rows, int_idx] = 1.0
-    if not W.min() > 0.0:
-        raise EllipticityError("a pair form is not positive: the field is not elliptic here")
-    W **= -spec.bounds.exponent
-    W *= spec.prefactor
-    W *= vol
-    W[rows, int_idx] = 0.0
+    drift_vals = far = hc = w_hc = None
+    if drift is not None:
+        drift_vals = np.asarray(drift(pts), dtype=float)
+        hc = drift_vals - drift_vals[0]  # centring keeps a constant drift exactly zero
+        w_hc = np.empty(n_int)
 
-    if self_cell:
-        mom = _self_cell_moments(spec, pts, quad, h)  # (n_total, dim)
-        idx = np.arange(n_total).reshape(domain.shape)
-        row_of = np.full(n_total, -1)
-        row_of[int_idx] = rows
-        for a in range(domain.dim):
-            # the pairs of nodes i and i + e_a, on the rows of interior nodes
-            along = np.moveaxis(idx, a, 0)
-            i, j = along[:-1].reshape(-1), along[1:].reshape(-1)
-            c = 0.5 * (mom[i, a] + mom[j, a]) / (h * h)
-            for row, col in ((i, j), (j, i)):
-                on = mask[row]
-                W[row_of[row[on]], col[on]] += c[on]
-
-    # the far field of the interior nodes alone: no row of an exterior
-    # node is read
+    # the far field of the interior nodes alone (no row of an exterior
+    # node is read), before the matrix exists, so that its per-ray arrays
+    # sit beside no node-by-node array.  Where the field is not elliptic
+    # it gives NaN, and the typed error is raised below, from the pair
+    # forms if they see it first
     pts_int = pts[mask]
     exit_d = _box_exit_distances(pts_int, domain.lower, domain.upper,
                                  _directions(spec.dim, quad)[0])
-    drift_vals = None
-    far = None
-    if drift is None:
-        tails = far_field(spec, pts_int, exit_d, quad)
-    else:
-        # before the interior matrix exists, so that the far field's
-        # chunks sit beside W alone.  S_i = Int_{outside the box}
-        # (h - h_i) K splits exactly into Int (h - h_inf) K and the
-        # kernel mass T_i, which one far_field pass gives together
-        drift_vals = np.asarray(drift(pts), dtype=float)
-        tails, far = far_field(spec, pts_int, exit_d, quad, g=drift)
-        far += (drift.far_value - drift_vals[mask]) * tails
-    del exit_d  # one double per node and ray: freed before the matrix is formed
+    with np.errstate(invalid="ignore"):
+        if drift is None:
+            tails = far_field(spec, pts_int, exit_d, quad)
+        else:
+            # S_i = Int_{outside the box} (h - h_i) K splits exactly into
+            # Int (h - h_inf) K and the kernel mass T_i, which one
+            # far_field pass gives together
+            tails, far = far_field(spec, pts_int, exit_d, quad, g=drift)
+            far += (drift.far_value - drift_vals[mask]) * tails
+    del exit_d
 
-    row_sums = W.sum(axis=1)
-    lap = W.take(int_idx, axis=1)  # a fresh C-ordered array: the matrix is built in it
+    # W streamed a row chunk at a time: of each chunk only its row sums,
+    # its product with h (the drift) and its interior columns are kept,
+    # the last gathered C-ordered into the matrix
+    lap = np.empty((n_int, n_int))
+    row_sums = np.empty(n_int)
+    for sl, w in _pair_weight_chunks(spec, domain, mom):
+        row_sums[sl] = w.sum(axis=1)
+        if hc is not None:
+            w_hc[sl] = w @ hc
+        w.take(int_idx, axis=1, out=lap[sl])
+    del w
+    if not np.isfinite(tails).all():
+        raise EllipticityError("the kernel mass beyond the box is not finite: "
+                               "the field is not elliptic along a ray")
+    if far is not None and not np.isfinite(far).all():
+        raise DomainError("the drift far field is not finite")
     np.fill_diagonal(lap, np.diag(lap) - row_sums - tails)
 
     if drift is not None:
-        # B_ij = 1/2 W_ij (h_j - h_i); centring h keeps a constant drift
-        # exactly zero.  Off the diagonal lap equals W on interior pairs.
-        # The block is added a chunk of rows at a time: its two row-chunk
-        # temporaries stay within half of _KERNEL_CHUNK_BYTES, the other
-        # half holding the per-node vectors, and no n_int^2 array is
-        # formed beside lap.
-        hc = drift_vals - drift_vals[0]
+        # B_ij = 1/2 W_ij (h_j - h_i).  Off the diagonal lap equals W on
+        # interior pairs.  The block is added a chunk of rows at a time:
+        # its two row-chunk temporaries stay within half of
+        # _KERNEL_CHUNK_BYTES, the other half holding the per-node
+        # vectors, and no n_int^2 array is formed beside lap.
         hc_int = hc[mask]
-        b_rows = 0.5 * (W @ hc - hc_int * row_sums)
+        b_rows = 0.5 * (w_hc - hc_int * row_sums)
         b_diag = -b_rows - 0.5 * far
         chunk = max(1, _KERNEL_CHUNK_BYTES // (32 * n_int))
         for lo in range(0, n_int, chunk):
@@ -458,8 +533,9 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     lap[rows, rows] += V
 
     return AssembledOperator(
-        domain=domain, spec=spec, pair_weights=W, box_tail=tails, potential=V,
-        drift=drift, drift_values=drift_vals, drift_far=far, matrix=lap)
+        domain=domain, spec=spec, self_cell_moments=mom, box_tail=tails,
+        potential=V, drift=drift, drift_values=drift_vals, drift_far=far,
+        matrix=lap)
 
 
 # --------------------------------------------------------------------------

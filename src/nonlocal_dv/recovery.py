@@ -174,11 +174,12 @@ def diffusion_limit(spec: KernelSpec, f: DensitySpec, x0,
     the drift-removed one: adding back half the drift pairing cancels the
     first-order term, whose slow decay would otherwise dominate the
     extrapolation for small exponents.  The raw sequence is reported
-    alongside.
+    alongside.  The scales must form a decreasing geometric sequence of
+    three or more (``scale_ratio``, else DomainError), and the values are
+    extrapolated at its ratio.
     """
     lams = np.asarray(lambda_seq, dtype=float)
-    if lams.ndim != 1 or lams.size < 2 or np.any(lams <= 0):
-        raise DomainError("need a sequence of at least two positive scales")
+    ratio = scale_ratio(lams)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     s = spec.bounds.s
     vals = []
@@ -190,7 +191,6 @@ def diffusion_limit(spec: KernelSpec, f: DensitySpec, x0,
         power = float(lam) ** (2.0 * s)
         vals.append(power * (parts.I_value + 0.5 * parts.pairing))
         raws.append(power * parts.I_value)
-    ratio = float(lams[0] / lams[1])
     ext = richardson_limit(vals, ratio=ratio)
     if not ext.monotone:
         warnings.warn(

@@ -1,12 +1,13 @@
 """Lattice assembly: exact discrete identities and benchmark solves."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from nonlocal_dv import lattice, operators, spectral
+from nonlocal_dv import cli, lattice, operators, spectral
 from nonlocal_dv.errors import CapacityError, DomainError, EllipticityError
 from nonlocal_dv.kernels import (
     AnisotropyField,
@@ -193,10 +194,12 @@ def test_capacity_and_domain_errors():
         assemble(LatticeDomain.interval(-1.0, 1.0, 10), spec)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_positive_pair_form_raises_ellipticity_error():
     # M(y) = diag(0.6, 1) + 0.7 sin(y_1 + y_2) I is indefinite in the lower
     # corner of the box, so some pair forms of the product are negative:
-    # a typed failure, not NaN weights
+    # a typed failure, not NaN weights, and no warning from the far field
+    # before it
     field = AnisotropyField("separable_product", np.diag([0.6, 1.0]),
                             wave=np.ones(2), profile=lambda t: 0.7 * np.sin(t))
     spec = KernelSpec(field, EllipticityBounds(0.05, 9.0, 0.5, 2))
@@ -206,16 +209,48 @@ def test_non_positive_pair_form_raises_ellipticity_error():
         assemble(dom, spec)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("with_drift", [False, True])
+def test_field_not_elliptic_beyond_the_box_raises_ellipticity_error(with_drift):
+    # on [0.5, 1]^2 the phase y_1 + y_2 stays in [1, 2], where the field
+    # above is positive definite, so every pair form of the box is
+    # positive; the rays beyond the box meet the phases where it is not,
+    # and their kernel mass is NaN: a typed failure, not a NaN diagonal
+    field = AnisotropyField("separable_product", np.diag([0.6, 1.0]),
+                            wave=np.ones(2), profile=lambda t: 0.7 * np.sin(t))
+    spec = KernelSpec(field, EllipticityBounds(0.05, 9.0, 0.5, 2))
+    dom = LatticeDomain.box([0.5, 0.5], [1.0, 1.0], [4, 4])
+    q = _pair_quadratic_forms(spec, dom)
+    assert q[~np.eye(dom.n_interior, dtype=bool)].min() > 0.0
+    drift = tanh_drift(2, amplitude=0.3) if with_drift else None
+    with pytest.raises(EllipticityError, match="beyond the box"):
+        assemble(dom, spec, drift=drift)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_drift_not_finite_beyond_the_box_raises_domain_error():
+    # a drift that is finite on the box but NaN beyond |x_0| = 2, inside
+    # its declared support: a typed failure, not a NaN diagonal
+    spec = fractional_kernel(2, 0.5)
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [6, 6], margin=0.3)
+    drift = SmoothFunction(lambda p: np.sqrt(2.0 - np.abs(p[:, 0])), 2,
+                           support_radius=5.0)
+    assert np.isfinite(drift(dom.points)).all()
+    with pytest.raises(DomainError, match="drift far field"):
+        assemble(dom, spec, drift=drift)
+
+
 @pytest.mark.parametrize("variant", ["constant", "separable_sum",
                                      "separable_product"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_pair_peak_estimate_bounds_measured_peak(variant, dim):
     # the capacity check reads this estimate; it must cover what assembly
-    # really holds, and not by much more, whatever the field: the pair
-    # forms of every variant are filled into the interior rows of W in
-    # place.  A margin of one cell makes n_int < n_total; at 3600 and 3375
-    # box nodes a 4 MiB chunk is under 5% of the n_int (n_total + n_int)
-    # doubles, and a coarse rule keeps the kernel samples quick
+    # and a first read of W really hold, and not by much more, whatever the
+    # field: the read gathers the pair forms of every variant into the
+    # interior rows of W in place, beside the matrix.  A margin of one
+    # cell makes n_int < n_total; at 3600 and 3375 box nodes a 4 MiB chunk
+    # is under 5% of the n_int (n_total + n_int) doubles, and a coarse rule
+    # keeps the kernel samples quick
     spec = spec_from_config({"variant": variant, "matrix": np.eye(dim).tolist(),
                              "s": 0.5})
     cells = 58 if dim == 2 else 13
@@ -225,7 +260,9 @@ def test_pair_peak_estimate_bounds_measured_peak(variant, dim):
     assemble(LatticeDomain.box([-1.0] * dim, [1.0] * dim, [4] * dim), spec, quad=quad)
     tracemalloc.start()
     try:
-        assemble(dom, spec, quad=quad)
+        op = assemble(dom, spec, quad=quad)
+        assembled = tracemalloc.get_traced_memory()[1]
+        op.pair_weights
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,6 +270,16 @@ def test_pair_peak_estimate_bounds_measured_peak(variant, dim):
     estimate = _pair_peak_bytes(dom)
     assert peak <= 1.05 * estimate
     assert estimate <= 1.05 * peak
+    assert assembled <= _assemble_bytes(dom)
+
+
+def _assemble_bytes(dom):
+    """What ``assemble`` alone may hold: the matrix, one chunk of
+    temporaries (a row chunk of W among them), and the self-cell moments
+    and per-node vectors, dim + 8 doubles a box node."""
+    n_int = dom.n_interior
+    return (8 * n_int ** 2 + operators._KERNEL_CHUNK_BYTES
+            + 8 * (dom.dim + 8) * len(dom.points))
 
 
 def test_assemble_peak_memory_constant_field():
@@ -274,10 +321,11 @@ def test_assemble_retained_memory_with_drift():
 
 @pytest.mark.parametrize("with_drift", [False, True])
 def test_assemble_peak_is_the_pair_form_peak(with_drift):
-    # only W, the interior matrix and chunk-sized temporaries are alive:
-    # the n_total^2 + n_int^2 doubles that the capacity check counts.
-    # With no margin n_int = n_total, and at 3600 nodes a 4 MiB chunk is
-    # 4% of n_total^2 doubles
+    # through assembly and a first read of W, only W, the interior matrix
+    # and chunk-sized temporaries are alive: the n_total^2 + n_int^2
+    # doubles that the capacity check counts.  With no margin
+    # n_int = n_total, and at 3600 nodes a 4 MiB chunk is 4% of
+    # n_total^2 doubles
     spec = fractional_kernel(2, 0.5)
     drift = tanh_drift(2, amplitude=0.3) if with_drift else None
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [60, 60])
@@ -285,20 +333,25 @@ def test_assemble_peak_is_the_pair_form_peak(with_drift):
              drift=drift)
     tracemalloc.start()
     try:
-        assemble(dom, spec, drift=drift)
+        op = assemble(dom, spec, drift=drift)
+        assembled = tracemalloc.get_traced_memory()[1]
+        op.pair_weights
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     estimate = _pair_peak_bytes(dom)
     assert peak <= 1.05 * estimate
     assert estimate <= 1.05 * peak
+    # assembly alone holds about half of it: W is streamed, not kept
+    assert assembled <= _assemble_bytes(dom) < 0.55 * estimate
 
 
-def test_memory_holds_the_interior_rows_and_frees_the_block_factor(monkeypatch):
-    # a timing-free guard: assembly holds the interior rows of W and the
-    # matrix, and when the dense oracle starts, the iteration's block
-    # inverses (2 (n_int/2)^2 doubles, 1.3 MB here) are gone: what is
-    # traced then is W, the matrix and vectors of one double per node
+def test_memory_holds_the_matrix_and_frees_the_block_factor(monkeypatch):
+    # a timing-free guard: assembly streams W and holds the matrix, and
+    # when the dense oracle starts, W (n_int n_total doubles, 4.7 MB here)
+    # was never built and the iteration's block inverses
+    # (2 (n_int/2)^2 doubles, 1.3 MB) are gone: what is traced then is the
+    # matrix and vectors of one double per node
     spec = fractional_kernel(2, 0.5)
     drift = tanh_drift(2, amplitude=0.3)
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [24, 24], margin=0.3)
@@ -321,12 +374,93 @@ def test_memory_holds_the_interior_rows_and_frees_the_block_factor(monkeypatch):
         spectral.principal_eigenpair(op)
     finally:
         tracemalloc.stop()
-    assert op.pair_weights.shape == (n_int, n_total)
-    assert peak <= _pair_peak_bytes(dom) + operators._KERNEL_CHUNK_BYTES
+    assert "pair_weights" not in vars(op)
+    assert peak <= _assemble_bytes(dom)
     assert len(at_oracle) == 1
     blocks = 2 * 8 * (n_int // 2) ** 2
     assert 32 * 8 * n_total < blocks / 4
-    assert at_oracle[0] <= _pair_peak_bytes(dom) + 32 * 8 * n_total
+    assert at_oracle[0] <= 8 * n_int ** 2 + 32 * 8 * n_total
+
+
+def _count_weight_passes(monkeypatch):
+    """Record each pass of the pair-weight chunk routine."""
+    passes = []
+    real = lattice._pair_weight_chunks
+
+    def counting(*args, **kwargs):
+        passes.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_pair_weight_chunks", counting)
+    return passes
+
+
+def test_solving_never_builds_the_pair_weights(monkeypatch, tmp_path):
+    # assembly makes one pass over the chunks of W and keeps none of
+    # them; the iteration, its shift, the bracket and the dense oracle
+    # read the matrix alone, so W is never built on the eigen path
+    passes = _count_weight_passes(monkeypatch)
+    spec = fractional_kernel(2, 0.5)
+    drift = tanh_drift(2, amplitude=0.3)
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [24, 24], margin=0.3)
+    op = assemble(dom, spec, drift=drift)
+    assert passes == [dom]
+    pair = spectral.principal_eigenpair(op, dense_check=True)
+    assert pair.dense_lambda1 is not None
+    assert passes == [dom]
+    assert "pair_weights" not in vars(op)
+
+    # the same through the command line handler
+    ops = []
+    real = cli.assemble
+
+    def keeping(*args, **kwargs):
+        ops.append(real(*args, **kwargs))
+        return ops[-1]
+
+    monkeypatch.setattr(cli, "assemble", keeping)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kernel": {"variant": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]], "s": 0.5},
+        "domain": {"shape": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0],
+                   "cells": 24, "margin": 0.3},
+        "drift": {"kind": "tanh", "amplitude": 0.3, "slope": 2.0},
+        "eigen": {"dense_check": True},
+    }))
+    passes.clear()
+    assert cli.main(["eigen", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(ops) == 1 and len(passes) == 1
+    assert "pair_weights" not in vars(ops[0])
+    # a read builds W once, and keeps it
+    W = ops[0].pair_weights
+    assert ops[0].pair_weights is W and len(passes) == 2
+
+
+@pytest.mark.parametrize("with_drift", [False, True])
+def test_streamed_weights_are_bit_identical_to_whole_w(monkeypatch, with_drift):
+    # W gathered in one chunk is the reference, formed whole as assembly
+    # used to form it; in row chunks of 8 (the last one shorter on two of
+    # the lattices) assembly and the first read give the same bits: the
+    # weights, and the matrix with its drift product W @ h
+    spec = spec_from_config({"variant": "separable_sum",
+                             "matrix": [[1.2, 0.3], [0.3, 0.8]], "s": 0.4,
+                             "amplitude": 0.3})
+    for dom in (LatticeDomain.box([-1.0, -0.5], [1.0, 0.5], [8, 4], margin=0.3),
+                LatticeDomain.ball([0.0, 0.0], 1.0, 11, margin=0.3),
+                LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [13, 13], margin=0.3)):
+        drift = tanh_drift(2, amplitude=0.3) if with_drift else None
+        ops, rows = [], []
+        for budget in (1 << 30, 8 * (2 + 11) * 11 * len(dom.points)):
+            monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", budget)
+            rows.append([len(w) for _, w in lattice._pair_form_chunks(spec, dom)])
+            ops.append(assemble(dom, spec, drift=drift))
+            ops[-1].pair_weights
+        assert rows[0] == [dom.n_interior]
+        assert len(rows[1]) >= 3 and set(rows[1][:-1]) == {8}
+        whole, streamed = ops
+        assert np.array_equal(streamed.matrix, whole.matrix)
+        assert np.array_equal(streamed.pair_weights, whole.pair_weights)
 
 
 def test_assemble_takes_the_far_field_at_interior_nodes_alone(monkeypatch):
@@ -399,8 +533,9 @@ def test_drift_block_in_row_chunks_is_bit_identical(monkeypatch):
 
 
 def test_pair_forms_in_row_chunks_are_bit_identical(monkeypatch):
-    # the offset table gathered in one chunk against chunks of 7 rows (the
-    # last one shorter), on a box whose axes have different node counts
+    # the offset table gathered in one chunk against chunks of 7 rows,
+    # which the gather rounds up to 8, on a box whose axes have different
+    # node counts
     spec = spec_from_config({"variant": "separable_product",
                              "matrix": [[1.2, 0.3], [0.3, 0.8]], "s": 0.4,
                              "amplitude": 0.3})

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nonlocal_dv import rate
+from nonlocal_dv import lattice, rate
 from nonlocal_dv.errors import DomainError
 from nonlocal_dv.kernels import fractional_kernel
 from nonlocal_dv.lattice import (GridFunction, LatticeDomain, assemble, kernel_form,
@@ -374,6 +374,25 @@ def test_drift_pairing_against_brute_force(density, drift):
     acc -= float(fv @ op.drift_far)
     acc *= dom.cell_volume
     assert drift_pairing(op, fv) == pytest.approx(acc, rel=1e-12)
+
+
+def test_I_decomposed_builds_the_pair_weights_once(monkeypatch, density, drift):
+    # the energy, the drift pairing and the error form all read W: the
+    # first read gathers it from the chunks that assembly streamed, the
+    # later ones reuse it
+    passes = []
+    real = lattice._pair_weight_chunks
+
+    def counting(*args, **kwargs):
+        passes.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_pair_weight_chunks", counting)
+    spec = fractional_kernel(1, 0.5, normalized=True)
+    op = assemble(density_lattice(density, cells=40), spec, drift=drift)
+    assert len(passes) == 1 and "pair_weights" not in vars(op)
+    I_decomposed(density, op)
+    assert len(passes) == 2 and "pair_weights" in vars(op)
 
 
 def test_dual_gap_families(density, drift):

@@ -7,6 +7,8 @@ narrow-probe limit with unit widths), lattice double sums for quadratic
 energies, and pointwise quadrature for operator values.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -147,12 +149,36 @@ def test_diffusion_limit_separable_product_freezes(density):
     assert res.limit == pytest.approx(target, rel=2e-2)
 
 
-def test_diffusion_limit_warns_on_nonmonotone(density):
+def test_diffusion_limit_warns_on_nonmonotone(monkeypatch, density):
+    # on the default scales the normalized values fall by 1.9e-4 and then
+    # 3.9e-5; lifting the middle rate value by 1e-2 (2.5e-3 once scaled by
+    # lambda^(2s) = 0.25) makes them rise, then fall
+    real = recovery.I_decomposed
+    lifts = iter([0.0, 1e-2, 0.0])
+
+    def lifted(g, op):
+        parts = real(g, op)
+        return dataclasses.replace(parts, I_value=parts.I_value + next(lifts))
+
+    monkeypatch.setattr(recovery, "I_decomposed", lifted)
     spec = spec_1d(0.5)
     h = scaled(gaussian(1, width=0.9), 0.5)
     with pytest.warns(UserWarning, match="monotone"):
-        diffusion_limit(spec, density, np.array([0.2]),
-                        lambda_seq=(0.5, 0.125, 0.25), h=h)
+        res = diffusion_limit(spec, density, np.array([0.2]), h=h)
+    assert not res.monotone
+
+
+@pytest.mark.parametrize("lambda_seq", [(0.125, 0.25, 0.5), (0.5, 0.3, 0.1)])
+def test_diffusion_limit_refuses_scales_that_are_not_a_decreasing_geometric_sequence(
+        monkeypatch, density, lambda_seq):
+    # an increasing sequence extrapolated to a nan rate, and a
+    # non-geometric one at the wrong ratio: both are refused before any
+    # lattice is assembled
+    monkeypatch.setattr(recovery, "assemble", None)
+    h = scaled(gaussian(1, width=0.9), 0.5)
+    with pytest.raises(DomainError, match="scale sequence"):
+        diffusion_limit(spec_1d(0.5), density, np.array([0.2]),
+                        lambda_seq=lambda_seq, h=h)
 
 
 # ---------------------------------------------------------------------------
