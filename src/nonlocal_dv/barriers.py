@@ -7,7 +7,7 @@ it negative, and at the threshold it drains to zero.  The coefficient in
 the flat-boundary limit factorizes into a one-dimensional profile integral
 and a transverse-layer constant C_star; the layer integral J at fixed
 first coordinate carries the anisotropy through a determinant identity.
-All three have closed forms in Gamma functions.  C_star and J are also
+All three have closed forms in gamma functions.  C_star and J are also
 summed directly on one fixed polar rule (``_layer_rule``, orders 64 and
 128, whose difference is the error estimate), the independent second
 route; no adaptive quadrature runs.
@@ -265,8 +265,8 @@ def half_space_reference(alpha: float, s: float) -> float:
     B(-2s, 2s - alpha), B(-2s, 1 + alpha) and 0 (B the Beta function), and
     the reflection formula turns their sum into
 
-        I(alpha, s) = Gamma(1 + alpha) Gamma(2s - alpha) sin(pi (alpha - s))
-                      / (sin(pi s) Gamma(1 + 2s)).
+        I(alpha, s) = gamma(1 + alpha) gamma(2s - alpha) sin(pi (alpha - s))
+                      / (sin(pi s) gamma(1 + 2s)).
 
     Zero at alpha = s, -pi/4 at (1/4, 1/2) and 3 pi/4 at (3/4, 1/2).
     Needs alpha < 2s for the far field to integrate.
@@ -289,8 +289,8 @@ def flat_limit_reference(spec: KernelSpec, alpha: float) -> float:
     """
     if spec.field.variant != "constant":
         raise DomainError("flat-boundary reference needs a constant field")
-    s = spec.bounds.s
-    N = spec.bounds.dim
+    s = spec.s
+    N = spec.dim
     A = np.atleast_2d(spec.field.matrix)
     detA = float(np.linalg.det(A))
     detAp = float(np.linalg.det(A[1:, 1:])) if N > 1 else 1.0
@@ -329,12 +329,12 @@ class BarrierConfig:
         if self.domain not in ("interval", "ball"):
             raise DomainError(f"domain must be interval or ball, got "
                               f"{self.domain!r}")
-        dim = self.spec.bounds.dim
+        dim = self.spec.dim
         if self.domain == "interval" and dim != 1:
             raise DomainError("interval domain needs a one-dimensional kernel")
         if dim > 3:
             raise DomainError("scan quadrature supports dimension <= 3")
-        s = self.spec.bounds.s
+        s = self.spec.s
         if not 0.0 < self.alpha < 2.0 * s + 1.0:
             raise DomainError(
                 f"exponent alpha must lie in (0, 2s + 1), got {self.alpha}")
@@ -405,8 +405,8 @@ def barrier_scan(config: BarrierConfig) -> BarrierReport:
     order 32.
     """
     spec = config.spec
-    s = spec.bounds.s
-    dim = spec.bounds.dim
+    s = spec.s
+    dim = spec.dim
     r = config.radius
     floor = config.floor
 

@@ -23,6 +23,11 @@ type, or when two errors share that deepest path.  On a config with a
 single fault this is the field ``jsonschema.exceptions.best_match``
 names.
 
+The ``kernel`` block takes ``variant``, ``matrix``, ``s``, ``normalized``
+and ``amplitude``; the lower ellipticity bound of the spec is derived from
+the matrix and the amplitude (``kernels.spec_from_config``), and any other
+key exits with status 2 at ``kernel``.
+
 The summary is written to ``output.json`` and the data to ``output.csv``
 (by default ``<command>_summary.json`` and ``<command>_data.csv``);
 ``eigen`` and ``dv-functional`` also write the grid of their CSV to its
@@ -160,8 +165,6 @@ _TOP_PROPERTIES = {
                                  "minItems": 1, "maxItems": 3}},
             "s": {"type": "number", "exclusiveMinimum": 0,
                   "exclusiveMaximum": 1},
-            "gamma": _POS,
-            "Gamma": _POS,
             "normalized": _BOOL,
             "amplitude": _NUM,
         },
@@ -450,6 +453,22 @@ def _function_from_config(block: dict, dim: int, field: str) -> SmoothFunction:
         support_radius=0.5, far_value=value)
 
 
+def _drift_from_config(cfg: dict, dim: int) -> SmoothFunction | None:
+    """The optional ``drift`` block, None without one."""
+    return _function_from_config(cfg["drift"], dim, "drift") if "drift" in cfg else None
+
+
+def _probe_lambdas(probe: dict) -> tuple[float, ...]:
+    """``probe.lambdas`` (default 1/2, 1/4, 1/8), ConfigError at that path
+    when ``scale_ratio`` rejects them."""
+    lam = tuple(probe.get("lambdas", (0.5, 0.25, 0.125)))
+    try:
+        scale_ratio(lam)
+    except DomainError as exc:
+        raise ConfigError(str(exc), field_path="probe.lambdas") from exc
+    return lam
+
+
 def _as_list(value, length: int, field: str) -> list[float]:
     out = [float(v) for v in value] if isinstance(value, list) else \
         [float(value)] * length
@@ -581,8 +600,7 @@ def _cmd_operator_eval(cfg: dict, seed: int):
     del seed
     spec, dim = _kernel_from_config(cfg["kernel"])
     u = _function_from_config(cfg["eval"]["function"], dim, "eval.function")
-    h = (_function_from_config(cfg["drift"], dim, "drift")
-         if "drift" in cfg else None)
+    h = _drift_from_config(cfg, dim)
     for k, point in enumerate(cfg["eval"]["points"]):
         if len(point) != dim:
             raise ConfigError(f"point must have {dim} coordinates",
@@ -608,8 +626,7 @@ def _cmd_eigen(cfg: dict, seed: int):
     del seed
     spec, dim = _kernel_from_config(cfg["kernel"])
     dom = _domain_from_config(cfg["domain"], dim)
-    h = (_function_from_config(cfg["drift"], dim, "drift")
-         if "drift" in cfg else None)
+    h = _drift_from_config(cfg, dim)
     opts = cfg.get("eigen", {})
     op = assemble(dom, spec, drift=h)
     _log.info("assembled %d-node operator", op.n)
@@ -644,8 +661,7 @@ def _cmd_dv_functional(cfg: dict, seed: int):
     del seed
     spec, dim = _kernel_from_config(cfg["kernel"])
     dens, dom = _density_from_config(cfg["density"], dim)
-    h = (_function_from_config(cfg["drift"], dim, "drift")
-         if "drift" in cfg else None)
+    h = _drift_from_config(cfg, dim)
     op = assemble(dom, spec, drift=h)
     parts = I_decomposed(dens, op)
     results = {
@@ -681,11 +697,7 @@ def _cmd_recover_matrix(cfg: dict, seed: int):
     A = np.asarray(block["matrix"], dtype=float)
     s = float(block["s"])
     probe = cfg.get("probe", {})
-    lam = tuple(probe.get("lambdas", (0.5, 0.25, 0.125)))
-    try:
-        scale_ratio(lam)
-    except DomainError as exc:
-        raise ConfigError(str(exc), field_path="probe.lambdas") from exc
+    lam = _probe_lambdas(probe)
     kwargs = {}
     if "second_width" in probe:
         kwargs["second_width"] = probe["second_width"]
@@ -725,11 +737,7 @@ def _cmd_recover_drift(cfg: dict, seed: int):
     if len(x0) != dim:
         raise ConfigError(f"x0 must have {dim} coordinates",
                           field_path="probe.x0")
-    lam = tuple(probe.get("lambdas", (0.5, 0.25, 0.125)))
-    try:
-        scale_ratio(lam)
-    except DomainError as exc:
-        raise ConfigError(str(exc), field_path="probe.lambdas") from exc
+    lam = _probe_lambdas(probe)
     res = drift_probe(h, spec, x0, lambda_seq=lam,
                       cells=probe.get("cells", 40))
     offsets = np.linspace(-0.8, 0.8, 9)
@@ -758,8 +766,7 @@ def _cmd_barrier_check(cfg: dict, seed: int):
     del seed
     spec, dim = _kernel_from_config(cfg["kernel"])
     block = cfg["barrier"]
-    h = (_function_from_config(cfg["drift"], dim, "drift")
-         if "drift" in cfg else None)
+    h = _drift_from_config(cfg, dim)
     try:
         config = BarrierConfig(
             domain=block["domain"], alpha=float(block["alpha"]),
@@ -775,7 +782,7 @@ def _cmd_barrier_check(cfg: dict, seed: int):
     # the flat-boundary limit exists for constant fields below the
     # integrability edge alpha < 2s; any failure there is a real one
     flat = None
-    if spec.field.variant == "constant" and config.alpha < 2.0 * spec.bounds.s:
+    if spec.field.variant == "constant" and config.alpha < 2.0 * spec.s:
         flat = flat_limit_reference(spec, config.alpha)
     results = {
         "alpha": rep.alpha,

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, EllipticityError, SingularityError
 
 __all__ = [
-    "EllipticityBounds",
     "AnisotropyField",
     "KernelSpec",
     "kernel_eval",
@@ -39,7 +38,7 @@ __all__ = [
 
 
 def normalization_constant(dim: int, s: float) -> float:
-    """Constant c(N, s) = 4^s Gamma(N/2 + s) / (pi^(N/2) |Gamma(-s)|).
+    """Constant c(N, s) = 4^s gamma(N/2 + s) / (pi^(N/2) |gamma(-s)|).
 
     With this factor the isotropic kernel reproduces the standard
     fractional Laplacian normalisation.  Only 0 < s < 1 is admissible.
@@ -49,37 +48,6 @@ def normalization_constant(dim: int, s: float) -> float:
     if dim < 1:
         raise DomainError(f"dimension must be >= 1, got {dim}")
     return 4.0**s * math.gamma(dim / 2.0 + s) / (np.pi ** (dim / 2.0) * abs(math.gamma(-s)))
-
-
-@dataclass(frozen=True)
-class EllipticityBounds:
-    """Uniform spectral bounds for an anisotropy field.
-
-    ``lower`` and ``upper`` bound the Rayleigh quotient of ``A(x, y)``
-    from below and above, for every pair of points.  They enter the
-    truncation-tail estimates; the kernel itself is computed from the
-    field values, not from the bounds.
-    """
-
-    lower: float
-    upper: float
-    s: float
-    dim: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lower <= self.upper:
-            raise EllipticityError(
-                f"need 0 < lower <= upper, got ({self.lower}, {self.upper})"
-            )
-        if not 0.0 < self.s < 1.0:
-            raise DomainError(f"order s must lie in (0, 1), got {self.s}")
-        if self.dim < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.dim}")
-
-    @property
-    def exponent(self) -> float:
-        """Kernel exponent (N + 2s)/2 applied to the quadratic form."""
-        return 0.5 * (self.dim + 2.0 * self.s)
 
 
 def _as_spd(matrix: np.ndarray, dim: int) -> np.ndarray:
@@ -215,25 +183,36 @@ class AnisotropyField:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel: anisotropy field, ellipticity bounds and normalisation."""
+    """A kernel: anisotropy field, order s, lower ellipticity bound and
+    normalisation.
+
+    ``lower`` bounds the Rayleigh quotient of ``A(x, y)`` from below for
+    every pair of points.  It enters only the tail bound
+    ``operators._ellipticity_tail``: the kernel mass past the last panel
+    of a ray that no closed form ends (a separable field with no
+    ``period``), and the radius of a pointwise rule for a function with no
+    support radius.  The kernel itself is computed from the field values.
+    """
 
     field: AnisotropyField
-    bounds: EllipticityBounds
+    s: float
+    lower: float
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        if self.field.dim != self.bounds.dim:
-            raise DomainError(
-                f"field dimension {self.field.dim} != bounds dimension {self.bounds.dim}"
-            )
+        if not self.lower > 0.0:
+            raise EllipticityError(f"need lower > 0, got {self.lower}")
+        if not 0.0 < self.s < 1.0:
+            raise DomainError(f"order s must lie in (0, 1), got {self.s}")
 
     @property
     def dim(self) -> int:
-        return self.bounds.dim
+        return self.field.dim
 
     @property
-    def s(self) -> float:
-        return self.bounds.s
+    def exponent(self) -> float:
+        """Kernel exponent (N + 2s)/2 applied to the quadratic form."""
+        return 0.5 * (self.dim + 2.0 * self.s)
 
     @property
     def prefactor(self) -> float:
@@ -253,7 +232,7 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise SingularityError("kernel evaluated at coincident points")
     if np.any(q <= 0.0):
         raise EllipticityError("quadratic form non-positive; field is not elliptic here")
-    values = spec.prefactor * q ** (-spec.bounds.exponent)
+    values = spec.prefactor * q ** (-spec.exponent)
     if np.isscalar(x) or (np.asarray(x).ndim == 1):
         return values if values.size > 1 else float(values[0])
     return values
@@ -263,8 +242,7 @@ def fractional_kernel(dim: int, s: float, normalized: bool = True) -> KernelSpec
     """Isotropic kernel; with ``normalized=True`` this is the fractional
     Laplacian generator of order 2s."""
     return KernelSpec(
-        field=AnisotropyField.constant(np.eye(dim)),
-        bounds=EllipticityBounds(lower=1.0, upper=1.0, s=s, dim=dim),
+        field=AnisotropyField.constant(np.eye(dim)), s=s, lower=1.0,
         normalized=normalized,
     )
 
@@ -276,9 +254,12 @@ def spec_from_config(cfg: dict) -> KernelSpec:
     separable_product), ``matrix`` (nested lists; for separable variants
     it is the base B of M(y) = B + a sin(y_1 + ... + y_N) I, the profile
     f = a sin of period 2 pi along the wave vector k = (1, ..., 1)), ``s``, optional
-    ``gamma`` / ``Gamma`` / ``normalized``, and for the separable variants
-    ``amplitude`` a, which must lie below the least eigenvalue of B in
-    size (else ConfigError at ``kernel.amplitude``).
+    ``normalized``, and for the separable variants ``amplitude`` a, which
+    must lie below the least eigenvalue of B in size (else ConfigError at
+    ``kernel.amplitude``).  The lower ellipticity bound is the least
+    eigenvalue of the matrix for a constant field, and 2 (lambda_min - |a|)
+    for the separable sum, 2 (lambda_min - |a|)^2 for the separable
+    product.
     """
     variant = cfg.get("variant", "constant")
     matrix = np.asarray(cfg["matrix"], dtype=float)
@@ -287,8 +268,7 @@ def spec_from_config(cfg: dict) -> KernelSpec:
     if variant == "constant":
         fld = AnisotropyField.constant(matrix)
         eigs = np.linalg.eigvalsh(fld.matrix)
-        lower = float(cfg.get("gamma", eigs[0]))
-        upper = float(cfg.get("Gamma", eigs[-1]))
+        lower = float(eigs[0])
     else:
         amp = float(cfg.get("amplitude", 0.1))
         eigs = np.linalg.eigvalsh(_as_spd(matrix, dim))
@@ -299,10 +279,7 @@ def spec_from_config(cfg: dict) -> KernelSpec:
         fld = AnisotropyField(variant, matrix, wave=np.ones(dim),
                               profile=lambda t, _amp=amp: _amp * np.sin(t),
                               period=2.0 * np.pi)
-        lo, hi = eigs[0] - abs(amp), eigs[-1] + abs(amp)
-        if variant == "separable_product":
-            lo, hi = lo ** 2, hi ** 2
-        lower = float(cfg.get("gamma", 2 * lo))
-        upper = float(cfg.get("Gamma", 2 * hi))
-    bounds = EllipticityBounds(lower=lower, upper=upper, s=s, dim=dim)
-    return KernelSpec(field=fld, bounds=bounds, normalized=bool(cfg.get("normalized", False)))
+        lo = eigs[0] - abs(amp)
+        lower = float(2 * (lo ** 2 if variant == "separable_product" else lo))
+    return KernelSpec(field=fld, s=s, lower=lower,
+                      normalized=bool(cfg.get("normalized", False)))

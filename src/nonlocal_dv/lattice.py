@@ -281,14 +281,6 @@ def _pair_form_chunks(spec: KernelSpec, domain: LatticeDomain):
         yield sl, q
 
 
-def _pair_quadratic_forms(spec: KernelSpec, domain: LatticeDomain) -> np.ndarray:
-    """The pair forms of every interior row (``_pair_form_chunks``)."""
-    q = np.empty((domain.n_interior, len(domain.points)))
-    for sl, chunk in _pair_form_chunks(spec, domain):
-        q[sl] = chunk
-    return q
-
-
 def _pair_weight_chunks(spec: KernelSpec, domain: LatticeDomain,
                         moments: np.ndarray | None):
     """Yield (rows, W[rows]) for the pair weights of the interior rows,
@@ -311,7 +303,7 @@ def _pair_weight_chunks(spec: KernelSpec, domain: LatticeDomain,
         w[r, nodes] = 1.0
         if not w.min() > 0.0:
             raise EllipticityError("a pair form is not positive: the field is not elliptic here")
-        w **= -spec.bounds.exponent
+        w **= -spec.exponent
         w *= spec.prefactor
         w *= vol
         w[r, nodes] = 0.0
@@ -343,7 +335,7 @@ def _self_cell_moments(spec: KernelSpec, pts: np.ndarray,
     t = 0.5 * (1.0 + gj_x)
     if spec.field.variant == "constant":
         q_unit = np.einsum("da,ab,db->d", dirs, spec.field.matrix, dirs)
-        kdir = spec.prefactor * q_unit ** (-spec.bounds.exponent)
+        kdir = spec.prefactor * q_unit ** (-spec.exponent)
         radial = rho_max ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
         c = 0.5 * np.einsum("d,d,d,da->a", aw, kdir, radial, dirs**2)
         return np.broadcast_to(c, (len(pts), spec.dim)).copy()
@@ -402,7 +394,6 @@ class AssembledOperator:
     spec: KernelSpec
     self_cell_moments: np.ndarray | None  # (n_total, dim)
     box_tail: np.ndarray  # (n_int,)
-    potential: np.ndarray  # (n_int,)
     drift: SmoothFunction | None
     drift_values: np.ndarray | None  # (n_total,)
     drift_far: np.ndarray | None  # (n_int,)
@@ -459,7 +450,6 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     mask = domain.interior_mask
     int_idx = np.flatnonzero(mask)
     n_int = len(int_idx)
-    rows = np.arange(n_int)
     mom = _self_cell_moments(spec, pts, quad, domain.spacing) if self_cell else None
 
     drift_vals = far = hc = w_hc = None
@@ -524,18 +514,15 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
             block[r, lo + r] = b_diag[sl]
             lap[sl] += block
 
-    if potential is None:
-        V = np.zeros(n_int)
-    elif callable(potential):
-        V = np.asarray(potential(domain.interior_points), dtype=float).reshape(n_int)
-    else:
-        V = np.asarray(potential, dtype=float).reshape(n_int)
-    lap[rows, rows] += V
+    if potential is not None:
+        if callable(potential):
+            potential = potential(domain.interior_points)
+        rows = np.arange(n_int)
+        lap[rows, rows] += np.asarray(potential, dtype=float).reshape(n_int)
 
     return AssembledOperator(
         domain=domain, spec=spec, self_cell_moments=mom, box_tail=tails,
-        potential=V, drift=drift, drift_values=drift_vals, drift_far=far,
-        matrix=lap)
+        drift=drift, drift_values=drift_vals, drift_far=far, matrix=lap)
 
 
 # --------------------------------------------------------------------------

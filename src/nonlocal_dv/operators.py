@@ -400,7 +400,7 @@ def _kernel_at_offsets(spec: KernelSpec, pts: np.ndarray, offsets: np.ndarray,
         else:
             p, q = fld.split(z, bx[own])
             q = p + q * fld.ridge(kx[own] + z @ fld.wave)
-        out[lo:hi] = spec.prefactor * q ** (-spec.bounds.exponent)
+        out[lo:hi] = spec.prefactor * q ** (-spec.exponent)
     return out
 
 
@@ -422,13 +422,13 @@ def _ray_profile(spec: KernelSpec, p: np.ndarray, q: np.ndarray,
     (``_ray_constants``).  One profile call and one power per sample."""
     form = q * spec.field.ridge(phase)
     form += p
-    return np.power(form, -spec.bounds.exponent, out=form)
+    return np.power(form, -spec.exponent, out=form)
 
 
 def _ellipticity_tail(spec: KernelSpec, radius: float | np.ndarray) -> float | np.ndarray:
     """Bound on the kernel mass per unit solid angle beyond ``radius`` from
     the lower ellipticity bound: lower^(-(N+2s)/2) radius^(-2s) / (2s)."""
-    return (spec.prefactor * spec.bounds.lower ** (-spec.bounds.exponent)
+    return (spec.prefactor * spec.lower ** (-spec.exponent)
             * radius ** (-2.0 * spec.s) / (2.0 * spec.s))
 
 
@@ -537,7 +537,7 @@ def _ray_closures(spec: KernelSpec, p: np.ndarray, q: np.ndarray, kx: np.ndarray
             r = todo[lo:lo + rows]
             phi = np.multiply.outer(q[r], ridge)
             phi += p[r, None]
-            c = np.fft.rfft(np.power(phi, -spec.bounds.exponent, out=phi), axis=1) / size
+            c = np.fft.rfft(np.power(phi, -spec.exponent, out=phi), axis=1) / size
             c0, cn = c[:, 0].real, c[:, 1:len(n) + 1]
             if size < _PERIOD_SAMPLES_MAX:
                 fine = np.abs(c[:, len(n) + 1:]).max(axis=1) <= _RESOLVED * c0
@@ -635,7 +635,7 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
     gl_x, gl_w = _gauss_rule(quad.radial_order)
     if constant:
         q_unit = np.einsum("da,ab,db->d", dirs, fld.matrix, dirs)
-        kdir = spec.prefactor * q_unit ** (-spec.bounds.exponent)
+        kdir = spec.prefactor * q_unit ** (-spec.exponent)
         mass = np.einsum("d,d,id->i", aw, kdir, start ** (-2.0 * s)) / (2.0 * s)
         if g is None:
             return mass

@@ -414,8 +414,7 @@ def dual_gap(f: DensitySpec, V_family, op: AssembledOperator) -> DualGapReport:
         if V_int.shape != (op.n,):
             raise DomainError("potential has shape %s, not one value per "
                               "interior node (%d)" % (V_int.shape, op.n))
-        op_V = replace(op, potential=op.potential + V_int,
-                       matrix=op.matrix + np.diag(V_int))
+        op_V = replace(op, matrix=op.matrix + np.diag(V_int))
         pair = principal_eigenpair(op_V, tol=_DUAL_TOL, max_iter=800,
                                    dense_check=False)
         values.append(pair.lambda1 + float(fv @ V_int) * vol)

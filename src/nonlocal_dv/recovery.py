@@ -181,7 +181,7 @@ def diffusion_limit(spec: KernelSpec, f: DensitySpec, x0,
     lams = np.asarray(lambda_seq, dtype=float)
     ratio = scale_ratio(lams)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    s = spec.bounds.s
+    s = spec.s
     vals = []
     raws = []
     for lam in lams:

@@ -1,12 +1,13 @@
 """The package's public surface is what its own commands and checks reach.
 
-A public function, method or class that no code in ``src/`` refers to, or
-a defaulted parameter or dataclass field that no call in ``src/`` sets,
-is surface only the tests hold up; it belongs deleted, or in a module
-constant.  Tests do not count as callers here: a test reaching a name
-does not make the package need it.  The few names kept for the tests'
-sake are listed in ``ALLOWED``, each under a comment naming the paper
-statement or the reference role it serves.
+A public function, method or class that no code in ``src/`` refers to, a
+private top-level function likewise, or a defaulted parameter or
+dataclass field that no call in ``src/`` sets, is surface only the tests
+hold up; it belongs deleted, or in a module constant.  Tests do not
+count as callers here: a test reaching a name does not make the package
+need it.  The few names kept for the tests' sake are listed in
+``ALLOWED``, each under a comment naming the paper statement or the
+reference role it serves.
 
 The scan parses every module of ``src/nonlocal_dv`` with ``ast``.
 Names are matched, not bindings: ``f.values_on(...)`` counts for
@@ -212,14 +213,14 @@ def unset_parameters():
 
 
 def _definitions(tree):
-    """(qualified name, node, is method) of the public top-level functions
-    and classes and the public methods of top-level classes."""
+    """(qualified name, node, is method) of the top-level functions, public
+    or private, the public top-level classes and the public methods of
+    top-level classes."""
     for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) or not _is_public(node.name):
-            continue
-        yield node.name, node, False
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and _is_public(node.name):
+            yield node.name, node, False
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and _is_public(item.name)):
@@ -241,8 +242,8 @@ def _references(trees):
 
 
 def unreferenced_names():
-    """Public functions, classes and methods nothing in src/ refers to
-    outside their own definition."""
+    """Top-level functions, public classes and public methods nothing in
+    src/ refers to outside their own definition."""
     trees = _package_trees()
     names, attrs = _references(trees)
     unused = []

@@ -46,7 +46,6 @@ from nonlocal_dv.errors import DomainError
 from nonlocal_dv.extrapolate import fit_rate, richardson_limit
 from nonlocal_dv.kernels import (
     AnisotropyField,
-    EllipticityBounds,
     KernelSpec,
     normalization_constant,
 )
@@ -56,7 +55,7 @@ from nonlocal_dv.operators import SmoothFunction, gaussian
 def const_spec(dim, s, matrix=None, normalized=False):
     m = np.eye(dim) if matrix is None else np.asarray(matrix, dtype=float)
     return KernelSpec(AnisotropyField.constant(m),
-                      EllipticityBounds(0.25, 4.0, s, dim),
+                      s=s, lower=0.25,
                       normalized=normalized)
 
 

@@ -522,15 +522,13 @@ def test_interval_takes_exactly_one_cell_count(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bounds", [{}, {"gamma": 0.05, "Gamma": 9.0}])
 @pytest.mark.parametrize("variant", ["separable_sum", "separable_product"])
-def test_amplitude_above_base_eigenvalue_exits_2(tmp_path, capsys, variant,
-                                                 bounds):
+def test_amplitude_above_base_eigenvalue_exits_2(tmp_path, capsys, variant):
     # M(y) = diag(0.6, 1) + 0.7 sin(y_1 + y_2) I is indefinite where
     # sin < -6/7, which the 8-cell box reaches in its lower corner; the
     # product's default lower bound 2 (0.6 - 0.7)^2 is positive all the same
-    kernel = dict({"variant": variant, "matrix": [[0.6, 0.0], [0.0, 1.0]],
-                   "s": 0.5, "amplitude": 0.7}, **bounds)
+    kernel = {"variant": variant, "matrix": [[0.6, 0.0], [0.0, 1.0]],
+              "s": 0.5, "amplitude": 0.7}
     cfg = write_config(tmp_path, "cfg.json", {
         "kernel": kernel,
         "domain": {"shape": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0],

@@ -78,6 +78,9 @@ KEYWORD_CASES = [
     ("required-block", {"domain": _DELETE}, "(top level)"),
     ("additionalProperties", {"kernel.bogus": 1}, "kernel"),
     ("additionalProperties-top", {"bogus": 1}, "(top level)"),
+    # the ellipticity bounds are derived from the matrix, not configured
+    ("additionalProperties-gamma", {"kernel.gamma": 0.1}, "kernel"),
+    ("additionalProperties-Gamma", {"kernel.Gamma": 9.0}, "kernel"),
     ("properties", {"density.profile.width": "wide"},
      "density.profile.width"),
     ("minimum", {"domain.margin": -0.5}, "domain.margin"),
@@ -127,7 +130,7 @@ BASES = [
         "seed": 1,
         "kernel": {"variant": "separable_product",
                    "matrix": [[1.2, 0.3], [0.3, 0.9]], "s": 0.4,
-                   "gamma": 0.1, "Gamma": 9.0, "amplitude": 0.2},
+                   "amplitude": 0.2},
         "eval": {"function": {"kind": "gaussian", "width": 0.7,
                               "center": [0.1, 0.2], "amplitude": 1.5},
                  "points": [[0.0, 0.1], [0.3, -0.2]]},

@@ -214,7 +214,7 @@ def test_profile_sees_each_node_once_and_only_phases(variant):
 
     field = AnisotropyField(variant, spec.field.matrix, wave=spec.field.wave,
                             profile=recording, period=spec.field.period)
-    counted = KernelSpec(field, spec.bounds)
+    counted = KernelSpec(field, s=spec.s, lower=spec.lower)
     pts = np.array([[0.1, -0.2], [0.7, 0.4], [-0.5, 0.9]])
     node_phases = pts @ field.wave
     quad = QuadratureScheme(angular_count=8)
@@ -245,7 +245,7 @@ def test_per_point_profile_through_hoisted_kernels(variant):
     field = AnisotropyField(variant, spec.field.matrix, wave=spec.field.wave,
                             profile=lambda t: np.array([fn(np.array([ti]))[0] for ti in t]),
                             period=spec.field.period)
-    looped = KernelSpec(field, spec.bounds)
+    looped = KernelSpec(field, s=spec.s, lower=spec.lower)
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4])
     drift = tanh_drift(2, amplitude=0.3, slope=2.0)
     quad = QuadratureScheme(angular_count=4, tail_tolerance=1e-4)
@@ -370,7 +370,7 @@ def test_far_field_samples_on_the_separable_lattice():
     counted = SmoothFunction(fn, 2, support_radius=drift.support_radius,
                              plateau=drift.plateau)
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [16, 16], margin=0.3)
-    assemble(dom, KernelSpec(field, spec.bounds), drift=counted)
+    assemble(dom, KernelSpec(field, s=spec.s, lower=spec.lower), drift=counted)
     assert sum(len(t) for t in phases) <= 5475472 // 2
     assert sum(len(p) for p in points) <= 0.8 * 1556452
     # no panel is evaluated with zero width: its first and last of 16 nodes

@@ -9,14 +9,13 @@ from nonlocal_dv import operators
 from nonlocal_dv.errors import DomainError, EllipticityError, SingularityError
 from nonlocal_dv.kernels import (
     AnisotropyField,
-    EllipticityBounds,
     KernelSpec,
     fractional_kernel,
     kernel_eval,
     normalization_constant,
     spec_from_config,
 )
-from nonlocal_dv.lattice import LatticeDomain, _pair_quadratic_forms
+from nonlocal_dv.lattice import LatticeDomain, _pair_form_chunks
 
 
 def test_normalization_half_in_1d_is_inverse_pi():
@@ -33,7 +32,7 @@ def test_constant_field_hand_value():
     # A = diag(4, 1), offset e1, s = 1/2: q = 4, K = 4^(-3/2) = 0.125
     spec = KernelSpec(
         AnisotropyField.constant(np.diag([4.0, 1.0])),
-        EllipticityBounds(1.0, 4.0, 0.5, 2),
+        s=0.5, lower=1.0,
     )
     x = np.array([0.0, 0.0])
     y = np.array([1.0, 0.0])
@@ -58,7 +57,7 @@ def test_swap_symmetry(variant):
     name = {"sum": "separable_sum", "product": "separable_product"}.get(variant, variant)
     field = AnisotropyField(name, base, wave=np.array([1.0, -0.5]),
                             profile=lambda t: 0.4 * np.sin(t) + 0.2 * np.cos(2.0 * t))
-    spec = KernelSpec(field, EllipticityBounds(0.5, 4.0, 0.6, 2))
+    spec = KernelSpec(field, s=0.6, lower=0.5)
     for _ in range(20):
         x, y = rng.normal(size=2), rng.normal(size=2)
         assert kernel_eval(spec, x, y) == pytest.approx(kernel_eval(spec, y, x), rel=1e-13)
@@ -80,6 +79,17 @@ def test_indefinite_matrix_rejected():
         AnisotropyField.constant(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_spec_checks_keep_their_error_types():
+    field = AnisotropyField.constant(np.eye(2))
+    for lower in (0.0, -1.0, float("nan")):
+        with pytest.raises(EllipticityError):
+            KernelSpec(field, s=0.5, lower=lower)
+    for s in (0.0, 1.0, float("nan")):
+        with pytest.raises(DomainError):
+            KernelSpec(field, s=s, lower=1.0)
+    assert KernelSpec(field, s=0.25, lower=1.0).exponent == 1.25
+
+
 def test_normalized_prefactor_applied():
     x, y = np.array([0.0]), np.array([0.9])
     raw = kernel_eval(fractional_kernel(1, 0.5, normalized=False), x, y)
@@ -92,8 +102,6 @@ def test_spec_from_config_constant():
         "variant": "constant",
         "matrix": [[2.0, 0.0], [0.0, 1.0]],
         "s": 0.5,
-        "gamma": 1.0,
-        "Gamma": 2.0,
         "normalized": False,
     }
     spec = spec_from_config(cfg)
@@ -131,7 +139,7 @@ def test_profile_error_on_batch_propagates():
             raise RuntimeError("batch evaluation failed")
         return per_point_profile(t)
 
-    spec = KernelSpec(_ridge_sum(profile), EllipticityBounds(1.0, 5.0, 0.5, 2))
+    spec = KernelSpec(_ridge_sum(profile), s=0.5, lower=1.0)
     with pytest.raises(RuntimeError, match="batch evaluation failed"):
         kernel_eval(spec, np.array([[0.1, 0.2], [-0.4, 0.3]]),
                     np.array([[0.5, 0.2], [0.4, 0.3]]))
@@ -201,7 +209,7 @@ def test_separable_form_matches_pair_matrices(dim, variant, per_point):
             profile = looped(profile)
         field = AnisotropyField(variant, _BASES[dim], wave=np.asarray(_WAVES[dim]),
                                 profile=profile)
-        _check_one_formula(KernelSpec(field, EllipticityBounds(0.1, 10.0, 0.4, dim)))
+        _check_one_formula(KernelSpec(field, s=0.4, lower=0.1))
 
 
 _NON_SQUARE = {1: ([-1.0], [1.0], [8]),
@@ -210,7 +218,7 @@ _NON_SQUARE = {1: ([-1.0], [1.0], [8]),
 
 
 def _check_one_formula(spec):
-    field, dim, p = spec.field, spec.dim, spec.bounds.exponent
+    field, dim, p = spec.field, spec.dim, spec.exponent
     rng = np.random.default_rng(dim)
     # kernel_eval, through quadratic_form
     x, y = rng.uniform(-2.0, 2.0, size=(2, 30, dim))
@@ -238,8 +246,8 @@ def _check_one_formula(spec):
         r, j = np.nonzero(rows[:, None] != np.arange(len(grid)))
         i = rows[r]
         want = explicit_form(field, grid[i], grid[j], grid[i] - grid[j])
-        np.testing.assert_allclose(_pair_quadratic_forms(spec, dom)[r, j], want,
-                                   rtol=1e-14, atol=0.0)
+        q = np.concatenate([q for _, q in _pair_form_chunks(spec, dom)])
+        np.testing.assert_allclose(q[r, j], want, rtol=1e-14, atol=0.0)
     if field.variant == "constant":
         return
     # the ray samples: K(x_i, x_i + rho theta_d) from per-ray constants
@@ -269,5 +277,5 @@ def test_pair_forms_keep_their_digits_far_from_the_origin(variant):
     grid = dom.points
     i, j = np.nonzero(~np.eye(len(grid), dtype=bool))
     want = explicit_form(spec.field, grid[i], grid[j], grid[i] - grid[j])
-    np.testing.assert_allclose(_pair_quadratic_forms(spec, dom)[i, j], want,
-                               rtol=1e-13, atol=0.0)
+    q = np.concatenate([q for _, q in _pair_form_chunks(spec, dom)])
+    np.testing.assert_allclose(q[i, j], want, rtol=1e-13, atol=0.0)

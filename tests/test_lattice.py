@@ -11,7 +11,6 @@ from nonlocal_dv import cli, lattice, operators, spectral
 from nonlocal_dv.errors import CapacityError, DomainError, EllipticityError
 from nonlocal_dv.kernels import (
     AnisotropyField,
-    EllipticityBounds,
     KernelSpec,
     fractional_kernel,
     spec_from_config,
@@ -20,8 +19,8 @@ from nonlocal_dv.lattice import (
     _PAIR_BYTES_LIMIT,
     GridFunction,
     LatticeDomain,
+    _pair_form_chunks,
     _pair_peak_bytes,
-    _pair_quadratic_forms,
     assemble,
     estimate_shift,
     kernel_form,
@@ -202,9 +201,9 @@ def test_non_positive_pair_form_raises_ellipticity_error():
     # before it
     field = AnisotropyField("separable_product", np.diag([0.6, 1.0]),
                             wave=np.ones(2), profile=lambda t: 0.7 * np.sin(t))
-    spec = KernelSpec(field, EllipticityBounds(0.05, 9.0, 0.5, 2))
+    spec = KernelSpec(field, s=0.5, lower=0.05)
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [8, 8])
-    assert _pair_quadratic_forms(spec, dom).min() < 0.0
+    assert np.concatenate([q for _, q in _pair_form_chunks(spec, dom)]).min() < 0.0
     with pytest.raises(EllipticityError, match="pair form"):
         assemble(dom, spec)
 
@@ -218,9 +217,9 @@ def test_field_not_elliptic_beyond_the_box_raises_ellipticity_error(with_drift):
     # and their kernel mass is NaN: a typed failure, not a NaN diagonal
     field = AnisotropyField("separable_product", np.diag([0.6, 1.0]),
                             wave=np.ones(2), profile=lambda t: 0.7 * np.sin(t))
-    spec = KernelSpec(field, EllipticityBounds(0.05, 9.0, 0.5, 2))
+    spec = KernelSpec(field, s=0.5, lower=0.05)
     dom = LatticeDomain.box([0.5, 0.5], [1.0, 1.0], [4, 4])
-    q = _pair_quadratic_forms(spec, dom)
+    q = np.concatenate([q for _, q in _pair_form_chunks(spec, dom)])
     assert q[~np.eye(dom.n_interior, dtype=bool)].min() > 0.0
     drift = tanh_drift(2, amplitude=0.3) if with_drift else None
     with pytest.raises(EllipticityError, match="beyond the box"):
@@ -540,11 +539,12 @@ def test_pair_forms_in_row_chunks_are_bit_identical(monkeypatch):
                              "matrix": [[1.2, 0.3], [0.3, 0.8]], "s": 0.4,
                              "amplitude": 0.3})
     dom = LatticeDomain.box([-1.0, -0.5], [1.0, 0.5], [8, 4], margin=0.3)
-    whole = _pair_quadratic_forms(spec, dom)
+    whole = np.concatenate([q for _, q in _pair_form_chunks(spec, dom)])
     n = len(dom.points)
     assert n % 7 != 0
     monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", 8 * (2 + 11) * 7 * n)
-    assert np.array_equal(_pair_quadratic_forms(spec, dom), whole)
+    chunked = np.concatenate([q for _, q in _pair_form_chunks(spec, dom)])
+    assert np.array_equal(chunked, whole)
 
 
 def _whole_box(dom):

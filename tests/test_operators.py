@@ -16,7 +16,6 @@ from nonlocal_dv.errors import DomainError
 from nonlocal_dv.extrapolate import richardson_limit
 from nonlocal_dv.kernels import (
     AnisotropyField,
-    EllipticityBounds,
     KernelSpec,
     fractional_kernel,
     spec_from_config,
@@ -85,7 +84,7 @@ def test_power_profile_shape(s):
 
 def _aniso_2d_spec():
     A = np.array([[2.0, 0.7], [0.7, 1.0]])
-    return KernelSpec(AnisotropyField.constant(A), EllipticityBounds(0.5, 3.0, 0.5, 2))
+    return KernelSpec(AnisotropyField.constant(A), s=0.5, lower=0.5)
 
 
 # the default scheme with every polynomial order doubled

@@ -423,7 +423,8 @@ def test_dual_gap_potentials(density, drift, monkeypatch):
         dual_gap(density, [np.zeros(op.n + 1)], op)
     with pytest.raises(DomainError):
         dual_gap(density, [lambda p: np.zeros(len(p) - 1)], op)
-    # each shifted operator carries the potential its matrix holds
+    # each shifted operator holds the matrix of a fresh assembly with the
+    # shifted potential
     seen = []
     solve = rate.principal_eigenpair
 
@@ -437,6 +438,5 @@ def test_dual_gap_potentials(density, drift, monkeypatch):
         warnings.simplefilter("ignore")
         dual_gap(density, [V], op)
     (op_V,) = seen
-    assert np.array_equal(op_V.potential, base_V + V)
     ref = assemble(dom, spec, drift=drift, potential=base_V + V).matrix
     assert np.allclose(op_V.matrix, ref, rtol=1e-13, atol=1e-13)

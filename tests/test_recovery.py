@@ -19,7 +19,7 @@ from nonlocal_dv.errors import (
     OracleInconsistencyError,
     ReconstructionError,
 )
-from nonlocal_dv.kernels import AnisotropyField, EllipticityBounds, KernelSpec
+from nonlocal_dv.kernels import AnisotropyField, KernelSpec
 from nonlocal_dv.lattice import LatticeDomain, assemble, kernel_form
 from nonlocal_dv.operators import (
     SmoothFunction,
@@ -46,7 +46,7 @@ from nonlocal_dv.recovery import (
 
 def spec_1d(s: float, normalized: bool = True) -> KernelSpec:
     field = AnisotropyField.constant(np.eye(1))
-    return KernelSpec(field, EllipticityBounds(0.5, 2.0, s, 1),
+    return KernelSpec(field, s=s, lower=0.5,
                       normalized=normalized)
 
 
@@ -137,13 +137,13 @@ def test_diffusion_limit_separable_product_freezes(density):
     # M(y) = 1 + 0.4 exp(-y^2): base 1, wave vector 1, profile 0.4 exp(-t^2)
     field = AnisotropyField("separable_product", [[1.0]], wave=np.ones(1),
                             profile=lambda t: 0.4 * np.exp(-t ** 2))
-    spec = KernelSpec(field, EllipticityBounds(0.5, 5.0, s, 1), normalized=True)
+    spec = KernelSpec(field, s=s, lower=0.5, normalized=True)
     x0 = np.array([0.3])
     res = diffusion_limit(spec, density, x0)
     # frozen-coefficient reference: constant matrix taken at the limit point
     m0 = 1.0 + 0.4 * np.exp(-x0[0] ** 2)
     frozen = KernelSpec(AnisotropyField.constant(np.array([[2 * m0 ** 2]])),
-                        EllipticityBounds(0.5, 5.0, s, 1), normalized=True)
+                        s=s, lower=0.5, normalized=True)
     target = I_closed_form_h0(density,
                               assemble(probe_domain(density, 1.0, x0), frozen))
     assert res.limit == pytest.approx(target, rel=2e-2)
@@ -207,7 +207,7 @@ def test_fourier_energy_matches_lattice_2d():
     s = 0.5
     A = np.diag([4.0, 1.0])
     field = AnisotropyField.constant(A)
-    spec = KernelSpec(field, EllipticityBounds(0.5, 5.0, s, 2), normalized=True)
+    spec = KernelSpec(field, s=s, lower=0.5, normalized=True)
     dom = LatticeDomain.box([-4.0, -4.0], [4.0, 4.0], [40, 40], margin=1.0)
     op = assemble(dom, spec)
     g = np.exp(-0.5 * np.sum(dom.interior_points ** 2, axis=1))
