@@ -54,6 +54,10 @@ of its error-form minimization (``error_form_newton_steps``,
 the density support leaves that form nonconvex, and the run exits with
 status 3 (``DomainError``).
 
+``operator-eval`` exits with status 3 (``DomainError``) and names the
+first point whose value is not finite, such as a point so far out that
+its quadrature radius overflows.
+
 ``barrier-check`` reports the flat-boundary limit ``flat_limit`` for a
 constant field with alpha < 2s, and null for any other field or exponent,
 where the limit is not defined; an error while computing it exits with
@@ -608,8 +612,14 @@ def _cmd_operator_eval(cfg: dict, seed: int):
     xs = np.asarray(cfg["eval"]["points"], dtype=float).reshape(-1, dim)
     lap = nonlocal_laplacian(u, spec, xs)
     dr = carre_du_champ(u, h, spec, xs) if h is not None else np.zeros(len(xs))
+    drifted = lap + dr
+    bad = np.flatnonzero(~np.isfinite(drifted))
+    if bad.size:
+        k = int(bad[0])
+        raise DomainError(f"the operator at eval.points.{k} = {xs[k].tolist()} is not "
+                          f"finite (laplacian {lap[k]}, drift_form {dr[k]})")
     rows = [tuple(x) + (a, b, a + b) for x, a, b in zip(xs, lap, dr)]
-    worst = float(max([0.0, *np.abs(lap + dr)]))
+    worst = float(np.max(np.abs(drifted), initial=0.0))
     _log.info("evaluated operator at %d points", len(rows))
     results = {"points": len(rows), "max_abs_value": worst,
                "with_drift": h is not None}

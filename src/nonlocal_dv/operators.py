@@ -6,7 +6,7 @@ For a kernel K this module evaluates, at a point x or at each row of an
     L u(x)     = p.v. Int (u(y) - u(x)) K(x, y) dy,
     B(u, v)(x) = 1/2 Int (u(y) - u(x)) (v(y) - v(x)) K(x, y) dy,
 
-and so the drifted combination L u + B(u, h), whose two terms share
+and so the drifted combination L u + B(u, h), whose two terms can share
 one rule (``build_rule`` with ``fns=(u, h)``).  The principal value is
 handled by an inner rule whose nodes come in antipodal pairs (y, 2x - y)
 sharing one weight, so the odd part of the integrand cancels exactly and
@@ -28,11 +28,15 @@ beyond a declared plateau or radius closes there, because
 
 for any constant g_inf.
 
-The rules of m points are built in one pass and equal, bit for bit, the
-rules of the points taken one by one: the radii and panel edges are set
-point by point, the kernel values at all nodes come from chunks of at
-most ``_KERNEL_CHUNK_BYTES`` of temporaries, and the m tail masses from
-one ``far_field`` call.  For a separable field a kernel value is
+The rules of m points come in blocks of consecutive points
+(``_rule_blocks``) and equal, bit for bit, the rules of the points taken
+one by one: the radii and panel edges are set point by point and the m
+tail masses come from one ``far_field`` call, then each block holds the
+nodes and weights of its points, as many as one kernel chunk of at most
+``_KERNEL_CHUNK_BYTES`` of temporaries takes.  The evaluators read the
+blocks as they come, so the nodes they hold at once do not grow with m;
+``build_rule`` keeps every block, for rules that several functions
+share.  For a separable field a kernel value is
 P + Q b(y) (``AnisotropyField.split``) with b(x) evaluated once per
 point or node; along a ray P and Q are fixed per node and direction
 (``_ray_constants``), and a sample is one profile call at k . y.
@@ -43,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -389,10 +393,11 @@ def _kernel_at_offsets(spec: KernelSpec, pts: np.ndarray, offsets: np.ndarray,
     constant = fld.variant == "constant"
     kx, bx = (None, None) if constant else fld.node_terms(pts)
     step = _chunk_rows(spec, 1)
+    owner = np.repeat(np.arange(len(pts)), np.diff(ends, prepend=0))
     out = np.empty(len(offsets))
     for lo in range(0, len(offsets), step):
         hi = min(lo + step, len(offsets))
-        own = np.searchsorted(ends, np.arange(lo, hi), side="right")
+        own = owner[lo:hi]
         z = offsets[lo:hi]
         if constant:
             xs = pts[own]
@@ -763,8 +768,7 @@ def _tolerance_radius(spec: KernelSpec, quad: QuadratureScheme) -> float:
 
 
 def _rule_radii(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
-                fns: Sequence[SmoothFunction],
-                need_tolerance_radius: bool) -> tuple[float, float, list[float]]:
+                fns: Sequence[SmoothFunction]) -> tuple[float, float, list[float]]:
     """Inner radius, quadrature radius and kink radii of the rule at x."""
     breaks: list[float] = []
     for f in fns:
@@ -773,7 +777,7 @@ def _rule_radii(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
     r_target = _INNER_RADIUS * 4.0
     if supports and all(r is not None for r in supports):
         r_target = max(r_target, max(float(np.linalg.norm(x)) + r for r in supports))
-    if need_tolerance_radius or not supports or any(r is None for r in supports):
+    else:
         r_target = max(r_target, _tolerance_radius(spec, quad))
 
     r_in = _INNER_RADIUS
@@ -784,27 +788,40 @@ def _rule_radii(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
     return r_in, r_target, pos_breaks
 
 
-def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
-               fns: Sequence[SmoothFunction] = (),
-               need_tolerance_radius: bool = False) -> PointRule | list[PointRule]:
-    """Assemble the pointwise rule at x for the given integrand functions.
-
-    The quadrature radius covers the supports of all ``fns`` (relative
-    to x); if any function has unbounded support, or
-    ``need_tolerance_radius`` is set, the radius is grown until the
-    kernel tail bound drops below the scheme's tail tolerance.
-
-    A point of shape (dim,) gives its rule; an (m, dim) array gives the
-    list of the m rules, each equal to the rule of its point alone.  The
-    radii, kink radii and panel edges are set point by point, then the
-    kernel values at every node of every point come in chunks of
-    ``_KERNEL_CHUNK_BYTES`` (``_kernel_at_offsets``) and all tail masses
-    from one ``far_field`` call.
-    """
+def _points(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """x as an (m, dim) array of points, and whether it was one point."""
     arr = np.asarray(x, dtype=float)
     pts = arr if arr.ndim == 2 else arr.reshape(1, spec.dim)
     if pts.shape[1] != spec.dim:
         raise DomainError(f"points must have {spec.dim} coordinates, got shape {arr.shape}")
+    return pts, arr.ndim < 2
+
+
+def _spans(counts: Sequence[int], budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges lo:hi of items whose counts sum to at most
+    ``budget``; an item larger than the budget is a range of its own."""
+    lo, total = 0, 0
+    for i, c in enumerate(counts):
+        if i > lo and total + c > budget:
+            yield lo, i
+            lo, total = i, 0
+        total += c
+    if lo < len(counts):
+        yield lo, len(counts)
+
+
+def _rule_blocks(spec: KernelSpec, pts: np.ndarray, quad: QuadratureScheme,
+                 fns: Sequence[SmoothFunction]) -> Iterator[list[PointRule]]:
+    """The rules of the points of ``pts``, a block of consecutive points at
+    a time.
+
+    The radii and panel edges are set point by point and all tail masses
+    come from one ``far_field`` call; then each block of points whose
+    nodes fit in one kernel chunk (``_chunk_rows``; a point with more
+    nodes is a block of its own) gets its nodes, weights and kernel
+    values in arrays of that block, which its rules slice.  Every value
+    is computed per point or per node, so the blocks do not change one.
+    """
     dirs, aw = _directions(spec.dim, quad)
     hdirs, haw = _half_set(dirs, aw)
     s = spec.s
@@ -814,53 +831,107 @@ def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
     mirrored = spec.field.variant != "constant"
     gj_x, gj_w = _gauss_rule(quad.radial_order, 1.0 - 2.0 * s)
     gl_x, gl_w = _gauss_rule(quad.radial_order)
-
-    # per point, nodes +inner, -inner, annulus and their weights without
-    # the kernel factor
-    offsets: list[np.ndarray] = []
-    factors: list[np.ndarray] = []
-    radii = np.empty(len(pts))
-    for i, xi in enumerate(pts):
-        r_in, radii[i], breaks = _rule_radii(spec, xi, quad, fns, need_tolerance_radius)
-        # inner ball: Gauss-Jacobi in the radius with weight rho^(1-2s)
-        rho_in = 0.5 * r_in * (1.0 + gj_x)
-        w_in = (0.5 * r_in) ** (2.0 - 2.0 * s) * gj_w
-        offs_p = (rho_in[:, None, None] * hdirs[None, :, :]).reshape(-1, dim)
-        radial_fac = (w_in * rho_in ** (2.0 * s - 1.0) * rho_in ** (dim - 1))[:, None]
-        w_pairs = (radial_fac * haw[None, :]).reshape(-1)
-        # annulus: geometric Gauss-Legendre panels honouring kink radii
-        edges = _panel_edges(r_in, radii[i], _PANEL_RATIO, breaks)
-        width = 0.5 * np.subtract(edges[1:], edges[:-1])[:, None]
-        rho = (width * gl_x + 0.5 * np.add(edges[1:], edges[:-1])[:, None]).reshape(-1)
-        wr = (width * gl_w).reshape(-1)
-        offsets.append(np.concatenate([
-            offs_p, -offs_p, (rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim)]))
-        factors.append(np.concatenate([
-            w_pairs, w_pairs, ((wr * rho ** (dim - 1))[:, None] * aw[None, :]).reshape(-1)]))
-
-    counts = np.array([len(o) for o in offsets], dtype=int)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    offsets = np.concatenate(offsets or [np.empty((0, dim))])
-    weights = _kernel_at_offsets(spec, pts, offsets, ends)
-    # one kernel value per antipodal pair: the mean of the two, or for a
-    # constant field the value at the +inner node
     n_pair = quad.radial_order * len(hdirs)
-    plus = starts[:, None] + np.arange(n_pair)
-    kbar = 0.5 * (weights[plus] + weights[plus + n_pair]) if mirrored else weights[plus]
-    weights[plus] = weights[plus + n_pair] = kbar
-    weights *= np.concatenate(factors or [np.empty(0)])
+
+    inner = np.empty(len(pts))
+    radii = np.empty(len(pts))
+    edges = []
+    for i, xi in enumerate(pts):
+        inner[i], radii[i], breaks = _rule_radii(spec, xi, quad, fns)
+        edges.append(_panel_edges(inner[i], radii[i], _PANEL_RATIO, breaks))
     tails = far_field(spec, pts, np.repeat(radii[:, None], len(dirs), axis=1), quad)
-    rules = [PointRule(x=xi, offsets=offsets[lo:hi], weights=weights[lo:hi],
-                       tail_mass=float(tail), quad_radius=float(r))
-             for xi, lo, hi, tail, r in zip(pts, starts, ends, tails, radii)]
-    return rules[0] if arr.ndim < 2 else rules
+    # per point, nodes +inner, -inner, then the annulus
+    counts = [2 * n_pair + (len(e) - 1) * quad.radial_order * len(dirs) for e in edges]
+
+    for first, last in _spans(counts, _chunk_rows(spec, 1)):
+        ends = np.cumsum(counts[first:last])
+        starts = ends - counts[first:last]
+        offsets = np.empty((ends[-1], dim))
+        factors = np.empty(ends[-1])  # the weights without the kernel factor
+        for i, a in zip(range(first, last), starts):
+            r_in = inner[i]
+            # inner ball: Gauss-Jacobi in the radius with weight rho^(1-2s)
+            rho_in = 0.5 * r_in * (1.0 + gj_x)
+            w_in = (0.5 * r_in) ** (2.0 - 2.0 * s) * gj_w
+            offs_p = (rho_in[:, None, None] * hdirs[None, :, :]).reshape(-1, dim)
+            radial_fac = (w_in * rho_in ** (2.0 * s - 1.0) * rho_in ** (dim - 1))[:, None]
+            w_pairs = (radial_fac * haw[None, :]).reshape(-1)
+            offsets[a:a + n_pair] = offs_p
+            offsets[a + n_pair:a + 2 * n_pair] = -offs_p
+            factors[a:a + n_pair] = factors[a + n_pair:a + 2 * n_pair] = w_pairs
+            # annulus: geometric Gauss-Legendre panels honouring kink radii
+            width = 0.5 * np.subtract(edges[i][1:], edges[i][:-1])[:, None]
+            rho = (width * gl_x + 0.5 * np.add(edges[i][1:], edges[i][:-1])[:, None]).reshape(-1)
+            wr = (width * gl_w).reshape(-1)
+            b = a + 2 * n_pair
+            offsets[b:b + len(rho) * len(dirs)] = (
+                rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+            factors[b:b + len(rho) * len(dirs)] = (
+                (wr * rho ** (dim - 1))[:, None] * aw[None, :]).reshape(-1)
+        weights = _kernel_at_offsets(spec, pts[first:last], offsets, ends)
+        # one kernel value per antipodal pair: the mean of the two, or for a
+        # constant field the value at the +inner node
+        plus = starts[:, None] + np.arange(n_pair)
+        kbar = 0.5 * (weights[plus] + weights[plus + n_pair]) if mirrored else weights[plus]
+        weights[plus] = weights[plus + n_pair] = kbar
+        weights *= factors
+        del factors, plus, kbar  # not held while the caller reads the block
+        yield [PointRule(x=pts[i], offsets=offsets[lo:hi], weights=weights[lo:hi],
+                         tail_mass=float(tails[i]), quad_radius=float(radii[i]))
+               for i, lo, hi in zip(range(first, last), starts, ends)]
+
+
+def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
+               fns: Sequence[SmoothFunction] = ()) -> PointRule | list[PointRule]:
+    """Assemble the pointwise rule at x for the given integrand functions.
+
+    The quadrature radius covers the supports of all ``fns`` (relative
+    to x); if any function has unbounded support, the radius is grown
+    until the kernel tail bound drops below the scheme's tail tolerance.
+
+    A point of shape (dim,) gives its rule; an (m, dim) array gives the
+    list of the m rules, each equal to the rule of its point alone: the
+    blocks of ``_rule_blocks`` one after another.  It holds the nodes of
+    every point at once, so it is for rules that several functions
+    share; an evaluator given points reads the blocks as they come.
+    """
+    pts, single = _points(spec, x)
+    rules = [r for block in _rule_blocks(spec, pts, quad, fns) for r in block]
+    return rules[0] if single else rules
 
 
 # --------------------------------------------------------------------------
 # operator applications
 
 _DEFAULT = QuadratureScheme()
+
+
+def _apply(at_block: Callable[[Sequence[PointRule]], np.ndarray], spec: KernelSpec,
+           x: np.ndarray, quad: QuadratureScheme, rule: PointRule | Sequence[PointRule] | None,
+           fns: Sequence[SmoothFunction]) -> float | np.ndarray:
+    """An evaluator's values, a block of rules at a time: the blocks of
+    ``_rule_blocks`` at the points x, or the given rules in blocks of one
+    kernel chunk of nodes.  One rule, or one point, gives a float."""
+    if rule is None:
+        pts, single = _points(spec, x)
+        blocks = _rule_blocks(spec, pts, quad, fns)
+    elif isinstance(rule, PointRule):
+        blocks, single = [[rule]], True
+    else:
+        spans = _spans([len(r.weights) for r in rule], _chunk_rows(spec, 1))
+        blocks, single = (rule[lo:hi] for lo, hi in spans), False
+    vals = np.concatenate([at_block(b) for b in blocks] or [np.empty(0)])
+    return float(vals[0]) if single else vals
+
+
+def _nodes(rules: Sequence[PointRule]) -> tuple[np.ndarray, np.ndarray]:
+    """The points of a block of rules and the nodes x + z of all of them."""
+    y = np.empty((sum(len(r.weights) for r in rules), len(rules[0].x)))
+    lo = 0
+    for r in rules:
+        np.add(r.x, r.offsets, out=y[lo:lo + len(r.weights)])
+        lo += len(r.weights)
+    return np.array([r.x for r in rules]), y
 
 
 def nonlocal_laplacian(u: SmoothFunction, spec: KernelSpec, x: np.ndarray,
@@ -871,18 +942,22 @@ def nonlocal_laplacian(u: SmoothFunction, spec: KernelSpec, x: np.ndarray,
     The far field contributes -u(x) times the kernel tail mass, exact
     whenever u vanishes beyond the quadrature radius.  An (m, dim) array
     of points, or a list of their rules, gives the array of the m values.
+    The rules are read a block at a time, and u is called once per block
+    at all its nodes.
     """
-    if rule is None:
-        rule = build_rule(spec, x, quad, fns=(u,))
-    if isinstance(rule, PointRule):
-        return _laplacian_at(u, rule)
-    return np.array([_laplacian_at(u, r) for r in rule])
+    return _apply(lambda rules: _laplacian_block(u, rules), spec, x, quad, rule, (u,))
 
 
-def _laplacian_at(u: SmoothFunction, rule: PointRule) -> float:
-    ux = u(rule.x)
-    vals = u(rule.x + rule.offsets)
-    return float(np.dot(rule.weights, vals - ux) + (u.far_value - ux) * rule.tail_mass)
+def _laplacian_block(u: SmoothFunction, rules: Sequence[PointRule]) -> np.ndarray:
+    xs, y = _nodes(rules)
+    ux, uy = u(xs), u(y)
+    out = np.empty(len(rules))
+    lo = 0
+    for k, r in enumerate(rules):
+        hi = lo + len(r.weights)
+        out[k] = np.dot(r.weights, uy[lo:hi] - ux[k]) + (u.far_value - ux[k]) * r.tail_mass
+        lo = hi
+    return out
 
 
 def carre_du_champ(u: SmoothFunction, v: SmoothFunction, spec: KernelSpec,
@@ -894,23 +969,22 @@ def carre_du_champ(u: SmoothFunction, v: SmoothFunction, spec: KernelSpec,
     value is needed; the paired-node rule is reused unchanged.  Points
     and rules batch as in ``nonlocal_laplacian``.
     """
-    if rule is None:
-        both_supported = u.support_radius is not None and v.support_radius is not None
-        rule = build_rule(spec, x, quad, fns=(u, v),
-                          need_tolerance_radius=not both_supported)
-    if isinstance(rule, PointRule):
-        return _carre_du_champ_at(u, v, rule)
-    return np.array([_carre_du_champ_at(u, v, r) for r in rule])
+    return _apply(lambda rules: _carre_du_champ_block(u, v, rules), spec, x, quad, rule,
+                  (u, v))
 
 
-def _carre_du_champ_at(u: SmoothFunction, v: SmoothFunction, rule: PointRule) -> float:
-    ux, vx = u(rule.x), v(rule.x)
-    du = u(rule.x + rule.offsets) - ux
-    dv = v(rule.x + rule.offsets) - vx
-    val = 0.5 * float(np.dot(rule.weights, du * dv))
-    if u.support_radius is not None and v.support_radius is not None:
-        reach = float(np.linalg.norm(rule.x))
-        if max(u.support_radius, v.support_radius) + reach <= rule.quad_radius + 1e-9:
-            val += 0.5 * (u.far_value - ux) * (v.far_value - vx) * rule.tail_mass
-    return val
-
+def _carre_du_champ_block(u: SmoothFunction, v: SmoothFunction,
+                          rules: Sequence[PointRule]) -> np.ndarray:
+    xs, y = _nodes(rules)
+    ux, vx, uy, vy = u(xs), v(xs), u(y), v(y)
+    out = np.empty(len(rules))
+    lo = 0
+    for k, r in enumerate(rules):
+        hi = lo + len(r.weights)
+        out[k] = 0.5 * np.dot(r.weights, (uy[lo:hi] - ux[k]) * (vy[lo:hi] - vx[k]))
+        lo = hi
+        if u.support_radius is not None and v.support_radius is not None:
+            reach = float(np.linalg.norm(r.x))
+            if max(u.support_radius, v.support_radius) + reach <= r.quad_radius + 1e-9:
+                out[k] += 0.5 * (u.far_value - ux[k]) * (v.far_value - vx[k]) * r.tail_mass
+    return out

@@ -75,6 +75,22 @@ def test_operator_eval_names_bad_point(tmp_path, capsys):
     assert "eval.points.1" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_operator_eval_non_finite_value_exits_3(tmp_path, capsys):
+    # at |x| = 1e200 the quadrature radius overflows and the value is NaN:
+    # the run names the point instead of writing nan beside a finite maximum
+    cfg = write_config(tmp_path, "cfg.json", {
+        "kernel": {"variant": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]], "s": 0.5},
+        "eval": {"function": {"kind": "gaussian", "width": 0.7},
+                 "points": [[0.1, 0.2], [1e200, 0.0], [0.0, 1e200]]},
+    })
+    out = tmp_path / "out"
+    assert main(["operator-eval", "--config", cfg, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "DomainError" in err and "eval.points.1 = [1e+200, 0.0]" in err
+    assert not (out / "operator_eval_data.csv").exists()
+
+
 def test_operator_eval_one_far_field_call_per_rule_set(tmp_path, monkeypatch):
     # the Laplacian and the drift form each build one rule set for all
     # points, so a variable field takes two far_field calls, not two per point

@@ -10,8 +10,6 @@ declared the rays run on until the drift stops varying, which gives the
 reference.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -177,7 +175,7 @@ def test_far_field_rows_are_the_interior_rows_of_the_box(case):
     assert np.array_equal(plain.box_tail, far_field(spec, dom.points, start, quad)[mask])
 
 
-def test_far_field_memory_is_bounded_in_bytes(monkeypatch):
+def test_far_field_memory_is_bounded_in_bytes(monkeypatch, traced_memory):
     # 196 nodes x 384 samples per panel step would hold about 8 MB at once;
     # in chunks the call stays within the budget plus a few arrays of one
     # double per node and ray (about 6, measured on 2D boxes of 10 to 40 cells)
@@ -190,12 +188,9 @@ def test_far_field_memory_is_bounded_in_bytes(monkeypatch):
     budget = 1 << 20
     monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", budget)
     far_field(spec, dom.points[:1], start[:1], quad, g=drift)  # first-call allocations
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         far_field(spec, dom.points, start, quad, g=drift)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        peak = memory().peak
     assert peak < budget + 8 * 8 * len(dom.points) * len(dirs)
 
 

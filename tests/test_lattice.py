@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,16 +173,13 @@ def test_ball_domain_2d():
     assert center == pytest.approx(sol.max(), rel=1e-12)
 
 
-def test_capacity_and_domain_errors():
+def test_capacity_and_domain_errors(traced_memory):
     # the byte limit is checked before the first n_total^2 allocation
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         with pytest.raises(CapacityError):
             assemble(LatticeDomain.interval(-1.0, 1.0, 9000),
                      fractional_kernel(1, 0.5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        peak = memory().peak
     assert peak < 2**20
     # every lattice of up to 8000 nodes with no margin passes the check
     assert _pair_peak_bytes(LatticeDomain.box([-1.0] * 3, [1.0] * 3, [20] * 3)) \
@@ -242,7 +238,7 @@ def test_drift_not_finite_beyond_the_box_raises_domain_error():
 @pytest.mark.parametrize("variant", ["constant", "separable_sum",
                                      "separable_product"])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_pair_peak_estimate_bounds_measured_peak(variant, dim):
+def test_pair_peak_estimate_bounds_measured_peak(variant, dim, traced_memory):
     # the capacity check reads this estimate; it must cover what assembly
     # and a first read of W really hold, and not by much more, whatever the
     # field: the read gathers the pair forms of every variant into the
@@ -257,14 +253,11 @@ def test_pair_peak_estimate_bounds_measured_peak(variant, dim):
                             margin=2.0 / cells)
     quad = QuadratureScheme(radial_order=4, angular_count=4, polar_order=2)
     assemble(LatticeDomain.box([-1.0] * dim, [1.0] * dim, [4] * dim), spec, quad=quad)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         op = assemble(dom, spec, quad=quad)
-        assembled = tracemalloc.get_traced_memory()[1]
+        assembled = memory().peak
         op.pair_weights
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        peak = memory().peak
     assert dom.n_interior < len(dom.points)
     estimate = _pair_peak_bytes(dom)
     assert peak <= 1.05 * estimate
@@ -281,23 +274,20 @@ def _assemble_bytes(dom):
             + 8 * (dom.dim + 8) * len(dom.points))
 
 
-def test_assemble_peak_memory_constant_field():
+def test_assemble_peak_memory_constant_field(traced_memory):
     # the pair forms and weights are formed in place: at peak, assembly
     # holds W and the interior matrix, no second n_total x n_total array
     spec = fractional_kernel(2, 0.5)
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [24, 24], margin=0.5)
     assemble(LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4]), spec)
     n_total = len(dom.points)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         assemble(dom, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        peak = memory().peak
     assert peak < 2.5 * 8 * n_total ** 2
 
 
-def test_assemble_retained_memory_with_drift():
+def test_assemble_retained_memory_with_drift(traced_memory):
     # after assembly only the interior rows of W, the one interior matrix
     # and per-node vectors stay alive; the Laplace and drift blocks are
     # not kept beside it
@@ -308,18 +298,15 @@ def test_assemble_retained_memory_with_drift():
              drift=drift)
     n_total = len(dom.points)
     n_int = dom.n_interior
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         op = assemble(dom, spec, drift=drift)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+        kept = memory().current
     assert op.matrix.shape == (n_int, n_int)
     assert kept <= 8 * (n_int * n_total + 1.5 * n_int ** 2)
 
 
 @pytest.mark.parametrize("with_drift", [False, True])
-def test_assemble_peak_is_the_pair_form_peak(with_drift):
+def test_assemble_peak_is_the_pair_form_peak(with_drift, traced_memory):
     # through assembly and a first read of W, only W, the interior matrix
     # and chunk-sized temporaries are alive: the n_total^2 + n_int^2
     # doubles that the capacity check counts.  With no margin
@@ -330,14 +317,11 @@ def test_assemble_peak_is_the_pair_form_peak(with_drift):
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [60, 60])
     assemble(LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4]), spec,
              drift=drift)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         op = assemble(dom, spec, drift=drift)
-        assembled = tracemalloc.get_traced_memory()[1]
+        assembled = memory().peak
         op.pair_weights
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        peak = memory().peak
     estimate = _pair_peak_bytes(dom)
     assert peak <= 1.05 * estimate
     assert estimate <= 1.05 * peak
@@ -345,7 +329,7 @@ def test_assemble_peak_is_the_pair_form_peak(with_drift):
     assert assembled <= _assemble_bytes(dom) < 0.55 * estimate
 
 
-def test_memory_holds_the_matrix_and_frees_the_block_factor(monkeypatch):
+def test_memory_holds_the_matrix_and_frees_the_block_factor(monkeypatch, traced_memory):
     # a timing-free guard: assembly streams W and holds the matrix, and
     # when the dense oracle starts, W (n_int n_total doubles, 4.7 MB here)
     # was never built and the iteration's block inverses
@@ -362,17 +346,14 @@ def test_memory_holds_the_matrix_and_frees_the_block_factor(monkeypatch):
     oracle = spectral.perron_eigenvalue
 
     def traced(op):
-        at_oracle.append(tracemalloc.get_traced_memory()[0])
+        at_oracle.append(memory().current)
         return oracle(op)
 
     monkeypatch.setattr(spectral, "perron_eigenvalue", traced)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         op = assemble(dom, spec, drift=drift)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = memory().peak
         spectral.principal_eigenpair(op)
-    finally:
-        tracemalloc.stop()
     assert "pair_weights" not in vars(op)
     assert peak <= _assemble_bytes(dom)
     assert len(at_oracle) == 1

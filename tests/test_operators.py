@@ -144,8 +144,7 @@ def test_drifted_is_sum_of_parts():
     u = gaussian(2, width=0.9)
     h = SmoothFunction(lambda p: 0.45 * np.tanh(p[:, 0]), 2)
     x = np.array([0.3, -0.2])
-    rule = build_rule(spec, x, QuadratureScheme(), fns=(u, h),
-                      need_tolerance_radius=True)
+    rule = build_rule(spec, x, QuadratureScheme(), fns=(u, h))
     whole = (nonlocal_laplacian(u, spec, x, rule=rule)
              + carre_du_champ(u, h, spec, x, rule=rule))
     parts = (nonlocal_laplacian(u, spec, x) + carre_du_champ(u, h, spec, x))
@@ -265,6 +264,52 @@ def test_batch_across_kernel_chunks(monkeypatch, variant):
         _assert_same_rule(g, w)
 
 
+@pytest.mark.parametrize("variant", ["constant", "separable_sum", "separable_product"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_streamed_blocks_equal_points(monkeypatch, dim, variant):
+    # a budget of about two points of nodes: the evaluators read the rules
+    # in several blocks whose edges fall between the points of one call,
+    # and given rules are split the same way, with every value unchanged
+    spec, u, h, pts = _batch_case(dim, variant)
+    quad = QuadratureScheme()
+    lap = [nonlocal_laplacian(u, spec, x) for x in pts]
+    drift = [carre_du_champ(u, h, spec, x) for x in pts]
+    shared = [build_rule(spec, x, quad, fns=(u, h)) for x in pts]
+    whole = [nonlocal_laplacian(u, spec, x, rule=r) + carre_du_champ(u, h, spec, x, rule=r)
+             for x, r in zip(pts, shared)]
+    counts = [len(r.weights) for r in build_rule(spec, pts, quad, fns=(u,))]
+    rows = counts[0] + counts[1]
+    monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", rows * 8 * (dim + 11))
+    assert operators._chunk_rows(spec, 1) == rows
+    blocks = [len(b) for b in operators._rule_blocks(spec, pts, quad, (u,))]
+    assert len(blocks) > 1 and max(blocks) > 1
+    assert nonlocal_laplacian(u, spec, pts).tolist() == lap
+    assert carre_du_champ(u, h, spec, pts).tolist() == drift
+    rules = build_rule(spec, pts, quad, fns=(u, h))
+    got = (nonlocal_laplacian(u, spec, pts, rule=rules)
+           + carre_du_champ(u, h, spec, pts, rule=rules))
+    assert got.tolist() == whole
+
+
+def test_carre_du_champ_memory_does_not_grow_with_points(traced_memory):
+    # 20 points of this rule set hold 76,800 nodes, two blocks of at most
+    # 40,329; with four times the points only the per-point radii, tail
+    # masses and values grow, not the nodes held at once (with the whole
+    # rule set held, the peak on 80 points is 2.4 times that on 20)
+    spec = spec_from_config({"variant": "separable_product",
+                             "matrix": _MATRICES[2], "s": 0.5})
+    u, h = gaussian(2, width=0.7), tanh_drift(2, amplitude=0.3)
+    rng = np.random.default_rng(0)
+    carre_du_champ(u, h, spec, rng.uniform(-1.0, 1.0, size=(2, 2)))  # first-call allocations
+    peaks = []
+    for m in (20, 80):
+        pts = rng.uniform(-1.0, 1.0, size=(m, 2))
+        with traced_memory() as memory:
+            carre_du_champ(u, h, spec, pts)
+            peaks.append(memory().peak)
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 def test_point_shapes():
     spec = fractional_kernel(1, 0.5, normalized=True)
     u = gaussian(1)
@@ -272,7 +317,12 @@ def test_point_shapes():
     batch = nonlocal_laplacian(u, spec, np.array([[0.3]]))
     assert isinstance(one, float)
     assert batch.shape == (1,) and batch[0] == one
-    assert nonlocal_laplacian(u, spec, np.empty((0, 1))).shape == (0,)
+    for dim in (1, 2, 3):
+        spec = fractional_kernel(dim, 0.5)
+        none = np.empty((0, dim))
+        assert nonlocal_laplacian(gaussian(dim), spec, none).shape == (0,)
+        assert carre_du_champ(gaussian(dim), bump(dim), spec, none).shape == (0,)
+        assert build_rule(spec, none, QuadratureScheme()) == []
     with pytest.raises(DomainError):
         build_rule(fractional_kernel(2, 0.5), np.zeros((2, 4)), QuadratureScheme())
 
