@@ -55,8 +55,9 @@ the density support leaves that form nonconvex, and the run exits with
 status 3 (``DomainError``).
 
 ``operator-eval`` exits with status 3 (``DomainError``) and names the
-first point whose value is not finite, such as a point so far out that
-its quadrature radius overflows.
+first point that gets no rule, because its distance from the origin or
+its quadrature radius is not finite (a point at 1e200 overflows), or
+whose value is not finite.
 
 ``barrier-check`` reports the flat-boundary limit ``flat_limit`` for a
 constant field with alpha < 2s, and null for any other field or exponent,

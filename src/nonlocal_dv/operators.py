@@ -769,16 +769,28 @@ def _tolerance_radius(spec: KernelSpec, quad: QuadratureScheme) -> float:
 
 def _rule_radii(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
                 fns: Sequence[SmoothFunction]) -> tuple[float, float, list[float]]:
-    """Inner radius, quadrature radius and kink radii of the rule at x."""
+    """Inner radius, quadrature radius and kink radii of the rule at x.
+
+    A point whose distance from the origin, or whose quadrature radius, is
+    not finite (|x| overflows, say) gets no rule: DomainError.
+    """
+    with np.errstate(over="ignore"):
+        reach = float(np.linalg.norm(x))
+    if not math.isfinite(reach):
+        raise DomainError(f"the rule point {x.tolist()} has no finite distance "
+                          f"from the origin ({reach})")
     breaks: list[float] = []
     for f in fns:
         breaks.extend(f.radial_breakpoints(x))
     supports = [f.support_radius for f in fns]
     r_target = _INNER_RADIUS * 4.0
     if supports and all(r is not None for r in supports):
-        r_target = max(r_target, max(float(np.linalg.norm(x)) + r for r in supports))
+        r_target = max(r_target, max(reach + r for r in supports))
     else:
         r_target = max(r_target, _tolerance_radius(spec, quad))
+    if not math.isfinite(r_target):
+        raise DomainError(f"the rule point {x.tolist()} has the quadrature "
+                          f"radius {r_target}")
 
     r_in = _INNER_RADIUS
     pos_breaks = [b for b in breaks if b > 0]

@@ -212,9 +212,9 @@ _DEFAULT_COUNTS = {1: 2048, 2: 256, 3: 96}
 # Gauss-Legendre rule for the origin cell of the spectral grid
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
-# the factor route drops, per axis, the smallest |ghat_k|^2 up to this share
-# of the axis sum, and keeps the sub-grid only if the dropped part of the sum
-# is provably below _SUM_TOL of the kept part
+# the factor route drops, per axis, the pairs +-k of smallest |ghat_k|^2 up
+# to this share of the axis sum, and keeps the sub-grid only if the dropped
+# part of the sum is provably below _SUM_TOL of the kept part
 _SUM_TOL = 1e-18
 _AXIS_SHARE = 1e-6 * _SUM_TOL
 
@@ -239,53 +239,81 @@ def _quadratic_form(Ainv: np.ndarray, axes) -> np.ndarray:
     return q
 
 
-def _sampled_transform(g: SmoothFunction, axes, hs) -> list:
+def _clamped_weight(Ainv: np.ndarray, s: float, freqs) -> np.ndarray:
+    """max(<Ainv xi, xi>, 0)^s on the tensor grid of ``freqs``."""
+    weight = _quadratic_form(Ainv, freqs)
+    np.maximum(weight, 0.0, out=weight)
+    weight **= s
+    return weight
+
+
+def _sampled_transform(g: SmoothFunction, axes, hs) -> np.ndarray:
     # sample on the whole grid and take one dim-dimensional transform
     dim = len(axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
     vals = np.asarray(g(pts), dtype=float).reshape(tuple(len(x) for x in axes))
     scale = (float(np.prod(hs)) / (2 * np.pi) ** (dim / 2.0)) ** 2
-    return [np.abs(np.fft.fftn(vals)) ** 2 * scale]
+    return np.abs(np.fft.fftn(vals)) ** 2 * scale
+
+
+def _mirror(n: int) -> np.ndarray:
+    """Index of the entry with the mirrored frequency, min(j, n - j), of
+    each index j of an ``fftfreq`` axis of n points."""
+    j = np.arange(n)
+    return np.minimum(j, n - j)
 
 
 def _factor_transforms(factors, axes, hs) -> list:
-    # |ghat|^2 of a product is the product of the axis |ghat_k|^2
+    # |ghat|^2 of a product is the product of the axis |ghat_k|^2; a real
+    # factor has an even |ghat_k|^2, which the rfft half mirrored makes exact
     out = []
     for k, (f, x, h) in enumerate(zip(factors, axes, hs)):
         vals = np.asarray(f(x), dtype=float)
         if vals.shape != x.shape:
             raise DomainError("factor %d must map an axis of shape %s to the "
                               "same shape, not %s" % (k, x.shape, vals.shape))
-        out.append(np.abs(np.fft.fft(vals)) ** 2 * (h / np.sqrt(2 * np.pi)) ** 2)
+        half = np.abs(np.fft.rfft(vals)) ** 2 * (h / np.sqrt(2 * np.pi)) ** 2
+        out.append(half[_mirror(x.size)])
     return out
 
 
 def _grid_sum(Ainv: np.ndarray, s: float, freqs, ghat2) -> float:
-    """Sum of max(<Ainv xi, xi>, 0)^s |ghat|^2 over the grid of ``freqs``.
+    """Sum of max(<Ainv xi, xi>, 0)^s prod_k ghat2_k over the grid of ``freqs``.
 
-    ``ghat2`` holds arrays whose product broadcasts to that grid.
+    ``ghat2`` holds one array per axis, of the length of that axis.  The
+    factors of axes 1.. are multiplied into one array on their sub-grid;
+    the weight is multiplied by it and summed over those axes, and the
+    row sums are weighted by ghat2_0.  That is one product and one
+    reduction over the grid, in elementwise ops, so no BLAS is involved.
     """
-    weight = _quadratic_form(Ainv, freqs)
-    np.maximum(weight, 0.0, out=weight)
-    weight **= s
-    for factor in ghat2:
-        weight *= factor
-    return float(np.sum(weight))
+    weight = _clamped_weight(Ainv, s, freqs)
+    rows = weight.reshape(len(freqs[0]), -1)
+    trans = np.ones(())
+    for factor in ghat2[1:]:
+        trans = np.multiply.outer(trans, factor)
+    rows *= trans.reshape(-1)
+    return float(np.sum(rows.sum(axis=1) * ghat2[0]))
 
 
 def _mass_mask(ghat2: np.ndarray) -> np.ndarray:
-    """Entries of one axis |ghat_k|^2 that carry its mass, index 0 always.
+    """Entries of one even axis |ghat_k|^2 that carry its mass, index 0
+    always.
 
-    The smallest entries are dropped while their sum stays below
-    ``_AXIS_SHARE`` of the axis total.
+    The entries at +-k are kept or dropped together: the pairs with the
+    smallest entries are dropped while their mass stays below
+    ``_AXIS_SHARE`` of the axis total.  So the mask is even, as the data.
     """
-    order = np.argsort(ghat2, kind="stable")
-    drop = np.searchsorted(np.cumsum(ghat2[order]), _AXIS_SHARE * ghat2.sum())
-    keep = np.ones(ghat2.size, dtype=bool)
+    n = ghat2.size
+    half = ghat2[:n // 2 + 1]
+    j = np.arange(half.size)
+    pair = half * np.where((j == 0) | (2 * j == n), 1.0, 2.0)
+    order = np.argsort(half, kind="stable")
+    drop = np.searchsorted(np.cumsum(pair[order]), _AXIS_SHARE * ghat2.sum())
+    keep = np.ones(half.size, dtype=bool)
     keep[order[:drop]] = False
     keep[0] = True
-    return keep
+    return keep[_mirror(n)]
 
 
 def _dropped_bound(Ainv: np.ndarray, s: float, freqs, ghat2, keep) -> float:
@@ -307,23 +335,46 @@ def _dropped_bound(Ainv: np.ndarray, s: float, freqs, ghat2, keep) -> float:
     return w_max * dropped
 
 
-def _factor_sum(Ainv: np.ndarray, s: float, freqs, ghat2) -> tuple:
+def _half_sum(Ainv: np.ndarray, s: float, freqs, ghat2, keep) -> float:
+    """Sum over the tensor set of the ``keep`` masks, from half of it.
+
+    The summand is even under xi -> -xi bit for bit: ghat2 is even, and
+    ``_quadratic_form`` is, since negation is exact.  A Nyquist index
+    (j = n/2 of an even n) has no mirror on the ``fftfreq`` grid, so the
+    kept points with no Nyquist index form a centrally symmetric set.  Its
+    sum is the sum over xi_0 >= 0, the slabs xi_0 > 0 counted twice.  The
+    points with a Nyquist index are summed once each, split by the first
+    axis on which they have it.  In exact arithmetic this is the full sum.
+    """
+    nyquist = [2 * np.arange(f.size) == f.size for f in ghat2]
+    inner = [m & ~q for m, q in zip(keep, nyquist)]
+
+    def part(factors, masks):
+        return _grid_sum(Ainv, s, [x[m] for x, m in zip(freqs, masks)],
+                         [f[m] for f, m in zip(factors, masks)])
+
+    twice = [np.where(freqs[0] > 0, 2.0, 1.0) * ghat2[0]] + ghat2[1:]
+    total = part(twice, [inner[0] & (freqs[0] >= 0)] + inner[1:])
+    for k, (m, q) in enumerate(zip(keep, nyquist)):
+        if m[q].any():
+            total += part(ghat2, inner[:k] + [q] + keep[k + 1:])
+    return total
+
+
+def _factor_sum(Ainv: np.ndarray, s: float, freqs, ghat2) -> float:
     """Grid sum of the factor route, on the tensor sub-grid with the mass.
 
-    The sub-grid keeps ``_mass_mask`` of each axis.  Unless the bound on
-    the dropped part is below ``_SUM_TOL`` of the kept sum, the same sum
-    runs again with every index kept.  Returns the sum and the kept axis
-    factors, shaped to broadcast; index 0 of each is the zero frequency.
+    The sub-grid keeps ``_mass_mask`` of each axis and is summed by
+    ``_half_sum``.  Unless the bound on the dropped part is below
+    ``_SUM_TOL`` of the kept sum, the same sum runs again with every
+    index kept.
     """
-    dim = len(freqs)
     for keep in ([_mass_mask(f) for f in ghat2],
                  [np.ones(f.size, dtype=bool) for f in ghat2]):
-        sub = [f[m].reshape((-1,) + (1,) * (dim - 1 - k))
-               for k, (f, m) in enumerate(zip(ghat2, keep))]
-        total = _grid_sum(Ainv, s, [x[m] for x, m in zip(freqs, keep)], sub)
+        total = _half_sum(Ainv, s, freqs, ghat2, keep)
         if _dropped_bound(Ainv, s, freqs, ghat2, keep) < _SUM_TOL * total:
             break
-    return total, sub
+    return total
 
 
 def _spectral_sum(A: np.ndarray, g, s: float, ext: np.ndarray,
@@ -335,9 +386,14 @@ def _spectral_sum(A: np.ndarray, g, s: float, ext: np.ndarray,
     freqs = [2 * np.pi * np.fft.fftfreq(int(cnt[k]), d=hs[k]) for k in range(dim)]
     if isinstance(g, SmoothFunction):
         ghat2 = _sampled_transform(g, axes, hs)
-        total = _grid_sum(Ainv, s, freqs, ghat2)
+        weight = _clamped_weight(Ainv, s, freqs)
+        weight *= ghat2
+        total = float(np.sum(weight))
+        origin = float(ghat2.flat[0])
     else:
-        total, ghat2 = _factor_sum(Ainv, s, freqs, _factor_transforms(g, axes, hs))
+        ghat2 = _factor_transforms(g, axes, hs)
+        total = _factor_sum(Ainv, s, freqs, ghat2)
+        origin = float(np.prod([f[0] for f in ghat2]))
     dxi = float(np.prod([np.pi / ext[k] for k in range(dim)]))
     total *= dxi
     # the weight has a kink at the origin where the midpoint value vanishes;
@@ -347,7 +403,6 @@ def _spectral_sum(A: np.ndarray, g, s: float, ext: np.ndarray,
     w0 = np.ones(())
     for k in range(dim):
         w0 = np.multiply.outer(w0, 0.5 * cell[k] * _GL_W)
-    origin = float(np.prod([factor.flat[0] for factor in ghat2]))
     total += float(np.sum(q0 ** s * w0)) * origin
     return total / float(np.sqrt(np.linalg.det(A)))
 
@@ -368,18 +423,29 @@ def fourier_energy(matrix, g, s: float, extents=None, counts=None) -> float:
     transforms.  On a function of product form the two routes agree to
     rounding; the second costs dim one-dimensional transforms.
 
-    On the second route the weight <A^{-1} xi, xi>^s is formed only on the
-    tensor sub-grid that carries the mass: each axis drops its smallest
-    |ghat_k|^2 entries while their sum stays below 1e-24 of the axis sum
-    S_k, and always keeps the zero frequency.  The clamped weight is at
-    most W_max = (lambda_max(A^{-1}) sum_k max xi_k^2)^s on the grid, so the
+    On the second route the weight <A^{-1} xi, xi>^s is formed only on
+    half of the tensor sub-grid that carries the mass.  Each axis takes
+    |ghat_k|^2 from a real transform, mirrored, so that it is exactly even,
+    and drops the pairs of entries at +-k with the least mass while their
+    sum stays below 1e-24 of the axis sum S_k; it always keeps the zero
+    frequency.  The summand is then even under xi -> -xi, and the kept
+    points without a Nyquist index (which has no mirror on the grid) are
+    summed over xi_0 >= 0, every point with xi_0 > 0 counted twice; the
+    points with a Nyquist index are summed once each.  In exact arithmetic
+    that is the sum over the whole sub-grid.  The clamped weight is at most
+    W_max = (lambda_max(A^{-1}) sum_k max xi_k^2)^s on the grid, so the
     dropped points add at most W_max (prod_k S_k - prod_k K_k), K_k the
     kept axis sums.  Unless that bound is below 1e-18 of the kept sum, as
-    for a factor whose spectrum does not decay, the full grid is summed.
-    The sampled route always sums the full grid.
+    for a factor whose spectrum does not decay, the full grid is summed,
+    by halves as well.  The sampled route always sums the full grid.
+
+    A matrix or extents with an entry that is not finite, and counts that
+    are not integers, raise DomainError.
     """
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     dim = A.shape[0]
+    if not np.isfinite(A).all():
+        raise DomainError("coefficient matrix entries must be finite")
     if A.shape != (dim, dim) or np.abs(A - A.T).max() > 1e-12 * np.abs(A).max():
         raise DomainError("coefficient matrix must be symmetric")
     if np.linalg.eigvalsh(A).min() <= 0.0:
@@ -389,10 +455,12 @@ def fourier_energy(matrix, g, s: float, extents=None, counts=None) -> float:
     if extents is None:
         extents = 12.0
     ext = np.broadcast_to(np.asarray(extents, dtype=float), (dim,)).astype(float)
-    if np.any(ext <= 0):
-        raise DomainError("grid extents must be positive")
+    if not (np.isfinite(ext).all() and np.all(ext > 0)):
+        raise DomainError("grid extents must be positive and finite")
     if counts is None:
         counts = _DEFAULT_COUNTS.get(dim, 64)
+    if np.asarray(counts).dtype.kind not in "iu":
+        raise DomainError("grid counts must be integers")
     cnt = np.broadcast_to(np.asarray(counts, dtype=int), (dim,)).astype(int)
     if np.any(cnt < 8):
         raise DomainError("need at least eight nodes per axis")

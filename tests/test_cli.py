@@ -75,10 +75,11 @@ def test_operator_eval_names_bad_point(tmp_path, capsys):
     assert "eval.points.1" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_operator_eval_non_finite_value_exits_3(tmp_path, capsys):
-    # at |x| = 1e200 the quadrature radius overflows and the value is NaN:
-    # the run names the point instead of writing nan beside a finite maximum
+    # at |x| = 1e200 the distance from the origin overflows: the rule of
+    # that point is refused, naming it, before any node is made, instead of
+    # writing nan beside a finite maximum
     cfg = write_config(tmp_path, "cfg.json", {
         "kernel": {"variant": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]], "s": 0.5},
         "eval": {"function": {"kind": "gaussian", "width": 0.7},
@@ -87,7 +88,7 @@ def test_operator_eval_non_finite_value_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["operator-eval", "--config", cfg, "--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "DomainError" in err and "eval.points.1 = [1e+200, 0.0]" in err
+    assert "DomainError" in err and "rule point [1e+200, 0.0]" in err
     assert not (out / "operator_eval_data.csv").exists()
 
 
@@ -663,6 +664,29 @@ def test_threads_flag(tmp_path):
         assert getter() == 1
     finally:
         setter(before)
+
+
+def test_recover_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the probe sums use no BLAS product, so one and two BLAS threads, and
+    # a second run, write the same bytes
+    cfg = write_config(tmp_path, "cfg.json", {
+        "kernel": {"variant": "constant", "matrix": [[1.6, 0.4], [0.4, 0.9]],
+                   "s": 0.5},
+    })
+    getter, setter = openblas_pool()
+    before = getter()
+    runs = []
+    try:
+        for sub, threads in (("a", "1"), ("b", "2"), ("c", "2")):
+            out = tmp_path / sub
+            assert main(["recover-matrix", "--config", cfg, "--output-dir",
+                         str(out), "--threads", threads]) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    finally:
+        setter(before)
+    assert sorted(runs[0]) == ["recover_matrix_data.csv",
+                               "recover_matrix_summary.json"]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_threads_flag_without_setter(monkeypatch, capsys):

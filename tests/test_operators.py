@@ -327,6 +327,40 @@ def test_point_shapes():
         build_rule(fractional_kernel(2, 0.5), np.zeros((2, 4)), QuadratureScheme())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("point, message", [
+    ([1e200, 0.0], "no finite distance from the origin \\(inf\\)"),
+    ([0.0, -np.inf], "no finite distance from the origin \\(inf\\)"),
+    ([np.nan, 0.3], "no finite distance from the origin \\(nan\\)"),
+], ids=["overflowing-norm", "infinite", "nan"])
+def test_point_without_finite_distance_gets_no_rule(monkeypatch, point, message):
+    # before, [1e200, 0] ran to nan through three RuntimeWarnings; now each
+    # entry point raises before any node is made (no far field, no kernel)
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("a rule node was made")
+
+    monkeypatch.setattr(operators, "far_field", no_nodes)
+    monkeypatch.setattr(operators, "_kernel_at_offsets", no_nodes)
+    spec = fractional_kernel(2, 0.5)
+    u, v = gaussian(2, 0.7), bump(2)
+    pts = np.array([[0.1, 0.2], point])
+    with pytest.raises(DomainError, match=message):
+        build_rule(spec, pts, QuadratureScheme(), fns=(u, v))
+    with pytest.raises(DomainError, match=message):
+        nonlocal_laplacian(u, spec, pts)
+    with pytest.raises(DomainError, match=message):
+        carre_du_champ(u, v, spec, pts)
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_support_radius_gets_no_rule():
+    spec = fractional_kernel(2, 0.5)
+    g = gaussian(2)
+    wide = SmoothFunction(g, 2, support_radius=np.inf)
+    with pytest.raises(DomainError, match="quadrature radius inf"):
+        nonlocal_laplacian(wide, spec, np.array([0.1, 0.2]))
+
+
 def test_batch_makes_one_far_field_call(monkeypatch):
     # each rule set of a batch takes all its tail masses from one call
     calls = []

@@ -306,6 +306,28 @@ def test_fourier_energy_rejects_malformed_g():
         fourier_energy(np.eye(2), [gauss[0], lambda x: x[:3]], 0.5, counts=16)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kwargs, message", [
+    ({"extents": np.nan}, "extents must be positive and finite"),
+    ({"extents": np.inf}, "extents must be positive and finite"),
+    ({"extents": [12.0, -np.inf]}, "extents must be positive and finite"),
+    ({"matrix": [[np.nan]]}, "entries must be finite"),
+    ({"matrix": [[1.0, np.inf], [np.inf, 1.0]]}, "entries must be finite"),
+    ({"counts": 96.7}, "counts must be integers"),
+    ({"counts": [96, 64.0]}, "counts must be integers"),
+], ids=["nan-extent", "inf-extent", "neg-inf-extent", "nan-matrix",
+        "inf-matrix", "fractional-count", "float-count"])
+def test_fourier_energy_rejects_non_finite_and_fractional_input(kwargs, message):
+    # each of these ran before, to nan with a RuntimeWarning or, for the
+    # fractional count, silently on the truncated count
+    args = dict({"matrix": np.eye(2), "extents": 12.0, "counts": 32}, **kwargs)
+    dim = np.atleast_2d(args["matrix"]).shape[0]
+    g = GaussianProbe(dim, 0.5, 0).factors()
+    with pytest.raises(DomainError, match=message):
+        fourier_energy(args["matrix"], g, 0.5, extents=args["extents"],
+                       counts=args["counts"])
+
+
 @pytest.fixture
 def grid_sums(monkeypatch):
     """Record the grid shape of every weight sum ``fourier_energy`` forms."""
@@ -320,20 +342,64 @@ def grid_sums(monkeypatch):
     return shapes
 
 
-def full_grid_energy(monkeypatch, *args, **kwargs):
-    # with a zero axis share no index is dropped: the full-grid sum
-    with monkeypatch.context() as m:
-        m.setattr(recovery, "_AXIS_SHARE", 0.0)
-        return fourier_energy(*args, **kwargs)
+def full_grid_reference(A, factors, s, extents, counts):
+    """``fourier_energy`` of a product of factors, written out as a plain
+    sum over the whole ``fftfreq`` grid: full complex transforms, the
+    quadratic form from its entries, and the origin cell by the same
+    8-point Gauss-Legendre rule."""
+    dim = len(counts)
+    Ainv = np.linalg.inv(A)
+    ext = np.broadcast_to(np.asarray(extents, dtype=float), (dim,))
+    xis, ghat2 = [], np.ones(())
+    for k, (f, e, n) in enumerate(zip(factors, ext, counts)):
+        h = 2.0 * e / n
+        x = -e + h * (np.arange(n) + 0.5)
+        ghat2 = np.multiply.outer(
+            ghat2, np.abs(np.fft.fft(f(x))) ** 2 * h ** 2 / (2 * np.pi))
+        shape = [1] * dim
+        shape[k] = n
+        xis.append((2 * np.pi * np.fft.fftfreq(n, d=h)).reshape(shape))
+    q = np.zeros(ghat2.shape)
+    for a in range(dim):
+        for b in range(a, dim):
+            q += (Ainv[a, b] + Ainv[b, a]) / (1 + (a == b)) * (xis[a] * xis[b])
+    np.maximum(q, 0.0, out=q)
+    q **= s
+    q *= ghat2
+    total = np.sum(q) * np.prod(np.pi / ext)
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    nodes = np.stack(np.meshgrid(*[0.5 * np.pi / e * gx for e in ext],
+                                 indexing="ij"), axis=-1).reshape(-1, dim)
+    weights = np.ones(())
+    for e in ext:
+        weights = np.multiply.outer(weights, 0.5 * np.pi / e * gw)
+    q0 = np.einsum("ma,ab,mb->m", nodes, Ainv, nodes)
+    total += np.sum(q0 ** s * weights.reshape(-1)) * ghat2.flat[0]
+    return total / np.sqrt(np.linalg.det(A))
+
+
+def kept_box(factors, extents, counts):
+    """The ``_mass_mask`` of each axis, checked to be even, and the number
+    of points of the tensor set they keep."""
+    dim = len(counts)
+    ext = np.broadcast_to(np.asarray(extents, dtype=float), (dim,))
+    hs = [2.0 * e / n for e, n in zip(ext, counts)]
+    axes = [-e + h * (np.arange(n) + 0.5) for e, h, n in zip(ext, hs, counts)]
+    masks = [recovery._mass_mask(f)
+             for f in recovery._factor_transforms(factors, axes, hs)]
+    for m in masks:
+        assert np.array_equal(m, m[-np.arange(m.size) % m.size])
+        assert m[0]
+    return masks, int(np.prod([m.sum() for m in masks]))
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_fourier_energy_sub_grid_matches_full_grid(dim, s, grid_sums,
-                                                   monkeypatch):
-    # on the default probe grids the sum over the sub-grid with the mass
-    # agrees with the full-grid sum to rounding, for every probe tag and
-    # both widths, and the bound accepts the sub-grid
+def test_fourier_energy_sub_grid_matches_full_grid(dim, s, grid_sums):
+    # on the default probe grids the half sum over the sub-grid with the
+    # mass agrees with a plain sum over the full grid to rounding, for every
+    # probe tag and both widths; the bound accepts the sub-grid, and the
+    # weight is formed on about half of it
     A = random_spd(np.random.default_rng(20 + dim), dim)
     axes = list(range(dim)) + [(k, m) for k in range(dim)
                                for m in range(k + 1, dim)]
@@ -343,18 +409,48 @@ def test_fourier_energy_sub_grid_matches_full_grid(dim, s, grid_sums,
                 p = GaussianProbe(dim, lam, axis, narrow_width=width)
                 R = p.frame
                 ext, cnt = p.grid()
+                _, kept = kept_box(p.factors(), ext, cnt)
+                assert kept < 0.6 ** dim * np.prod(cnt)
                 del grid_sums[:]
-                sub = fourier_energy(R @ A @ R.T, p.factors(), s,
-                                     extents=ext, counts=cnt)
+                half = fourier_energy(R @ A @ R.T, p.factors(), s,
+                                      extents=ext, counts=cnt)
                 assert len(grid_sums) == 1
-                assert np.prod(grid_sums[0]) < 0.6 ** dim * np.prod(cnt)
-                full = full_grid_energy(monkeypatch, R @ A @ R.T, p.factors(),
-                                        s, extents=ext, counts=cnt)
-                assert abs(sub / full - 1.0) <= 1e-14
+                assert np.prod(grid_sums[0]) <= 0.55 * kept
+                full = full_grid_reference(R @ A @ R.T, p.factors(), s,
+                                           ext, cnt)
+                assert abs(half / full - 1.0) <= 1e-14
 
 
-def test_fourier_energy_sub_grid_keeps_the_zero_frequency(grid_sums,
-                                                          monkeypatch):
+def two_sided(centre, rate):
+    # exp(-rate |x - centre|): a kink, so |ghat_k|^2 decays like xi^-4 and
+    # keeps the Nyquist index; off centre, ghat_k is not real
+    return lambda x: np.exp(-rate * np.abs(x - centre))
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("counts", [[32, 24, 20], [33, 25, 19], [32, 25, 20]],
+                         ids=["even", "odd", "mixed"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fourier_energy_half_sum_with_nyquist_slabs(dim, counts, s,
+                                                    grid_sums):
+    # every axis keeps its Nyquist index where it has one; those slabs
+    # have no mirror and are summed once each, the rest by halves
+    A = random_spd(np.random.default_rng(40 + dim), dim)
+    factors = [two_sided(0.3, 1.0), two_sided(-0.2, 1.5),
+               two_sided(0.1, 0.8)][:dim]
+    cnt = counts[:dim]
+    masks, kept = kept_box(factors, 4.0, cnt)
+    even = [n % 2 == 0 for n in cnt]
+    assert all(m[n // 2] for m, n, e in zip(masks, cnt, even) if e)
+    val = fourier_energy(A, factors, s, extents=4.0, counts=cnt)
+    # the half grid, then one slab per axis with a Nyquist index
+    assert len(grid_sums) == 1 + sum(even)
+    assert np.prod(grid_sums[0]) <= 0.55 * kept
+    full = full_grid_reference(A, factors, s, 4.0, cnt)
+    assert abs(val / full - 1.0) <= 1e-14
+
+
+def test_fourier_energy_sub_grid_keeps_the_zero_frequency(grid_sums):
     # an odd factor has no mass at xi = 0, yet the origin cell must still
     # read |ghat(0)|^2 from index 0 of the sub-grid
     A = random_spd(np.random.default_rng(7), 2)
@@ -362,22 +458,21 @@ def test_fourier_energy_sub_grid_keeps_the_zero_frequency(grid_sums,
                lambda x: np.exp(-0.5 * (x / 0.5) ** 2)]
     sub = fourier_energy(A, factors, 0.5, extents=12.0, counts=[96, 64])
     assert len(grid_sums) == 1 and grid_sums[0] < (96, 64)
-    full = full_grid_energy(monkeypatch, A, factors, 0.5, extents=12.0,
-                            counts=[96, 64])
+    full = full_grid_reference(A, factors, 0.5, 12.0, [96, 64])
     assert abs(sub / full - 1.0) <= 1e-14
 
 
-def test_fourier_energy_non_decaying_factor_keeps_full_grid(grid_sums,
-                                                            monkeypatch):
+def test_fourier_energy_non_decaying_factor_keeps_full_grid(grid_sums):
     # a constant factor puts all its mass at index 0; the sub-grid is the
     # origin alone, where the weight vanishes, so the bound fails and the
-    # full-grid sum is returned bit for bit
+    # full grid is summed: its half without the Nyquist indices, then the
+    # Nyquist slab of axis 0 and that of axis 1
     const = [np.ones_like, np.ones_like]
     A = random_spd(np.random.default_rng(8), 2)
     val = fourier_energy(A, const, 0.5, extents=12.0, counts=[96, 64])
-    assert grid_sums == [(1, 1), (96, 64)]
-    assert val == full_grid_energy(monkeypatch, A, const, 0.5, extents=12.0,
-                                   counts=[96, 64])
+    assert grid_sums == [(1, 1), (48, 63), (1, 64), (95, 1)]
+    full = full_grid_reference(A, const, 0.5, 12.0, [96, 64])
+    assert abs(val / full - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -398,10 +493,8 @@ def test_dropped_bound_holds(dim, monkeypatch):
     assert all(m[0] for m in keep)
 
     def grid_sum(masks):
-        shaped = [f[m].reshape((-1,) + (1,) * (dim - 1 - k))
-                  for k, (f, m) in enumerate(zip(ghat2, masks))]
-        return recovery._grid_sum(Ainv, 0.5, [x[m] for x, m in
-                                              zip(freqs, masks)], shaped)
+        return recovery._grid_sum(Ainv, 0.5, [x[m] for x, m in zip(freqs, masks)],
+                                  [f[m] for f, m in zip(ghat2, masks)])
 
     dropped = grid_sum([np.ones(c, dtype=bool) for c in cnt]) - grid_sum(keep)
     bound = recovery._dropped_bound(Ainv, 0.5, freqs, ghat2, keep)
