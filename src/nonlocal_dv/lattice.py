@@ -334,8 +334,7 @@ def _self_cell_moments(spec: KernelSpec, pts: np.ndarray,
     gj_x, gj_w = _gauss_rule(quad.radial_order, 1.0 - 2.0 * s)
     t = 0.5 * (1.0 + gj_x)
     if spec.field.variant == "constant":
-        q_unit = np.einsum("da,ab,db->d", dirs, spec.field.matrix, dirs)
-        kdir = spec.prefactor * q_unit ** (-spec.exponent)
+        (kdir,) = _ray_constants(spec, pts, dirs)
         radial = rho_max ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
         c = 0.5 * np.einsum("d,d,d,da->a", aw, kdir, radial, dirs**2)
         return np.broadcast_to(c, (len(pts), spec.dim)).copy()

@@ -31,15 +31,17 @@ for any constant g_inf.
 The rules of m points come in blocks of consecutive points
 (``_rule_blocks``) and equal, bit for bit, the rules of the points taken
 one by one: the radii and panel edges are set point by point and the m
-tail masses come from one ``far_field`` call, then each block holds the
+tail masses come from one far-field pass, then each block holds the
 nodes and weights of its points, as many as one kernel chunk of at most
 ``_KERNEL_CHUNK_BYTES`` of temporaries takes.  The evaluators read the
 blocks as they come, so the nodes they hold at once do not grow with m;
 ``build_rule`` keeps every block, for rules that several functions
-share.  For a separable field a kernel value is
-P + Q b(y) (``AnisotropyField.split``) with b(x) evaluated once per
-point or node; along a ray P and Q are fixed per node and direction
-(``_ray_constants``), and a sample is one profile call at k . y.
+share.  Every kernel value of the module and of the lattice's self-cell
+moments is a sample on a ray y = x + rho theta, from constants fixed per
+node and direction (``_ray_constants``): kdir(theta) rho^(-N-2s) for a
+constant field, and for a separable field P and Q
+(``AnisotropyField.split``) with b(x) evaluated once per node, a sample
+being one profile call at k . y.
 """
 
 from __future__ import annotations
@@ -338,15 +340,10 @@ def _directions(dim: int, quad: QuadratureScheme) -> tuple[np.ndarray, np.ndarra
     raise DomainError(f"pointwise rules support dim <= 3, got {dim}")
 
 
-def _half_set(dirs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _half_set(dirs: np.ndarray) -> np.ndarray:
     # representative of each antipodal pair: first nonzero coordinate > 0
-    positive = np.zeros(len(dirs), dtype=bool)
-    for i in range(len(dirs)):
-        for c in dirs[i]:
-            if abs(c) > 1e-14:
-                positive[i] = c > 0
-                break
-    return dirs[positive], w[positive]
+    lead = np.argmax(np.abs(dirs) > 1e-14, axis=1)
+    return np.flatnonzero(dirs[np.arange(len(dirs)), lead] > 0.0)
 
 
 def _panel_edges(r0: float, r1: float, ratio: float, breaks: Sequence[float]) -> list[float]:
@@ -368,11 +365,13 @@ def _panel_edges(r0: float, r1: float, ratio: float, breaks: Sequence[float]) ->
 # included) peaks in dims 1-3 at 9.0, 8.6 and 8.6 doubles for the kernel
 # mass of the separable fields of ``spec_from_config``, and for the tanh
 # drift, which forms the points y, at 10.0, 10.7 and 13.6 for them and at
-# 8.7, 9.6 and 12.5 for a constant field; a row of ``_kernel_at_offsets``
-# at 9.0, 9.2 and 12.0, a sample of the lattice's self-cell moments at
-# 3.2, 3.1 and 3.1, and an entry of a row chunk of the lattice's pair
-# forms at 2.0 for a constant field and 3.0 for a separable one (the
-# gather keys, the gathered forms and the node terms).  dim + 11 doubles
+# 8.7, 9.6 and 12.5 for a constant field; a node of a pointwise rule
+# block, its offset and weight included, at 9.1, 8.6 and 7.9 with one
+# point to a block (2.2, 3.6 and 7.9 in the default budget's blocks), a
+# sample of the lattice's self-cell moments at 3.2, 3.1 and 3.1, and an
+# entry of a row chunk of the lattice's pair forms at 2.0 for a constant
+# field and 3.0 for a separable one (the gather keys, the gathered forms
+# and the node terms).  dim + 11 doubles
 # bounds them all.  ``lattice.assemble`` adds its drift block in row
 # chunks of the same budget.
 _KERNEL_CHUNK_BYTES = 1 << 22
@@ -383,38 +382,19 @@ def _chunk_rows(spec: KernelSpec, samples_per_row: int) -> int:
     return max(1, _KERNEL_CHUNK_BYTES // (8 * (spec.dim + 11) * samples_per_row))
 
 
-def _kernel_at_offsets(spec: KernelSpec, pts: np.ndarray, offsets: np.ndarray,
-                       ends: np.ndarray) -> np.ndarray:
-    """K(x_i, x_i + z) for the offsets z; rows ends[i-1]:ends[i] belong to
-    x_i = pts[i].  b(x_i) and k . x_i are evaluated once per point, and
-    per row the forms of z and b(x_i + z) = f(k . x_i + k . z).  Each row
-    is computed alone, so the chunking does not change a value."""
-    fld = spec.field
-    constant = fld.variant == "constant"
-    kx, bx = (None, None) if constant else fld.node_terms(pts)
-    step = _chunk_rows(spec, 1)
-    owner = np.repeat(np.arange(len(pts)), np.diff(ends, prepend=0))
-    out = np.empty(len(offsets))
-    for lo in range(0, len(offsets), step):
-        hi = min(lo + step, len(offsets))
-        own = owner[lo:hi]
-        z = offsets[lo:hi]
-        if constant:
-            xs = pts[own]
-            q = fld.quadratic_form(xs + z, xs)
-        else:
-            p, q = fld.split(z, bx[own])
-            q = p + q * fld.ridge(kx[own] + z @ fld.wave)
-        out[lo:hi] = spec.prefactor * q ** (-spec.exponent)
-    return out
-
-
 def _ray_constants(spec: KernelSpec, pts: np.ndarray,
                    dirs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(P, Q, k . x_i, k . theta_d) of a separable field: along the ray
-    y = x_i + rho theta_d the form is rho^2 (P + Q f(k . x_i + rho k . theta_d)),
-    with P and Q of shape (node, direction)."""
+    """The constants of the kernel along the rays y = x_i + rho theta_d.
+
+    For a constant field (kdir,): K = kdir_d rho^(-N-2s) with kdir =
+    prefactor (theta^T A theta)^(-(N+2s)/2), which does not depend on x_i.
+    For a separable field (P, Q, k . x_i, k . theta_d): the form is
+    rho^2 (P + Q f(k . x_i + rho k . theta_d)), with P and Q of shape
+    (node, direction), and b(x_i) is evaluated once per node."""
     fld = spec.field
+    if fld.variant == "constant":
+        q_unit = np.einsum("da,ab,db->d", dirs, fld.matrix, dirs)
+        return (spec.prefactor * q_unit ** (-spec.exponent),)
     kx, bx = fld.node_terms(pts)
     p, q = fld.split(dirs, bx[:, None])
     return p, q, kx, dirs @ fld.wave
@@ -428,6 +408,20 @@ def _ray_profile(spec: KernelSpec, p: np.ndarray, q: np.ndarray,
     form = q * spec.field.ridge(phase)
     form += p
     return np.power(form, -spec.exponent, out=form)
+
+
+def _ray_kernel(spec: KernelSpec, rays: tuple[np.ndarray, ...], i: int,
+                d: np.ndarray | slice, rho: np.ndarray) -> np.ndarray:
+    """|rho|^(N+2s) K(x_i, x_i + rho theta_d) from the ``_ray_constants`` of
+    x_i, on the grid of the radii rho by the directions d.  A radius may be
+    negative: P and Q are even in theta, so the node x_i - rho theta_d
+    takes the constants of theta_d at the phase k . x_i - rho k . theta_d."""
+    if spec.field.variant == "constant":
+        kdir = rays[0][d]
+        return np.broadcast_to(kdir, (len(rho),) + kdir.shape)
+    p, q, kx, kt = rays
+    return spec.prefactor * _ray_profile(spec, p[i, d], q[i, d],
+                                         kx[i] + np.multiply.outer(rho, kt[d]))
 
 
 def _ellipticity_tail(spec: KernelSpec, radius: float | np.ndarray) -> float | np.ndarray:
@@ -631,6 +625,15 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
     and a node sums its rays in direction order, so the chunking does not
     change a value.
     """
+    rays = _ray_constants(spec, pts, _directions(spec.dim, quad)[0])
+    return _ray_integrals(spec, pts, rays, start, quad, g)
+
+
+def _ray_integrals(spec: KernelSpec, pts: np.ndarray, rays: tuple[np.ndarray, ...],
+                   start: np.ndarray, quad: QuadratureScheme,
+                   g: SmoothFunction | None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """``far_field`` from the ``_ray_constants`` of ``pts`` along
+    ``_directions``, which the caller has formed."""
     dirs, aw = _directions(spec.dim, quad)
     s = spec.s
     fld = spec.field
@@ -639,13 +642,12 @@ def far_field(spec: KernelSpec, pts: np.ndarray, start: np.ndarray,
     rows = _chunk_rows(spec, quad.radial_order)
     gl_x, gl_w = _gauss_rule(quad.radial_order)
     if constant:
-        q_unit = np.einsum("da,ab,db->d", dirs, fld.matrix, dirs)
-        kdir = spec.prefactor * q_unit ** (-spec.exponent)
+        (kdir,) = rays
         mass = np.einsum("d,d,id->i", aw, kdir, start ** (-2.0 * s)) / (2.0 * s)
         if g is None:
             return mass
     else:
-        p, q, kx, kt = _ray_constants(spec, pts, dirs)
+        p, q, kx, kt = rays
         with np.errstate(divide="ignore"):
             period = (np.full(n_dirs, np.inf) if fld.period is None
                       else fld.period / np.abs(kt))
@@ -827,23 +829,23 @@ def _rule_blocks(spec: KernelSpec, pts: np.ndarray, quad: QuadratureScheme,
     """The rules of the points of ``pts``, a block of consecutive points at
     a time.
 
-    The radii and panel edges are set point by point and all tail masses
-    come from one ``far_field`` call; then each block of points whose
-    nodes fit in one kernel chunk (``_chunk_rows``; a point with more
-    nodes is a block of its own) gets its nodes, weights and kernel
-    values in arrays of that block, which its rules slice.  Every value
-    is computed per point or per node, so the blocks do not change one.
+    The radii and panel edges are set point by point, the ray constants
+    (``_ray_constants``) are formed once, and all tail masses come from
+    them in one far-field pass (``_ray_integrals``); then each block of points whose nodes
+    fit in one kernel chunk (``_chunk_rows``; a point with more nodes is a
+    block of its own) gets its nodes and weights in arrays of that block,
+    which its rules slice.  A node x_i + rho theta_d takes its kernel value
+    from the constants of its ray, as ``far_field`` does, and both nodes of
+    an inner pair take the mean of their two values.  Every value is
+    computed per point, so the blocks do not change one.
     """
     dirs, aw = _directions(spec.dim, quad)
-    hdirs, haw = _half_set(dirs, aw)
+    half = _half_set(dirs)
     s = spec.s
     dim = spec.dim
-    # the inner ball pairs each node with its mirror image; a constant
-    # field gives both the same kernel value
-    mirrored = spec.field.variant != "constant"
     gj_x, gj_w = _gauss_rule(quad.radial_order, 1.0 - 2.0 * s)
     gl_x, gl_w = _gauss_rule(quad.radial_order)
-    n_pair = quad.radial_order * len(hdirs)
+    n_pair = quad.radial_order * len(half)
 
     inner = np.empty(len(pts))
     radii = np.empty(len(pts))
@@ -851,7 +853,9 @@ def _rule_blocks(spec: KernelSpec, pts: np.ndarray, quad: QuadratureScheme,
     for i, xi in enumerate(pts):
         inner[i], radii[i], breaks = _rule_radii(spec, xi, quad, fns)
         edges.append(_panel_edges(inner[i], radii[i], _PANEL_RATIO, breaks))
-    tails = far_field(spec, pts, np.repeat(radii[:, None], len(dirs), axis=1), quad)
+    rays = _ray_constants(spec, pts, dirs)
+    tails = _ray_integrals(spec, pts, rays, np.repeat(radii[:, None], len(dirs), axis=1),
+                           quad, None)
     # per point, nodes +inner, -inner, then the annulus
     counts = [2 * n_pair + (len(e) - 1) * quad.radial_order * len(dirs) for e in edges]
 
@@ -859,35 +863,29 @@ def _rule_blocks(spec: KernelSpec, pts: np.ndarray, quad: QuadratureScheme,
         ends = np.cumsum(counts[first:last])
         starts = ends - counts[first:last]
         offsets = np.empty((ends[-1], dim))
-        factors = np.empty(ends[-1])  # the weights without the kernel factor
+        weights = np.empty(ends[-1])
         for i, a in zip(range(first, last), starts):
-            r_in = inner[i]
-            # inner ball: Gauss-Jacobi in the radius with weight rho^(1-2s)
-            rho_in = 0.5 * r_in * (1.0 + gj_x)
-            w_in = (0.5 * r_in) ** (2.0 - 2.0 * s) * gj_w
-            offs_p = (rho_in[:, None, None] * hdirs[None, :, :]).reshape(-1, dim)
-            radial_fac = (w_in * rho_in ** (2.0 * s - 1.0) * rho_in ** (dim - 1))[:, None]
-            w_pairs = (radial_fac * haw[None, :]).reshape(-1)
-            offsets[a:a + n_pair] = offs_p
-            offsets[a + n_pair:a + 2 * n_pair] = -offs_p
-            factors[a:a + n_pair] = factors[a + n_pair:a + 2 * n_pair] = w_pairs
-            # annulus: geometric Gauss-Legendre panels honouring kink radii
+            # inner ball: Gauss-Jacobi in the radius with weight rho^(1-2s),
+            # which leaves rho^(-2) of rho^(N-1) K; the nodes of a pair are
+            # +-rho theta
+            rho_in = 0.5 * inner[i] * (1.0 + gj_x)
+            w_in = (0.5 * inner[i]) ** (2.0 - 2.0 * s) * gj_w * rho_in ** -2.0
+            signed = np.concatenate([rho_in, -rho_in])
+            b = a + 2 * n_pair
+            offsets[a:b] = (signed[:, None, None] * dirs[half]).reshape(-1, dim)
+            k_in = _ray_kernel(spec, rays, i, half, signed)
+            k_in = 0.5 * (k_in[:len(rho_in)] + k_in[len(rho_in):])
+            weights[a:a + n_pair] = weights[a + n_pair:b] = (
+                np.outer(w_in, aw[half]) * k_in).reshape(-1)
+            # annulus: geometric Gauss-Legendre panels honouring kink radii,
+            # which weigh rho^(N-1) K = rho^(-1-2s) (rho^(N+2s) K)
             width = 0.5 * np.subtract(edges[i][1:], edges[i][:-1])[:, None]
             rho = (width * gl_x + 0.5 * np.add(edges[i][1:], edges[i][:-1])[:, None]).reshape(-1)
-            wr = (width * gl_w).reshape(-1)
-            b = a + 2 * n_pair
-            offsets[b:b + len(rho) * len(dirs)] = (
-                rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
-            factors[b:b + len(rho) * len(dirs)] = (
-                (wr * rho ** (dim - 1))[:, None] * aw[None, :]).reshape(-1)
-        weights = _kernel_at_offsets(spec, pts[first:last], offsets, ends)
-        # one kernel value per antipodal pair: the mean of the two, or for a
-        # constant field the value at the +inner node
-        plus = starts[:, None] + np.arange(n_pair)
-        kbar = 0.5 * (weights[plus] + weights[plus + n_pair]) if mirrored else weights[plus]
-        weights[plus] = weights[plus + n_pair] = kbar
-        weights *= factors
-        del factors, plus, kbar  # not held while the caller reads the block
+            wr = (width * gl_w).reshape(-1) * rho ** (-1.0 - 2.0 * s)
+            c = b + len(rho) * len(dirs)
+            offsets[b:c] = (rho[:, None, None] * dirs).reshape(-1, dim)
+            weights[b:c] = (np.outer(wr, aw)
+                            * _ray_kernel(spec, rays, i, slice(None), rho)).reshape(-1)
         yield [PointRule(x=pts[i], offsets=offsets[lo:hi], weights=weights[lo:hi],
                          tail_mass=float(tails[i]), quad_radius=float(radii[i]))
                for i, lo, hi in zip(range(first, last), starts, ends)]

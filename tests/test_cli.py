@@ -94,15 +94,17 @@ def test_operator_eval_non_finite_value_exits_3(tmp_path, capsys):
 
 def test_operator_eval_one_far_field_call_per_rule_set(tmp_path, monkeypatch):
     # the Laplacian and the drift form each build one rule set for all
-    # points, so a variable field takes two far_field calls, not two per point
+    # points, so a variable field takes two far-field passes (what
+    # far_field runs, and what a rule set runs on its ray constants), not
+    # two per point
     calls = []
-    real = operators.far_field
+    real = operators._ray_integrals
 
     def counting(spec, pts, *args, **kwargs):
         calls.append(len(pts))
         return real(spec, pts, *args, **kwargs)
 
-    monkeypatch.setattr(operators, "far_field", counting)
+    monkeypatch.setattr(operators, "_ray_integrals", counting)
     cfg = write_config(tmp_path, "cfg.json", {
         "kernel": {"variant": "separable_product",
                    "matrix": [[1.2, 0.3], [0.3, 0.8]], "s": 0.5},

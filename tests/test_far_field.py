@@ -215,12 +215,9 @@ def test_profile_sees_each_node_once_and_only_phases(variant):
     quad = QuadratureScheme(angular_count=8)
     start = np.full((len(pts), 8), 0.3)
     drift = tanh_drift(2, amplitude=0.3, slope=2.0)
-    rules = build_rule(spec, pts, quad, fns=(drift,))
-    offsets = np.concatenate([r.offsets for r in rules])
-    ends = np.cumsum([len(r.offsets) for r in rules])
     for stage in (lambda: far_field(counted, pts, start, quad),
                   lambda: far_field(counted, pts, start, quad, g=drift),
-                  lambda: operators._kernel_at_offsets(counted, pts, offsets, ends),
+                  lambda: build_rule(counted, pts, quad, fns=(drift,)),
                   lambda: _self_cell_moments(counted, pts, quad, 0.25)):
         seen.clear()
         stage()

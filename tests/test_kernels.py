@@ -224,15 +224,7 @@ def _check_one_formula(spec):
     x, y = rng.uniform(-2.0, 2.0, size=(2, 30, dim))
     np.testing.assert_allclose(kernel_eval(spec, x, y),
                                explicit_form(field, x, y, x - y) ** -p, rtol=1e-14, atol=0.0)
-    # the rows of _kernel_at_offsets: K(x_i, x_i + z) for the offsets of
-    # x_i, on dyadic points where x_i + z - x_i is z exactly
     pts = np.round(8.0 * x[:4]) / 8.0
-    offsets = rng.choice([-1.0, 1.0], size=(37, dim)) * rng.integers(1, 160, size=(37, dim)) / 64.0
-    ends = np.array([5, 5, 20, 37])
-    own = np.searchsorted(ends, np.arange(37), side="right")
-    want = explicit_form(field, pts[own], pts[own] + offsets, offsets) ** -p
-    np.testing.assert_allclose(operators._kernel_at_offsets(spec, pts, offsets, ends),
-                               want, rtol=1e-14, atol=0.0)
     # the lattice pair forms, gathered from the offset table: on a cube, on
     # a box with a margin whose axes have different node counts (which
     # pins the axis order of the gather) and on a ball off the origin.
@@ -248,16 +240,22 @@ def _check_one_formula(spec):
         want = explicit_form(field, grid[i], grid[j], grid[i] - grid[j])
         q = np.concatenate([q for _, q in _pair_form_chunks(spec, dom)])
         np.testing.assert_allclose(q[r, j], want, rtol=1e-14, atol=0.0)
-    if field.variant == "constant":
-        return
-    # the ray samples: K(x_i, x_i + rho theta_d) from per-ray constants
+    # the ray samples: K(x_i, x_i + rho theta_d) from per-ray constants, as
+    # far_field and the self-cell moments take them, and the values of the
+    # rule nodes, on radii from the inner pairs' (signed: a pair's second
+    # node is at -rho) out to the annulus, along the rule's directions and
+    # along random ones
+    quad = operators.QuadratureScheme()
     dirs = rng.normal(size=(5, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    rho = rng.uniform(0.1, 50.0, size=(4, 6, 5))
-    pp, qq, kx, kt = operators._ray_constants(spec, pts, dirs)
-    got = rho ** (-2.0 * p) * operators._ray_profile(spec, pp[:, None], qq[:, None],
-                                                     kx[:, None, None] + rho * kt)
-    z = rho[..., None] * dirs
+    dirs = np.concatenate([operators._directions(dim, quad)[0],
+                           dirs / np.linalg.norm(dirs, axis=1, keepdims=True)])
+    rho = np.exp(rng.uniform(math.log(1e-3), math.log(50.0), size=(4, 6)))
+    rho *= rng.choice([-1.0, 1.0], size=rho.shape)
+    rays = operators._ray_constants(spec, pts, dirs)
+    got = np.stack([operators._ray_kernel(spec, rays, i, slice(None), rho[i])
+                    for i in range(len(pts))])
+    got *= np.abs(rho)[..., None] ** (-2.0 * p)
+    z = rho[..., None, None] * dirs
     xb = np.broadcast_to(pts[:, None, None, :], z.shape)
     want = explicit_form(field, xb.reshape(-1, dim), (xb + z).reshape(-1, dim),
                          z.reshape(-1, dim)) ** -p

@@ -266,6 +266,32 @@ def test_batch_across_kernel_chunks(monkeypatch, variant):
 
 @pytest.mark.parametrize("variant", ["constant", "separable_sum", "separable_product"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rule_weights_are_isotropic_weights_times_kernel_ratio(dim, variant):
+    # fns with support radii fix the radii and panels whatever the field,
+    # so a field's rule has the nodes of the isotropic rule of the same s,
+    # and each weight is the isotropic weight times K / K_iso at its offset,
+    # with K from A(x, y) formed explicitly: this pins the geometric
+    # factors.  Both nodes of an inner pair +-z take the mean of the two
+    # values (K_iso is the same at +-z)
+    spec, u, h, pts = _batch_case(dim, variant)
+    iso = fractional_kernel(dim, spec.s)
+    quad = QuadratureScheme()
+    n_pair = quad.radial_order * len(operators._directions(dim, quad)[0]) // 2
+    plus, minus = slice(0, n_pair), slice(n_pair, 2 * n_pair)
+    for got, ref in zip(build_rule(spec, pts, quad, fns=(u, h)),
+                        build_rule(iso, pts, quad, fns=(u, h))):
+        z = got.offsets
+        assert np.array_equal(z, ref.offsets)
+        x = np.broadcast_to(got.x, z.shape)
+        form = np.einsum("mi,mij,mj->m", z, spec.field.pair_matrices(x, x + z), z)
+        ratio = (spec.prefactor * form ** -spec.exponent
+                 / (iso.prefactor * np.einsum("mi,mi->m", z, z) ** -spec.exponent))
+        ratio[plus] = ratio[minus] = 0.5 * (ratio[plus] + ratio[minus])
+        np.testing.assert_allclose(got.weights, ref.weights * ratio, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("variant", ["constant", "separable_sum", "separable_product"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_streamed_blocks_equal_points(monkeypatch, dim, variant):
     # a budget of about two points of nodes: the evaluators read the rules
     # in several blocks whose edges fall between the points of one call,
@@ -340,7 +366,8 @@ def test_point_without_finite_distance_gets_no_rule(monkeypatch, point, message)
         raise AssertionError("a rule node was made")
 
     monkeypatch.setattr(operators, "far_field", no_nodes)
-    monkeypatch.setattr(operators, "_kernel_at_offsets", no_nodes)
+    monkeypatch.setattr(operators, "_ray_constants", no_nodes)
+    monkeypatch.setattr(operators, "_ray_kernel", no_nodes)
     spec = fractional_kernel(2, 0.5)
     u, v = gaussian(2, 0.7), bump(2)
     pts = np.array([[0.1, 0.2], point])
@@ -362,20 +389,25 @@ def test_infinite_support_radius_gets_no_rule():
 
 
 def test_batch_makes_one_far_field_call(monkeypatch):
-    # each rule set of a batch takes all its tail masses from one call
-    calls = []
-    real = operators.far_field
+    # each rule set of a batch forms its ray constants once and takes all
+    # its tail masses from them in one far-field pass (what far_field runs)
+    calls = {"_ray_constants": [], "_ray_integrals": []}
 
-    def counting(spec, pts, *args, **kwargs):
-        calls.append(len(pts))
-        return real(spec, pts, *args, **kwargs)
+    def counting(name):
+        real = getattr(operators, name)
 
-    monkeypatch.setattr(operators, "far_field", counting)
+        def counted(spec, pts, *args, **kwargs):
+            calls[name].append(len(pts))
+            return real(spec, pts, *args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(operators, name, counting(name))
     spec, u, h, pts = _batch_case(2, "separable_product")
     nonlocal_laplacian(u, spec, pts)
     carre_du_champ(u, h, spec, pts)
     build_rule(spec, pts, QuadratureScheme(), fns=(u, h))
-    assert calls == [len(pts)] * 3
+    assert calls == {name: [len(pts)] * 3 for name in calls}
 
 
 # orders of the package's Gauss rules: the polar rule (8), the radial
