@@ -522,16 +522,16 @@ def _domain_from_config(block: dict, dim: int) -> LatticeDomain:
 
 def _density_from_config(block: dict, dim: int) -> tuple[DensitySpec, LatticeDomain]:
     fn = _function_from_config(block["profile"], dim, "density.profile")
-    cells = block.get("cells")
+    # scaling keeps the support radius and the centre, so the lattice of
+    # the profile is that of the density
+    dom = density_lattice(DensitySpec(fn), cells=block.get("cells"))
     if block.get("normalize", True):
-        dom = density_lattice(DensitySpec(fn), cells=cells)
         mass = float(fn(dom.interior_points).sum() * dom.cell_volume)
         if mass <= 0.0:
             raise ConfigError("density profile has nonpositive mass",
                               field_path="density.profile")
         fn = scaled(fn, 1.0 / mass)
-    dens = DensitySpec(fn)
-    return dens, density_lattice(dens, cells=cells)
+    return DensitySpec(fn), dom
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,16 @@ changes the mask), so a pair form depends on the integer offset k_i - k_j
 and on the node terms of a separable field alone: the forms are evaluated
 once per offset and gathered in row chunks (``_pair_form_chunks``), and
 each chunk becomes the rows of W it covers (``_pair_weight_chunks``).
-Assembly streams W through these chunks and keeps of each only its row
-sums, its product with the drift and its interior columns, so the
-matrix is the one node-by-node array it holds: solving with the
-operator (``eigen``) holds the matrix and, while the iteration runs,
-its block factor, never W.  ``AssembledOperator.pair_weights`` gathers W
-from the same chunks, bit for bit, on its first read, for the pair forms
-below.
+Assembly makes one pass over these chunks and keeps of each only its
+row sums, its product with the drift and its interior columns, to which
+it adds the chunk's rows of the drift block, so the matrix is the one
+node-by-node array it holds: solving with the operator (``eigen``) holds
+the matrix and, while the iteration runs, its block factor, never W.
+``AssembledOperator.pair_weights`` gathers W from the same chunks, bit
+for bit, on its first read, for the pair forms below.
 
-Every bilinear pair form goes through ``pair_rows``.  For any weight
-matrix W with row sums r = W 1, expanding the products gives
+Every box pair form is ``_box_pair_form``.  For any weight matrix W with
+row sums r = W 1, expanding the products gives
 
     rho_i(u, v) = 1/2 Sum_j W_ij (u_j - u_i)(v_j - v_i)
                 = 1/2 [ (W(uv))_i - u_i (Wv)_i - v_i (Wu)_i + r_i u_i v_i ],
@@ -87,8 +87,6 @@ __all__ = [
     "AssembledOperator",
     "assemble",
     "kernel_form",
-    "pair_rows",
-    "graph_form",
     "estimate_shift",
 ]
 
@@ -233,8 +231,8 @@ def _pair_peak_bytes(domain: LatticeDomain) -> int:
 
     ``assemble`` alone holds the matrix and one row chunk of W; the read
     adds W beside the matrix.  Every temporary beside them (a row chunk of
-    the forms, the kernel samples, the drift block) stays within
-    ``_KERNEL_CHUNK_BYTES``.
+    the forms, the kernel samples, the chunk's rows of the drift block,
+    formed in the same pass) stays within ``_KERNEL_CHUNK_BYTES``.
     """
     n_int = domain.n_interior
     return 8 * n_int * (len(domain.points) + n_int)
@@ -382,11 +380,12 @@ class AssembledOperator:
     far field there, ``drift_values`` the drift at every box node.
 
     The pair weights W are not stored: ``assemble`` streams them a row
-    chunk at a time, and ``pair_weights`` gathers them again, bit for bit,
-    on its first read, from the spec, the domain and the self-cell
-    moments kept here (``self_cell_moments``, one row per box node, None
-    when ``self_cell=False``).  So an operator that is only solved never
-    holds W.
+    chunk at a time, forming the drift block in the same pass, and
+    ``pair_weights`` gathers them again, bit for bit, on its first read,
+    from the spec, the domain and the self-cell moments kept here
+    (``self_cell_moments``, one row per box node, None when
+    ``self_cell=False``), for ``_box_pair_form``.  So an operator that is
+    only solved never holds W.
     """
 
     domain: LatticeDomain
@@ -434,7 +433,10 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     The self-cell redistribution adds 1/2 (c_a(x_i) + c_a(x_j)) / h^2 to
     each axis-neighbour pair weight, keeping the matrix symmetric; only
     the axis-aligned second-moment part is kept, which preserves the
-    sign structure needed for the comparison arguments.
+    sign structure needed for the comparison arguments.  W is formed in
+    one pass of row chunks, each of which gives its row sums, its product
+    with the drift, and the rows of the matrix off the diagonal (Laplace
+    and drift block); the diagonal is set last.
     """
     if spec.dim != domain.dim:
         raise DomainError("kernel dimension does not match lattice dimension")
@@ -451,10 +453,11 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     n_int = len(int_idx)
     mom = _self_cell_moments(spec, pts, quad, domain.spacing) if self_cell else None
 
-    drift_vals = far = hc = w_hc = None
+    drift_vals = far = hc = hc_int = w_hc = None
     if drift is not None:
         drift_vals = np.asarray(drift(pts), dtype=float)
         hc = drift_vals - drift_vals[0]  # centring keeps a constant drift exactly zero
+        hc_int = hc[mask]
         w_hc = np.empty(n_int)
 
     # the far field of the interior nodes alone (no row of an exterior
@@ -477,47 +480,37 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
     del exit_d
 
     # W streamed a row chunk at a time: of each chunk only its row sums,
-    # its product with h (the drift) and its interior columns are kept,
-    # the last gathered C-ordered into the matrix
+    # its product with h and its interior columns are kept, the last
+    # gathered C-ordered into the matrix.  Off the diagonal those columns
+    # are W, so the chunk's rows of the drift block B_ij = 1/2 W_ij (h_j - h_i)
+    # are added to them at once.  The diagonal stays zero until it is set
+    # below, from the row sums, the tails and the drift far field
     lap = np.empty((n_int, n_int))
     row_sums = np.empty(n_int)
     for sl, w in _pair_weight_chunks(spec, domain, mom):
         row_sums[sl] = w.sum(axis=1)
+        w.take(int_idx, axis=1, out=lap[sl])
         if hc is not None:
             w_hc[sl] = w @ hc
-        w.take(int_idx, axis=1, out=lap[sl])
+            block = lap[sl] * hc_int
+            block -= hc_int[sl, None] * lap[sl]
+            block *= 0.5
+            lap[sl] += block
     del w
     if not np.isfinite(tails).all():
         raise EllipticityError("the kernel mass beyond the box is not finite: "
                                "the field is not elliptic along a ray")
     if far is not None and not np.isfinite(far).all():
         raise DomainError("the drift far field is not finite")
-    np.fill_diagonal(lap, np.diag(lap) - row_sums - tails)
-
+    diag = np.diag(lap) - row_sums - tails
     if drift is not None:
-        # B_ij = 1/2 W_ij (h_j - h_i).  Off the diagonal lap equals W on
-        # interior pairs.  The block is added a chunk of rows at a time:
-        # its two row-chunk temporaries stay within half of
-        # _KERNEL_CHUNK_BYTES, the other half holding the per-node
-        # vectors, and no n_int^2 array is formed beside lap.
-        hc_int = hc[mask]
         b_rows = 0.5 * (w_hc - hc_int * row_sums)
-        b_diag = -b_rows - 0.5 * far
-        chunk = max(1, _KERNEL_CHUNK_BYTES // (32 * n_int))
-        for lo in range(0, n_int, chunk):
-            sl = slice(lo, lo + chunk)
-            block = lap[sl] * hc_int
-            block -= hc_int[sl, None] * lap[sl]
-            block *= 0.5
-            r = np.arange(block.shape[0])
-            block[r, lo + r] = b_diag[sl]
-            lap[sl] += block
-
+        diag += -b_rows - 0.5 * far
     if potential is not None:
         if callable(potential):
             potential = potential(domain.interior_points)
-        rows = np.arange(n_int)
-        lap[rows, rows] += np.asarray(potential, dtype=float).reshape(n_int)
+        diag += np.asarray(potential, dtype=float).reshape(n_int)
+    np.fill_diagonal(lap, diag)
 
     return AssembledOperator(
         domain=domain, spec=spec, self_cell_moments=mom, box_tail=tails,
@@ -543,9 +536,7 @@ def kernel_form(op: AssembledOperator, u: np.ndarray,
     outside the interior).  W holds the interior rows only; the exterior
     rows enter by the identity in the module docstring, where for two
     functions that vanish off the interior their terms are
-    1/2 u_i v_i m_i, m_i the exterior mass of row i.  The pair sum over
-    the interior nodes alone is ``graph_form`` on the interior columns of
-    ``pair_weights``.
+    1/2 u_i v_i m_i, m_i the exterior mass of row i (``_box_pair_form``).
     """
     v = u if v is None else v
     tail = float(np.sum(np.asarray(u, dtype=float) * v * op.box_tail))
@@ -556,47 +547,20 @@ def _box_pair_form(op: AssembledOperator, u: np.ndarray, v: np.ndarray) -> float
     """1/2 Sum_{all box i, j} W_ij (u_j - u_i)(v_j - v_i) for u given on the
     interior nodes (zero off them) and v on every box node.
 
-    By the identity in the module docstring, the exterior rows add the
-    terms of the interior rows on the exterior columns once more: it is
-    the pair form of the interior rows with every exterior column counted
-    twice.  No cell volume is applied.
+    By the identities in the module docstring it is the sum over the
+    interior rows of rho_i, with every exterior column counted twice, taken
+    from one product of W with [1, u, v, uv] on inputs centred on their
+    first entry.  No cell volume is applied.
     """
     mask = op.domain.interior_mask
-    return graph_form(op.pair_weights, _full_values(op, u), v,
-                      rows=np.flatnonzero(mask),
-                      column_weights=np.where(mask, 1.0, 2.0))
-
-
-def pair_rows(weights: np.ndarray, u: np.ndarray,
-              v: np.ndarray | None = None, rows: np.ndarray | None = None,
-              column_weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-row pair form rho_r = 1/2 Sum_j W_rj c_j (u_j - u_i)(v_j - v_i).
-
-    Row r of ``weights`` belongs to node i = ``rows[r]`` (by default
-    i = r, for a square block), u and v hold a value on every column, and
-    c is ``column_weights`` (by default 1).  Evaluated through the
-    row-sum identity in the module docstring, on inputs centred on their
-    first entry.
-    """
-    u = np.asarray(u, dtype=float)
-    v = u if v is None else np.asarray(v, dtype=float)
+    u = _full_values(op, u)
     u = u - u[0]
     v = v - v[0]
     cols = np.stack([np.ones_like(u), u, v, u * v], axis=1)
-    if column_weights is not None:
-        cols *= column_weights[:, None]
-    r, wu, wv, wuv = (weights @ cols).T
-    if rows is not None:
-        u, v = u[rows], v[rows]
-    return 0.5 * (wuv - u * wv - v * wu + r * u * v)
-
-
-def graph_form(weights: np.ndarray, u: np.ndarray,
-               v: np.ndarray | None = None, rows: np.ndarray | None = None,
-               column_weights: np.ndarray | None = None) -> float:
-    """Pure pair form 1/2 Sum W_ij du dv with no exterior terms and no cell
-    volume: the sum of ``pair_rows`` (arguments as there)."""
-    return float(pair_rows(weights, u, v, rows, column_weights).sum())
+    cols *= np.where(mask, 1.0, 2.0)[:, None]
+    r, wu, wv, wuv = (op.pair_weights @ cols).T
+    u, v = u[mask], v[mask]
+    return float((0.5 * (wuv - u * wv - v * wu + r * u * v)).sum())
 
 
 # --------------------------------------------------------------------------

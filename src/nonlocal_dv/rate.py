@@ -32,8 +32,8 @@ from .operators import SmoothFunction
 from .spectral import _positive_off_diagonal, principal_eigenpair
 
 _MASS_WARN = 0.01
-_LATTICE_MARGIN = 1.0  # box margin of density_lattice and probe_domain
-_SUPPORT_PAD = 0.5  # their padding of the density support
+_LATTICE_MARGIN = 1.0  # box margin of _support_lattice at scale 1
+_SUPPORT_PAD = 0.5  # its padding of the density support
 # Newton tolerance on lambda^2/2 relative to max(1, |F|), and step cap
 _ERROR_TOL = 1e-14  # the error form of I_decomposed
 _ERROR_MAX_ITER = 50
@@ -76,17 +76,24 @@ class DensitySpec:
 
 def density_lattice(f: DensitySpec, cells: int | None = None) -> LatticeDomain:
     """Interval/box lattice covering the density support plus padding."""
-    dim = f.f.dim
     if cells is None:
-        cells = 96 if dim == 1 else 24
-    reach = f.f.support_radius + _SUPPORT_PAD
-    lower = f.center - reach
-    upper = f.center + reach
-    if dim == 1:
-        return LatticeDomain.interval(float(lower[0]), float(upper[0]),
-                                      cells, margin=_LATTICE_MARGIN)
-    return LatticeDomain.box(lower, upper, [cells] * dim,
-                             margin=_LATTICE_MARGIN)
+        cells = 96 if f.f.dim == 1 else 24
+    return _support_lattice(f, 1.0, f.center, cells)
+
+
+def _support_lattice(f: DensitySpec, lam: float, x0: np.ndarray,
+                     cells: int) -> LatticeDomain:
+    """The lattice of ``density_lattice`` scaled by lam and centred at x0:
+    half-width lam (support radius + padding) and margin lam times the
+    margin, so that at lam = 1 about f.center it is that lattice."""
+    reach = lam * (f.f.support_radius + _SUPPORT_PAD)
+    lower = x0 - reach
+    upper = x0 + reach
+    if f.f.dim == 1:
+        return LatticeDomain.interval(float(lower[0]), float(upper[0]), cells,
+                                      margin=lam * _LATTICE_MARGIN)
+    return LatticeDomain.box(lower, upper, [cells] * f.f.dim,
+                             margin=lam * _LATTICE_MARGIN)
 
 
 def rayleigh_integral(u: GridFunction, f: DensitySpec, op: AssembledOperator,

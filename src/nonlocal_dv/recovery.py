@@ -23,8 +23,8 @@ from .extrapolate import richardson_limit
 from .kernels import KernelSpec
 from .lattice import LatticeDomain, assemble
 from .operators import SmoothFunction, bump, nonlocal_laplacian, scaled
-from .rate import (_LATTICE_MARGIN, _SUPPORT_PAD, DensitySpec, I_decomposed,
-                   density_lattice, drift_pairing)
+from .rate import (DensitySpec, I_decomposed, _support_lattice, density_lattice,
+                   drift_pairing)
 
 __all__ = [
     "ProbeResult",
@@ -148,16 +148,8 @@ def probe_domain(f: DensitySpec, lambda_: float, x0,
     lam = float(lambda_)
     if lam <= 0.0:
         raise DomainError("scale parameter must be positive")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    dim = f.f.dim
-    reach = lam * (f.f.support_radius + _SUPPORT_PAD)
-    lower = x0 - reach
-    upper = x0 + reach
-    if dim == 1:
-        return LatticeDomain.interval(float(lower[0]), float(upper[0]), cells,
-                                      margin=lam * _LATTICE_MARGIN)
-    return LatticeDomain.box(lower, upper, [cells] * dim,
-                             margin=lam * _LATTICE_MARGIN)
+    return _support_lattice(f, lam, np.atleast_1d(np.asarray(x0, dtype=float)),
+                            cells)
 
 
 # --------------------------------------------------------------------------

@@ -490,8 +490,9 @@ def test_pair_weights_are_the_interior_rows_of_the_box(variant):
 
 def test_drift_block_in_row_chunks_is_bit_identical(monkeypatch):
     # the drift block B_ij = 1/2 W_ij (h_j - h_i), formed whole on the
-    # drift-free matrix as the reference, against assembly in one chunk
-    # and in chunks of 3 rows (the last one shorter)
+    # drift-free matrix as the reference, against assembly with W in one
+    # chunk and in chunks of 8 rows (the last one shorter), the chunks the
+    # drift block follows
     spec = fractional_kernel(2, 0.4)
     drift = tanh_drift(2, amplitude=0.3)
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [10, 10], margin=0.3)
@@ -506,9 +507,15 @@ def test_drift_block_in_row_chunks_is_bit_identical(monkeypatch):
     block *= 0.5
     b_rows = 0.5 * (W @ hc - hc_int * W.sum(axis=1))
     np.fill_diagonal(block, -b_rows - 0.5 * op.drift_far)
-    assert op.n % 3 != 0
+    assert op.n % 8 != 0
     assert np.array_equal(op.matrix, lap + block)
-    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_BYTES", 32 * 3 * op.n)
+
+    def chunk_rows():
+        return [len(w) for _, w in lattice._pair_weight_chunks(spec, dom, None)]
+
+    assert chunk_rows() == [op.n]
+    monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", 8 * (2 + 11) * 8 * len(dom.points))
+    assert chunk_rows() == [8] * (op.n // 8) + [op.n % 8]
     assert np.array_equal(assemble(dom, spec, drift=drift).matrix, op.matrix)
 
 

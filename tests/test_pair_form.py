@@ -1,11 +1,11 @@
 """Property tests: every pair form against a pairwise double sum.
 
-The lattice routines evaluate 1/2 Sum W_ij du dv through the row-sum
-identity on centred inputs.  Here each one is compared with a direct
-sum over node pairs on random lattices: dims 1-3, random order s, SPD
-base matrices, margins and all three anisotropy variants.  Errors are
-measured against the sum of the absolute pair terms, which equals the
-value itself for energies (u = v).  Nearly constant inputs (level 1,
+The lattice evaluates 1/2 Sum W_ij du dv through the row-sum identity on
+centred inputs (``_box_pair_form``).  Here each form is compared with a
+direct sum over node pairs on random lattices: dims 1-3, random order s,
+SPD base matrices, margins and all three anisotropy variants.  Errors
+are measured against the sum of the absolute pair terms, which equals
+the value itself for energies (u = v).  Nearly constant inputs (level 1,
 oscillation 1e-6) lose about six digits unless the inputs are centred.
 An operator keeps only the interior rows of W; the double sums run over
 every row of the box, from the weights of the same lattice with every
@@ -19,8 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nonlocal_dv.kernels import spec_from_config
-from nonlocal_dv.lattice import (LatticeDomain, assemble, graph_form, kernel_form,
-                                 pair_rows)
+from nonlocal_dv.lattice import LatticeDomain, _box_pair_form, assemble, kernel_form
 from nonlocal_dv.operators import QuadratureScheme, SmoothFunction
 from nonlocal_dv.rate import drift_pairing
 
@@ -49,14 +48,15 @@ def _close(value, reference, scale):
     return abs(value - reference) <= REL * scale
 
 
-def _box_weights(op, quad):
-    """W on every row of the box: the same lattice with every node interior
-    (its interior rows are ``op.pair_weights`` bit for bit)."""
+def _whole_box(op, quad):
+    """The operator of the same lattice with every node interior: its
+    pair weights are W on every row of the box, and their interior rows
+    are ``op.pair_weights`` bit for bit."""
     dom = op.domain
     whole = dataclasses.replace(dom, interior_mask=np.ones(len(dom.points), dtype=bool))
-    W = assemble(whole, op.spec, quad=quad).pair_weights
-    assert np.array_equal(W[dom.interior_mask], op.pair_weights)
-    return W
+    box = assemble(whole, op.spec, quad=quad)
+    assert np.array_equal(box.pair_weights[dom.interior_mask], op.pair_weights)
+    return box
 
 
 @st.composite
@@ -93,16 +93,18 @@ _SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
 def test_energy_forms_match_pairwise_sum(case, near_constant):
     spec, dom, rng = case
     op = assemble(dom, spec, quad=_QUAD)
-    W = _box_weights(op, _QUAD)
+    box = _whole_box(op, _QUAD)
+    W = box.pair_weights
     mask = dom.interior_mask
     vol = dom.cell_volume
     u, v = _inputs(rng, op.n, near_constant)
 
-    # pair form on the interior block: inputs stay nearly constant here
-    sub = op.pair_weights[:, mask]
-    for a, b in ((u, u), (u, v)):
-        rows, scale = _pairwise_rows(sub, a, b)
-        assert _close(graph_form(sub, a, b), rows.sum(), scale.sum())
+    # pair form of a lattice with no exterior node, where it has no
+    # exterior columns: inputs on every node stay nearly constant here
+    a_box, b_box = _inputs(rng, len(dom.points), near_constant)
+    for a, b in ((a_box, a_box), (a_box, b_box)):
+        rows, scale = _pairwise_rows(W, a, b)
+        assert _close(_box_pair_form(box, a, b), rows.sum(), scale.sum())
 
     # full form: zero extension to the box plus the beyond-box tail
     full_u = np.zeros(len(dom.points))
@@ -115,9 +117,10 @@ def test_energy_forms_match_pairwise_sum(case, near_constant):
     assert _close(kernel_form(op, u, v), ref,
                   (scale.sum() + np.abs(tail).sum()) * vol)
 
-    # per node: the pair rows of the zero extension plus half the tail
-    bracket = (pair_rows(op.pair_weights, full_u, full_v, np.flatnonzero(mask))
-               + 0.5 * tail)
+    # per node: the pair rows of the zero extension plus half the tail are
+    # 1/2 [M(uv) - u Mv - v Mu] for the drift-free matrix M
+    M = op.matrix
+    bracket = 0.5 * (M @ (u * v) - u * (M @ v) - v * (M @ u))
     ref_rows = rows[mask] + 0.5 * tail
     assert np.all(np.abs(bracket - ref_rows)
                   <= REL * (scale[mask] + 0.5 * np.abs(tail)))
@@ -144,7 +147,7 @@ def test_drift_forms_match_pairwise_sum(case, data):
     spec, dom, rng = case
     kind, drift = data.draw(drifts(dom.dim))
     op = assemble(dom, spec, drift=drift, quad=_QUAD)
-    W = _box_weights(op, _QUAD)
+    W = _whole_box(op, _QUAD).pair_weights
     mask = dom.interior_mask
     h = op.drift_values
     f = rng.uniform(0.0, 1.0, size=op.n)

@@ -15,8 +15,7 @@ from scipy.integrate import quad
 from nonlocal_dv import lattice, rate
 from nonlocal_dv.errors import DomainError
 from nonlocal_dv.kernels import fractional_kernel
-from nonlocal_dv.lattice import (GridFunction, LatticeDomain, assemble, kernel_form,
-                                 pair_rows)
+from nonlocal_dv.lattice import GridFunction, LatticeDomain, assemble, kernel_form
 from nonlocal_dv.operators import SmoothFunction, bump, scaled
 from nonlocal_dv.rate import (
     DensitySpec,
@@ -294,13 +293,13 @@ def test_first_order_and_substitution_identities(density, drift):
         assert first_order_residual(op, fv) < 1e-11
     # the substitution identity 2u (M u) = M f - 2 B(u, u) at u = sqrt(f),
     # for the Laplace block alone: B(u, u) per node is the pair rows of the
-    # zero extension plus half the beyond-box tail
+    # zero extension plus half the beyond-box tail, summed pair by pair
     sqf = np.sqrt(fv)
     mask = dom.interior_mask
     full = np.zeros(len(dom.points))
     full[mask] = sqf
-    bracket = (pair_rows(plain.pair_weights, full, rows=np.flatnonzero(mask))
-               + 0.5 * fv * plain.box_tail)
+    du = full[None, :] - sqf[:, None]
+    bracket = 0.5 * (plain.pair_weights * du * du).sum(axis=1) + 0.5 * fv * plain.box_tail
     residual = 2.0 * sqf * (plain.matrix @ sqf) - (plain.matrix @ fv - 2.0 * bracket)
     assert np.abs(residual).max() < 1e-11
 
