@@ -106,7 +106,6 @@ from .operators import (
 )
 from .rate import (
     DensitySpec,
-    I_closed_form_h0,
     I_decomposed,
     density_lattice,
     first_order_residual,
@@ -691,7 +690,7 @@ def _cmd_dv_functional(cfg: dict, seed: int):
         "sqrt_density_energy": "nonlocal_dv.lattice.kernel_form",
     }
     if h is None:
-        results["closed_form_no_drift"] = I_closed_form_h0(dens, op)
+        results["closed_form_no_drift"] = parts.energy
         sources["closed_form_no_drift"] = "nonlocal_dv.rate.I_closed_form_h0"
     return 0, results, sources, parts.w_min.save
 

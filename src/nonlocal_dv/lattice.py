@@ -33,10 +33,8 @@ each chunk becomes the rows of W it covers (``_pair_weight_chunks``).
 Assembly makes one pass over these chunks and keeps of each only its
 row sums, its product with the drift and its interior columns, to which
 it adds the chunk's rows of the drift block, so the matrix is the one
-node-by-node array it holds: solving with the operator (``eigen``) holds
-the matrix and, while the iteration runs, its block factor, never W.
-``AssembledOperator.pair_weights`` gathers W from the same chunks, bit
-for bit, on its first read, for the pair forms below.
+node-by-node array it holds.  Each later reader of W (the pair forms)
+makes one more pass (``_pair_pass``), so no command holds W.
 
 Every box pair form is ``_box_pair_form``.  For any weight matrix W with
 row sums r = W 1, expanding the products gives
@@ -44,8 +42,8 @@ row sums r = W 1, expanding the products gives
     rho_i(u, v) = 1/2 Sum_j W_ij (u_j - u_i)(v_j - v_i)
                 = 1/2 [ (W(uv))_i - u_i (Wv)_i - v_i (Wu)_i + r_i u_i v_i ],
 
-so one matrix product with the stacked columns [1, u, v, uv] reads W
-once and builds no n x n difference matrix.  Adding a constant to u or
+so one product of W with the stacked columns [1, u, v, uv] gives the
+form and builds no n x n difference matrix.  Adding a constant to u or
 v leaves rho unchanged, so both inputs are first shifted by one of
 their own entries: a constant input then gives exactly zero, and a
 nearly constant one keeps its digits instead of losing them to the
@@ -66,7 +64,6 @@ pair form of the interior rows with every exterior column counted twice
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -90,9 +87,8 @@ __all__ = [
     "estimate_shift",
 ]
 
-# byte limit of assembly and a first read of its pair weights
-# (``_pair_peak_bytes``): W and the interior matrix of a lattice of 8000
-# nodes with no margin
+# byte limit of assembly, the solve and a pair pass (``_pair_peak_bytes``):
+# 8 n_int (n_total + n_int) bytes on a lattice of 8000 nodes with no margin
 _PAIR_BYTES_LIMIT = 2 * 8 * 8000 ** 2
 _SHIFT_MARGIN = 1.0  # added to the dominance bound of estimate_shift
 
@@ -138,9 +134,6 @@ class LatticeDomain:
 
     @staticmethod
     def _grid(lower, upper, cells):
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        cells = np.asarray(cells, dtype=int)
         widths = (upper - lower) / cells
         if not np.allclose(widths, widths[0], rtol=1e-12):
             raise DomainError("lattice spacing must be equal along all axes")
@@ -225,14 +218,12 @@ class GridFunction:
 
 
 def _pair_peak_bytes(domain: LatticeDomain) -> int:
-    """Peak bytes of ``assemble`` followed by a first read of
-    ``pair_weights``: the interior rows of the pair weights W and the
-    interior matrix, n_int n_total + n_int^2 float64, for every field.
-
-    ``assemble`` alone holds the matrix and one row chunk of W; the read
-    adds W beside the matrix.  Every temporary beside them (a row chunk of
-    the forms, the kernel samples, the chunk's rows of the drift block,
-    formed in the same pass) stays within ``_KERNEL_CHUNK_BYTES``.
+    """n_int (n_total + n_int) float64, for every field: beside temporaries
+    within ``_KERNEL_CHUNK_BYTES`` (a row chunk of W, of its forms and of
+    the drift block, the kernel samples) it bounds ``assemble`` (the
+    matrix), the solve (the matrix and its block factor, 1.76 times the
+    matrix, within 1 + n_total/n_int times it) and a pair pass (the matrix
+    and the block it gathers, at most n_int x n_total).
     """
     n_int = domain.n_interior
     return 8 * n_int * (len(domain.points) + n_int)
@@ -253,8 +244,8 @@ def _pair_form_chunks(spec: KernelSpec, domain: LatticeDomain):
     ``_chunk_rows`` allows on boxes of about 5000 nodes or more):
     OpenBLAS rounds a row of a matrix-vector product by where it falls in
     its groups of 4 rows per thread, so ``assemble``'s drift product
-    W @ h, taken a chunk at a time, keeps those groups to give the bits of
-    the product on the whole W (chunks of 11 or 14 rows move diagonal
+    W @ h, taken a chunk at a time, keeps those groups to give the same
+    bits whatever the chunk size (chunks of 11 or 14 rows move diagonal
     entries by an ulp).
     """
     fld = spec.field
@@ -380,12 +371,10 @@ class AssembledOperator:
     far field there, ``drift_values`` the drift at every box node.
 
     The pair weights W are not stored: ``assemble`` streams them a row
-    chunk at a time, forming the drift block in the same pass, and
-    ``pair_weights`` gathers them again, bit for bit, on its first read,
-    from the spec, the domain and the self-cell moments kept here
+    chunk at a time, and each pair pass (``_pair_pass``) again, from the
+    spec, the domain and the self-cell moments kept here
     (``self_cell_moments``, one row per box node, None when
-    ``self_cell=False``), for ``_box_pair_form``.  So an operator that is
-    only solved never holds W.
+    ``self_cell=False``).
     """
 
     domain: LatticeDomain
@@ -400,20 +389,6 @@ class AssembledOperator:
     @property
     def n(self) -> int:
         return self.domain.n_interior
-
-    @functools.cached_property
-    def pair_weights(self) -> np.ndarray:
-        """The rows of the interior nodes, in the order of
-        ``domain.interior_points``, against every box node, cell volume
-        included: (n_int, n_total).  The zero-data exterior mass is
-        resolved by them near the domain boundary and by ``box_tail``
-        beyond the box; the rows of exterior nodes follow by symmetry
-        (module docstring).  Built on first read, then kept."""
-        W = np.empty((self.n, len(self.domain.points)))
-        for sl, w in _pair_weight_chunks(self.spec, self.domain,
-                                         self.self_cell_moments):
-            W[sl] = w
-        return W
 
     def drift_oscillation(self) -> float:
         if self.drift_values is None:
@@ -522,45 +497,67 @@ def assemble(domain: LatticeDomain, spec: KernelSpec,
 
 
 def _full_values(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
-    vals = np.zeros(len(op.domain.points))
-    vals[op.domain.interior_mask] = np.asarray(u, dtype=float).reshape(-1)
+    vals = np.zeros((len(u), len(op.domain.points)))
+    vals[:, op.domain.interior_mask] = u
     return vals
 
 
+def _pair_pass(op: AssembledOperator, cols: np.ndarray,
+               block: tuple | None = None):
+    """One pass over the chunks of W, holding no W: the products W @ c,
+    (k, n_int, m), of the stacked box columns cols (k, n_total, m), each
+    taken alone so that its bits do not depend on the others, and the
+    block W[rows][:, box_cols] of ``block = (rows, box_cols)``, rows
+    increasing (None without one).
+    """
+    prod = np.empty((len(cols), op.n, cols.shape[2]))
+    sub = None if block is None else np.empty((len(block[0]), len(block[1])))
+    for sl, w in _pair_weight_chunks(op.spec, op.domain, op.self_cell_moments):
+        for c, p in zip(cols, prod):
+            p[sl] = w @ c
+        if block is not None:
+            rows, box_cols = block
+            lo, hi = np.searchsorted(rows, (sl.start, sl.stop))
+            sub[lo:hi] = w[np.ix_(rows[lo:hi] - sl.start, box_cols)]
+    return prod, sub
+
+
+def _box_pair_form(op: AssembledOperator, u: np.ndarray, v: np.ndarray,
+                   outside: np.ndarray | float, block: tuple | None = None):
+    """(1/2 Sum_{all box i, j} W_ij (u_j - u_i)(v_j - v_i) + outside) h^N
+    for the k pairs of rows of u (k, n_int), zero off the interior, and v
+    (k, n_total), with their beyond-box terms ``outside`` (k,): the sums of
+    the rows rho_i of the module docstring on centred inputs, with every
+    exterior column counted twice, in one pass for all pairs that also
+    gathers ``block`` (``_pair_pass``).  Returns the forms and the block.
+    """
+    mask = op.domain.interior_mask
+    u = _full_values(op, u)
+    u = u - u[:, :1]
+    v = v - v[:, :1]
+    cols = np.stack([np.ones_like(u), u, v, u * v], axis=2)
+    cols *= np.where(mask, 1.0, 2.0)[:, None]
+    prod, sub = _pair_pass(op, cols, block)
+    r, wu, wv, wuv = np.moveaxis(prod, 2, 0)
+    u, v = u[:, mask], v[:, mask]
+    rho = (0.5 * (wuv - u * wv - v * wu + r * u * v)).sum(axis=1)
+    return (rho + outside) * op.domain.cell_volume, sub
+
+
 def kernel_form(op: AssembledOperator, u: np.ndarray,
-                v: np.ndarray | None = None) -> float:
+                v: np.ndarray | None = None):
     """Discrete double-sum energy 1/2 Sum W_ij du dv (h^N included once).
 
     The sum runs over every pair of box nodes with at least one in the
     domain, plus the beyond-box mass  Sum u_i v_i T_i  (functions vanish
-    outside the interior).  W holds the interior rows only; the exterior
-    rows enter by the identity in the module docstring, where for two
-    functions that vanish off the interior their terms are
-    1/2 u_i v_i m_i, m_i the exterior mass of row i (``_box_pair_form``).
+    outside the interior); u and v are (n_int,), or (n_int, k) for k forms.
     """
-    v = u if v is None else v
-    tail = float(np.sum(np.asarray(u, dtype=float) * v * op.box_tail))
-    return (_box_pair_form(op, u, _full_values(op, v)) + tail) * op.domain.cell_volume
-
-
-def _box_pair_form(op: AssembledOperator, u: np.ndarray, v: np.ndarray) -> float:
-    """1/2 Sum_{all box i, j} W_ij (u_j - u_i)(v_j - v_i) for u given on the
-    interior nodes (zero off them) and v on every box node.
-
-    By the identities in the module docstring it is the sum over the
-    interior rows of rho_i, with every exterior column counted twice, taken
-    from one product of W with [1, u, v, uv] on inputs centred on their
-    first entry.  No cell volume is applied.
-    """
-    mask = op.domain.interior_mask
-    u = _full_values(op, u)
-    u = u - u[0]
-    v = v - v[0]
-    cols = np.stack([np.ones_like(u), u, v, u * v], axis=1)
-    cols *= np.where(mask, 1.0, 2.0)[:, None]
-    r, wu, wv, wuv = (op.pair_weights @ cols).T
-    u, v = u[mask], v[mask]
-    return float((0.5 * (wuv - u * wv - v * wu + r * u * v)).sum())
+    u = np.asarray(u, dtype=float)
+    v = u if v is None else np.asarray(v, dtype=float)
+    a, b = (np.ascontiguousarray(x.reshape(op.n, -1).T) for x in (u, v))
+    forms, _ = _box_pair_form(op, a, _full_values(op, b),
+                              (a * b * op.box_tail).sum(axis=1))
+    return float(forms[0]) if u.ndim == 1 else forms
 
 
 # --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .lattice import (
     GridFunction,
     LatticeDomain,
     _box_pair_form,
+    _full_values,
     assemble,  # noqa: F401  bound here for the perfbench tracer self-test
     kernel_form,
 )
@@ -134,9 +135,9 @@ def drift_pairing(op: AssembledOperator, f_values: np.ndarray) -> float:
     """
     if op.drift_values is None:
         return 0.0
-    inner = _box_pair_form(op, f_values, op.drift_values)
-    far = float(f_values @ op.drift_far)
-    return (inner - far) * op.domain.cell_volume
+    forms, _ = _box_pair_form(op, f_values[None], op.drift_values[None],
+                              -(f_values @ op.drift_far))
+    return float(forms[0])
 
 
 def _newton(fun, w: np.ndarray, pin: int, tol: float, max_steps: int,
@@ -194,16 +195,21 @@ def _newton(fun, w: np.ndarray, pin: int, tol: float, max_steps: int,
 def error_form_value(op: AssembledOperator, f_values: np.ndarray,
                      w_values: np.ndarray) -> float:
     """Hyperbolic two-term form at a given exponent field (no minimization)."""
-    return _error_objective(_error_pieces(op, f_values), w_values)[0]
+    return _error_objective(_rate_pieces(op, f_values)[2], w_values)[0]
 
 
-def _error_pieces(op: AssembledOperator, f_values: np.ndarray):
-    # support, coefficients a and drift increments dh depend on op and f only
+def _rate_pieces(op: AssembledOperator, f_values: np.ndarray):
+    """The energy of sqrt f, the drift pairing (0 without drift) and the
+    error form's support, coefficients a and drift increments dh, from one
+    pass over W that also gathers the support block of W that a reads."""
     supp = f_values > 0.0
-    sqf = np.sqrt(f_values[supp])
+    sqf = np.sqrt(f_values)
     idx = np.flatnonzero(op.domain.interior_mask)[supp]
-    W = op.pair_weights[np.ix_(np.flatnonzero(supp), idx)]
-    a = np.outer(sqf, sqf) * W * op.domain.cell_volume
+    pairs = [(sqf, _full_values(op, sqf[None])[0], np.sum(sqf * sqf * op.box_tail))]
+    if op.drift_values is not None:
+        pairs.append((f_values, op.drift_values, -(f_values @ op.drift_far)))
+    forms, W = _box_pair_form(op, *map(np.array, zip(*pairs)), (np.flatnonzero(supp), idx))
+    a = np.outer(sqf[supp], sqf[supp]) * W * op.domain.cell_volume
     if op.drift_values is None:
         dh = np.zeros_like(a)
     else:
@@ -215,7 +221,7 @@ def _error_pieces(op: AssembledOperator, f_values: np.ndarray):
             raise DomainError(
                 "the drift moves by %.3g >= 2 across the density support, so "
                 "the error form is not convex there" % np.abs(dh).max())
-    return supp, a, dh
+    return float(forms[0]), float(forms[1]) if len(forms) > 1 else 0.0, (supp, a, dh)
 
 
 def _error_objective(pieces, w_values):
@@ -272,10 +278,7 @@ def I_decomposed(f: DensitySpec, op: AssembledOperator) -> RateDecomposition:
             stacklevel=2,
         )
     fv = f.values_on(domain)
-    energy = kernel_form(op, np.sqrt(fv))
-    pairing = drift_pairing(op, fv)
-
-    pieces = _error_pieces(op, fv)
+    energy, pairing, pieces = _rate_pieces(op, fv)
     supp = pieces[0]
     w_full = np.zeros(len(fv))
 

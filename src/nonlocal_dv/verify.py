@@ -25,7 +25,7 @@ import numpy as np
 from .barriers import C_star, J_closed_form, J_quadrature
 from .errors import DomainError, ResolutionError
 from .kernels import fractional_kernel
-from .lattice import LatticeDomain, assemble, kernel_form
+from .lattice import LatticeDomain, _pair_pass, assemble, kernel_form
 from .operators import (
     QuadratureScheme,
     SmoothFunction,
@@ -119,15 +119,16 @@ def _check_operator_identities(rng: np.random.Generator) -> CheckResult:
     for op in ops:
         M = op.matrix
         mask = op.domain.interior_mask
-        # the interior rows of the pair weights: data vanishes outside the
-        # interior, so the exterior pair mass and the beyond-the-box tail
-        # both act through u_i v_i
-        W = op.pair_weights[:, mask]
-        ext = op.pair_weights[:, ~mask].sum(axis=1) + op.box_tail
+        # W on the interior columns and its exterior mass, from one pass:
+        # data vanishes outside the interior, so the exterior pair mass and
+        # the beyond-the-box tail both act through u_i v_i
+        outside, W = _pair_pass(op, (~mask).astype(float).reshape(1, -1, 1),
+                                (np.arange(op.n), np.flatnonzero(mask)))
+        ext = outside[0, :, 0] + op.box_tail
         vol = op.domain.cell_volume
-        for _ in range(25):
-            u = rng.normal(size=op.n)
-            v = rng.normal(size=op.n)
+        pairs = rng.normal(size=(25, 2, op.n))
+        forms = kernel_form(op, pairs[:, 0].T, pairs[:, 1].T)
+        for (u, v), form in zip(pairs, forms):
             du = u[None, :] - u[:, None]
             dv = v[None, :] - v[:, None]
             B = 0.5 * ((W * du * dv).sum(axis=1) + ext * u * v)
@@ -137,8 +138,7 @@ def _check_operator_identities(rng: np.random.Generator) -> CheckResult:
             worst_discrete = max(worst_discrete, np.abs(lhs - rhs).max() / scale)
             parts = float(u @ (M @ v)) * vol
             pscale = max(1.0, abs(parts))
-            worst_discrete = max(worst_discrete,
-                                 abs(parts + kernel_form(op, u, v)) / pscale)
+            worst_discrete = max(worst_discrete, abs(parts + form) / pscale)
     # pointwise quadrature versions of the same identities
     quad_scheme = QuadratureScheme(radial_order=32)
     worst_point = 0.0

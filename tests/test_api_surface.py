@@ -29,6 +29,8 @@ import ast
 from collections import defaultdict
 from pathlib import Path
 
+from nonlocal_dv.lattice import AssembledOperator
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nonlocal_dv"
 
@@ -305,3 +307,8 @@ def test_dunder_all_matches_public_definitions():
         for name in sorted(public - set(listed)):
             problems.append("%s: %s missing from __all__" % (path.stem, name))
     assert not problems, "; ".join(problems)
+
+
+def test_operator_holds_no_pair_weights():
+    # every reader of W streams it (lattice._pair_pass); nothing gathers it
+    assert not hasattr(AssembledOperator, "pair_weights")

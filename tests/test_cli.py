@@ -614,8 +614,10 @@ def test_dv_functional_outside_convex_regime_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("drift", [False, True])
 def test_dv_functional_forms_each_rate_piece_once(tmp_path, monkeypatch, drift):
-    # the summary reads the energy and the pairing that I_decomposed formed;
-    # only the independent closed form, without drift, takes a second energy
+    # the summary reads the energy, the pairing and the closed form that
+    # I_decomposed formed: the command streams W twice, once to assemble
+    # and once for every pair form, and calls no form of its own
+    passes = _count_calls(monkeypatch, lattice._pair_weight_chunks)
     energies = _count_calls(monkeypatch, lattice.kernel_form)
     pairings = _count_calls(monkeypatch, rate.drift_pairing)
     payload = dict(DV_1D)
@@ -624,10 +626,12 @@ def test_dv_functional_forms_each_rate_piece_once(tmp_path, monkeypatch, drift):
     cfg = write_config(tmp_path, "cfg.json", payload)
     out = tmp_path / "out"
     assert main(["dv-functional", "--config", cfg, "--output-dir", str(out)]) == 0
-    assert len(energies) == (1 if drift else 2)
-    assert len(pairings) == 1
+    assert len(passes) == 2
+    assert energies == pairings == []
     res = read_summary(out, "dv_functional")["results"]
     assert (res["drift_pairing"] != 0.0) == drift
+    if not drift:
+        assert res["closed_form_no_drift"] == res["sqrt_density_energy"]
 
 
 def test_unknown_check_id_exits_2(tmp_path, capsys):

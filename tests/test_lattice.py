@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import pair_weights
 
 from nonlocal_dv import cli, lattice, operators, spectral
 from nonlocal_dv.errors import CapacityError, DomainError, EllipticityError
@@ -50,7 +51,7 @@ def test_row_sum_is_negative_exterior_mass(op_1d):
     # constant-1 interior data: only the exterior mass survives in each row
     M = op_1d.matrix
     mask = op_1d.domain.interior_mask
-    ext = op_1d.pair_weights[:, ~mask].sum(axis=1) + op_1d.box_tail
+    ext = pair_weights(op_1d)[:, ~mask].sum(axis=1) + op_1d.box_tail
     rows = M @ np.ones(op_1d.n)
     assert np.abs(rows + ext).max() < 1e-12
     assert (rows < 0).all()
@@ -240,12 +241,12 @@ def test_drift_not_finite_beyond_the_box_raises_domain_error():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_pair_peak_estimate_bounds_measured_peak(variant, dim, traced_memory):
     # the capacity check reads this estimate; it must cover what assembly
-    # and a first read of W really hold, and not by much more, whatever the
-    # field: the read gathers the pair forms of every variant into the
-    # interior rows of W in place, beside the matrix.  A margin of one
-    # cell makes n_int < n_total; at 3600 and 3375 box nodes a 4 MiB chunk
-    # is under 5% of the n_int (n_total + n_int) doubles, and a coarse rule
-    # keeps the kernel samples quick
+    # and the largest pair pass really hold, whatever the field: the pass
+    # of the operator identities, which gathers the interior columns of W
+    # (n_int^2 doubles) beside the matrix, one chunk of W at a time.  A
+    # margin of one cell makes n_int < n_total, so the estimate exceeds
+    # the two n_int^2 arrays by n_int (n_total - n_int) doubles, more than
+    # the 4 MiB chunk; a coarse rule keeps the kernel samples quick
     spec = spec_from_config({"variant": variant, "matrix": np.eye(dim).tolist(),
                              "s": 0.5})
     cells = 58 if dim == 2 else 13
@@ -256,13 +257,21 @@ def test_pair_peak_estimate_bounds_measured_peak(variant, dim, traced_memory):
     with traced_memory() as memory:
         op = assemble(dom, spec, quad=quad)
         assembled = memory().peak
-        op.pair_weights
+        _largest_pair_pass(op)
         peak = memory().peak
-    assert dom.n_interior < len(dom.points)
-    estimate = _pair_peak_bytes(dom)
-    assert peak <= 1.05 * estimate
-    assert estimate <= 1.05 * peak
+    n_int = dom.n_interior
+    assert n_int < len(dom.points)
+    assert 2 * 8 * n_int ** 2 <= peak <= _pair_peak_bytes(dom)
     assert assembled <= _assemble_bytes(dom)
+
+
+def _largest_pair_pass(op):
+    """The pair pass that gathers the largest block: every row of W on
+    its interior columns, with one product, as the operator identities
+    check reads them."""
+    cols = np.ones((1, len(op.domain.points), 1))
+    return lattice._pair_pass(op, cols, (np.arange(op.n),
+                                         np.flatnonzero(op.domain.interior_mask)))
 
 
 def _assemble_bytes(dom):
@@ -307,11 +316,11 @@ def test_assemble_retained_memory_with_drift(traced_memory):
 
 @pytest.mark.parametrize("with_drift", [False, True])
 def test_assemble_peak_is_the_pair_form_peak(with_drift, traced_memory):
-    # through assembly and a first read of W, only W, the interior matrix
-    # and chunk-sized temporaries are alive: the n_total^2 + n_int^2
-    # doubles that the capacity check counts.  With no margin
-    # n_int = n_total, and at 3600 nodes a 4 MiB chunk is 4% of
-    # n_total^2 doubles
+    # through assembly and the largest pair pass, only the interior
+    # matrix, the gathered block of W and chunk-sized temporaries are
+    # alive: with no margin n_int = n_total, so that is the
+    # n_int (n_total + n_int) doubles that the capacity check counts, and
+    # at 3600 nodes a 4 MiB chunk is 4% of them
     spec = fractional_kernel(2, 0.5)
     drift = tanh_drift(2, amplitude=0.3) if with_drift else None
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [60, 60])
@@ -320,7 +329,7 @@ def test_assemble_peak_is_the_pair_form_peak(with_drift, traced_memory):
     with traced_memory() as memory:
         op = assemble(dom, spec, drift=drift)
         assembled = memory().peak
-        op.pair_weights
+        _largest_pair_pass(op)
         peak = memory().peak
     estimate = _pair_peak_bytes(dom)
     assert peak <= 1.05 * estimate
@@ -354,7 +363,6 @@ def test_memory_holds_the_matrix_and_frees_the_block_factor(monkeypatch, traced_
         op = assemble(dom, spec, drift=drift)
         peak = memory().peak
         spectral.principal_eigenpair(op)
-    assert "pair_weights" not in vars(op)
     assert peak <= _assemble_bytes(dom)
     assert len(at_oracle) == 1
     blocks = 2 * 8 * (n_int // 2) ** 2
@@ -378,7 +386,7 @@ def _count_weight_passes(monkeypatch):
 def test_solving_never_builds_the_pair_weights(monkeypatch, tmp_path):
     # assembly makes one pass over the chunks of W and keeps none of
     # them; the iteration, its shift, the bracket and the dense oracle
-    # read the matrix alone, so W is never built on the eigen path
+    # read the matrix alone, so the eigen path makes no second pass
     passes = _count_weight_passes(monkeypatch)
     spec = fractional_kernel(2, 0.5)
     drift = tanh_drift(2, amplitude=0.3)
@@ -388,7 +396,6 @@ def test_solving_never_builds_the_pair_weights(monkeypatch, tmp_path):
     pair = spectral.principal_eigenpair(op, dense_check=True)
     assert pair.dense_lambda1 is not None
     assert passes == [dom]
-    assert "pair_weights" not in vars(op)
 
     # the same through the command line handler
     ops = []
@@ -411,18 +418,17 @@ def test_solving_never_builds_the_pair_weights(monkeypatch, tmp_path):
     assert cli.main(["eigen", "--config", str(cfg),
                      "--output-dir", str(tmp_path / "out")]) == 0
     assert len(ops) == 1 and len(passes) == 1
-    assert "pair_weights" not in vars(ops[0])
-    # a read builds W once, and keeps it
-    W = ops[0].pair_weights
-    assert ops[0].pair_weights is W and len(passes) == 2
+    # a pair form streams W once more, for every pair of its stack
+    kernel_form(ops[0], np.ones((ops[0].n, 3)))
+    assert len(passes) == 2
 
 
 @pytest.mark.parametrize("with_drift", [False, True])
 def test_streamed_weights_are_bit_identical_to_whole_w(monkeypatch, with_drift):
     # W gathered in one chunk is the reference, formed whole as assembly
     # used to form it; in row chunks of 8 (the last one shorter on two of
-    # the lattices) assembly and the first read give the same bits: the
-    # weights, and the matrix with its drift product W @ h
+    # the lattices) assembly and a pass give the same bits: the weights,
+    # and the matrix with its drift product W @ h
     spec = spec_from_config({"variant": "separable_sum",
                              "matrix": [[1.2, 0.3], [0.3, 0.8]], "s": 0.4,
                              "amplitude": 0.3})
@@ -430,17 +436,17 @@ def test_streamed_weights_are_bit_identical_to_whole_w(monkeypatch, with_drift):
                 LatticeDomain.ball([0.0, 0.0], 1.0, 11, margin=0.3),
                 LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [13, 13], margin=0.3)):
         drift = tanh_drift(2, amplitude=0.3) if with_drift else None
-        ops, rows = [], []
+        ops, weights, rows = [], [], []
         for budget in (1 << 30, 8 * (2 + 11) * 11 * len(dom.points)):
             monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", budget)
             rows.append([len(w) for _, w in lattice._pair_form_chunks(spec, dom)])
             ops.append(assemble(dom, spec, drift=drift))
-            ops[-1].pair_weights
+            weights.append(pair_weights(ops[-1]))
         assert rows[0] == [dom.n_interior]
         assert len(rows[1]) >= 3 and set(rows[1][:-1]) == {8}
         whole, streamed = ops
         assert np.array_equal(streamed.matrix, whole.matrix)
-        assert np.array_equal(streamed.pair_weights, whole.pair_weights)
+        assert np.array_equal(weights[1], weights[0])
 
 
 def test_assemble_takes_the_far_field_at_interior_nodes_alone(monkeypatch):
@@ -477,10 +483,10 @@ def test_pair_weights_are_the_interior_rows_of_the_box(variant):
     for dom in (LatticeDomain.box([-1.0, -0.5], [1.0, 0.5], [8, 4], margin=0.3),
                 LatticeDomain.ball([0.0, 0.0], 1.0, 8, margin=0.3)):
         op = assemble(dom, spec, drift=drift)
-        whole = assemble(_whole_box(dom), spec).pair_weights
+        whole = pair_weights(assemble(_whole_box(dom), spec))
         mask = dom.interior_mask
-        assert op.pair_weights.shape == (dom.n_interior, len(dom.points))
-        assert np.array_equal(op.pair_weights, whole[mask])
+        assert pair_weights(op).shape == (dom.n_interior, len(dom.points))
+        assert np.array_equal(pair_weights(op), whole[mask])
         assert op.matrix.flags.c_contiguous
         # off the diagonal, the drift-free matrix is W on interior pairs
         plain = assemble(dom, spec).matrix
@@ -498,7 +504,7 @@ def test_drift_block_in_row_chunks_is_bit_identical(monkeypatch):
     dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [10, 10], margin=0.3)
     op = assemble(dom, spec, drift=drift)
     mask = dom.interior_mask
-    W = op.pair_weights
+    W = pair_weights(op)
     hc = op.drift_values - op.drift_values[0]
     hc_int = hc[mask]
     lap = assemble(dom, spec).matrix
@@ -551,16 +557,16 @@ def test_self_cell_weights_sit_on_axis_neighbour_pairs():
                              "amplitude": 0.3})
     dom = LatticeDomain.box([-1.0, -0.5], [1.0, 0.5], [8, 4], margin=0.3)
     box = _whole_box(dom)
-    added = (assemble(box, spec).pair_weights
-             - assemble(box, spec, self_cell=False).pair_weights)
+    added = (pair_weights(assemble(box, spec))
+             - pair_weights(assemble(box, spec, self_cell=False)))
     k = np.indices(dom.shape).reshape(2, -1).T
     neighbours = np.abs(k[:, None, :] - k[None, :, :]).sum(axis=2) == 1
     assert np.array_equal(added != 0.0, neighbours)
     assert np.array_equal(added, added.T)
     rows = dom.interior_mask
     assert not rows.all()
-    on_rows = (assemble(dom, spec).pair_weights
-               - assemble(dom, spec, self_cell=False).pair_weights)
+    on_rows = (pair_weights(assemble(dom, spec))
+               - pair_weights(assemble(dom, spec, self_cell=False)))
     assert np.array_equal(on_rows, added[rows])
 
 

@@ -9,15 +9,19 @@ the value itself for energies (u = v).  Nearly constant inputs (level 1,
 oscillation 1e-6) lose about six digits unless the inputs are centred.
 An operator keeps only the interior rows of W; the double sums run over
 every row of the box, from the weights of the same lattice with every
-node made interior.
+node made interior.  The package holds no W: every form streams it
+through one pass over its chunks (``_pair_pass``), which is compared
+here with the W that the tests gather (``conftest.pair_weights``).
 """
 
 import dataclasses
 
 import numpy as np
+from conftest import pair_weights
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nonlocal_dv import lattice, recovery, verify
 from nonlocal_dv.kernels import spec_from_config
 from nonlocal_dv.lattice import LatticeDomain, _box_pair_form, assemble, kernel_form
 from nonlocal_dv.operators import QuadratureScheme, SmoothFunction
@@ -51,11 +55,11 @@ def _close(value, reference, scale):
 def _whole_box(op, quad):
     """The operator of the same lattice with every node interior: its
     pair weights are W on every row of the box, and their interior rows
-    are ``op.pair_weights`` bit for bit."""
+    are those of ``op`` bit for bit."""
     dom = op.domain
     whole = dataclasses.replace(dom, interior_mask=np.ones(len(dom.points), dtype=bool))
     box = assemble(whole, op.spec, quad=quad)
-    assert np.array_equal(box.pair_weights[dom.interior_mask], op.pair_weights)
+    assert np.array_equal(pair_weights(box)[dom.interior_mask], pair_weights(op))
     return box
 
 
@@ -94,7 +98,7 @@ def test_energy_forms_match_pairwise_sum(case, near_constant):
     spec, dom, rng = case
     op = assemble(dom, spec, quad=_QUAD)
     box = _whole_box(op, _QUAD)
-    W = box.pair_weights
+    W = pair_weights(box)
     mask = dom.interior_mask
     vol = dom.cell_volume
     u, v = _inputs(rng, op.n, near_constant)
@@ -104,7 +108,8 @@ def test_energy_forms_match_pairwise_sum(case, near_constant):
     a_box, b_box = _inputs(rng, len(dom.points), near_constant)
     for a, b in ((a_box, a_box), (a_box, b_box)):
         rows, scale = _pairwise_rows(W, a, b)
-        assert _close(_box_pair_form(box, a, b), rows.sum(), scale.sum())
+        form = _box_pair_form(box, a[None], b[None], 0.0)[0][0]
+        assert _close(form, rows.sum() * vol, scale.sum() * vol)
 
     # full form: zero extension to the box plus the beyond-box tail
     full_u = np.zeros(len(dom.points))
@@ -116,6 +121,11 @@ def test_energy_forms_match_pairwise_sum(case, near_constant):
     ref = (rows.sum() + tail.sum()) * vol
     assert _close(kernel_form(op, u, v), ref,
                   (scale.sum() + np.abs(tail).sum()) * vol)
+    # a stack of pairs gives each pair's form bit for bit: every pair takes
+    # its own product on each chunk of W in their one pass
+    stacked = kernel_form(op, np.stack([u, v, u], axis=1), np.stack([v, u, u], axis=1))
+    assert list(stacked) == [kernel_form(op, u, v), kernel_form(op, v, u),
+                             kernel_form(op, u)]
 
     # per node: the pair rows of the zero extension plus half the tail are
     # 1/2 [M(uv) - u Mv - v Mu] for the drift-free matrix M
@@ -147,7 +157,7 @@ def test_drift_forms_match_pairwise_sum(case, data):
     spec, dom, rng = case
     kind, drift = data.draw(drifts(dom.dim))
     op = assemble(dom, spec, drift=drift, quad=_QUAD)
-    W = _whole_box(op, _QUAD).pair_weights
+    W = pair_weights(_whole_box(op, _QUAD))
     mask = dom.interior_mask
     h = op.drift_values
     f = rng.uniform(0.0, 1.0, size=op.n)
@@ -184,3 +194,40 @@ def test_drift_forms_match_pairwise_sum(case, data):
         assert pairing == 0.0
         # the drift block is exactly zero: the matrix is the drift-free one
         assert np.array_equal(op.matrix, assemble(dom, spec, quad=_QUAD).matrix)
+
+
+def _verify_operators(monkeypatch):
+    """Every operator that the lattice checks of ``verify`` assemble."""
+    ops = []
+    for module in (verify, recovery):
+        real = module.assemble
+
+        def keeping(*args, _real=real, **kwargs):
+            ops.append(_real(*args, **kwargs))
+            return ops[-1]
+
+        monkeypatch.setattr(module, "assemble", keeping)
+    verify.run_suite(3, ["operator_identities", "rate_minimization",
+                         "scalar_error_form", "diffusion_exponent",
+                         "drift_identifiability", "eigen_consistency"])
+    return ops
+
+
+def test_pair_pass_matches_gathered_weights(monkeypatch):
+    # on every lattice that verify builds, the products that the pass
+    # forms a chunk at a time agree with the products on the gathered W
+    # to rounding, on the scale |W| |C| of their terms, and the block it
+    # gathers is W's, bit for bit
+    ops = _verify_operators(monkeypatch)
+    assert len({(len(op.domain.points), op.n) for op in ops}) >= 5
+    rng = np.random.default_rng(11)
+    for op in ops:
+        W = pair_weights(op)
+        cols = rng.normal(size=(2, len(op.domain.points), 4))
+        rows = np.flatnonzero(rng.uniform(size=op.n) < 0.5)
+        box_cols = np.flatnonzero(rng.uniform(size=len(op.domain.points)) < 0.5)
+        prod, block = lattice._pair_pass(op, cols, (rows, box_cols))
+        for p, c in zip(prod, cols):
+            assert np.all(np.abs(p - W @ c) <= 1e-14 * (np.abs(W) @ np.abs(c)))
+        assert np.array_equal(block, W[np.ix_(rows, box_cols)])
+

@@ -10,13 +10,14 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import pair_weights
 from scipy.integrate import quad
 
-from nonlocal_dv import lattice, rate
+from nonlocal_dv import cli, lattice, rate
 from nonlocal_dv.errors import DomainError
 from nonlocal_dv.kernels import fractional_kernel
 from nonlocal_dv.lattice import GridFunction, LatticeDomain, assemble, kernel_form
-from nonlocal_dv.operators import SmoothFunction, bump, scaled
+from nonlocal_dv.operators import SmoothFunction, bump, scaled, tanh_drift
 from nonlocal_dv.rate import (
     DensitySpec,
     I_closed_form_h0,
@@ -172,7 +173,7 @@ def test_error_form_newton_reaches_a_stationary_point(density, amplitude):
     supp = fv > 0.0
     idx = np.nonzero(op.domain.interior_mask)[0][supp]
     a = (np.sqrt(np.outer(fv[supp], fv[supp]))
-         * op.pair_weights[np.ix_(np.nonzero(supp)[0], idx)] * op.domain.cell_volume)
+         * pair_weights(op)[np.ix_(np.nonzero(supp)[0], idx)] * op.domain.cell_volume)
     h = op.drift_values[idx]
     w = parts.w_min.values[supp]
     dw = w[None, :] - w[:, None]
@@ -241,20 +242,20 @@ def test_error_pieces_built_once_per_solve(density, drift, monkeypatch):
     dom = density_lattice(density, cells=40)
     op = assemble(dom, spec, drift=drift)
     fv = density.values_on(dom)
-    pieces = rate._error_pieces
+    pieces = rate._rate_pieces
     builds = []
 
     def counting(*args):
         builds.append(args)
         return pieces(*args)
 
-    monkeypatch.setattr(rate, "_error_pieces", counting)
+    monkeypatch.setattr(rate, "_rate_pieces", counting)
     parts = I_decomposed(density, op)
     assert len(builds) == 1
     # reference: every evaluation of the objective rebuilds its pieces
     objective = rate._error_objective
     monkeypatch.setattr(rate, "_error_objective",
-                        lambda _, w: objective(pieces(op, fv), w))
+                        lambda _, w: objective(pieces(op, fv)[2], w))
     ref = I_decomposed(density, op)
     assert parts.E_value == ref.E_value
     assert np.array_equal(parts.w_min.values, ref.w_min.values)
@@ -270,7 +271,7 @@ def test_error_form_lower_bound(density, drift):
     sqf = np.sqrt(fv)
     mask = op.domain.interior_mask
     h_int = op.drift_values[mask]
-    W = op.pair_weights[:, mask]
+    W = pair_weights(op)[:, mask]
     dh2 = (h_int[None, :] - h_int[:, None]) ** 2
     bound = -float(sqf @ (W * dh2) @ sqf) * dom.cell_volume
     rng = np.random.default_rng(4)
@@ -299,7 +300,7 @@ def test_first_order_and_substitution_identities(density, drift):
     full = np.zeros(len(dom.points))
     full[mask] = sqf
     du = full[None, :] - sqf[:, None]
-    bracket = 0.5 * (plain.pair_weights * du * du).sum(axis=1) + 0.5 * fv * plain.box_tail
+    bracket = 0.5 * (pair_weights(plain) * du * du).sum(axis=1) + 0.5 * fv * plain.box_tail
     residual = 2.0 * sqf * (plain.matrix @ sqf) - (plain.matrix @ fv - 2.0 * bracket)
     assert np.abs(residual).max() < 1e-11
 
@@ -311,7 +312,7 @@ def test_symmetric_weight_relabeling(density, drift):
     op = assemble(dom, spec, drift=drift)
     mask = op.domain.interior_mask
     h_int = op.drift_values[mask]
-    W = op.pair_weights[:, mask]
+    W = pair_weights(op)[:, mask]
     phi = W * (h_int[None, :] - h_int[:, None]) ** 2
     fv = density.values_on(dom)
     lhs = float((phi * fv[:, None]).sum())
@@ -359,8 +360,8 @@ def test_drift_pairing_against_brute_force(density, drift):
     op = assemble(dom, spec, drift=drift)
     # the weights of every row of the box: the same lattice, every node interior
     whole = dataclasses.replace(dom, interior_mask=np.ones(len(dom.points), dtype=bool))
-    W = assemble(whole, spec).pair_weights
-    assert np.array_equal(W[dom.interior_mask], op.pair_weights)
+    W = pair_weights(assemble(whole, spec))
+    assert np.array_equal(W[dom.interior_mask], pair_weights(op))
     fv = density.values_on(dom)
     full = np.zeros(len(dom.points))
     full[dom.interior_mask] = fv
@@ -376,9 +377,9 @@ def test_drift_pairing_against_brute_force(density, drift):
 
 
 def test_I_decomposed_builds_the_pair_weights_once(monkeypatch, density, drift):
-    # the energy, the drift pairing and the error form all read W: the
-    # first read gathers it from the chunks that assembly streamed, the
-    # later ones reuse it
+    # the energy, the drift pairing and the error form all read W: one
+    # pass over the chunks beyond assembly gives the two forms and the
+    # support block of the error form, and holds no W
     passes = []
     real = lattice._pair_weight_chunks
 
@@ -388,10 +389,37 @@ def test_I_decomposed_builds_the_pair_weights_once(monkeypatch, density, drift):
 
     monkeypatch.setattr(lattice, "_pair_weight_chunks", counting)
     spec = fractional_kernel(1, 0.5, normalized=True)
-    op = assemble(density_lattice(density, cells=40), spec, drift=drift)
-    assert len(passes) == 1 and "pair_weights" not in vars(op)
-    I_decomposed(density, op)
-    assert len(passes) == 2 and "pair_weights" in vars(op)
+    for h in (None, drift):
+        passes.clear()
+        op = assemble(density_lattice(density, cells=40), spec, drift=h)
+        assert len(passes) == 1
+        parts = I_decomposed(density, op)
+        assert len(passes) == 2
+        # the values of the forms and of the error form read alone, bit for
+        # bit: each pair takes its own product in the shared pass
+        fv = density.values_on(op.domain)
+        assert parts.energy == kernel_form(op, np.sqrt(fv))
+        assert parts.pairing == drift_pairing(op, fv)
+        assert parts.E_value == error_form_value(op, fv, parts.w_min.values)
+
+
+def test_I_decomposed_holds_no_pair_weights(traced_memory):
+    # the dv-functional lattice of a bump of radius 0.8 at 40 cells with a
+    # tanh drift: 1600 unknowns on 5184 box nodes, where W alone is 63 MiB.
+    # Assembly and the decomposition together hold the matrix (19.5 MiB),
+    # one chunk of W, the support block and the error-form arrays, within
+    # the bytes that the capacity check allows the lattice
+    spec, dim = cli._kernel_from_config({"variant": "constant", "s": 0.5,
+                                         "matrix": [[1.2, 0.3], [0.3, 0.8]],
+                                         "normalized": True})
+    dens, dom = cli._density_from_config(
+        {"profile": {"kind": "bump", "radius": 0.8}, "cells": 40}, dim)
+    drift = tanh_drift(dim, amplitude=0.3, slope=2.0)
+    assert (dom.n_interior, len(dom.points)) == (1600, 5184)
+    with traced_memory() as memory:
+        I_decomposed(dens, assemble(dom, spec, drift=drift))
+        peak = memory().peak
+    assert peak < min(lattice._pair_peak_bytes(dom), 50 * 2**20)
 
 
 def test_dual_gap_families(density, drift):
