@@ -134,6 +134,9 @@ class LatticeDomain:
 
     @staticmethod
     def _grid(lower, upper, cells):
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        cells = np.asarray(cells, dtype=int)
         widths = (upper - lower) / cells
         if not np.allclose(widths, widths[0], rtol=1e-12):
             raise DomainError("lattice spacing must be equal along all axes")
@@ -370,11 +373,9 @@ class AssembledOperator:
     the box at each interior node (``far_field``), ``drift_far`` the drift
     far field there, ``drift_values`` the drift at every box node.
 
-    The pair weights W are not stored: ``assemble`` streams them a row
-    chunk at a time, and each pair pass (``_pair_pass``) again, from the
-    spec, the domain and the self-cell moments kept here
-    (``self_cell_moments``, one row per box node, None when
-    ``self_cell=False``).
+    The pair weights W are not stored: ``assemble`` and each pair pass
+    (``_pair_pass``) stream them from the spec, the domain and
+    ``self_cell_moments`` (one row per box node, None without self cell).
     """
 
     domain: LatticeDomain
@@ -504,21 +505,18 @@ def _full_values(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
 
 def _pair_pass(op: AssembledOperator, cols: np.ndarray,
                block: tuple | None = None):
-    """One pass over the chunks of W, holding no W: the products W @ c,
-    (k, n_int, m), of the stacked box columns cols (k, n_total, m), each
-    taken alone so that its bits do not depend on the others, and the
-    block W[rows][:, box_cols] of ``block = (rows, box_cols)``, rows
-    increasing (None without one).
-    """
+    """One pass over the chunks of W, holding no W: the products W @ c of
+    the stacked box columns cols (k, n_total, m), each taken alone so that
+    its bits do not depend on the others, and the block W[rows][:, box_cols]
+    of ``block = (rows, box_cols)``, rows increasing (0 x 0 without one)."""
+    rows, box_cols = (np.arange(0),) * 2 if block is None else block
     prod = np.empty((len(cols), op.n, cols.shape[2]))
-    sub = None if block is None else np.empty((len(block[0]), len(block[1])))
+    sub = np.empty((len(rows), len(box_cols)))
     for sl, w in _pair_weight_chunks(op.spec, op.domain, op.self_cell_moments):
         for c, p in zip(cols, prod):
             p[sl] = w @ c
-        if block is not None:
-            rows, box_cols = block
-            lo, hi = np.searchsorted(rows, (sl.start, sl.stop))
-            sub[lo:hi] = w[np.ix_(rows[lo:hi] - sl.start, box_cols)]
+        lo, hi = np.searchsorted(rows, (sl.start, sl.stop))
+        sub[lo:hi] = w[np.ix_(rows[lo:hi] - sl.start, box_cols)]
     return prod, sub
 
 
@@ -526,11 +524,9 @@ def _box_pair_form(op: AssembledOperator, u: np.ndarray, v: np.ndarray,
                    outside: np.ndarray | float, block: tuple | None = None):
     """(1/2 Sum_{all box i, j} W_ij (u_j - u_i)(v_j - v_i) + outside) h^N
     for the k pairs of rows of u (k, n_int), zero off the interior, and v
-    (k, n_total), with their beyond-box terms ``outside`` (k,): the sums of
-    the rows rho_i of the module docstring on centred inputs, with every
-    exterior column counted twice, in one pass for all pairs that also
-    gathers ``block`` (``_pair_pass``).  Returns the forms and the block.
-    """
+    (k, n_total): the rows rho_i of the module docstring on centred inputs,
+    every exterior column counted twice, from one pass that also gathers
+    ``block`` (``_pair_pass``).  Returns the forms and the block."""
     mask = op.domain.interior_mask
     u = _full_values(op, u)
     u = u - u[:, :1]
@@ -544,6 +540,13 @@ def _box_pair_form(op: AssembledOperator, u: np.ndarray, v: np.ndarray,
     return (rho + outside) * op.domain.cell_volume, sub
 
 
+def _energy_terms(op: AssembledOperator, u: np.ndarray, v: np.ndarray):
+    """The ``_box_pair_form`` terms (u, v on the box, the beyond-box mass
+    Sum u_i v_i T_i) of the energies of u, v: (n_int,), or (n_int, k)."""
+    u, v = (np.asarray(x, dtype=float).reshape(op.n, -1).T.copy() for x in (u, v))
+    return u, _full_values(op, v), (u * v * op.box_tail).sum(axis=1)
+
+
 def kernel_form(op: AssembledOperator, u: np.ndarray,
                 v: np.ndarray | None = None):
     """Discrete double-sum energy 1/2 Sum W_ij du dv (h^N included once).
@@ -552,12 +555,8 @@ def kernel_form(op: AssembledOperator, u: np.ndarray,
     domain, plus the beyond-box mass  Sum u_i v_i T_i  (functions vanish
     outside the interior); u and v are (n_int,), or (n_int, k) for k forms.
     """
-    u = np.asarray(u, dtype=float)
-    v = u if v is None else np.asarray(v, dtype=float)
-    a, b = (np.ascontiguousarray(x.reshape(op.n, -1).T) for x in (u, v))
-    forms, _ = _box_pair_form(op, a, _full_values(op, b),
-                              (a * b * op.box_tail).sum(axis=1))
-    return float(forms[0]) if u.ndim == 1 else forms
+    forms, _ = _box_pair_form(op, *_energy_terms(op, u, u if v is None else v))
+    return float(forms[0]) if np.ndim(u) == 1 else forms
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .lattice import (
     GridFunction,
     LatticeDomain,
     _box_pair_form,
-    _full_values,
+    _energy_terms,
     assemble,  # noqa: F401  bound here for the perfbench tracer self-test
     kernel_form,
 )
@@ -135,9 +135,13 @@ def drift_pairing(op: AssembledOperator, f_values: np.ndarray) -> float:
     """
     if op.drift_values is None:
         return 0.0
-    forms, _ = _box_pair_form(op, f_values[None], op.drift_values[None],
-                              -(f_values @ op.drift_far))
+    forms, _ = _box_pair_form(op, *_pairing_terms(op, f_values))
     return float(forms[0])
+
+
+def _pairing_terms(op: AssembledOperator, f_values: np.ndarray):
+    """The ``_box_pair_form`` terms (f, h on the box, -f . far) of the drift pairing."""
+    return f_values[None], op.drift_values[None], np.array([-(f_values @ op.drift_far)])
 
 
 def _newton(fun, w: np.ndarray, pin: int, tol: float, max_steps: int,
@@ -199,29 +203,27 @@ def error_form_value(op: AssembledOperator, f_values: np.ndarray,
 
 
 def _rate_pieces(op: AssembledOperator, f_values: np.ndarray):
-    """The energy of sqrt f, the drift pairing (0 without drift) and the
-    error form's support, coefficients a and drift increments dh, from one
-    pass over W that also gathers the support block of W that a reads."""
+    """The energy of sqrt f, the drift pairing (0 without drift) and the error
+    form's (support, a, dh), from one pass that gathers the block of W a reads."""
     supp = f_values > 0.0
     sqf = np.sqrt(f_values)
     idx = np.flatnonzero(op.domain.interior_mask)[supp]
-    pairs = [(sqf, _full_values(op, sqf[None])[0], np.sum(sqf * sqf * op.box_tail))]
+    terms = [_energy_terms(op, sqf, sqf)]
+    h_sub = np.zeros(len(idx))
     if op.drift_values is not None:
-        pairs.append((f_values, op.drift_values, -(f_values @ op.drift_far)))
-    forms, W = _box_pair_form(op, *map(np.array, zip(*pairs)), (np.flatnonzero(supp), idx))
-    a = np.outer(sqf[supp], sqf[supp]) * W * op.domain.cell_volume
-    if op.drift_values is None:
-        dh = np.zeros_like(a)
-    else:
+        terms.append(_pairing_terms(op, f_values))
         h_sub = op.drift_values[idx]
-        dh = h_sub[None, :] - h_sub[:, None]
-        # theta'' >= cosh(r) (1 - |dh|/2): the form is convex, and has a
-        # minimum, only while every |dh| < 2
-        if np.abs(dh).max() >= 2.0:
-            raise DomainError(
-                "the drift moves by %.3g >= 2 across the density support, so "
-                "the error form is not convex there" % np.abs(dh).max())
-    return float(forms[0]), float(forms[1]) if len(forms) > 1 else 0.0, (supp, a, dh)
+    dh = h_sub[None, :] - h_sub[:, None]
+    # theta'' >= cosh(r) (1 - |dh|/2): the form is convex, and has a
+    # minimum, only while every |dh| < 2
+    if np.abs(dh).max() >= 2.0:
+        raise DomainError(
+            "the drift moves by %.3g >= 2 across the density support, so "
+            "the error form is not convex there" % np.abs(dh).max())
+    forms, W = _box_pair_form(op, *map(np.concatenate, zip(*terms)),
+                              (np.flatnonzero(supp), idx))
+    a = np.outer(sqf[supp], sqf[supp]) * W * op.domain.cell_volume
+    return float(forms[0]), float(forms[1:].sum()), (supp, a, dh)
 
 
 def _error_objective(pieces, w_values):

@@ -119,9 +119,8 @@ def _check_operator_identities(rng: np.random.Generator) -> CheckResult:
     for op in ops:
         M = op.matrix
         mask = op.domain.interior_mask
-        # W on the interior columns and its exterior mass, from one pass:
-        # data vanishes outside the interior, so the exterior pair mass and
-        # the beyond-the-box tail both act through u_i v_i
+        # W on the interior columns and its exterior mass from one pass: data
+        # vanishes off the interior, so that mass and the tail act through u_i v_i
         outside, W = _pair_pass(op, (~mask).astype(float).reshape(1, -1, 1),
                                 (np.arange(op.n), np.flatnonzero(mask)))
         ext = outside[0, :, 0] + op.box_tail
