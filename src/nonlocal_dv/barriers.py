@@ -36,9 +36,7 @@ from .operators import (
     QuadratureScheme,
     SmoothFunction,
     _gauss_rule,
-    build_rule,
-    carre_du_champ,
-    nonlocal_laplacian,
+    pointwise_forms,
 )
 
 __all__ = [
@@ -402,7 +400,9 @@ def barrier_scan(config: BarrierConfig) -> BarrierReport:
     sign consistency of the two reference exponents on either side of the
     threshold alpha = s (evaluated on a smaller window where the
     asymptotic sign has set in).  Every rule uses ``_SCAN_QUAD``, radial
-    order 32.
+    order 32.  The forms L d^alpha and B(h, d^alpha) of every exponent on
+    one ladder come from one ``pointwise_forms`` call: one rule set when
+    the sign window's ladder is the distance ladder, else one per ladder.
     """
     spec = config.spec
     s = spec.s
@@ -410,27 +410,30 @@ def barrier_scan(config: BarrierConfig) -> BarrierReport:
     r = config.radius
     floor = config.floor
 
-    def rules_at(dists: np.ndarray) -> tuple[np.ndarray, list]:
-        # d^alpha has the same support and kinks for every alpha, and so
-        # the same rules
+    def evaluate(alphas: list[float], dists: np.ndarray) -> list[tuple]:
+        # (normalized values, drift column) per exponent, all on one rule
+        # set: d^alpha has the same support and kinks for every alpha
         xs = np.zeros((len(dists), dim))
         xs[:, 0] = r - dists
-        fns = (_distance_power(dim, r, 1.0),)
-        return xs, build_rule(spec, xs, _SCAN_QUAD,
-                              fns=fns if config.h is None else fns + (config.h,))
-
-    def evaluate(alpha: float, dists: np.ndarray, at: tuple[np.ndarray, list]):
-        xs, rules = at
-        u = _distance_power(dim, r, alpha)
-        lap = nonlocal_laplacian(u, spec, xs, _SCAN_QUAD, rule=rules)
-        drift = np.zeros(len(dists))
+        us = [_distance_power(dim, r, a) for a in alphas]
+        forms = [(u, None) for u in us]
         if config.h is not None:
-            drift = carre_du_champ(u, config.h, spec, xs, _SCAN_QUAD, rule=rules)
-        return dists ** (2.0 * s - alpha) * (lap + drift), drift
+            forms += [(u, config.h) for u in us]
+        vals = pointwise_forms(spec, xs, forms, _SCAN_QUAD)
+        drifts = vals[len(us):] if config.h is not None else np.zeros_like(vals)
+        return [(dists ** (2.0 * s - a) * (lap + drift), drift)
+                for a, lap, drift in zip(alphas, vals, drifts)]
 
+    refs = ((s / 2.0, "negative"), ((1.0 + s) / 2.0, "positive"))
+    ref_alphas = [a for a, _ in refs]
     distances = np.geomspace(config.delta, floor, config.points)
-    at = rules_at(distances)
-    normalized, drifts = evaluate(config.alpha, distances, at)
+    window = min(config.delta, 0.05 * r)
+    ladder = np.geomspace(max(window, floor * 1.5), floor, 3)
+    if np.array_equal(ladder, distances):
+        (normalized, drifts), *scans = evaluate([config.alpha, *ref_alphas], distances)
+    else:
+        [(normalized, drifts)] = evaluate([config.alpha], distances)
+        scans = evaluate(ref_alphas, ladder)
 
     significant = np.abs(drifts) > 1e-13
     if significant.sum() >= 2:
@@ -439,13 +442,7 @@ def barrier_scan(config: BarrierConfig) -> BarrierReport:
         drift_rate = np.inf
 
     checks: list[SignCheck] = []
-    window = min(config.delta, 0.05 * r)
-    ladder = np.geomspace(max(window, floor * 1.5), floor, 3)
-    if not np.array_equal(ladder, distances):
-        at = rules_at(ladder)
-    for a_ref, expected in ((s / 2.0, "negative"),
-                            ((1.0 + s) / 2.0, "positive")):
-        vals, _ = evaluate(a_ref, ladder, at)
+    for (a_ref, expected), (vals, _) in zip(refs, scans):
         lo, hi = float(vals.min()), float(vals.max())
         ok = hi < 0.0 if expected == "negative" else lo > 0.0
         checks.append(SignCheck(a_ref, lo, hi, expected, ok))

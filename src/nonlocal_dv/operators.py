@@ -7,7 +7,7 @@ For a kernel K this module evaluates, at a point x or at each row of an
     B(u, v)(x) = 1/2 Int (u(y) - u(x)) (v(y) - v(x)) K(x, y) dy,
 
 and so the drifted combination L u + B(u, h), whose two terms can share
-one rule (``build_rule`` with ``fns=(u, h)``).  The principal value is
+one rule set (``pointwise_forms``).  The principal value is
 handled by an inner rule whose nodes come in antipodal pairs (y, 2x - y)
 sharing one weight, so the odd part of the integrand cancels exactly and
 the remaining even part is integrable.  The radial direction uses
@@ -33,10 +33,10 @@ The rules of m points come in blocks of consecutive points
 one by one: the radii and panel edges are set point by point and the m
 tail masses come from one far-field pass, then each block holds the
 nodes and weights of its points, as many as one kernel chunk of at most
-``_KERNEL_CHUNK_BYTES`` of temporaries takes.  The evaluators read the
-blocks as they come, so the nodes they hold at once do not grow with m;
-``build_rule`` keeps every block, for rules that several functions
-share.  Every kernel value of the module and of the lattice's self-cell
+``_KERNEL_CHUNK_BYTES`` of temporaries takes.  The one evaluator,
+``pointwise_forms``, reads the blocks as they come, so the nodes it holds
+at once do not grow with m, and values all its forms on a block before
+the next.  Every kernel value of the module and of the lattice's self-cell
 moments is a sample on a ray y = x + rho theta, from constants fixed per
 node and direction (``_ray_constants``): kdir(theta) rho^(-N-2s) for a
 constant field, and for a separable field P and Q
@@ -59,9 +59,8 @@ from .kernels import KernelSpec
 __all__ = [
     "SmoothFunction",
     "QuadratureScheme",
-    "PointRule",
-    "build_rule",
     "far_field",
+    "pointwise_forms",
     "nonlocal_laplacian",
     "carre_du_champ",
     "gaussian",
@@ -270,7 +269,7 @@ class QuadratureScheme:
 
 
 @dataclass
-class PointRule:
+class _PointRule:
     """Quadrature rule for the region |y - x| <= quad_radius, plus tail.
 
     ``offsets``/``weights`` define a node rule containing the kernel
@@ -803,12 +802,15 @@ def _rule_radii(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
 
 
 def _points(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """x as an (m, dim) array of points, and whether it was one point."""
+    """x as an (m, dim) array of points, and whether it was one point of
+    shape (dim,).  Any other shape raises DomainError."""
     arr = np.asarray(x, dtype=float)
-    pts = arr if arr.ndim == 2 else arr.reshape(1, spec.dim)
-    if pts.shape[1] != spec.dim:
-        raise DomainError(f"points must have {spec.dim} coordinates, got shape {arr.shape}")
-    return pts, arr.ndim < 2
+    if arr.shape == (spec.dim,):
+        return arr.reshape(1, spec.dim), True
+    if arr.ndim != 2 or arr.shape[1] != spec.dim:
+        raise DomainError(f"points must have shape ({spec.dim},) or (m, {spec.dim}), "
+                          f"got {arr.shape}")
+    return arr, False
 
 
 def _spans(counts: Sequence[int], budget: int) -> Iterator[tuple[int, int]]:
@@ -825,7 +827,7 @@ def _spans(counts: Sequence[int], budget: int) -> Iterator[tuple[int, int]]:
 
 
 def _rule_blocks(spec: KernelSpec, pts: np.ndarray, quad: QuadratureScheme,
-                 fns: Sequence[SmoothFunction]) -> Iterator[list[PointRule]]:
+                 fns: Sequence[SmoothFunction]) -> Iterator[list[_PointRule]]:
     """The rules of the points of ``pts``, a block of consecutive points at
     a time.
 
@@ -886,28 +888,9 @@ def _rule_blocks(spec: KernelSpec, pts: np.ndarray, quad: QuadratureScheme,
             offsets[b:c] = (rho[:, None, None] * dirs).reshape(-1, dim)
             weights[b:c] = (np.outer(wr, aw)
                             * _ray_kernel(spec, rays, i, slice(None), rho)).reshape(-1)
-        yield [PointRule(x=pts[i], offsets=offsets[lo:hi], weights=weights[lo:hi],
-                         tail_mass=float(tails[i]), quad_radius=float(radii[i]))
+        yield [_PointRule(x=pts[i], offsets=offsets[lo:hi], weights=weights[lo:hi],
+                          tail_mass=float(tails[i]), quad_radius=float(radii[i]))
                for i, lo, hi in zip(range(first, last), starts, ends)]
-
-
-def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
-               fns: Sequence[SmoothFunction] = ()) -> PointRule | list[PointRule]:
-    """Assemble the pointwise rule at x for the given integrand functions.
-
-    The quadrature radius covers the supports of all ``fns`` (relative
-    to x); if any function has unbounded support, the radius is grown
-    until the kernel tail bound drops below the scheme's tail tolerance.
-
-    A point of shape (dim,) gives its rule; an (m, dim) array gives the
-    list of the m rules, each equal to the rule of its point alone: the
-    blocks of ``_rule_blocks`` one after another.  It holds the nodes of
-    every point at once, so it is for rules that several functions
-    share; an evaluator given points reads the blocks as they come.
-    """
-    pts, single = _points(spec, x)
-    rules = [r for block in _rule_blocks(spec, pts, quad, fns) for r in block]
-    return rules[0] if single else rules
 
 
 # --------------------------------------------------------------------------
@@ -916,85 +899,88 @@ def build_rule(spec: KernelSpec, x: np.ndarray, quad: QuadratureScheme,
 _DEFAULT = QuadratureScheme()
 
 
-def _apply(at_block: Callable[[Sequence[PointRule]], np.ndarray], spec: KernelSpec,
-           x: np.ndarray, quad: QuadratureScheme, rule: PointRule | Sequence[PointRule] | None,
-           fns: Sequence[SmoothFunction]) -> float | np.ndarray:
-    """An evaluator's values, a block of rules at a time: the blocks of
-    ``_rule_blocks`` at the points x, or the given rules in blocks of one
-    kernel chunk of nodes.  One rule, or one point, gives a float."""
-    if rule is None:
-        pts, single = _points(spec, x)
-        blocks = _rule_blocks(spec, pts, quad, fns)
-    elif isinstance(rule, PointRule):
-        blocks, single = [[rule]], True
-    else:
-        spans = _spans([len(r.weights) for r in rule], _chunk_rows(spec, 1))
-        blocks, single = (rule[lo:hi] for lo, hi in spans), False
-    vals = np.concatenate([at_block(b) for b in blocks] or [np.empty(0)])
-    return float(vals[0]) if single else vals
+def pointwise_forms(spec: KernelSpec, x: np.ndarray,
+                    forms: Sequence[tuple[SmoothFunction, SmoothFunction | None]],
+                    quad: QuadratureScheme = _DEFAULT) -> np.ndarray:
+    """Several pointwise forms at x on one rule set: a form (u, None) is
+    L u and a form (u, v) is B(u, v).
 
+    One rule set serves the distinct functions of the forms.  Its
+    quadrature radius covers all their supports (relative to x); if any
+    function has unbounded support, the radius is grown until the kernel
+    tail bound drops below the scheme's tail tolerance.  Its panel edges
+    honour all their kinks.  The rules are read a block at a time
+    (``_rule_blocks``): the nodes x + z of a block are formed once, and
+    each distinct function is called once at the block's points and once
+    at its nodes.  So the nodes held at once do not grow with the points.
 
-def _nodes(rules: Sequence[PointRule]) -> tuple[np.ndarray, np.ndarray]:
-    """The points of a block of rules and the nodes x + z of all of them."""
-    y = np.empty((sum(len(r.weights) for r in rules), len(rules[0].x)))
-    lo = 0
-    for r in rules:
-        np.add(r.x, r.offsets, out=y[lo:lo + len(r.weights)])
-        lo += len(r.weights)
-    return np.array([r.x for r in rules]), y
+    The far field of L u contributes (u_inf - u(x)) times the kernel tail
+    mass, exact whenever u equals its far value u_inf beyond the
+    quadrature radius.  The integrand of B(u, v) is O(|y - x|^(2 - N -
+    2s)) near x, so it needs no principal value and takes the paired-node
+    rule unchanged; its far field counts only where both supports lie
+    within the quadrature radius.
 
-
-def nonlocal_laplacian(u: SmoothFunction, spec: KernelSpec, x: np.ndarray,
-                       quad: QuadratureScheme = _DEFAULT,
-                       rule: PointRule | Sequence[PointRule] | None = None) -> float | np.ndarray:
-    """L u(x) = p.v. Int (u(y) - u(x)) K(x, y) dy.
-
-    The far field contributes -u(x) times the kernel tail mass, exact
-    whenever u vanishes beyond the quadrature radius.  An (m, dim) array
-    of points, or a list of their rules, gives the array of the m values.
-    The rules are read a block at a time, and u is called once per block
-    at all its nodes.
+    A point of shape (dim,) gives the ``len(forms)`` values, an (m, dim)
+    array of points shape (len(forms), m), each value equal bit for bit to
+    that of its point alone, and of its form alone on a rule set of the
+    same radii and kinks.
     """
-    return _apply(lambda rules: _laplacian_block(u, rules), spec, x, quad, rule, (u,))
+    pts, single = _points(spec, x)
+    fns = list({id(f): f for form in forms for f in form if f is not None}.values())
+    out = np.empty((len(forms), len(pts)))
+    first = 0
+    for rules in _rule_blocks(spec, pts, quad, fns):
+        xs = np.array([r.x for r in rules])
+        y = np.empty((sum(len(r.weights) for r in rules), spec.dim))
+        lo = 0
+        for r in rules:
+            np.add(r.x, r.offsets, out=y[lo:lo + len(r.weights)])
+            lo += len(r.weights)
+        at = {id(f): (f(xs), f(y)) for f in fns}
+        lo = 0
+        for k, r in enumerate(rules):
+            hi = lo + len(r.weights)
+            for j, (u, v) in enumerate(forms):
+                ux, uy = at[id(u)]
+                if v is None:
+                    out[j, first + k] = (np.dot(r.weights, uy[lo:hi] - ux[k])
+                                         + (u.far_value - ux[k]) * r.tail_mass)
+                    continue
+                vx, vy = at[id(v)]
+                val = 0.5 * np.dot(r.weights, (uy[lo:hi] - ux[k]) * (vy[lo:hi] - vx[k]))
+                if u.support_radius is not None and v.support_radius is not None:
+                    reach = float(np.linalg.norm(r.x))
+                    if max(u.support_radius, v.support_radius) + reach <= r.quad_radius + 1e-9:
+                        val += 0.5 * (u.far_value - ux[k]) * (v.far_value - vx[k]) * r.tail_mass
+                out[j, first + k] = val
+            lo = hi
+        first += len(rules)
+    return out[:, 0] if single else out
 
 
-def _laplacian_block(u: SmoothFunction, rules: Sequence[PointRule]) -> np.ndarray:
-    xs, y = _nodes(rules)
-    ux, uy = u(xs), u(y)
-    out = np.empty(len(rules))
-    lo = 0
-    for k, r in enumerate(rules):
-        hi = lo + len(r.weights)
-        out[k] = np.dot(r.weights, uy[lo:hi] - ux[k]) + (u.far_value - ux[k]) * r.tail_mass
-        lo = hi
-    return out
+def _one_form(vals: np.ndarray) -> float | np.ndarray:
+    """The one row of ``pointwise_forms``: a float for one point."""
+    return float(vals[0]) if vals.ndim == 1 else vals[0]
+
+
+def nonlocal_laplacian(u: SmoothFunction, spec: KernelSpec,
+                       x: np.ndarray) -> float | np.ndarray:
+    """L u(x) = p.v. Int (u(y) - u(x)) K(x, y) dy on the default scheme.
+
+    The form (u, None) of ``pointwise_forms`` alone, on the rules of u:
+    one point of shape (dim,) gives a float, an (m, dim) array of points
+    the array of the m values.
+    """
+    return _one_form(pointwise_forms(spec, x, [(u, None)]))
 
 
 def carre_du_champ(u: SmoothFunction, v: SmoothFunction, spec: KernelSpec,
-                   x: np.ndarray, quad: QuadratureScheme = _DEFAULT,
-                   rule: PointRule | Sequence[PointRule] | None = None) -> float | np.ndarray:
-    """B(u, v)(x) = 1/2 Int (u(y) - u(x)) (v(y) - v(x)) K(x, y) dy.
+                   x: np.ndarray) -> float | np.ndarray:
+    """B(u, v)(x) = 1/2 Int (u(y) - u(x)) (v(y) - v(x)) K(x, y) dy on the
+    default scheme.
 
-    The integrand is O(|y - x|^(2 - N - 2s)) near x, so no principal
-    value is needed; the paired-node rule is reused unchanged.  Points
-    and rules batch as in ``nonlocal_laplacian``.
+    The form (u, v) of ``pointwise_forms`` alone, on the rules of u and v;
+    points give values as in ``nonlocal_laplacian``.
     """
-    return _apply(lambda rules: _carre_du_champ_block(u, v, rules), spec, x, quad, rule,
-                  (u, v))
-
-
-def _carre_du_champ_block(u: SmoothFunction, v: SmoothFunction,
-                          rules: Sequence[PointRule]) -> np.ndarray:
-    xs, y = _nodes(rules)
-    ux, vx, uy, vy = u(xs), v(xs), u(y), v(y)
-    out = np.empty(len(rules))
-    lo = 0
-    for k, r in enumerate(rules):
-        hi = lo + len(r.weights)
-        out[k] = 0.5 * np.dot(r.weights, (uy[lo:hi] - ux[k]) * (vy[lo:hi] - vx[k]))
-        lo = hi
-        if u.support_radius is not None and v.support_radius is not None:
-            reach = float(np.linalg.norm(r.x))
-            if max(u.support_radius, v.support_radius) + reach <= r.quad_radius + 1e-9:
-                out[k] += 0.5 * (u.far_value - ux[k]) * (v.far_value - vx[k]) * r.tail_mass
-    return out
+    return _one_form(pointwise_forms(spec, x, [(u, v)]))

@@ -38,14 +38,7 @@ from .errors import (
 )
 from .kernels import fractional_kernel
 from .lattice import AssembledOperator, GridFunction, estimate_shift
-from .operators import (
-    QuadratureScheme,
-    SmoothFunction,
-    build_rule,
-    carre_du_champ,
-    interval_power,
-    nonlocal_laplacian,
-)
+from .operators import SmoothFunction, interval_power, pointwise_forms
 
 
 @dataclass(frozen=True)
@@ -328,10 +321,8 @@ def maxprinciple_violation_demo(s: float,
     half = int(round(0.95 / _DEMO_GRID_STEP))
     grid = np.arange(-half, half + 1) * _DEMO_GRID_STEP
     # u and the jump share their support and kinks, so one rule set serves both
-    xs = grid[:, None]
-    rules = build_rule(spec, xs, QuadratureScheme(), fns=(u, jump_unit))
-    base = -nonlocal_laplacian(u, spec, xs, rule=rules)
-    unit_term = carre_du_champ(u, jump_unit, spec, xs, rule=rules)
+    lap, unit_term = pointwise_forms(spec, grid[:, None], [(u, None), (u, jump_unit)])
+    base = -lap
 
     if drift_jump is None:
         positive = base > 0.0

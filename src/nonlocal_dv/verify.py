@@ -31,11 +31,10 @@ from .operators import (
     SmoothFunction,
     _gauss_rule,
     bump,
-    build_rule,
-    carre_du_champ,
     gaussian,
     interval_power,
     nonlocal_laplacian,
+    pointwise_forms,
     scaled,
     shifted,
     tanh_drift,
@@ -149,13 +148,9 @@ def _check_operator_identities(rng: np.random.Generator) -> CheckResult:
         xs = (np.array([[0.0], [-0.5], [0.3]]) if dim == 1 else
               np.array([[0.1, -0.2], [-0.4, 0.3]]))
         # w has the support of u and v the wider one, so u and w share a
-        # rule, and so do v and B(u, v)
-        near = build_rule(spec, xs, quad_scheme, fns=(u,))
-        wide = build_rule(spec, xs, quad_scheme, fns=(u, v))
-        lw = nonlocal_laplacian(w, spec, xs, rule=near)
-        lu = nonlocal_laplacian(u, spec, xs, rule=near)
-        lv = nonlocal_laplacian(v, spec, xs, rule=wide)
-        buv = carre_du_champ(u, v, spec, xs, rule=wide)
+        # rule set, and so do v and B(u, v)
+        lw, lu = pointwise_forms(spec, xs, [(w, None), (u, None)], quad_scheme)
+        lv, buv = pointwise_forms(spec, xs, [(v, None), (u, v)], quad_scheme)
         residual = np.abs(lw - u(xs) * lv - v(xs) * lu - 2.0 * buv)
         worst_point = max(worst_point, float(residual.max()))
     measure = max(worst_discrete, worst_point)

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from nonlocal_dv import lattice
+from nonlocal_dv import lattice, operators
 
 
 class TracedMemory(NamedTuple):
@@ -42,3 +42,13 @@ def pair_weights(op):
                                              op.self_cell_moments):
         W[sl] = w
     return W
+
+
+def rules(spec, x, quad, fns):
+    """The pointwise rules at x of the functions ``fns``: the rule of a
+    point of shape (dim,), or the list of the rules of an (m, dim) array.
+    The package holds no rule set; this gathers one, as a reference, from
+    the same blocks that ``pointwise_forms`` streams."""
+    pts, single = operators._points(spec, x)
+    got = [r for block in operators._rule_blocks(spec, pts, quad, fns) for r in block]
+    return got[0] if single else got

@@ -12,7 +12,7 @@ reference.
 
 import numpy as np
 import pytest
-from conftest import pair_weights
+from conftest import pair_weights, rules
 
 from nonlocal_dv import operators
 from nonlocal_dv.kernels import AnisotropyField, KernelSpec, spec_from_config
@@ -21,7 +21,6 @@ from nonlocal_dv.operators import (
     QuadratureScheme,
     SmoothFunction,
     _directions,
-    build_rule,
     bump,
     far_field,
     shifted,
@@ -218,7 +217,7 @@ def test_profile_sees_each_node_once_and_only_phases(variant):
     drift = tanh_drift(2, amplitude=0.3, slope=2.0)
     for stage in (lambda: far_field(counted, pts, start, quad),
                   lambda: far_field(counted, pts, start, quad, g=drift),
-                  lambda: build_rule(counted, pts, quad, fns=(drift,)),
+                  lambda: rules(counted, pts, quad, (drift,)),
                   lambda: _self_cell_moments(counted, pts, quad, 0.25)):
         seen.clear()
         stage()
@@ -248,7 +247,7 @@ def test_per_point_profile_through_hoisted_kernels(variant):
     for name in ("box_tail", "drift_far"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-13, atol=0.0)
     pts = dom.points[:3]
-    for g, w in zip(build_rule(looped, pts, quad, fns=(drift,)), build_rule(spec, pts, quad, fns=(drift,))):
+    for g, w in zip(rules(looped, pts, quad, (drift,)), rules(spec, pts, quad, (drift,))):
         np.testing.assert_allclose(g.weights, w.weights, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(g.tail_mass, w.tail_mass, rtol=1e-13, atol=0.0)
 

@@ -28,10 +28,8 @@ from nonlocal_dv.lattice import (
 from nonlocal_dv.operators import (
     QuadratureScheme,
     SmoothFunction,
-    build_rule,
     bump,
-    carre_du_champ,
-    nonlocal_laplacian,
+    pointwise_forms,
     tanh_drift,
 )
 
@@ -152,9 +150,8 @@ def test_matrix_apply_matches_pointwise_operator():
         xs = dom.interior_points
         ks = [k for k in range(0, len(xs), max(1, n // 8)) if abs(xs[k, 0]) <= 0.5]
         # L u + B(u, h) pointwise, both terms on one shared rule
-        rules = build_rule(spec, xs[ks], QuadratureScheme(), fns=(u_fn, h_fn))
-        pointwise = (nonlocal_laplacian(u_fn, spec, xs[ks], rule=rules)
-                     + carre_du_champ(u_fn, h_fn, spec, xs[ks], rule=rules))
+        lap, drift = pointwise_forms(spec, xs[ks], [(u_fn, None), (u_fn, h_fn)])
+        pointwise = lap + drift
         sup_err[n] = np.abs(applied[ks] - pointwise).max()
     assert sup_err[80] < sup_err[40]
     assert sup_err[80] < 5e-4

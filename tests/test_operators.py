@@ -9,9 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import rules
 from scipy.special import roots_jacobi, roots_legendre
 
-from nonlocal_dv import operators
+from nonlocal_dv import operators, verify
+from nonlocal_dv.barriers import BarrierConfig, barrier_scan
+from nonlocal_dv.spectral import maxprinciple_violation_demo
 from nonlocal_dv.errors import DomainError
 from nonlocal_dv.extrapolate import richardson_limit
 from nonlocal_dv.kernels import (
@@ -23,12 +26,13 @@ from nonlocal_dv.kernels import (
 from nonlocal_dv.operators import (
     QuadratureScheme,
     SmoothFunction,
-    build_rule,
     bump,
     carre_du_champ,
     gaussian,
     interval_power,
     nonlocal_laplacian,
+    pointwise_forms,
+    scaled,
     tanh_drift,
 )
 
@@ -96,7 +100,7 @@ def test_anisotropic_2d_reference():
     spec = _aniso_2d_spec()
     u = gaussian(2, width=0.9)
     x = np.array([0.3, -0.2])
-    got = nonlocal_laplacian(u, spec, x, _DOUBLED)
+    (got,) = pointwise_forms(spec, x, [(u, None)], _DOUBLED)
     assert got == pytest.approx(-6.080733673283, abs=1e-8)
 
 
@@ -105,7 +109,7 @@ def test_refinement_converges():
     u = gaussian(2, width=0.9)
     x = np.array([0.3, -0.2])
     ref = -6.080733673283
-    errs = [abs(nonlocal_laplacian(u, spec, x, quad) - ref)
+    errs = [abs(pointwise_forms(spec, x, [(u, None)], quad)[0] - ref)
             for quad in (QuadratureScheme(), _DOUBLED)]
     assert errs[1] < errs[0]
     assert errs[1] < 1e-8
@@ -120,11 +124,8 @@ def test_product_rule_on_shared_rule():
     uv = SmoothFunction(lambda p: u(p) * v(p), 1,
                         support_radius=min(u.support_radius, v.support_radius))
     x = np.array([0.2])
-    rule = build_rule(spec, x, QuadratureScheme(), fns=(u, v, uv))
-    lhs = nonlocal_laplacian(uv, spec, x, rule=rule)
-    rhs = (u(x) * nonlocal_laplacian(v, spec, x, rule=rule)
-           + v(x) * nonlocal_laplacian(u, spec, x, rule=rule)
-           + 2.0 * carre_du_champ(u, v, spec, x, rule=rule))
+    lhs, lv, lu, buv = pointwise_forms(spec, x, [(uv, None), (v, None), (u, None), (u, v)])
+    rhs = u(x) * lv + v(x) * lu + 2.0 * buv
     assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
@@ -144,9 +145,8 @@ def test_drifted_is_sum_of_parts():
     u = gaussian(2, width=0.9)
     h = SmoothFunction(lambda p: 0.45 * np.tanh(p[:, 0]), 2)
     x = np.array([0.3, -0.2])
-    rule = build_rule(spec, x, QuadratureScheme(), fns=(u, h))
-    whole = (nonlocal_laplacian(u, spec, x, rule=rule)
-             + carre_du_champ(u, h, spec, x, rule=rule))
+    lap, drift = pointwise_forms(spec, x, [(u, None), (u, h)])
+    whole = lap + drift
     parts = (nonlocal_laplacian(u, spec, x) + carre_du_champ(u, h, spec, x))
     assert whole == pytest.approx(parts, rel=1e-6)
 
@@ -157,8 +157,8 @@ def test_limit_toward_classical_laplacian():
     vals = []
     for s in (0.9, 0.95, 0.975):
         spec = fractional_kernel(1, s, normalized=True)
-        vals.append(nonlocal_laplacian(
-            gaussian(1), spec, np.array([0.0]), QuadratureScheme(radial_order=24)))
+        vals.append(pointwise_forms(spec, np.array([0.0]), [(gaussian(1), None)],
+                                    QuadratureScheme(radial_order=24))[0])
     limit = richardson_limit(vals, ratio=2.0).limit
     assert limit == pytest.approx(-1.0, abs=1e-2)
 
@@ -166,7 +166,7 @@ def test_limit_toward_classical_laplacian():
 def test_inner_nodes_are_antipodal_pairs():
     spec = _aniso_2d_spec()
     quad = QuadratureScheme()
-    rule = build_rule(spec, np.array([0.1, 0.2]), quad, fns=(gaussian(2),))
+    rule = rules(spec, np.array([0.1, 0.2]), quad, (gaussian(2),))
     # the rule opens with one +node per radius and half-set direction
     m = quad.radial_order * quad.angular_count // 2
     plus = rule.offsets[:m]
@@ -187,8 +187,8 @@ def test_tail_mass_drops_with_radius():
     # quadrature radius tracks the integrand support; the kernel mass
     # left beyond it decays like R^(-2s)
     spec = fractional_kernel(1, 0.5, normalized=True)
-    r1 = build_rule(spec, np.array([0.0]), QuadratureScheme(), fns=(bump(1, radius=2.0),))
-    r2 = build_rule(spec, np.array([0.0]), QuadratureScheme(), fns=(bump(1, radius=8.0),))
+    r1 = rules(spec, np.array([0.0]), QuadratureScheme(), (bump(1, radius=2.0),))
+    r2 = rules(spec, np.array([0.0]), QuadratureScheme(), (bump(1, radius=8.0),))
     assert 0 < r2.tail_mass < r1.tail_mass
     assert r1.tail_mass == pytest.approx(4.0 * r2.tail_mass, rel=1e-10)
 
@@ -230,38 +230,40 @@ def test_batch_equals_points(dim, variant):
     spec, u, h, pts = _batch_case(dim, variant)
     quad = QuadratureScheme()
     for fns in ((u,), (u, h)):
-        rules = build_rule(spec, pts, quad, fns=fns)
-        assert len(rules) == len(pts)
-        for x, rule in zip(pts, rules):
-            _assert_same_rule(rule, build_rule(spec, x, quad, fns=fns))
-    assert len({r.quad_radius for r in rules}) == len(pts)
+        batch = rules(spec, pts, quad, fns)
+        assert len(batch) == len(pts)
+        for x, rule in zip(pts, batch):
+            _assert_same_rule(rule, rules(spec, x, quad, fns))
+    assert len({r.quad_radius for r in batch}) == len(pts)
     lap = nonlocal_laplacian(u, spec, pts)
     drift = carre_du_champ(u, h, spec, pts)
     # L u + B(u, h) with both terms on the shared rules of (u, h)
-    whole = (nonlocal_laplacian(u, spec, pts, rule=rules)
-             + carre_du_champ(u, h, spec, pts, rule=rules))
+    shared = pointwise_forms(spec, pts, [(u, None), (u, h)])
+    whole = shared[0] + shared[1]
     for k, x in enumerate(pts):
         one = nonlocal_laplacian(u, spec, x)
         assert isinstance(one, float) and lap[k] == one
         assert drift[k] == carre_du_champ(u, h, spec, x)
-        rule = build_rule(spec, x, quad, fns=(u, h))
-        assert whole[k] == (nonlocal_laplacian(u, spec, x, rule=rule)
-                            + carre_du_champ(u, h, spec, x, rule=rule))
+        at_x = pointwise_forms(spec, x, [(u, None), (u, h)])
+        assert at_x.shape == (2,)
+        assert whole[k] == at_x[0] + at_x[1]
 
 
 @pytest.mark.parametrize("variant", ["constant", "separable_product"])
 def test_batch_across_kernel_chunks(monkeypatch, variant):
     spec, u, h, pts = _batch_case(2, variant)
     quad = QuadratureScheme()
-    want = [build_rule(spec, x, quad, fns=(u, h)) for x in pts]
+    want = [rules(spec, x, quad, (u, h)) for x in pts]
+    values = pointwise_forms(spec, pts, [(u, None), (u, h)])
     # 1000 rows per chunk: chunk edges fall inside points, and one point
     # spans several chunks
     monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", 1000 * 8 * (2 + 11))
     assert operators._chunk_rows(spec, 1) == 1000
-    got = build_rule(spec, pts, quad, fns=(u, h))
+    got = rules(spec, pts, quad, (u, h))
     assert min(len(r.weights) for r in got) > 2000
     for g, w in zip(got, want):
         _assert_same_rule(g, w)
+    assert np.array_equal(pointwise_forms(spec, pts, [(u, None), (u, h)]), values)
 
 
 @pytest.mark.parametrize("variant", ["constant", "separable_sum", "separable_product"])
@@ -278,8 +280,7 @@ def test_rule_weights_are_isotropic_weights_times_kernel_ratio(dim, variant):
     quad = QuadratureScheme()
     n_pair = quad.radial_order * len(operators._directions(dim, quad)[0]) // 2
     plus, minus = slice(0, n_pair), slice(n_pair, 2 * n_pair)
-    for got, ref in zip(build_rule(spec, pts, quad, fns=(u, h)),
-                        build_rule(iso, pts, quad, fns=(u, h))):
+    for got, ref in zip(rules(spec, pts, quad, (u, h)), rules(iso, pts, quad, (u, h))):
         z = got.offsets
         assert np.array_equal(z, ref.offsets)
         x = np.broadcast_to(got.x, z.shape)
@@ -293,17 +294,16 @@ def test_rule_weights_are_isotropic_weights_times_kernel_ratio(dim, variant):
 @pytest.mark.parametrize("variant", ["constant", "separable_sum", "separable_product"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_streamed_blocks_equal_points(monkeypatch, dim, variant):
-    # a budget of about two points of nodes: the evaluators read the rules
+    # a budget of about two points of nodes: the evaluator reads the rules
     # in several blocks whose edges fall between the points of one call,
-    # and given rules are split the same way, with every value unchanged
+    # for one form or for several on a shared rule set, with every value
+    # unchanged
     spec, u, h, pts = _batch_case(dim, variant)
     quad = QuadratureScheme()
     lap = [nonlocal_laplacian(u, spec, x) for x in pts]
     drift = [carre_du_champ(u, h, spec, x) for x in pts]
-    shared = [build_rule(spec, x, quad, fns=(u, h)) for x in pts]
-    whole = [nonlocal_laplacian(u, spec, x, rule=r) + carre_du_champ(u, h, spec, x, rule=r)
-             for x, r in zip(pts, shared)]
-    counts = [len(r.weights) for r in build_rule(spec, pts, quad, fns=(u,))]
+    whole = [a + b for a, b in (pointwise_forms(spec, x, [(u, None), (u, h)]) for x in pts)]
+    counts = [len(r.weights) for r in rules(spec, pts, quad, (u,))]
     rows = counts[0] + counts[1]
     monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", rows * 8 * (dim + 11))
     assert operators._chunk_rows(spec, 1) == rows
@@ -311,10 +311,115 @@ def test_streamed_blocks_equal_points(monkeypatch, dim, variant):
     assert len(blocks) > 1 and max(blocks) > 1
     assert nonlocal_laplacian(u, spec, pts).tolist() == lap
     assert carre_du_champ(u, h, spec, pts).tolist() == drift
-    rules = build_rule(spec, pts, quad, fns=(u, h))
-    got = (nonlocal_laplacian(u, spec, pts, rule=rules)
-           + carre_du_champ(u, h, spec, pts, rule=rules))
+    shared = pointwise_forms(spec, pts, [(u, None), (u, h)])
+    assert len(list(operators._rule_blocks(spec, pts, quad, (u, h)))) > 1
+    got = shared[0] + shared[1]
     assert got.tolist() == whole
+
+
+@pytest.mark.parametrize("variant", ["constant", "separable_sum", "separable_product"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_forms_equal_each_form_alone(monkeypatch, dim, variant):
+    # u and w = 2u have the same support and kinks, so every form of the
+    # two below, taken alone, has a rule set of the same radii and kinks
+    # as the shared one; each row equals it bit for bit, at every point of
+    # the batch and at the point alone, with one point to a block and with
+    # blocks that split points
+    spec, u, h, pts = _batch_case(dim, variant)
+    w = scaled(u, 2.0)
+    forms = [(u, None), (w, None), (u, w), (w, u), (u, u)]
+    want = np.array([pointwise_forms(spec, pts, [form])[0] for form in forms])
+    for bytes_ in (None, 1000 * 8 * (dim + 11)):
+        if bytes_ is not None:
+            monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", bytes_)
+        got = pointwise_forms(spec, pts, forms)
+        assert got.shape == (len(forms), len(pts))
+        assert np.array_equal(got, want)
+        for k, x in enumerate(pts):
+            assert np.array_equal(pointwise_forms(spec, x, forms), want[:, k])
+
+
+def _counted(f, calls):
+    """f with each call recorded in ``calls`` as its number of rows."""
+    def fn(p):
+        calls.append(len(p))
+        return f(p)
+    return SmoothFunction(fn, f.dim, support_radius=f.support_radius,
+                          kink_points=f.kink_points, kink_spheres=f.kink_spheres,
+                          far_value=f.far_value, plateau=f.plateau)
+
+
+def test_each_function_is_called_once_per_block(monkeypatch):
+    # on a rule set of several blocks each distinct function of the forms
+    # is called twice per block, at the block's points and at its nodes,
+    # however many forms name it
+    spec, u, h, pts = _batch_case(2, "separable_sum")
+    counts = [len(r.weights) for r in rules(spec, pts, QuadratureScheme(), (u, h))]
+    monkeypatch.setattr(operators, "_KERNEL_CHUNK_BYTES", (counts[0] + counts[1]) * 8 * (2 + 11))
+    blocks = [len(b) for b in operators._rule_blocks(spec, pts, QuadratureScheme(), (u, h))]
+    assert len(blocks) > 1 and max(blocks) > 1
+    calls = {"u": [], "h": []}
+    cu, ch = _counted(u, calls["u"]), _counted(h, calls["h"])
+    pointwise_forms(spec, pts, [(cu, None), (cu, ch), (ch, None), (ch, cu), (cu, cu)])
+    nodes = [sum(counts[lo:lo + n]) for lo, n in zip(np.cumsum([0] + blocks), blocks)]
+    for seen in calls.values():
+        assert seen == [n for pair in zip(blocks, nodes) for n in pair]
+
+
+@pytest.fixture
+def rule_sets(monkeypatch):
+    """``rule_sets()`` reads how many rule sets ``_rule_blocks`` has begun."""
+    begun = []
+    real = operators._rule_blocks
+
+    def counted(*args, **kwargs):
+        begun.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_rule_blocks", counted)
+    return lambda: len(begun)
+
+
+def _barrier_config(delta):
+    # the barrier-check of the benchmark's small_mix workload (delta 0.02)
+    spec = spec_from_config({"variant": "constant", "matrix": _MATRICES[2], "s": 0.5,
+                             "normalized": True})
+    return BarrierConfig("ball", 0.75, delta, spec, h=tanh_drift(2, amplitude=0.3),
+                         points=3, mesh=0.0025)
+
+
+def test_barrier_scan_shares_one_rule_set(monkeypatch, rule_sets):
+    # the sign ladder is the distance ladder at delta 0.02 (floor 0.01):
+    # L and B(., h) of alpha and of both reference exponents on one rule
+    # set, with d^alpha of each exponent and h each valued once at the
+    # nodes (nine node calls when every form had a call of its own)
+    rows = []
+    real = SmoothFunction.__call__
+
+    def counted(self, x):
+        rows.append(len(np.atleast_2d(x)))
+        return real(self, x)
+
+    monkeypatch.setattr(SmoothFunction, "__call__", counted)
+    rep = barrier_scan(_barrier_config(0.02))
+    assert np.array_equal(rep.distances, np.geomspace(0.02, 0.01, 3))
+    assert rule_sets() == 1
+    nodes = [n for n in rows if n > len(rep.distances)]
+    assert len(nodes) == 4 and len(set(nodes)) == 1
+
+
+def test_barrier_scan_with_its_own_sign_ladder(rule_sets):
+    # at delta 0.1 the sign window (0.05) gives a ladder of its own
+    barrier_scan(_barrier_config(0.1))
+    assert rule_sets() == 2
+
+
+def test_shared_rule_sets_of_the_demo_and_the_identities(rule_sets):
+    maxprinciple_violation_demo(0.5)
+    assert rule_sets() == 1
+    # two per dimension, 1 and 2
+    assert verify._check_operator_identities(np.random.default_rng(0)).passed
+    assert rule_sets() == 1 + 4
 
 
 def test_carre_du_champ_memory_does_not_grow_with_points(traced_memory):
@@ -348,9 +453,28 @@ def test_point_shapes():
         none = np.empty((0, dim))
         assert nonlocal_laplacian(gaussian(dim), spec, none).shape == (0,)
         assert carre_du_champ(gaussian(dim), bump(dim), spec, none).shape == (0,)
-        assert build_rule(spec, none, QuadratureScheme()) == []
+        forms = [(gaussian(dim), None), (gaussian(dim), bump(dim))]
+        assert pointwise_forms(spec, none, forms).shape == (2, 0)
+        assert rules(spec, none, QuadratureScheme(), ()) == []
     with pytest.raises(DomainError):
-        build_rule(fractional_kernel(2, 0.5), np.zeros((2, 4)), QuadratureScheme())
+        pointwise_forms(fractional_kernel(2, 0.5), np.zeros((2, 4)), [(gaussian(2), None)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (1, 1, 2)])
+def test_points_of_another_shape_raise(shape):
+    # x is one point (dim,) or an (m, dim) array; before, (3,) and
+    # (2, 2, 2) raised a bare ValueError from a reshape and (1, 1, 2) was
+    # taken as one point
+    spec = fractional_kernel(2, 0.5)
+    u, v = gaussian(2), bump(2)
+    x = np.zeros(shape)
+    with pytest.raises(DomainError, match="points must have shape"):
+        pointwise_forms(spec, x, [(u, None), (u, v)])
+    with pytest.raises(DomainError, match="points must have shape"):
+        nonlocal_laplacian(u, spec, x)
+    with pytest.raises(DomainError, match="points must have shape"):
+        carre_du_champ(u, v, spec, x)
 
 
 @pytest.mark.filterwarnings("error")
@@ -372,7 +496,7 @@ def test_point_without_finite_distance_gets_no_rule(monkeypatch, point, message)
     u, v = gaussian(2, 0.7), bump(2)
     pts = np.array([[0.1, 0.2], point])
     with pytest.raises(DomainError, match=message):
-        build_rule(spec, pts, QuadratureScheme(), fns=(u, v))
+        pointwise_forms(spec, pts, [(u, None), (u, v)])
     with pytest.raises(DomainError, match=message):
         nonlocal_laplacian(u, spec, pts)
     with pytest.raises(DomainError, match=message):
@@ -406,7 +530,7 @@ def test_batch_makes_one_far_field_call(monkeypatch):
     spec, u, h, pts = _batch_case(2, "separable_product")
     nonlocal_laplacian(u, spec, pts)
     carre_du_champ(u, h, spec, pts)
-    build_rule(spec, pts, QuadratureScheme(), fns=(u, h))
+    pointwise_forms(spec, pts, [(u, None), (u, h)])
     assert calls == {name: [len(pts)] * 3 for name in calls}
 
 
