@@ -913,6 +913,8 @@ def pointwise_forms(spec: KernelSpec, x: np.ndarray,
     (``_rule_blocks``): the nodes x + z of a block are formed once, and
     each distinct function is called once at the block's points and once
     at its nodes.  So the nodes held at once do not grow with the points.
+    The node sum of each form is one ``np.einsum`` loop, in a fixed order,
+    so no value depends on the BLAS thread count.
 
     The far field of L u contributes (u_inf - u(x)) times the kernel tail
     mass, exact whenever u equals its far value u_inf beyond the
@@ -944,11 +946,12 @@ def pointwise_forms(spec: KernelSpec, x: np.ndarray,
             for j, (u, v) in enumerate(forms):
                 ux, uy = at[id(u)]
                 if v is None:
-                    out[j, first + k] = (np.dot(r.weights, uy[lo:hi] - ux[k])
+                    out[j, first + k] = (np.einsum("i,i->", r.weights, uy[lo:hi] - ux[k])
                                          + (u.far_value - ux[k]) * r.tail_mass)
                     continue
                 vx, vy = at[id(v)]
-                val = 0.5 * np.dot(r.weights, (uy[lo:hi] - ux[k]) * (vy[lo:hi] - vx[k]))
+                val = 0.5 * np.einsum("i,i->", r.weights,
+                                      (uy[lo:hi] - ux[k]) * (vy[lo:hi] - vx[k]))
                 if u.support_radius is not None and v.support_radius is not None:
                     reach = float(np.linalg.norm(r.x))
                     if max(u.support_radius, v.support_radius) + reach <= r.quad_radius + 1e-9:

@@ -212,23 +212,27 @@ _AXIS_SHARE = 1e-6 * _SUM_TOL
 
 
 def _quadratic_form(Ainv: np.ndarray, axes) -> np.ndarray:
-    """<Ainv xi, xi> on the tensor grid of ``axes``, nested over the axes.
+    """<Ainv xi, xi> on the tensor grid of ``axes``, as one contraction.
 
-    Axis k adds xi_k (2 sum_{a<k} Ainv_ak xi_a + Ainv_kk xi_k) to the form
-    of the first k axes, so only the last step touches the full grid.
+    With xi = (xi_0, xi'), the form is Ainv_00 xi_0^2 + xi_0 l(xi') + q'(xi'),
+    l(xi') = sum_{a>=1} (Ainv_0a + Ainv_a0) xi_a and q' the form of the
+    trailing block, found the same way on the grid of xi'.  The full grid
+    is then the rank-3 contraction of [Ainv_00 xi_0^2, xi_0, 1] with
+    [1; l; q'] over their first index, one ``np.einsum`` loop with no BLAS:
+    its three terms are added in a fixed order, the same at every point
+    and at any BLAS thread count.  Since l is odd and q' even bit for bit,
+    so is the form.
     """
-    q = Ainv[0, 0] * axes[0] ** 2
-    for k in range(1, len(axes)):
-        # xi_a shaped to broadcast over the first k axes
-        cross = sum((Ainv[a, k] + Ainv[k, a])
-                    * axes[a].reshape((-1,) + (1,) * (k - 1 - a))
-                    for a in range(k))
-        x = axes[k]
-        step = cross[..., None] + Ainv[k, k] * x
-        step *= x
-        step += q[..., None]
-        q = step
-    return q
+    x = axes[0]
+    if len(axes) == 1:
+        return Ainv[0, 0] * x ** 2
+    rest = axes[1:]
+    # l on the grid of xi', each xi_a shaped to broadcast over it
+    lin = sum((Ainv[0, a] + Ainv[a, 0]) * y.reshape((-1,) + (1,) * (len(rest) - a))
+              for a, y in enumerate(rest, start=1))
+    left = np.array([Ainv[0, 0] * x ** 2, x, np.ones_like(x)])
+    right = np.array([np.ones(lin.shape), lin, _quadratic_form(Ainv[1:, 1:], rest)])
+    return np.einsum("ki,k...->i...", left, right)
 
 
 def _clamped_weight(Ainv: np.ndarray, s: float, freqs) -> np.ndarray:
@@ -274,18 +278,19 @@ def _grid_sum(Ainv: np.ndarray, s: float, freqs, ghat2) -> float:
     """Sum of max(<Ainv xi, xi>, 0)^s prod_k ghat2_k over the grid of ``freqs``.
 
     ``ghat2`` holds one array per axis, of the length of that axis.  The
-    factors of axes 1.. are multiplied into one array on their sub-grid;
-    the weight is multiplied by it and summed over those axes, and the
-    row sums are weighted by ghat2_0.  That is one product and one
-    reduction over the grid, in elementwise ops, so no BLAS is involved.
+    factors of axes 1.. are multiplied into one array on their sub-grid,
+    the weight is contracted with it over those axes by one ``np.einsum``
+    loop, and the row sums are weighted by ghat2_0 and summed.  Like the
+    weight's own contraction, these sums run in a fixed order and call no
+    BLAS, so their bits do not depend on the BLAS thread count.
     """
     weight = _clamped_weight(Ainv, s, freqs)
     rows = weight.reshape(len(freqs[0]), -1)
     trans = np.ones(())
     for factor in ghat2[1:]:
         trans = np.multiply.outer(trans, factor)
-    rows *= trans.reshape(-1)
-    return float(np.sum(rows.sum(axis=1) * ghat2[0]))
+    rowsums = np.einsum("ij,j->i", rows, trans.reshape(-1))
+    return float(np.sum(rowsums * ghat2[0]))
 
 
 def _mass_mask(ghat2: np.ndarray) -> np.ndarray:
@@ -331,7 +336,8 @@ def _half_sum(Ainv: np.ndarray, s: float, freqs, ghat2, keep) -> float:
     """Sum over the tensor set of the ``keep`` masks, from half of it.
 
     The summand is even under xi -> -xi bit for bit: ghat2 is even, and
-    ``_quadratic_form`` is, since negation is exact.  A Nyquist index
+    ``_quadratic_form`` is, since negation is exact and its contraction adds
+    the same terms in the same order at xi and -xi.  A Nyquist index
     (j = n/2 of an even n) has no mirror on the ``fftfreq`` grid, so the
     kept points with no Nyquist index form a centrally symmetric set.  Its
     sum is the sum over xi_0 >= 0, the slabs xi_0 > 0 counted twice.  The
@@ -430,6 +436,10 @@ def fourier_energy(matrix, g, s: float, extents=None, counts=None) -> float:
     kept axis sums.  Unless that bound is below 1e-18 of the kept sum, as
     for a factor whose spectrum does not decay, the full grid is summed,
     by halves as well.  The sampled route always sums the full grid.
+
+    On both routes the weight is one fixed-order ``np.einsum`` contraction
+    and the factor route's grid sums are ``np.einsum`` loops as well, with
+    no BLAS product, so the value does not depend on the BLAS thread count.
 
     A matrix or extents with an entry that is not finite, and counts that
     are not integers, raise DomainError.

@@ -1,7 +1,9 @@
 """Helpers shared by the test modules."""
 
 import contextlib
+import ctypes
 import tracemalloc
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -52,3 +54,16 @@ def rules(spec, x, quad, fns):
     pts, single = operators._points(spec, x)
     got = [r for block in operators._rule_blocks(spec, pts, quad, fns) for r in block]
     return got[0] if single else got
+
+
+def openblas_pool():
+    """(getter, setter) of the thread count of the OpenBLAS bundled with
+    numpy."""
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    (lib,) = sorted(libdir.glob("libscipy_openblas*.so"))
+    handle = ctypes.CDLL(str(lib))
+    getter = handle.scipy_openblas_get_num_threads64_
+    getter.restype = ctypes.c_int
+    setter = handle.scipy_openblas_set_num_threads64_
+    setter.argtypes = [ctypes.c_int]
+    return getter, setter

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import openblas_pool
 from nonlocal_dv import barriers, cli, lattice, operators, rate
 from nonlocal_dv.cli import main
 from nonlocal_dv.errors import ResolutionError
@@ -640,21 +641,6 @@ def test_unknown_check_id_exits_2(tmp_path, capsys):
     assert "checks" in capsys.readouterr().err
 
 
-def openblas_pool():
-    """(getter, setter) of the OpenBLAS copy bundled with numpy."""
-    import ctypes
-    from pathlib import Path
-
-    libdir = Path(np.__file__).parent.parent / "numpy.libs"
-    (lib,) = sorted(libdir.glob("libscipy_openblas*.so"))
-    handle = ctypes.CDLL(str(lib))
-    getter = handle.scipy_openblas_get_num_threads64_
-    getter.restype = ctypes.c_int
-    setter = handle.scipy_openblas_set_num_threads64_
-    setter.argtypes = [ctypes.c_int]
-    return getter, setter
-
-
 def test_threads_flag(tmp_path):
     assert main(["verify", "--threads", "0"]) == 2
     cfg = write_config(tmp_path, "cfg.json", {
@@ -672,26 +658,63 @@ def test_threads_flag(tmp_path):
         setter(before)
 
 
-def test_recover_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # the probe sums use no BLAS product, so one and two BLAS threads, and
-    # a second run, write the same bytes
-    cfg = write_config(tmp_path, "cfg.json", {
-        "kernel": {"variant": "constant", "matrix": [[1.6, 0.4], [0.4, 0.9]],
-                   "s": 0.5},
-    })
+def outputs_at_threads(tmp_path, command, payload):
+    """The output files of ``command`` at one BLAS thread, at two, and at
+    two again, as three {name: bytes}; the pool size is restored after."""
+    cfg = write_config(tmp_path, "cfg.json", payload)
     getter, setter = openblas_pool()
     before = getter()
     runs = []
     try:
         for sub, threads in (("a", "1"), ("b", "2"), ("c", "2")):
             out = tmp_path / sub
-            assert main(["recover-matrix", "--config", cfg, "--output-dir",
-                         str(out), "--threads", threads]) == 0
+            assert main([command, "--config", cfg, "--output-dir", str(out),
+                         "--threads", threads]) == 0
             runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     finally:
         setter(before)
+    return runs
+
+
+def test_recover_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the probe weight and its grid sums are fixed-order np.einsum
+    # contractions, with no BLAS product, so one and two BLAS threads, and
+    # a second run, write the same bytes
+    runs = outputs_at_threads(tmp_path, "recover-matrix", {
+        "kernel": {"variant": "constant", "matrix": [[1.6, 0.4], [0.4, 0.9]],
+                   "s": 0.5},
+    })
     assert sorted(runs[0]) == ["recover_matrix_data.csv",
                                "recover_matrix_summary.json"]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_recover_matrix_3d_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the same in 3-D, where each probe weight has 73 x 47 x 47 points,
+    # enough for a BLAS product to run on several threads
+    runs = outputs_at_threads(tmp_path, "recover-matrix", {
+        "kernel": {"variant": "constant", "s": 0.5, "normalized": True,
+                   "matrix": [[1.4, 0.3, -0.2], [0.3, 0.9, 0.25],
+                              [-0.2, 0.25, 1.7]]},
+    })
+    assert len(json.loads(runs[0]["recover_matrix_summary.json"])
+               ["results"]["recovered_matrix"]) == 3
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_barrier_check_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the rules of a 2-D ball at mesh 0.0025 have 10-15k nodes a point,
+    # where a BLAS dot splits across threads; the node sums of
+    # pointwise_forms are np.einsum loops in a fixed order instead
+    runs = outputs_at_threads(tmp_path, "barrier-check", {
+        "kernel": {"variant": "constant", "s": 0.5, "normalized": True,
+                   "matrix": [[0.85, 0.27], [0.27, 1.29]]},
+        "barrier": {"domain": "ball", "alpha": 0.75, "delta": 0.02,
+                    "points": 3, "mesh": 0.0025},
+        "drift": {"kind": "tanh", "slope": 2.0, "amplitude": 0.25},
+    })
+    assert sorted(runs[0]) == ["barrier_check_data.csv",
+                               "barrier_check_summary.json"]
     assert runs[0] == runs[1] == runs[2]
 
 

@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from conftest import openblas_pool
 from nonlocal_dv.errors import (
     DomainError,
     OracleInconsistencyError,
@@ -29,7 +30,7 @@ from nonlocal_dv.operators import (
     scaled,
     shifted,
 )
-from nonlocal_dv import recovery
+from nonlocal_dv import cli, recovery
 from nonlocal_dv.rate import DensitySpec, I_closed_form_h0, density_lattice
 from nonlocal_dv.recovery import (
     GaussianProbe,
@@ -499,6 +500,76 @@ def test_dropped_bound_holds(dim, monkeypatch):
     dropped = grid_sum([np.ones(c, dtype=bool) for c in cnt]) - grid_sum(keep)
     bound = recovery._dropped_bound(Ainv, 0.5, freqs, ghat2, keep)
     assert 0.0 < dropped <= bound
+
+
+def xi_axes(counts):
+    """Frequency axes 2 pi fftfreq(n): xi at index n - j is exactly -xi at
+    index j, and an even n has the Nyquist index n/2 with no mirror."""
+    return [2 * np.pi * np.fft.fftfreq(n, d=0.3) for n in counts]
+
+
+# the large grid is one on which a BLAS product of the same factors was
+# neither even nor the same at one and two threads
+FORM_COUNTS = pytest.mark.parametrize(
+    "counts", [[32, 24, 20], [33, 25, 19], [32, 25, 20], [97, 75, 66]],
+    ids=["even", "odd", "mixed", "large"])
+
+
+@FORM_COUNTS
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_quadratic_form_matches_written_out_sum(dim, counts):
+    # sum_ab A_ab xi_a xi_b, term by term, to 8 ulp of sum_ab |terms|
+    rng = np.random.default_rng(60 + dim)
+    freqs = xi_axes(counts[:dim])
+    xi = np.meshgrid(*freqs, indexing="ij")
+    for _ in range(5):
+        Ainv = random_spd(rng, dim)
+        terms = [Ainv[a, b] * xi[a] * xi[b] for a in range(dim) for b in range(dim)]
+        ref = sum(terms)
+        scale = sum(np.abs(t) for t in terms)
+        got = recovery._quadratic_form(Ainv, freqs)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 8 * np.spacing(scale))
+
+
+@FORM_COUNTS
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_quadratic_form_is_even_bit_for_bit(dim, counts):
+    # q(-xi) = q(xi) exactly at every point without a Nyquist index, which
+    # _half_sum's sum over half the grid relies on
+    rng = np.random.default_rng(70 + dim)
+    cnt = counts[:dim]
+    freqs = xi_axes(cnt)
+    idx = [np.flatnonzero(2 * np.arange(n) != n) for n in cnt]
+    mirror = [(n - j) % n for j, n in zip(idx, cnt)]
+    for _ in range(5):
+        q = recovery._quadratic_form(random_spd(rng, dim), freqs)
+        assert np.array_equal(q[np.ix_(*idx)], q[np.ix_(*mirror)])
+
+
+@pytest.mark.parametrize("counts", [[73, 47, 47], [97, 75, 66]],
+                         ids=["probe", "large"])
+def test_probe_sums_do_not_depend_on_blas_threads(counts):
+    # the weight and its grid sum have the same bits at one and two BLAS
+    # threads, on the 73 x 47 x 47 half grid of a 3-D probe and on a grid
+    # where a BLAS product was not
+    rng = np.random.default_rng(80)
+    freqs = xi_axes(counts)
+    ghat2 = [np.exp(-0.5 * x ** 2) for x in freqs]
+    getter, setter = openblas_pool()
+    before = getter()
+    try:
+        for _ in range(10):
+            Ainv = random_spd(rng, 3)
+            got = []
+            for threads in (1, 2):
+                assert cli._set_blas_threads(threads)
+                got.append((recovery._quadratic_form(Ainv, freqs),
+                            recovery._grid_sum(Ainv, 0.5, freqs, ghat2)))
+            assert np.array_equal(got[0][0], got[1][0])
+            assert got[0][1] == got[1][1]
+    finally:
+        setter(before)
 
 
 def test_probe_frame_identities():
