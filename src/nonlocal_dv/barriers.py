@@ -307,10 +307,11 @@ class BarrierConfig:
 
     The domain is the ball of the given radius about the origin (an
     interval in one dimension); scan points run along the positive first
-    axis at boundary distances in (d_min, delta].  ``mesh`` is the
-    resolution scale of the singular quadrature; distances below four
-    times it are not scanned because the blow-up cannot be resolved
-    there, and the resolved floor is reported.
+    axis at boundary distances in [floor, delta], with floor = 4 mesh:
+    closer to the boundary the blow-up is not resolved, so no distance
+    below the floor is scanned, and the report gives the floor as
+    ``d_min``.  ``mesh`` sets only this floor; every rule of the scan
+    uses the fixed ``_SCAN_QUAD``.
     """
 
     domain: str
@@ -321,7 +322,6 @@ class BarrierConfig:
     radius: float = 1.0
     points: int = 8
     mesh: float = 0.005
-    d_min: float | None = None
 
     def __post_init__(self) -> None:
         if self.domain not in ("interval", "ball"):
@@ -344,14 +344,14 @@ class BarrierConfig:
             raise DomainError("need at least two scan points")
         if self.mesh <= 0.0:
             raise DomainError("mesh must be positive")
-        if self.floor <= 0.0 or self.floor >= self.delta:
+        if self.floor >= self.delta:
             raise DomainError(
                 f"scan floor {self.floor:.4g} must lie below the layer "
                 f"width {self.delta:.4g}")
 
     @property
     def floor(self) -> float:
-        return self.d_min if self.d_min is not None else 4.0 * self.mesh
+        return 4.0 * self.mesh
 
 
 @dataclass(frozen=True)

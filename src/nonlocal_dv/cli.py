@@ -26,13 +26,21 @@ names.
 The ``kernel`` block takes ``variant``, ``matrix``, ``s``, ``normalized``
 and ``amplitude``; the lower ellipticity bound of the spec is derived from
 the matrix and the amplitude (``kernels.spec_from_config``), and any other
-key exits with status 2 at ``kernel``.
+key exits with status 2 at ``kernel``.  Likewise a density is always
+normalized to unit lattice mass and the barrier scan floor is always 4
+``mesh``, so ``density.normalize`` and ``barrier.d_min`` are not keys: a
+config with either exits with status 2 at its block.  ``checks`` names at
+least one check.
 
 The summary is written to ``output.json`` and the data to ``output.csv``
-(by default ``<command>_summary.json`` and ``<command>_data.csv``);
-``eigen`` and ``dv-functional`` also write the grid of their CSV to its
-``.json`` sidecar.  A summary path equal to the CSV path, or to that
-sidecar, exits with status 2 before anything is computed.
+(by default ``<command>_summary.json`` and ``<command>_data.csv`` in
+``--output-dir``); ``eigen`` and ``dv-functional`` also write the grid of
+their CSV to its ``.json`` sidecar.  Every file goes through one of two
+writers, ``_write_json`` and ``_write_csv``; no other module writes a
+file.  Each output path is settled before anything is computed: missing
+directories are made, and removed again if the run fails, while two
+outputs on one path, or an output path that is a directory, exit with
+status 2 at ``output.json`` or ``output.csv``.
 
 Outputs are deterministic: for a fixed config file and seed the written
 JSON and CSV files are byte-identical across runs.  Each JSON summary
@@ -86,14 +94,13 @@ import operator
 import os
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .barriers import BarrierConfig, barrier_scan, flat_limit_reference
 from .errors import ConfigError, DomainError, NonlocalError
 from .kernels import spec_from_config
-from .lattice import LatticeDomain, assemble
+from .lattice import GridFunction, LatticeDomain, assemble
 from .operators import (
     SmoothFunction,
     bump,
@@ -196,7 +203,6 @@ _TOP_PROPERTIES = {
         "properties": {
             "profile": _FUNCTION,
             "cells": {"type": "integer", "minimum": 8},
-            "normalize": _BOOL,
         },
         "required": ["profile"],
         "additionalProperties": False,
@@ -223,7 +229,6 @@ _TOP_PROPERTIES = {
             "radius": _POS,
             "points": {"type": "integer", "minimum": 2},
             "mesh": _POS,
-            "d_min": _POS,
         },
         "required": ["domain", "alpha", "delta"],
         "additionalProperties": False,
@@ -246,7 +251,7 @@ _TOP_PROPERTIES = {
         "required": ["function", "points"],
         "additionalProperties": False,
     },
-    "checks": {"type": "array", "items": {"type": "string"}},
+    "checks": {"type": "array", "items": {"type": "string"}, "minItems": 1},
     "output": {
         "type": "object",
         "properties": {
@@ -524,13 +529,11 @@ def _density_from_config(block: dict, dim: int) -> tuple[DensitySpec, LatticeDom
     # scaling keeps the support radius and the centre, so the lattice of
     # the profile is that of the density
     dom = density_lattice(DensitySpec(fn), cells=block.get("cells"))
-    if block.get("normalize", True):
-        mass = float(fn(dom.interior_points).sum() * dom.cell_volume)
-        if mass <= 0.0:
-            raise ConfigError("density profile has nonpositive mass",
-                              field_path="density.profile")
-        fn = scaled(fn, 1.0 / mass)
-    return DensitySpec(fn), dom
+    mass = float(fn(dom.interior_points).sum() * dom.cell_volume)
+    if mass <= 0.0:
+        raise ConfigError("density profile has nonpositive mass",
+                          field_path="density.profile")
+    return DensitySpec(scaled(fn, 1.0 / mass)), dom
 
 
 # ---------------------------------------------------------------------------
@@ -563,21 +566,11 @@ def _config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_summary(path: Path, command: str, seed: int, results: dict,
-                   sources: dict, digest: str) -> None:
-    summary = {
-        "command": command,
-        "seed": seed,
-        "results": _jsonable(results),
-        "provenance": {
-            "tool": "nonlocal-dv",
-            "version": _VERSION,
-            "config_sha256": digest,
-            "sources": sources,
-        },
-    }
+def _write_json(path: Path, value) -> None:
+    """The one JSON writer: the summary and the grid sidecar."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(_jsonable(value), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -587,17 +580,17 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _rows_writer(header: tuple[str, ...], rows) -> Callable[[Path], None]:
-    def write(path: Path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(header)
-            out.writerows([_csv_cell(v) for v in row] for row in rows)
-    return write
+def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+    """The one CSV writer: a header, then one line per row."""
+    with open(path, "w", newline="\n") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_csv_cell(v) for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (exit code, results, sources, csv writer)
+# command handlers; each returns (exit code, results, sources, table), the
+# table being (header, rows) or the GridFunction of a sidecar command
 
 
 def _cmd_operator_eval(cfg: dict, seed: int):
@@ -629,7 +622,7 @@ def _cmd_operator_eval(cfg: dict, seed: int):
     }
     header = tuple(f"x{a}" for a in range(dim)) + ("laplacian", "drift_form",
                                                    "drifted")
-    return 0, results, sources, _rows_writer(header, rows)
+    return 0, results, sources, (header, rows)
 
 
 def _cmd_eigen(cfg: dict, seed: int):
@@ -664,7 +657,7 @@ def _cmd_eigen(cfg: dict, seed: int):
             "nonlocal_dv.spectral.dense_eigenpair"
             if pair.lambda1_lower is None
             else "nonlocal_dv.spectral.perron_eigenvalue")
-    return 0, results, sources, pair.phi1.save
+    return 0, results, sources, pair.phi1
 
 
 def _cmd_dv_functional(cfg: dict, seed: int):
@@ -692,7 +685,7 @@ def _cmd_dv_functional(cfg: dict, seed: int):
     if h is None:
         results["closed_form_no_drift"] = parts.energy
         sources["closed_form_no_drift"] = "nonlocal_dv.rate.I_closed_form_h0"
-    return 0, results, sources, parts.w_min.save
+    return 0, results, sources, parts.w_min
 
 
 def _cmd_recover_matrix(cfg: dict, seed: int):
@@ -732,7 +725,7 @@ def _cmd_recover_matrix(cfg: dict, seed: int):
              p.error_estimate) for p in report.probes]
     header = ("transform_tag", "lambda", "raw_energy", "normalized_energy",
               "error_estimate")
-    return 0, results, sources, _rows_writer(header, rows)
+    return 0, results, sources, (header, rows)
 
 
 def _cmd_recover_drift(cfg: dict, seed: int):
@@ -769,7 +762,7 @@ def _cmd_recover_drift(cfg: dict, seed: int):
     }
     rows = list(zip(res.lambdas, res.values, res.pair_values))
     header = ("lambda", "integrated_estimate", "pairing_estimate")
-    return 0, results, sources, _rows_writer(header, rows)
+    return 0, results, sources, (header, rows)
 
 
 def _cmd_barrier_check(cfg: dict, seed: int):
@@ -783,8 +776,7 @@ def _cmd_barrier_check(cfg: dict, seed: int):
             delta=float(block["delta"]), spec=spec, h=h,
             radius=float(block.get("radius", 1.0)),
             points=int(block.get("points", 8)),
-            mesh=float(block.get("mesh", 0.005)),
-            d_min=block.get("d_min"))
+            mesh=float(block.get("mesh", 0.005)))
     except NonlocalError as exc:
         raise ConfigError(str(exc), field_path="barrier") from exc
     _log.info("scanning %d boundary distances", config.points)
@@ -809,7 +801,7 @@ def _cmd_barrier_check(cfg: dict, seed: int):
     }
     rows = list(zip(rep.distances, rep.normalized_values, rep.drift_values))
     header = ("d", "normalized_value", "drift_term")
-    return 0, results, sources, _rows_writer(header, rows)
+    return 0, results, sources, (header, rows)
 
 
 def _cmd_verify(cfg: dict, seed: int):
@@ -834,8 +826,7 @@ def _cmd_verify(cfg: dict, seed: int):
     rows = [(c.check_id, int(c.passed), c.measure, c.threshold)
             for c in checks]
     header = ("check_id", "passed", "measure", "threshold")
-    return (0 if all_passed else 3), results, sources, _rows_writer(header,
-                                                                    rows)
+    return (0 if all_passed else 3), results, sources, (header, rows)
 
 
 _HANDLERS = {
@@ -882,20 +873,25 @@ def _configure_logging() -> None:
 _SIDECAR_COMMANDS = ("eigen", "dv-functional")
 
 
-def _output_paths(cfg: dict, command: str, out_dir: Path) -> tuple[Path, Path]:
-    """Summary and CSV paths; ConfigError if one output would overwrite
-    the summary."""
+def _output_paths(cfg: dict, command: str,
+                  out_dir: Path) -> list[tuple[str, Path]]:
+    """Each path the command writes, with the config key that names it:
+    the summary, the CSV and, for a sidecar command, the CSV's grid
+    sidecar.  ConfigError at the earlier key if two paths coincide."""
     out = cfg.get("output", {})
     stem = command.replace("-", "_")
-    json_path = out_dir / out.get("json", f"{stem}_summary.json")
     csv_path = out_dir / out.get("csv", f"{stem}_data.csv")
-    if json_path == csv_path:
-        raise ConfigError("the summary and the CSV share the path "
-                          f"{json_path}", field_path="output.json")
-    if command in _SIDECAR_COMMANDS and json_path == csv_path.with_suffix(".json"):
-        raise ConfigError(f"the summary path {json_path} is the JSON sidecar "
-                          "of the CSV", field_path="output.json")
-    return json_path, csv_path
+    paths = [("output.json", out_dir / out.get("json", f"{stem}_summary.json")),
+             ("output.csv", csv_path)]
+    # a CSV path without a name is a directory, refused by _run
+    if command in _SIDECAR_COMMANDS and csv_path.name:
+        paths.append(("output.csv", csv_path.with_suffix(".json")))
+    for k, (_, path) in enumerate(paths):
+        for field, earlier in paths[:k]:
+            if path == earlier:
+                raise ConfigError(f"two outputs share the path {path}",
+                                  field_path=field)
+    return paths
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -912,24 +908,47 @@ def _run(args: argparse.Namespace) -> int:
     if seed < 0:
         raise ConfigError("seed must be nonnegative", field_path="--seed")
     out_dir = Path(args.output_dir)
-    json_path, csv_path = _output_paths(cfg, command, out_dir)
-    # made before the run, so that an unwritable path fails early, and
-    # removed again, innermost first, if the handler raises
-    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    paths = _output_paths(cfg, command, out_dir)
+    # every missing directory is made before the run, so that an
+    # unwritable path or one that names a directory fails early, and
+    # removed again, innermost first, if the run raises; a ".." names a
+    # directory made or kept under another name
+    dirs = [("--output-dir", out_dir)] + [(f, p.parent) for f, p in paths]
+    created = sorted({d for _, top in dirs for d in (top, *top.parents)
+                      if d.name != ".." and not d.exists()},
+                     key=lambda d: -len(d.parts))
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory: {exc}",
-                          field_path="--output-dir") from exc
-    try:
-        code, results, sources, write_csv = _HANDLERS[command](cfg, seed)
+        for field, directory in dirs:
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory: {exc}",
+                                  field_path=field) from exc
+        for field, path in paths:
+            if path.is_dir():
+                raise ConfigError(f"the output path {path} is a directory",
+                                  field_path=field)
+        code, results, sources, table = _HANDLERS[command](cfg, seed)
     except BaseException:
-        for path in created:  # the handler writes no file
-            path.rmdir()
+        for directory in created:  # the handler writes no file
+            if directory.is_dir():
+                directory.rmdir()
         raise
-    _write_summary(json_path, command, seed, results, sources,
-                   _config_digest(cfg))
-    write_csv(csv_path)
+    (_, json_path), (_, csv_path) = paths[:2]
+    _write_json(json_path, {
+        "command": command, "seed": seed, "results": results,
+        "provenance": {"tool": "nonlocal-dv", "version": _VERSION,
+                       "config_sha256": _config_digest(cfg),
+                       "sources": sources}})
+    if isinstance(table, GridFunction):
+        dom = table.domain
+        _write_json(csv_path.with_suffix(".json"), {
+            key: getattr(dom, key) for key in ("descriptor", "lower", "upper",
+                                               "spacing", "shape", "n_interior")})
+        table = (("index", *(f"x{a}" for a in range(dom.dim)), "value"),
+                 [(i, *x, v) for i, (x, v) in enumerate(
+                     zip(dom.interior_points.tolist(), table.values.tolist()))])
+    _write_csv(csv_path, *table)
     print(f"wrote {json_path} and {csv_path}")
     return code
 

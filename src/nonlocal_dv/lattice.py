@@ -64,10 +64,8 @@ pair form of the interior rows with every exterior column counted twice
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -192,28 +190,6 @@ class GridFunction:
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
         if len(self.values) != self.domain.n_interior:
             raise DomainError("value count does not match interior node count")
-
-    def save(self, csv_path: str | Path) -> None:
-        """CSV rows (index, coordinates..., value) plus a JSON sidecar."""
-        csv_path = Path(csv_path)
-        pts = self.domain.interior_points
-        with open(csv_path, "w") as fh:
-            cols = ",".join(f"x{a}" for a in range(self.domain.dim))
-            fh.write(f"index,{cols},value\n")
-            for i, (p, v) in enumerate(zip(pts, self.values)):
-                coord = ",".join(repr(float(c)) for c in p)
-                fh.write(f"{i},{coord},{float(v)!r}\n")
-        meta = {
-            "descriptor": self.domain.descriptor,
-            "lower": [float(v) for v in self.domain.lower],
-            "upper": [float(v) for v in self.domain.upper],
-            "spacing": self.domain.spacing,
-            "shape": list(self.domain.shape),
-            "n_interior": self.domain.n_interior,
-        }
-        with open(csv_path.with_suffix(".json"), "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 # --------------------------------------------------------------------------

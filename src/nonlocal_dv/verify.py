@@ -380,17 +380,18 @@ def _check_eigen_consistency(rng: np.random.Generator) -> CheckResult:
         (50, 0.45, None),
         (60, 0.35, lambda p: np.cos(2.0 * p[:, 0])),
     ]
+    ops = [build(*instance) for instance in instances]
     worst_gap = 0.0
     min_phi = np.inf
-    for n, amp, pot in instances:
-        op = build(n, amp, pot)
+    for op in ops:
         pair = principal_eigenpair(op, tol=tol, max_iter=400)
         dense = pair.dense_lambda1
         gap = abs(pair.lambda1 - dense) / max(1.0, abs(dense))
         worst_gap = max(worst_gap, gap)
         min_phi = min(min_phi, float(pair.phi1.values.min()))
-    # adding a constant to the potential shifts the eigenvalue exactly
-    op = build(40, 0.3, lambda p: np.cos(3.0 * p[:, 0]))
+    # adding a constant to the potential shifts the eigenvalue exactly: the
+    # fifth instance, cos 3x on 40 cells
+    op = ops[4]
     shift = 3.7
     op_shifted = dataclasses.replace(op, matrix=op.matrix + shift * np.eye(op.n))
     shift_err = abs(dense_eigenpair(op_shifted).lambda1

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import openblas_pool
-from nonlocal_dv import barriers, cli, lattice, operators, rate
+from nonlocal_dv import barriers, cli, lattice, operators, rate, spectral
 from nonlocal_dv.cli import main
 from nonlocal_dv.errors import ResolutionError
 
@@ -517,6 +517,76 @@ def test_summary_path_equal_to_csv_sidecar_exits_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_csv_path_equal_to_its_sidecar_exits_2(tmp_path, capsys):
+    # a CSV named <stem>.json is its own sidecar, which would replace it
+    cfg = write_config(tmp_path, "cfg.json", dict(
+        EIGEN_1D, output={"csv": "grid.json"}))
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", cfg, "--output-dir", str(out)]) == 2
+    assert "config error at 'output.csv':" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_function_serialization(tmp_path, monkeypatch):
+    # eigen writes its principal function through the one CSV writer:
+    # rows (index, x0, value) that read back as the floats they were,
+    # and the grid beside them in the JSON sidecar
+    pairs = []
+
+    def recorded(*args, **kwargs):
+        pairs.append(spectral.principal_eigenpair(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(cli, "principal_eigenpair", recorded)
+    cfg = write_config(tmp_path, "cfg.json", EIGEN_1D)
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", cfg, "--output-dir", str(out)]) == 0
+    phi = pairs[0].phi1
+    lines = csv_lines(out, "eigen")
+    assert lines[0] == "index,x0,value"
+    assert len(lines) == phi.domain.n_interior + 1
+    back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(back[:, 0], np.arange(phi.domain.n_interior))
+    assert np.array_equal(back[:, 1], phi.domain.interior_points[:, 0])
+    assert np.array_equal(back[:, 2], phi.values)
+    meta = json.loads((out / "eigen_data.json").read_text())
+    assert set(meta) == {"descriptor", "lower", "upper", "spacing", "shape",
+                         "n_interior"}
+    assert meta["n_interior"] == phi.domain.n_interior
+    assert meta["spacing"] == phi.domain.spacing
+
+
+def test_summary_in_missing_subdirectory_is_written(tmp_path):
+    # the summary's directory is made before the run, like --output-dir
+    cfg = write_config(tmp_path, "cfg.json", dict(
+        EIGEN_1D, output={"json": "nosuchdir/x.json"}))
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", cfg, "--output-dir", str(out)]) == 0
+    summary = json.loads((out / "nosuchdir" / "x.json").read_text())
+    assert summary["command"] == "eigen"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "eigen_data.csv", "eigen_data.json", "nosuchdir"]
+
+
+@pytest.mark.parametrize("command, payload", [("eigen", EIGEN_1D), (
+    "operator-eval", {"kernel": KERNEL_1D,
+                      "eval": {"function": {"kind": "bump"}, "points": [[0.0]]}},
+)])
+@pytest.mark.parametrize("output, out_dir", [
+    ({"csv": "."}, "out"), ({"csv": "."}, ""),
+    ({"json": "sub/x.json", "csv": "sub"}, "out"), ({"csv": "sub/.."}, "out")])
+def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, command,
+                                                 payload, output, out_dir):
+    # "." and "sub/.." are the output directory itself, to be made or
+    # already there, and "sub" the directory made for the summary: each is
+    # refused before the run, and nothing stays
+    cfg = write_config(tmp_path, "cfg.json", dict(payload, output=output))
+    out = tmp_path / out_dir
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+    assert "config error at 'output.csv':" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command, payload", [("eigen", EIGEN_1D),
                                               ("recover-matrix", {})])
 def test_amplitude_on_constant_kernel_exits_2(tmp_path, capsys, command,
@@ -639,6 +709,17 @@ def test_unknown_check_id_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {"checks": ["nope"]})
     assert main(["verify", "--config", cfg]) == 2
     assert "checks" in capsys.readouterr().err
+
+
+def test_verify_with_no_checks_exits_2(tmp_path, capsys):
+    # an empty list would pass having run nothing
+    cfg = write_config(tmp_path, "cfg.json", {"checks": []})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error at 'checks':" in captured.err
+    assert "PASS" not in captured.out
+    assert not out.exists()
 
 
 def test_threads_flag(tmp_path):

@@ -81,6 +81,10 @@ KEYWORD_CASES = [
     # the ellipticity bounds are derived from the matrix, not configured
     ("additionalProperties-gamma", {"kernel.gamma": 0.1}, "kernel"),
     ("additionalProperties-Gamma", {"kernel.Gamma": 9.0}, "kernel"),
+    # every density is normalized, and the scan floor is 4 mesh
+    ("additionalProperties-normalize", {"density.normalize": False},
+     "density"),
+    ("additionalProperties-d_min", {"barrier.d_min": 0.01}, "barrier"),
     ("properties", {"density.profile.width": "wide"},
      "density.profile.width"),
     ("minimum", {"domain.margin": -0.5}, "domain.margin"),
@@ -89,6 +93,8 @@ KEYWORD_CASES = [
     ("exclusiveMaximum", {"kernel.s": 1}, "kernel.s"),
     ("items", {"eval.points": [[0.0], ["a"]]}, "eval.points.1.0"),
     ("minItems", {"eval.points": []}, "eval.points"),
+    # a verify run checks something
+    ("minItems-checks", {"checks": []}, "checks"),
     ("maxItems", {"kernel.matrix": [[1.0]] * 4}, "kernel.matrix"),
     ("minLength", {"output.json": ""}, "output.json"),
     # domain.lower is a number or an array of numbers
@@ -155,7 +161,7 @@ BASES = [
                    "normalized": True},
         "density": {"profile": {"kind": "bump", "radius": 0.8,
                                 "center": [0.1]},
-                    "cells": 24, "normalize": False},
+                    "cells": 24},
         "drift": {"kind": "power_profile", "alpha": 1.5},
     }),
     ("recover-matrix", {
@@ -171,7 +177,7 @@ BASES = [
     ("barrier-check", {
         "kernel": {"variant": "constant", "matrix": [[1.0]], "s": 0.5},
         "barrier": {"domain": "ball", "alpha": 0.75, "delta": 0.1,
-                    "radius": 1.0, "points": 3, "mesh": 0.01, "d_min": 0.01},
+                    "radius": 1.0, "points": 3, "mesh": 0.01},
     }),
     ("verify", {"checks": ["layer_constants"], "seed": 0}),
 ]

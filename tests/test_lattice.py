@@ -17,7 +17,6 @@ from nonlocal_dv.kernels import (
 )
 from nonlocal_dv.lattice import (
     _PAIR_BYTES_LIMIT,
-    GridFunction,
     LatticeDomain,
     _pair_form_chunks,
     _pair_peak_bytes,
@@ -574,17 +573,3 @@ def test_estimate_shift_dominance(op_1d):
     off = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
     assert (np.diag(M) < 0).all()
     assert (np.abs(np.diag(M)) >= off).all()
-
-
-def test_grid_function_serialization(tmp_path, op_1d):
-    g = GridFunction(op_1d.domain, np.cos(op_1d.domain.interior_points[:, 0]))
-    path = tmp_path / "field.csv"
-    g.save(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,x0,value"
-    assert len(lines) == op_1d.n + 1
-    # every cell must round-trip as a plain number
-    back = np.array([float(line.split(",")[2]) for line in lines[1:]])
-    assert np.array_equal(back, g.values)
-    meta = (tmp_path / "field.json").read_text()
-    assert '"spacing"' in meta and '"n_interior"' in meta
