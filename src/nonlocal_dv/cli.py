@@ -52,9 +52,13 @@ the fully qualified routine that produced it.
 entry of the operator matrix is positive they certify ``lambda1`` to
 10 tol max(1, |lambda1|), and are null for any other sign pattern.  With
 ``eigen.dense_check`` (the default) the iteration is also cross-checked
-against one dense eigenvalue solve, and a mismatch fails the run.  With
-``"dense_check": false`` the dense solve runs only where there is no
-bracket; the dense eigenvalue and the gap are reported whenever it ran.
+against one oracle, and a mismatch fails the run: under the bracket the
+oracle takes block determinants of the shifted matrix in a window of
+10 tol max(1, |lambda1|) around the iteration's value
+(``spectral.perron_eigenvalue``, no eigenvalue solver), elsewhere it is
+one dense eigenvalue solve.  With ``"dense_check": false`` the oracle runs
+only where there is no bracket; its eigenvalue (``dense_lambda1``) and the
+gap (``iteration_vs_dense``) are reported whenever it ran.
 
 ``dv-functional`` reports the step count and the final Newton decrement
 of its error-form minimization (``error_form_newton_steps``,

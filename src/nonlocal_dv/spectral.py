@@ -4,8 +4,8 @@ The principal eigenvalue is the smallest real part over the spectrum of the
 negated operator matrix, singled out by having a one-signed eigenfunction.
 Two routes are provided and kept independent on purpose: an inverse power
 iteration on the shifted matrix (the constructive route), which factors
-the shifted matrix once by a 2x2 block elimination, and a dense
-eigenvalue solve of numpy.linalg (the oracle route).
+the shifted matrix once by a 2x2 block elimination, and an oracle route
+that does not iterate.
 
 Which certificate backs lambda1 depends on the sign pattern of the matrix.
 When every off-diagonal entry is positive (true for the assembled operator
@@ -13,11 +13,15 @@ whenever the drift oscillation is below 2), the negated matrix is an
 irreducible Z-matrix, and the iteration's positive iterate phi certifies
 lambda1 by the Collatz-Wielandt bracket
 min_i (-M phi/phi)_i <= lambda1 <= max_i (-M phi/phi)_i, the discrete form
-of the Donsker-Varadhan value sup_{phi>0} inf (-L phi/phi).  The dense
-oracle then needs eigenvalues only (``perron_eigenvalue``): by
-Perron-Frobenius the one of smallest real part is real, simple and
-principal.  Otherwise there is no bracket, and the oracle is
-``dense_eigenpair``, which selects by the sign of the eigenvectors.  The
+of the Donsker-Varadhan value sup_{phi>0} inf (-L phi/phi).  The oracle
+then needs no eigenvalue solver (``perron_eigenvalue``): by
+Perron-Frobenius the eigenvalue of smallest real part is real, simple and
+principal, and three block determinants of the shifted matrix, from the
+same elimination as the iteration's factor, prove it lies in a window
+around the iteration's value and pin it as a root of the characteristic
+polynomial.  Otherwise there is no bracket, and the oracle is
+``dense_eigenpair``, a dense numpy.linalg solve for the whole spectrum
+that selects by the sign of the eigenvectors.  The
 module also carries the min-max characterization of the value, and a sign
 demo built from the jump-drift construction on an interval.
 """
@@ -51,8 +55,10 @@ class EigenPair:
     max of (-matrix @ phi1)/phi1, which contain the principal eigenvalue
     when every off-diagonal entry of the matrix is positive; they are None
     for any other sign pattern, and lambda1 then rests on the dense oracle
-    alone.  dense_lambda1 is the dense-solver eigenvalue the iteration was
-    cross-checked against, or None when no cross-check ran.
+    alone.  dense_lambda1 is the oracle eigenvalue the iteration was
+    cross-checked against, or None when no cross-check ran: the root of
+    det(-matrix - mu I) that ``perron_eigenvalue`` finds under the sign
+    pattern, the eigenvalue ``dense_eigenpair`` selects otherwise.
     """
 
     lambda1: float
@@ -86,37 +92,84 @@ def _positive_off_diagonal(matrix: np.ndarray) -> bool:
     return bool(flat[1:].reshape(n - 1, n + 1)[:, :n].min() > 0.0)
 
 
-def _shifted_solver(matrix: np.ndarray, shift: float):
-    """Factor shift I - matrix once; return the solve b -> x.
+def _eliminate(matrix: np.ndarray, shift: float):
+    """2x2 block elimination of shift I - matrix: (lead_inv, schur).
 
-    A 2x2 block elimination with a leading block of k = ceil(n/2) rows:
-    the leading block A = shift I - matrix[:k, :k] and its Schur
-    complement S = shift I - matrix[k:, k:] - matrix[k:, :k] A^-1
-    matrix[:k, k:] are inverted once, and the off-diagonal blocks stay
-    views of matrix.  When shift I - matrix is strictly row diagonally
-    dominant (``estimate_shift``), so are A and S, a Schur complement
-    keeping that property (Carlson & Markham, Czech. Math. J. 1979): the
-    elimination needs no pivoting between the blocks.  The block inverses
-    hold half the memory of one factor of the whole matrix.
+    The leading block has k = ceil(n/2) rows: A = shift I - matrix[:k, :k]
+    is inverted once, and its Schur complement S = shift I - matrix[k:, k:]
+    - matrix[k:, :k] A^-1 matrix[:k, k:] is formed from the off-diagonal
+    blocks, which stay views of matrix.  When shift I - matrix is strictly
+    row diagonally dominant (``estimate_shift``), so are A and S, a Schur
+    complement keeping that property (Carlson & Markham, Czech. Math. J.
+    1979): the elimination needs no pivoting between the blocks.  The two
+    blocks hold half the memory of one factor of the whole matrix.  Both
+    the solver of the iteration and the determinants of the Perron oracle
+    come from this one elimination.
     """
     k = (matrix.shape[0] + 1) // 2
-    upper, lower = matrix[:k, k:], matrix[k:, :k]
     lead = np.negative(matrix[:k, :k])
     lead[np.diag_indices(k)] += shift
     lead_inv = np.linalg.inv(lead)
     del lead  # freed before the Schur complement is formed
-    schur = lower @ (lead_inv @ upper)
+    schur = matrix[k:, :k] @ (lead_inv @ matrix[:k, k:])
     schur += matrix[k:, k:]
     np.negative(schur, out=schur)
     schur[np.diag_indices(len(schur))] += shift
+    return lead_inv, schur
+
+
+def _block_solve(matrix, lead_inv, schur_solve, b):
+    """x with (shift I - matrix) x = b, from ``_eliminate``'s blocks."""
+    k = len(lead_inv)
+    y = lead_inv @ b[:k]
+    tail = schur_solve(b[k:] + matrix[k:, :k] @ y)
+    return np.concatenate((y + lead_inv @ (matrix[:k, k:] @ tail), tail))
+
+
+def _shifted_solver(matrix: np.ndarray, shift: float):
+    """Factor shift I - matrix once; return the solve b -> x.
+
+    The Schur complement of ``_eliminate`` is inverted as well, so that
+    each solve is four matrix-vector products with the two block inverses.
+    """
+    lead_inv, schur = _eliminate(matrix, shift)
     schur_inv = np.linalg.inv(schur)
+    del schur
+    return lambda b: _block_solve(matrix, lead_inv, lambda r: schur_inv @ r, b)
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        y = lead_inv @ b[:k]
-        tail = schur_inv @ (b[k:] + lower @ y)
-        return np.concatenate((y + lead_inv @ (upper @ tail), tail))
 
-    return solve
+def _shifted_logdet(matrix: np.ndarray, shift: float, solve_ones=False):
+    """(sign, log|det|, x) of shift I - matrix, x solving it against 1.
+
+    det(shift I - matrix) = det(A) det(S) over the blocks of
+    ``_eliminate``, with det(A) read as 1/det(A^-1); S is factored by
+    LAPACK, never inverted.  x is None unless solve_ones.  Raises numpy's
+    LinAlgError when A, or S for the solve, is exactly singular.
+    """
+    lead_inv, schur = _eliminate(matrix, shift)
+    sign_lead, log_lead = np.linalg.slogdet(lead_inv)
+    sign_schur, log_schur = np.linalg.slogdet(schur)
+    x = None if not solve_ones else _block_solve(
+        matrix, lead_inv, lambda r: np.linalg.solve(schur, r),
+        np.ones(len(matrix)))
+    return float(sign_lead * sign_schur), float(log_schur - log_lead), x
+
+
+def _padded_min(matrix: np.ndarray, mu: float, x: np.ndarray) -> float:
+    """min_i of (A - mu I) x less its rounding pad, A = -matrix and x > 0.
+
+    Under the sign pattern |matrix| x = matrix x + (|d| - d) x with d the
+    diagonal, and gamma_{n+2} bounds the rounding of the product and the
+    shift (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.5), doubled for the rounding of the pad itself.
+    """
+    product = matrix @ x
+    residual = -product - mu * x
+    diag = np.diagonal(matrix)
+    unit = (len(x) + 2) * np.finfo(float).eps / 2
+    pad = 2 * unit / (1 - unit) * (product + (np.abs(diag) - diag) * x
+                                   + abs(mu) * x + np.abs(residual))
+    return float((residual - pad).min())
 
 
 def principal_eigenpair(
@@ -135,14 +188,15 @@ def principal_eigenpair(
     of the matrix is positive, it also needs the Collatz-Wielandt bracket
     of u to be no wider than 10 tol max(1, |lambda|), iterating further on
     the same factorization until it is; the bracket then certifies lambda
-    to the gate of the dense cross-check.
+    to the gate of the oracle cross-check.
 
-    With dense_check the dense oracle always runs; without it, only when
-    there is no bracket.  The oracle is ``perron_eigenvalue`` under the
-    sign pattern and ``dense_eigenpair`` otherwise; the factorization of
-    the iteration is released before it runs, so its copy of the matrix
-    can reuse that memory.  A mismatch beyond 10x tol is treated as an
-    oracle inconsistency, and the dense eigenvalue is kept on the result.
+    With dense_check the oracle always runs; without it, only when there
+    is no bracket.  The oracle is ``perron_eigenvalue`` under the sign
+    pattern, in the window of 10 tol max(1, |lambda|) around lambda, and
+    ``dense_eigenpair`` otherwise; the factorization of the iteration is
+    released before it runs, so its own blocks can reuse that memory.  A
+    mismatch beyond 10x tol is treated as an oracle inconsistency, and the
+    oracle eigenvalue is kept on the result.
     """
     if op.drift_values is not None and op.drift_oscillation() >= 1.0:
         warnings.warn(
@@ -179,7 +233,7 @@ def principal_eigenpair(
             % (max_iter, res, width)
         )
 
-    # the block inverses are freed before the dense oracle copies the matrix
+    # the block inverses are freed before the oracle factors or copies
     del solve
     if u.min() <= 0.0:
         raise PositivityError(
@@ -187,37 +241,110 @@ def principal_eigenpair(
         )
     dense_lambda1 = None
     if dense_check or lower is None:
-        dense_lambda1 = (perron_eigenvalue(op) if bracketed
-                         else dense_eigenpair(op).lambda1)
+        dense_lambda1 = (
+            perron_eigenvalue(op, lam, 10 * tol * max(1.0, abs(lam)))
+            if bracketed else dense_eigenpair(op).lambda1)
         scale = max(1.0, abs(dense_lambda1))
         if abs(lam - dense_lambda1) > 10 * tol * scale:
             raise OracleInconsistencyError(
-                "iteration eigenvalue %.12g disagrees with dense solve %.12g"
+                "iteration eigenvalue %.12g disagrees with the oracle %.12g"
                 % (lam, dense_lambda1)
             )
     return EigenPair(lam, GridFunction(op.domain, u), res, iteration,
                      dense_lambda1, lower, upper)
 
 
-def perron_eigenvalue(op: AssembledOperator) -> float:
-    """Eigenvalue-only oracle for a matrix with positive off-diagonal entries.
+_SECANT_RTOL = 1e-13  # a secant step below this, relative to mu, ends it
+_SECANT_CAP = 60
 
-    The negated matrix is then an irreducible Z-matrix, so by
-    Perron-Frobenius its eigenvalue of smallest real part is real, simple
-    and has a positive eigenvector: no eigenvector needs to be computed to
-    select it.  Raises DomainError for any other sign pattern, and
-    OracleInconsistencyError if the selected eigenvalue is not real.
+
+def perron_eigenvalue(op: AssembledOperator, lam: float, gate: float) -> float:
+    """Principal eigenvalue within gate of lam, from block determinants.
+
+    For a matrix with positive off-diagonal entries, A = -matrix is an
+    irreducible Z-matrix, and its eigenvalue of smallest real part is real
+    and simple (Perron-Frobenius); it is located as a root of det(A - mu I)
+    with factorizations only (``_shifted_logdet``), and no eigenvalue
+    solver, in three steps (Berman & Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, SIAM 1994, ch. 6):
+
+    - at mu_lo = lam - gate, x solves (A - mu_lo I) x = 1.  A Z-matrix B
+      with x > 0 and Bx > 0 is a nonsingular M-matrix, so x > 0 and
+      (A - mu_lo I) x > 0 past the rounding pad of its product prove that
+      every eigenvalue has real part above mu_lo;
+    - at mu_hi = lam + gate, det(A - mu_hi I) < 0 proves a real eigenvalue
+      below mu_hi: complex eigenvalues come in conjugate pairs, so every
+      real part above mu_lo gives det > 0 at mu_lo, and an odd number of
+      real eigenvalues lie in the window, the principal one the least;
+    - a secant on the determinant, started from the two ends and kept
+      inside the window by the Illinois rule, stops once its step is below
+      1e-13 |mu| and returns that root.
+
+    Raises DomainError for any other sign pattern,
+    OracleInconsistencyError, naming the end, when the window does not
+    hold the principal eigenvalue, and ConvergenceError when the secant
+    has not settled in ``_SECANT_CAP`` determinants.
     """
-    if not _positive_off_diagonal(op.matrix):
+    matrix = op.matrix
+    if not _positive_off_diagonal(matrix):
         raise DomainError("off-diagonal entries must all be positive")
-    # the spectrum of the negated matrix, with no negated copy of it
-    vals = -np.linalg.eigvals(op.matrix)
-    idx = np.argmin(vals.real)
-    if abs(vals[idx].imag) > 1e-9 * max(1.0, np.abs(vals).max()):
+    n = op.n
+
+    def logdet(mu, where, solve_ones=False):
+        # A - mu I is (-mu) I - matrix
+        try:
+            return _shifted_logdet(matrix, -mu, solve_ones)
+        except np.linalg.LinAlgError:
+            if n == 1 and not solve_ones:
+                return 0.0, -np.inf, None  # the block is A - mu I itself
+            raise OracleInconsistencyError(
+                "at %s = %.17g: a block of A - %s I is singular"
+                % (where, mu, where)) from None
+
+    mu_lo, mu_hi = lam - gate, lam + gate
+    sign_lo, log_lo, x = logdet(mu_lo, "mu_lo", solve_ones=True)
+    if not x.min() > 0.0:
         raise OracleInconsistencyError(
-            "eigenvalue of smallest real part %r is not real" % vals[idx]
-        )
-    return float(vals[idx].real)
+            "at mu_lo = %.17g: the solution x of (A - mu_lo I) x = 1 is not "
+            "positive (min %.3e)" % (mu_lo, x.min()))
+    margin = _padded_min(matrix, mu_lo, x)
+    del x  # no vector outlives the first factorization
+    if not (margin > 0.0 and sign_lo > 0.0):
+        raise OracleInconsistencyError(
+            "at mu_lo = %.17g: (A - mu_lo I) x is not positive past its "
+            "rounding pad (min %.3e)" % (mu_lo, margin))
+    sign_hi, log_hi, _ = logdet(mu_hi, "mu_hi")
+    if not sign_hi < 0.0:
+        raise OracleInconsistencyError(
+            "at mu_hi = %.17g: det(A - mu_hi I) >= 0, so no real eigenvalue "
+            "is proven below mu_hi" % mu_hi)
+
+    # det relative to its value at mu_lo, positive at a and negative at b
+    a, f_a, b, f_b = mu_lo, 1.0, mu_hi, -np.exp(log_hi - log_lo)
+    kept = 0  # the end the last iterate left in place: -1 a, +1 b
+    mu = b - f_b * (b - a) / (f_b - f_a)
+    for _ in range(_SECANT_CAP):
+        sign, logabs, _ = logdet(mu, "mu")
+        f_mu = sign * np.exp(logabs - log_lo)
+        if f_mu == 0.0:
+            return float(mu)
+        if f_mu > 0.0:
+            a, f_a = mu, f_mu
+            if kept == 1:
+                f_b /= 2.0  # Illinois: b held twice running
+            kept = 1
+        else:
+            b, f_b = mu, f_mu
+            if kept == -1:
+                f_a /= 2.0
+            kept = -1
+        last = mu
+        mu = b - f_b * (b - a) / (f_b - f_a)
+        if abs(mu - last) <= _SECANT_RTOL * abs(mu):
+            return float(mu)
+    raise ConvergenceError(
+        "Perron secant did not settle in %d determinants; window [%.17g, "
+        "%.17g]" % (_SECANT_CAP, a, b))
 
 
 def dense_eigenpair(op: AssembledOperator) -> EigenPair:

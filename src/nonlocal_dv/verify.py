@@ -358,8 +358,9 @@ def _check_layer_constants(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_eigen_consistency(rng: np.random.Generator) -> CheckResult:
-    """Inverse iteration against dense solves, the shift identity, and
-    min-max monotonicity under family enrichment."""
+    """Inverse iteration against its oracle, the Perron root against the
+    full dense spectrum, the shift identity, and min-max monotonicity under
+    family enrichment."""
     tol = 1e-9
     spec = fractional_kernel(1, 0.5, normalized=True)
 
@@ -381,21 +382,23 @@ def _check_eigen_consistency(rng: np.random.Generator) -> CheckResult:
         (60, 0.35, lambda p: np.cos(2.0 * p[:, 0])),
     ]
     ops = [build(*instance) for instance in instances]
+    pairs = [principal_eigenpair(op, tol=tol, max_iter=400) for op in ops]
     worst_gap = 0.0
     min_phi = np.inf
-    for op in ops:
-        pair = principal_eigenpair(op, tol=tol, max_iter=400)
+    for pair in pairs:
         dense = pair.dense_lambda1
         gap = abs(pair.lambda1 - dense) / max(1.0, abs(dense))
         worst_gap = max(worst_gap, gap)
         min_phi = min(min_phi, float(pair.phi1.values.min()))
-    # adding a constant to the potential shifts the eigenvalue exactly: the
-    # fifth instance, cos 3x on 40 cells
+    # the fifth instance, cos 3x on 40 cells: its oracle eigenvalue, a root
+    # of the characteristic polynomial, matches the full dense spectrum, and
+    # adding a constant to the potential shifts the eigenvalue exactly
     op = ops[4]
+    full = dense_eigenpair(op).lambda1
+    perron_gap = abs(pairs[4].dense_lambda1 - full)
     shift = 3.7
     op_shifted = dataclasses.replace(op, matrix=op.matrix + shift * np.eye(op.n))
-    shift_err = abs(dense_eigenpair(op_shifted).lambda1
-                    - (dense_eigenpair(op).lambda1 - shift))
+    shift_err = abs(dense_eigenpair(op_shifted).lambda1 - (full - shift))
     # enrichment of the test family can only raise the min-max value
     op = build(50, 0.35, None)
     pair = principal_eigenpair(op, tol=1e-11, max_iter=500)
@@ -413,13 +416,16 @@ def _check_eigen_consistency(rng: np.random.Generator) -> CheckResult:
     slack = 10.0 * max(pair.residual, 1e-12)
     final_ok = abs(values[-1] - pair.lambda1) <= slack + 1e-10
     passed = (worst_gap <= 10.0 * tol and min_phi > 0.0
+              and perron_gap <= 1e-12 * max(1.0, abs(full))
               and shift_err < 1e-9 and monotone and final_ok)
     return CheckResult(
         "eigen_consistency",
-        "iterative vs dense eigenvalues, shift identity, min-max monotonicity",
+        "iterative vs oracle eigenvalues, Perron root vs dense spectrum, "
+        "shift identity, min-max monotonicity",
         passed, worst_gap, 10.0 * tol,
         f"worst relative gap {worst_gap:.1e} on 10 instances; min principal "
-        f"value {min_phi:.2e}; shift error {shift_err:.1e}; min-max stages "
+        f"value {min_phi:.2e}; Perron root vs dense spectrum {perron_gap:.1e}; "
+        f"shift error {shift_err:.1e}; min-max stages "
         + " <= ".join(f"{v:.6f}" for v in values),
     )
 

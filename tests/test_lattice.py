@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,7 +338,7 @@ def test_assemble_peak_is_the_pair_form_peak(with_drift, traced_memory):
 
 def test_memory_holds_the_matrix_and_frees_the_block_factor(monkeypatch, traced_memory):
     # a timing-free guard: assembly streams W and holds the matrix, and
-    # when the dense oracle starts, W (n_int n_total doubles, 4.7 MB here)
+    # when the oracle starts, W (n_int n_total doubles, 4.7 MB here)
     # was never built and the iteration's block inverses
     # (2 (n_int/2)^2 doubles, 1.3 MB) are gone: what is traced then is the
     # matrix and vectors of one double per node
@@ -351,9 +352,9 @@ def test_memory_holds_the_matrix_and_frees_the_block_factor(monkeypatch, traced_
     at_oracle = []
     oracle = spectral.perron_eigenvalue
 
-    def traced(op):
+    def traced(*args):
         at_oracle.append(memory().current)
-        return oracle(op)
+        return oracle(*args)
 
     monkeypatch.setattr(spectral, "perron_eigenvalue", traced)
     with traced_memory() as memory:
@@ -365,6 +366,42 @@ def test_memory_holds_the_matrix_and_frees_the_block_factor(monkeypatch, traced_
     blocks = 2 * 8 * (n_int // 2) ** 2
     assert 32 * 8 * n_total < blocks / 4
     assert at_oracle[0] <= 8 * n_int ** 2 + 32 * 8 * n_total
+
+
+def test_perron_oracle_peaks_within_the_block_factor(monkeypatch, traced_memory):
+    # the oracle's determinants come from the iteration's block elimination
+    # and it forms no n x n copy.  Both peak at three half-size blocks in
+    # that elimination (the block inverse, the product with it and the
+    # Schur complement; LAPACK's own work arrays are not traced), and differ
+    # only by the scalars and array headers alive beside them (under 1 kB
+    # here), so the oracle may exceed the factor by one vector of one
+    # double per node (4.6 kB) but not by an n x n copy (2.65 MB)
+    spec = fractional_kernel(2, 0.5)
+    drift = tanh_drift(2, amplitude=0.3)
+    dom = LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [24, 24], margin=0.3)
+    spectral.principal_eigenpair(assemble(
+        LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [4, 4], margin=0.3), spec, drift=drift))
+    op = assemble(dom, spec, drift=drift)
+    peaks = {}
+
+    def peak_of(name, real):
+        def traced(*args):
+            start = memory().current
+            tracemalloc.reset_peak()
+            value = real(*args)
+            peaks.setdefault(name, []).append(memory().peak - start)
+            return value
+        monkeypatch.setattr(spectral, name, traced)
+
+    peak_of("_shifted_solver", spectral._shifted_solver)
+    peak_of("perron_eigenvalue", spectral.perron_eigenvalue)
+    with traced_memory() as memory:
+        spectral.principal_eigenpair(op)
+    assert len(peaks["_shifted_solver"]) == len(peaks["perron_eigenvalue"]) == 1
+    factor, oracle = peaks["_shifted_solver"][0], peaks["perron_eigenvalue"][0]
+    blocks = 3 * 8 * (op.n // 2) ** 2
+    assert blocks <= factor <= blocks + 8 * op.n
+    assert oracle <= factor + 8 * op.n
 
 
 def _count_weight_passes(monkeypatch):

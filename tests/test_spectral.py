@@ -15,6 +15,7 @@ from nonlocal_dv import spectral
 from nonlocal_dv.errors import (
     ConvergenceError,
     DomainError,
+    OracleInconsistencyError,
     PositivityError,
 )
 from nonlocal_dv.kernels import fractional_kernel
@@ -144,14 +145,44 @@ def test_perron_oracle_and_bracket_contain_dense_eigenvalue(make_op):
     op = make_op()
     dense = dense_eigenpair(op).lambda1
     scale = max(1.0, abs(dense))
-    assert abs(perron_eigenvalue(op) - dense) <= 1e-12 * scale
     pair = principal_eigenpair(op, tol=1e-9, max_iter=400, dense_check=False)
-    # the bracket certifies lambda1, so no dense solve ran
+    # the bracket certifies lambda1, so no oracle ran
     assert pair.dense_lambda1 is None
+    gate = 10 * 1e-9 * max(1.0, abs(pair.lambda1))
+    assert abs(perron_eigenvalue(op, pair.lambda1, gate) - dense) <= 1e-12 * scale
     lower, upper = pair.lambda1_lower, pair.lambda1_upper
     assert upper - lower <= 10 * 1e-9 * scale
     assert lower <= pair.lambda1 <= upper
     assert lower - 1e-12 * scale <= dense <= upper + 1e-12 * scale
+
+
+@pytest.mark.parametrize("offset, end", [(2.0, "mu_lo"), (-2.0, "mu_hi")])
+def test_perron_window_without_the_eigenvalue_names_its_end(offset, end):
+    # a window of half width gate moved by 2 gate leaves lambda1 outside:
+    # above it, mu_lo = lambda1 + gate is past lambda1 and x is not positive;
+    # below it, mu_hi = lambda1 - gate has det(A - mu_hi I) > 0
+    op = drifted_box_op(cells=8, amp=0.4)
+    dense = dense_eigenpair(op).lambda1
+    gate = 10 * 1e-9 * max(1.0, abs(dense))
+    with pytest.raises(OracleInconsistencyError) as err:
+        perron_eigenvalue(op, dense + offset * gate, gate)
+    assert str(err.value).startswith("at %s = " % end)
+    message = {"mu_lo": "is not positive", "mu_hi": "det(A - mu_hi I) >= 0"}
+    assert message[end] in str(err.value)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_perron_oracle_on_one_and_two_nodes(n):
+    # the Schur block of the elimination is empty for n = 1 and 1x1 for n = 2
+    op = drifted_op(n=n, amp=0.4)
+    assert op.n == n
+    dense = dense_eigenpair(op).lambda1
+    scale = max(1.0, abs(dense))
+    for lam in (dense, dense + 1e-9 * scale, dense - 1e-9 * scale):
+        root = perron_eigenvalue(op, lam, 10 * 1e-9 * scale)
+        assert abs(root - dense) <= 1e-12 * scale
+    pair = principal_eigenpair(op, tol=1e-9, max_iter=400, dense_check=True)
+    assert abs(pair.dense_lambda1 - dense) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40, 101])
@@ -185,7 +216,7 @@ def test_sign_pattern_failure_takes_vector_route():
     assert pair.lambda1_lower is None and pair.lambda1_upper is None
     assert pair.dense_lambda1 == dense_eigenpair(holed).lambda1
     with pytest.raises(DomainError):
-        perron_eigenvalue(holed)
+        perron_eigenvalue(holed, pair.lambda1, 1e-8 * max(1.0, abs(pair.lambda1)))
     # a zero anywhere off the diagonal, first or last, breaks the pattern
     for i, j in [(0, 1), (1, 0), (op.n - 2, op.n - 1), (op.n - 1, 0)]:
         probe = op.matrix.copy()
