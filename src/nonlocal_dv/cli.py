@@ -53,10 +53,11 @@ entry of the operator matrix is positive they certify ``lambda1`` to
 10 tol max(1, |lambda1|), and are null for any other sign pattern.  With
 ``eigen.dense_check`` (the default) the iteration is also cross-checked
 against one oracle, and a mismatch fails the run: under the bracket the
-oracle takes block determinants of the shifted matrix in a window of
-10 tol max(1, |lambda1|) around the iteration's value
-(``spectral.perron_eigenvalue``, no eigenvalue solver), elsewhere it is
-one dense eigenvalue solve.  With ``"dense_check": false`` the oracle runs
+oracle proves from one block elimination of the shifted matrix that a
+window of 10 tol max(1, |lambda1|) around the iteration's value holds the
+eigenvalue, and takes one Newton step on the determinant from its lower
+end (``spectral.perron_eigenvalue``, no eigenvalue solver); elsewhere it
+is one dense eigenvalue solve.  With ``"dense_check": false`` the oracle runs
 only where there is no bracket; its eigenvalue (``dense_lambda1``) and the
 gap (``iteration_vs_dense``) are reported whenever it ran.
 

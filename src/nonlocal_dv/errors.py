@@ -34,7 +34,8 @@ class ResolutionError(NonlocalError):
 
 
 class OracleInconsistencyError(NonlocalError):
-    """Probe measurements are mutually inconsistent beyond tolerance."""
+    """Two routes to one quantity disagree beyond tolerance: probe
+    measurements of the recovery, or an eigenvalue and its oracle."""
 
 
 class ReconstructionError(NonlocalError):

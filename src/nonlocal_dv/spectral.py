@@ -16,14 +16,17 @@ min_i (-M phi/phi)_i <= lambda1 <= max_i (-M phi/phi)_i, the discrete form
 of the Donsker-Varadhan value sup_{phi>0} inf (-L phi/phi).  The oracle
 then needs no eigenvalue solver (``perron_eigenvalue``): by
 Perron-Frobenius the eigenvalue of smallest real part is real, simple and
-principal, and three block determinants of the shifted matrix, from the
-same elimination as the iteration's factor, prove it lies in a window
-around the iteration's value and pin it as a root of the characteristic
-polynomial.  Otherwise there is no bracket, and the oracle is
-``dense_eigenpair``, a dense numpy.linalg solve for the whole spectrum
-that selects by the sign of the eigenvectors.  The
-module also carries the min-max characterization of the value, and a sign
-demo built from the jump-drift construction on an interval.
+principal, and one block elimination of the shifted matrix at the lower
+end of a window around the iteration's value, the same elimination as the
+iteration's factor, proves that the window holds it (an M-matrix test
+below, a Collatz-Wielandt bound above, from two block solves of its own)
+and pins it by one Newton step on the characteristic polynomial, whose
+derivative is a trace of the inverse (Jacobi's formula).  Otherwise
+there is no bracket, and the oracle is ``dense_eigenpair``, a dense
+numpy.linalg solve for the whole spectrum that selects by the sign of the
+eigenvectors.  The module also carries the min-max characterization of
+the value, and a sign demo built from the jump-drift construction on an
+interval.
 """
 
 from __future__ import annotations
@@ -56,9 +59,9 @@ class EigenPair:
     when every off-diagonal entry of the matrix is positive; they are None
     for any other sign pattern, and lambda1 then rests on the dense oracle
     alone.  dense_lambda1 is the oracle eigenvalue the iteration was
-    cross-checked against, or None when no cross-check ran: the root of
-    det(-matrix - mu I) that ``perron_eigenvalue`` finds under the sign
-    pattern, the eigenvalue ``dense_eigenpair`` selects otherwise.
+    cross-checked against, or None when no cross-check ran: the Newton
+    step on det(-matrix - mu I) that ``perron_eigenvalue`` takes under the
+    sign pattern, the eigenvalue ``dense_eigenpair`` selects otherwise.
     """
 
     lambda1: float
@@ -93,18 +96,20 @@ def _positive_off_diagonal(matrix: np.ndarray) -> bool:
 
 
 def _eliminate(matrix: np.ndarray, shift: float):
-    """2x2 block elimination of shift I - matrix: (lead_inv, schur).
+    """2x2 block elimination of shift I - matrix: (lead_inv, schur_inv).
 
     The leading block has k = ceil(n/2) rows: A = shift I - matrix[:k, :k]
-    is inverted once, and its Schur complement S = shift I - matrix[k:, k:]
+    is inverted, its Schur complement S = shift I - matrix[k:, k:]
     - matrix[k:, :k] A^-1 matrix[:k, k:] is formed from the off-diagonal
-    blocks, which stay views of matrix.  When shift I - matrix is strictly
-    row diagonally dominant (``estimate_shift``), so are A and S, a Schur
-    complement keeping that property (Carlson & Markham, Czech. Math. J.
-    1979): the elimination needs no pivoting between the blocks.  The two
-    blocks hold half the memory of one factor of the whole matrix.  Both
-    the solver of the iteration and the determinants of the Perron oracle
-    come from this one elimination.
+    blocks, which stay views of matrix, and inverted too.  When
+    shift I - matrix is strictly row diagonally dominant
+    (``estimate_shift``), so are A and S, a Schur complement keeping that
+    property (Carlson & Markham, Czech. Math. J. 1979): the elimination
+    needs no pivoting between the blocks; for a nonsingular M-matrix, as at
+    the Perron oracle's shift, both blocks are nonsingular M-matrices too.
+    The two inverses hold half the memory of one factor of the whole
+    matrix.  Both the solver of the iteration and the solves and inverse
+    trace of the Perron oracle come from this one elimination.
     """
     k = (matrix.shape[0] + 1) // 2
     lead = np.negative(matrix[:k, :k])
@@ -115,48 +120,52 @@ def _eliminate(matrix: np.ndarray, shift: float):
     schur += matrix[k:, k:]
     np.negative(schur, out=schur)
     schur[np.diag_indices(len(schur))] += shift
-    return lead_inv, schur
+    return lead_inv, np.linalg.inv(schur)
 
 
-def _block_solve(matrix, lead_inv, schur_solve, b):
-    """x with (shift I - matrix) x = b, from ``_eliminate``'s blocks."""
+def _block_solve(matrix, lead_inv, schur_inv, b):
+    """x with (shift I - matrix) x = b, from ``_eliminate``'s inverses.
+
+    Each solve is four matrix-vector products with the two inverses.
+    """
     k = len(lead_inv)
     y = lead_inv @ b[:k]
-    tail = schur_solve(b[k:] + matrix[k:, :k] @ y)
+    tail = schur_inv @ (b[k:] + matrix[k:, :k] @ y)
     return np.concatenate((y + lead_inv @ (matrix[:k, k:] @ tail), tail))
 
 
 def _shifted_solver(matrix: np.ndarray, shift: float):
-    """Factor shift I - matrix once; return the solve b -> x.
+    """Factor shift I - matrix once; return the solve b -> x."""
+    lead_inv, schur_inv = _eliminate(matrix, shift)
+    return lambda b: _block_solve(matrix, lead_inv, schur_inv, b)
 
-    The Schur complement of ``_eliminate`` is inverted as well, so that
-    each solve is four matrix-vector products with the two block inverses.
+
+def _inverse_trace(matrix: np.ndarray, lead_inv: np.ndarray,
+                   schur_inv: np.ndarray) -> float:
+    """tr((shift I - matrix)^-1) from ``_eliminate``'s inverses: L of the
+    leading block, and that of its Schur complement S.
+
+    The inverse's diagonal blocks are L + L B12 S^-1 B21 L and S^-1, where
+    B12 = -matrix[:k, k:] and B21 = -matrix[k:, :k], so the trace is
+    tr(L) + tr(S^-1) + tr(S^-1 matrix[k:, :k] L^2 matrix[:k, k:]).  The
+    last product is formed a slab of rows at a time against the matching
+    columns of S^-1; a slab holds a quarter of the rows, so the slabs stay
+    within one half-size block beside L and S^-1.
     """
-    lead_inv, schur = _eliminate(matrix, shift)
-    schur_inv = np.linalg.inv(schur)
-    del schur
-    return lambda b: _block_solve(matrix, lead_inv, lambda r: schur_inv @ r, b)
+    k = len(lead_inv)
+    lower, upper = matrix[k:, :k], matrix[:k, k:]
+    total = np.trace(lead_inv) + np.trace(schur_inv)
+    step = max(1, -(-len(schur_inv) // 4))
+    for j in range(0, len(schur_inv), step):
+        slab = lower[j:j + step] @ lead_inv @ lead_inv @ upper
+        total += np.einsum("ij,ji->", slab, schur_inv[:, j:j + step])
+    return float(total)
 
 
-def _shifted_logdet(matrix: np.ndarray, shift: float, solve_ones=False):
-    """(sign, log|det|, x) of shift I - matrix, x solving it against 1.
-
-    det(shift I - matrix) = det(A) det(S) over the blocks of
-    ``_eliminate``, with det(A) read as 1/det(A^-1); S is factored by
-    LAPACK, never inverted.  x is None unless solve_ones.  Raises numpy's
-    LinAlgError when A, or S for the solve, is exactly singular.
-    """
-    lead_inv, schur = _eliminate(matrix, shift)
-    sign_lead, log_lead = np.linalg.slogdet(lead_inv)
-    sign_schur, log_schur = np.linalg.slogdet(schur)
-    x = None if not solve_ones else _block_solve(
-        matrix, lead_inv, lambda r: np.linalg.solve(schur, r),
-        np.ones(len(matrix)))
-    return float(sign_lead * sign_schur), float(log_schur - log_lead), x
-
-
-def _padded_min(matrix: np.ndarray, mu: float, x: np.ndarray) -> float:
-    """min_i of (A - mu I) x less its rounding pad, A = -matrix and x > 0.
+def _padded_range(matrix: np.ndarray, mu: float,
+                  x: np.ndarray) -> tuple[float, float]:
+    """(min_i, max_i) of (A - mu I) x, each moved outward by its rounding
+    pad, A = -matrix and x > 0.
 
     Under the sign pattern |matrix| x = matrix x + (|d| - d) x with d the
     diagonal, and gamma_{n+2} bounds the rounding of the product and the
@@ -169,7 +178,7 @@ def _padded_min(matrix: np.ndarray, mu: float, x: np.ndarray) -> float:
     unit = (len(x) + 2) * np.finfo(float).eps / 2
     pad = 2 * unit / (1 - unit) * (product + (np.abs(diag) - diag) * x
                                    + abs(mu) * x + np.abs(residual))
-    return float((residual - pad).min())
+    return float((residual - pad).min()), float((residual + pad).max())
 
 
 def principal_eigenpair(
@@ -192,11 +201,13 @@ def principal_eigenpair(
 
     With dense_check the oracle always runs; without it, only when there
     is no bracket.  The oracle is ``perron_eigenvalue`` under the sign
-    pattern, in the window of 10 tol max(1, |lambda|) around lambda, and
-    ``dense_eigenpair`` otherwise; the factorization of the iteration is
-    released before it runs, so its own blocks can reuse that memory.  A
-    mismatch beyond 10x tol is treated as an oracle inconsistency, and the
-    oracle eigenvalue is kept on the result.
+    pattern, which proves that the window of 10 tol max(1, |lambda|)
+    around lambda holds the eigenvalue and takes one Newton step on the
+    determinant from its lower end, and ``dense_eigenpair`` otherwise; the
+    factorization of the iteration is released before it runs, so its own
+    blocks can reuse that memory.  A mismatch beyond 10x tol is treated as
+    an oracle inconsistency, and the oracle eigenvalue is kept on the
+    result.
     """
     if op.drift_values is not None and op.drift_oscillation() >= 1.0:
         warnings.warn(
@@ -254,97 +265,68 @@ def principal_eigenpair(
                      dense_lambda1, lower, upper)
 
 
-_SECANT_RTOL = 1e-13  # a secant step below this, relative to mu, ends it
-_SECANT_CAP = 60
-
-
 def perron_eigenvalue(op: AssembledOperator, lam: float, gate: float) -> float:
-    """Principal eigenvalue within gate of lam, from block determinants.
+    """Principal eigenvalue within gate of lam, from one block elimination.
 
     For a matrix with positive off-diagonal entries, A = -matrix is an
-    irreducible Z-matrix, and its eigenvalue of smallest real part is real
-    and simple (Perron-Frobenius); it is located as a root of det(A - mu I)
-    with factorizations only (``_shifted_logdet``), and no eigenvalue
-    solver, in three steps (Berman & Plemmons, Nonnegative Matrices in the
-    Mathematical Sciences, SIAM 1994, ch. 6):
+    irreducible Z-matrix, and its eigenvalue lambda1 of smallest real part
+    is real and simple (Perron-Frobenius).  It is located with no
+    eigenvalue solver, from the blocks of one ``_eliminate`` of
+    B = A - mu_lo I at mu_lo = lam - gate (Berman & Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, SIAM 1994, ch. 6):
 
-    - at mu_lo = lam - gate, x solves (A - mu_lo I) x = 1.  A Z-matrix B
-      with x > 0 and Bx > 0 is a nonsingular M-matrix, so x > 0 and
-      (A - mu_lo I) x > 0 past the rounding pad of its product prove that
-      every eigenvalue has real part above mu_lo;
-    - at mu_hi = lam + gate, det(A - mu_hi I) < 0 proves a real eigenvalue
-      below mu_hi: complex eigenvalues come in conjugate pairs, so every
-      real part above mu_lo gives det > 0 at mu_lo, and an odd number of
-      real eigenvalues lie in the window, the principal one the least;
-    - a secant on the determinant, started from the two ends and kept
-      inside the window by the Illinois rule, stops once its step is below
-      1e-13 |mu| and returns that root.
+    - lower end: x solves B x = 1.  A Z-matrix B with x > 0 and Bx > 0 is
+      a nonsingular M-matrix, so x > 0 and B x > 0 past the rounding pad
+      of its product prove that every eigenvalue has real part above mu_lo;
+    - upper end: y = B^-1 x is positive, B^-1 being positive for an
+      irreducible nonsingular M-matrix, and (A - mu_hi I) y < 0 past the
+      same pad at mu_hi = lam + gate proves lambda1 < mu_hi by the
+      Collatz-Wielandt bound; y comes from the same blocks and not from
+      the iteration's phi, which the oracle checks;
+    - value: mu_N = mu_lo + 1/tr(B^-1), one Newton step on det(A - mu I)
+      from mu_lo, whose logarithmic derivative is -tr((A - mu I)^-1) by
+      Jacobi's formula.  Every eigenvalue lambda_i has real part above
+      mu_lo, so each Re 1/(lambda_i - mu_lo) is positive, the trace is at
+      least 1/(lambda1 - mu_lo) and mu_N <= lambda1.  With S' the sum of
+      the other terms, lambda1 - mu_N = (lambda1 - mu_lo)^2 S' /
+      (1 + (lambda1 - mu_lo) S'), below (2 gate)^2 S' inside the window:
+      rounding level for a gate of 10 tol.
 
-    Raises DomainError for any other sign pattern,
+    Raises DomainError for any other sign pattern, and
     OracleInconsistencyError, naming the end, when the window does not
-    hold the principal eigenvalue, and ConvergenceError when the secant
-    has not settled in ``_SECANT_CAP`` determinants.
+    hold the principal eigenvalue.
     """
     matrix = op.matrix
     if not _positive_off_diagonal(matrix):
         raise DomainError("off-diagonal entries must all be positive")
-    n = op.n
-
-    def logdet(mu, where, solve_ones=False):
-        # A - mu I is (-mu) I - matrix
-        try:
-            return _shifted_logdet(matrix, -mu, solve_ones)
-        except np.linalg.LinAlgError:
-            if n == 1 and not solve_ones:
-                return 0.0, -np.inf, None  # the block is A - mu I itself
-            raise OracleInconsistencyError(
-                "at %s = %.17g: a block of A - %s I is singular"
-                % (where, mu, where)) from None
-
     mu_lo, mu_hi = lam - gate, lam + gate
-    sign_lo, log_lo, x = logdet(mu_lo, "mu_lo", solve_ones=True)
+    try:
+        lead_inv, schur_inv = _eliminate(matrix, -mu_lo)  # of A - mu_lo I
+    except np.linalg.LinAlgError:
+        raise OracleInconsistencyError(
+            "at mu_lo = %.17g: a block of A - mu_lo I is singular"
+            % mu_lo) from None
+    x = _block_solve(matrix, lead_inv, schur_inv, np.ones(op.n))
+    y = _block_solve(matrix, lead_inv, schur_inv, x)
+    mu_newton = mu_lo + 1.0 / _inverse_trace(matrix, lead_inv, schur_inv)
+    del lead_inv, schur_inv  # the pads below hold vectors only
     if not x.min() > 0.0:
         raise OracleInconsistencyError(
             "at mu_lo = %.17g: the solution x of (A - mu_lo I) x = 1 is not "
             "positive (min %.3e)" % (mu_lo, x.min()))
-    margin = _padded_min(matrix, mu_lo, x)
-    del x  # no vector outlives the first factorization
-    if not (margin > 0.0 and sign_lo > 0.0):
+    margin = _padded_range(matrix, mu_lo, x)[0]
+    if not margin > 0.0:
         raise OracleInconsistencyError(
             "at mu_lo = %.17g: (A - mu_lo I) x is not positive past its "
             "rounding pad (min %.3e)" % (mu_lo, margin))
-    sign_hi, log_hi, _ = logdet(mu_hi, "mu_hi")
-    if not sign_hi < 0.0:
+    excess = _padded_range(matrix, mu_hi, y)[1] if y.min() > 0.0 else np.inf
+    if not excess < 0.0:
         raise OracleInconsistencyError(
-            "at mu_hi = %.17g: det(A - mu_hi I) >= 0, so no real eigenvalue "
-            "is proven below mu_hi" % mu_hi)
-
-    # det relative to its value at mu_lo, positive at a and negative at b
-    a, f_a, b, f_b = mu_lo, 1.0, mu_hi, -np.exp(log_hi - log_lo)
-    kept = 0  # the end the last iterate left in place: -1 a, +1 b
-    mu = b - f_b * (b - a) / (f_b - f_a)
-    for _ in range(_SECANT_CAP):
-        sign, logabs, _ = logdet(mu, "mu")
-        f_mu = sign * np.exp(logabs - log_lo)
-        if f_mu == 0.0:
-            return float(mu)
-        if f_mu > 0.0:
-            a, f_a = mu, f_mu
-            if kept == 1:
-                f_b /= 2.0  # Illinois: b held twice running
-            kept = 1
-        else:
-            b, f_b = mu, f_mu
-            if kept == -1:
-                f_a /= 2.0
-            kept = -1
-        last = mu
-        mu = b - f_b * (b - a) / (f_b - f_a)
-        if abs(mu - last) <= _SECANT_RTOL * abs(mu):
-            return float(mu)
-    raise ConvergenceError(
-        "Perron secant did not settle in %d determinants; window [%.17g, "
-        "%.17g]" % (_SECANT_CAP, a, b))
+            "at mu_hi = %.17g: (A - mu_hi I) y is not negative past its "
+            "rounding pad for y = (A - mu_lo I)^-1 x (max %.3e, min y %.3e), "
+            "so no Collatz-Wielandt bound puts an eigenvalue below mu_hi"
+            % (mu_hi, excess, y.min()))
+    return float(mu_newton)
 
 
 def dense_eigenpair(op: AssembledOperator) -> EigenPair:
@@ -378,7 +360,7 @@ def dense_eigenpair(op: AssembledOperator) -> EigenPair:
 
 def principal_left_vector(op: AssembledOperator) -> np.ndarray:
     """Positive left eigenvector for the principal eigenvalue, sup-normalized."""
-    mirrored = dataclasses.replace(op, matrix=op.matrix.T.copy())
+    mirrored = dataclasses.replace(op, matrix=op.matrix.T)
     return dense_eigenpair(mirrored).phi1.values
 
 

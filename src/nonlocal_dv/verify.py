@@ -390,9 +390,10 @@ def _check_eigen_consistency(rng: np.random.Generator) -> CheckResult:
         gap = abs(pair.lambda1 - dense) / max(1.0, abs(dense))
         worst_gap = max(worst_gap, gap)
         min_phi = min(min_phi, float(pair.phi1.values.min()))
-    # the fifth instance, cos 3x on 40 cells: its oracle eigenvalue, a root
-    # of the characteristic polynomial, matches the full dense spectrum, and
-    # adding a constant to the potential shifts the eigenvalue exactly
+    # the fifth instance, cos 3x on 40 cells: its oracle eigenvalue, a
+    # Newton step on the characteristic polynomial, matches the full dense
+    # spectrum, and adding a constant to the potential shifts the
+    # eigenvalue exactly
     op = ops[4]
     full = dense_eigenpair(op).lambda1
     perron_gap = abs(pairs[4].dense_lambda1 - full)

@@ -141,18 +141,24 @@ def test_eigen_reference_and_positivity(tmp_path):
 
 
 def _count_dense_calls(monkeypatch):
-    """Record each call of the two eigenvalue oracles, of the block
-    factorizations the Perron oracle makes, and of numpy's dense
-    eigenvalue solvers."""
+    """Record each call of the two eigenvalue oracles, of numpy's dense
+    eigenvalue solvers, and of the block eliminations made while the Perron
+    oracle runs (the iteration's own elimination is not recorded)."""
     calls = []
+    running = []
     for owner, name in ((np.linalg, "eig"), (np.linalg, "eigvals"),
                         (spectral, "perron_eigenvalue"),
                         (spectral, "dense_eigenpair"),
-                        (spectral, "_shifted_logdet")):
+                        (spectral, "_eliminate")):
         def counting(*args, _real=getattr(owner, name), _name=name,
                      **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
+            if _name != "_eliminate" or "perron_eigenvalue" in running:
+                calls.append(_name)
+            running.append(_name)
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                running.pop()
         monkeypatch.setattr(owner, name, counting)
     return calls
 
@@ -186,13 +192,11 @@ def test_eigen_without_dense_check_is_certified_by_bracket(tmp_path,
 
 def test_eigen_dense_check_makes_one_dense_call(tmp_path, monkeypatch):
     # the positive control of the test above: the counter sees the one
-    # oracle call and its block factorizations, two ends and a secant step
-    # at least, and no dense eigenvalue solver runs
+    # oracle call and its one block elimination, and no dense eigenvalue
+    # solver runs
     calls = _count_dense_calls(monkeypatch)
     res = _bracketed_eigen(tmp_path, dense_check=True)
-    assert calls[0] == "perron_eigenvalue"
-    assert calls[1:] == ["_shifted_logdet"] * (len(calls) - 1)
-    assert len(calls) >= 4
+    assert calls == ["perron_eigenvalue", "_eliminate"]
     assert "dense_lambda1" in res
 
 

@@ -136,11 +136,38 @@ def test_iteration_rejects_sign_changing_candidate():
             principal_eigenpair(bad, tol=1e-10, max_iter=200)
 
 
+# (cells, drift amplitude, potential) of the eleven lattices that the
+# eigen_consistency check of ``verify`` builds
+EIGEN_CONSISTENCY_LATTICES = [
+    (40, 0.0, None),
+    (50, 0.0, lambda p: p[:, 0] ** 2),
+    (60, 0.45, lambda p: 0.5 * np.sin(2.0 * p[:, 0])),
+    (50, 0.3, None),
+    (40, 0.3, lambda p: np.cos(3.0 * p[:, 0])),
+    (60, 0.0, None),
+    (45, 0.2, lambda p: bump(1, radius=0.7)(p)),
+    (55, 0.4, lambda p: 0.3 * p[:, 0] ** 2),
+    (50, 0.45, None),
+    (60, 0.35, lambda p: np.cos(2.0 * p[:, 0])),
+    (50, 0.35, None),
+]
+
+
+def eigen_consistency_op(cells, amp, potential):
+    spec = fractional_kernel(1, 0.5, normalized=True)
+    dom = LatticeDomain.interval(-1.0, 1.0, cells, margin=1.0)
+    drift = tanh_drift(1, amplitude=amp) if amp else None
+    return assemble(dom, spec, drift=drift, potential=potential)
+
+
 @pytest.mark.parametrize("make_op", [
     lambda: drifted_op(n=60, amp=0.45,
                        potential=lambda p: 0.5 * np.sin(2 * p[:, 0])),
     lambda: drifted_box_op(cells=10, amp=0.4),
-], ids=["interval", "box"])
+] + [lambda case=case: eigen_consistency_op(*case)
+     for case in EIGEN_CONSISTENCY_LATTICES],
+    ids=["interval", "box"] + ["verify-%d" % i for i in
+                               range(len(EIGEN_CONSISTENCY_LATTICES))])
 def test_perron_oracle_and_bracket_contain_dense_eigenvalue(make_op):
     op = make_op()
     dense = dense_eigenpair(op).lambda1
@@ -149,7 +176,10 @@ def test_perron_oracle_and_bracket_contain_dense_eigenvalue(make_op):
     # the bracket certifies lambda1, so no oracle ran
     assert pair.dense_lambda1 is None
     gate = 10 * 1e-9 * max(1.0, abs(pair.lambda1))
-    assert abs(perron_eigenvalue(op, pair.lambda1, gate) - dense) <= 1e-12 * scale
+    newton = perron_eigenvalue(op, pair.lambda1, gate)
+    assert abs(newton - dense) <= 1e-12 * scale
+    # the Newton step from below stays below lambda1, up to rounding
+    assert newton <= dense + 1e-13 * scale
     lower, upper = pair.lambda1_lower, pair.lambda1_upper
     assert upper - lower <= 10 * 1e-9 * scale
     assert lower <= pair.lambda1 <= upper
@@ -160,14 +190,15 @@ def test_perron_oracle_and_bracket_contain_dense_eigenvalue(make_op):
 def test_perron_window_without_the_eigenvalue_names_its_end(offset, end):
     # a window of half width gate moved by 2 gate leaves lambda1 outside:
     # above it, mu_lo = lambda1 + gate is past lambda1 and x is not positive;
-    # below it, mu_hi = lambda1 - gate has det(A - mu_hi I) > 0
+    # below it, mu_hi = lambda1 - gate has no Collatz-Wielandt bound
     op = drifted_box_op(cells=8, amp=0.4)
     dense = dense_eigenpair(op).lambda1
     gate = 10 * 1e-9 * max(1.0, abs(dense))
     with pytest.raises(OracleInconsistencyError) as err:
         perron_eigenvalue(op, dense + offset * gate, gate)
     assert str(err.value).startswith("at %s = " % end)
-    message = {"mu_lo": "is not positive", "mu_hi": "det(A - mu_hi I) >= 0"}
+    message = {"mu_lo": "is not positive",
+               "mu_hi": "(A - mu_hi I) y is not negative"}
     assert message[end] in str(err.value)
 
 
