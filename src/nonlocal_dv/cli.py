@@ -26,11 +26,13 @@ names.
 The ``kernel`` block takes ``variant``, ``matrix``, ``s``, ``normalized``
 and ``amplitude``; the lower ellipticity bound of the spec is derived from
 the matrix and the amplitude (``kernels.spec_from_config``), and any other
-key exits with status 2 at ``kernel``.  Likewise a density is always
-normalized to unit lattice mass and the barrier scan floor is always 4
-``mesh``, so ``density.normalize`` and ``barrier.d_min`` are not keys: a
-config with either exits with status 2 at its block.  ``checks`` names at
-least one check.
+key exits with status 2 at ``kernel``.  Likewise a density profile of
+any amplitude is scaled to unit lattice mass (``DensitySpec.values_on``)
+and the barrier scan floor is always 4 ``mesh``, so ``density.normalize``
+and ``barrier.d_min`` are not keys: a config with either exits with
+status 2 at its block.  A profile that is negative, not finite or of zero
+mass on its lattice exits with status 2 at ``density.profile``.
+``checks`` names at least one check.
 
 The summary is written to ``output.json`` and the data to ``output.csv``
 (by default ``<command>_summary.json`` and ``<command>_data.csv`` in
@@ -113,7 +115,6 @@ from .operators import (
     gaussian,
     interval_power,
     nonlocal_laplacian,
-    scaled,
     tanh_drift,
 )
 from .rate import (
@@ -530,15 +531,14 @@ def _domain_from_config(block: dict, dim: int) -> LatticeDomain:
 
 
 def _density_from_config(block: dict, dim: int) -> tuple[DensitySpec, LatticeDomain]:
-    fn = _function_from_config(block["profile"], dim, "density.profile")
-    # scaling keeps the support radius and the centre, so the lattice of
-    # the profile is that of the density
-    dom = density_lattice(DensitySpec(fn), cells=block.get("cells"))
-    mass = float(fn(dom.interior_points).sum() * dom.cell_volume)
-    if mass <= 0.0:
-        raise ConfigError("density profile has nonpositive mass",
-                          field_path="density.profile")
-    return DensitySpec(scaled(fn, 1.0 / mass)), dom
+    dens = DensitySpec(_function_from_config(block["profile"], dim,
+                                             "density.profile"))
+    dom = density_lattice(dens, cells=block.get("cells"))
+    try:
+        dens.values_on(dom)
+    except DomainError as exc:
+        raise ConfigError(str(exc), field_path="density.profile") from exc
+    return dens, dom
 
 
 # ---------------------------------------------------------------------------

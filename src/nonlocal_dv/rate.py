@@ -32,7 +32,6 @@ from .lattice import (
 from .operators import SmoothFunction
 from .spectral import _positive_off_diagonal, principal_eigenpair
 
-_MASS_WARN = 0.01
 _LATTICE_MARGIN = 1.0  # box margin of _support_lattice at scale 1
 _SUPPORT_PAD = 0.5  # its padding of the density support
 # Newton tolerance on lambda^2/2 relative to max(1, |F|), and step cap
@@ -46,7 +45,11 @@ _DUAL_TOL = 1e-9  # inverse iteration of dual_gap
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """Probability density with its concentration point."""
+    """Nonnegative density profile with its concentration point.
+
+    The profile needs positive mass on a lattice, not unit mass:
+    ``values_on`` is the one place that scales it to a probability vector.
+    """
 
     f: SmoothFunction
     center: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -59,19 +62,16 @@ class DensitySpec:
         object.__setattr__(self, "center", center)
 
     def values_on(self, domain: LatticeDomain):
-        """Density values on interior nodes, renormalized to unit lattice mass."""
+        """Density values on interior nodes, scaled to unit lattice mass."""
         vals = self.f(domain.interior_points)
+        if not np.isfinite(vals).all():
+            raise DomainError("density is not finite on the lattice")
         if vals.min() < -1e-12:
             raise DomainError("density takes negative values on the lattice")
         vals = np.maximum(vals, 0.0)
         total = float(vals.sum()) * domain.cell_volume
         if total <= 0.0:
             raise DomainError("density vanishes on the lattice interior")
-        if abs(total - 1.0) > _MASS_WARN:
-            warnings.warn(
-                "density mass on the lattice is %.6f, not 1" % total,
-                stacklevel=2,
-            )
         return vals / total
 
 
@@ -87,6 +87,8 @@ def _support_lattice(f: DensitySpec, lam: float, x0: np.ndarray,
     """The lattice of ``density_lattice`` scaled by lam and centred at x0:
     half-width lam (support radius + padding) and margin lam times the
     margin, so that at lam = 1 about f.center it is that lattice."""
+    if f.f.support_radius is None:
+        raise DomainError("the density lattice needs a density of known support")
     reach = lam * (f.f.support_radius + _SUPPORT_PAD)
     lower = x0 - reach
     upper = x0 + reach

@@ -22,9 +22,8 @@ from .errors import DomainError, OracleInconsistencyError, ReconstructionError
 from .extrapolate import richardson_limit
 from .kernels import KernelSpec
 from .lattice import LatticeDomain, assemble
-from .operators import SmoothFunction, bump, nonlocal_laplacian, scaled
-from .rate import (DensitySpec, I_decomposed, _support_lattice, density_lattice,
-                   drift_pairing)
+from .operators import SmoothFunction, bump, nonlocal_laplacian
+from .rate import DensitySpec, I_decomposed, _support_lattice, drift_pairing
 
 __all__ = [
     "ProbeResult",
@@ -110,7 +109,8 @@ class ConstancyReport:
 
 
 def rescale_density(f: DensitySpec, lambda_: float, x0) -> DensitySpec:
-    """Concentrate a unit-mass density: lam^-N f((x - x0)/lam) around x0.
+    """Concentrate a density, keeping its mass: lam^-N f((x - x0)/lam)
+    around x0.
 
     The result is centred at x0, and its support radius and kinks are
     those of f scaled by lam about x0.  On the matching ``probe_domain``
@@ -687,18 +687,7 @@ def recover_matrix(energy_oracle, dim: int, s: float,
 # drift recovery
 
 
-_UNIT_BUMPS: dict[int, DensitySpec] = {}
 _CROSS_TOL = 0.05  # largest relative gap of drift_probe's two routes
-
-
-def _unit_bump(dim: int) -> DensitySpec:
-    # prenormalized so downstream lattice renormalization stays silent
-    if dim not in _UNIT_BUMPS:
-        b = bump(dim, radius=0.8)
-        dom = density_lattice(DensitySpec(b), cells=256 if dim == 1 else 48)
-        mass = float(b(dom.interior_points).sum()) * dom.cell_volume
-        _UNIT_BUMPS[dim] = DensitySpec(scaled(b, 1.0 / mass))
-    return _UNIT_BUMPS[dim]
 
 
 def drift_probe(h: SmoothFunction, spec: KernelSpec, x0,
@@ -719,7 +708,7 @@ def drift_probe(h: SmoothFunction, spec: KernelSpec, x0,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.size
     if f is None:
-        f = _unit_bump(dim)
+        f = DensitySpec(bump(dim, radius=0.8))
     lams = np.asarray(lambda_seq, dtype=float)
     ratio = scale_ratio(lams)
     vals = []

@@ -23,13 +23,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .barriers import C_star, J_closed_form, J_quadrature
-from .errors import DomainError, ResolutionError
+from .errors import DomainError
 from .kernels import fractional_kernel
 from .lattice import LatticeDomain, _pair_pass, assemble, kernel_form
 from .operators import (
     QuadratureScheme,
     SmoothFunction,
-    _gauss_rule,
     bump,
     gaussian,
     interval_power,
@@ -80,26 +79,6 @@ class CheckResult:
     measure: float
     threshold: float
     detail: str
-
-
-def _normalized_bump(radius: float) -> DensitySpec:
-    """The 1D bump of the given radius scaled to unit mass.
-
-    The mass is Gauss-Legendre on [-r, r] at orders 128 and 256: the bump
-    is smooth with all derivatives zero at +-r, so the two agree to
-    rounding, and their difference above 1e-12 relative raises
-    ResolutionError.
-    """
-    base = bump(1, radius=radius)
-    masses = []
-    for n in (128, 256):
-        x, w = _gauss_rule(n)
-        masses.append(radius * float(w @ base(radius * x[:, None])))
-    mass = masses[-1]
-    if abs(masses[-1] - masses[0]) > 1e-12 * mass:
-        raise ResolutionError(
-            "bump mass rules disagree: %.17g vs %.17g" % tuple(masses))
-    return DensitySpec(scaled(base, 1.0 / mass))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +182,7 @@ def _check_rate_minimization(rng: np.random.Generator) -> CheckResult:
     worst_fo = 0.0
     details = []
     for radius in (0.6, 0.8, 1.0):
-        dens = _normalized_bump(radius)
+        dens = DensitySpec(bump(1, radius=radius))
         dom = density_lattice(dens, cells=80)
         op = assemble(dom, spec)
         direct, u_min, steps = minimize_rayleigh(dens, op)
@@ -235,7 +214,7 @@ def _check_scalar_error_form(rng: np.random.Generator) -> CheckResult:
     hbars = np.linspace(-1.0, 1.0, 1000)
     qmin = float(q_scalar_min(hbars).min())
     spec = fractional_kernel(1, 0.5, normalized=True)
-    dens = _normalized_bump(0.8)
+    dens = DensitySpec(bump(1, radius=0.8))
     drift = tanh_drift(1, amplitude=0.3)
     dom = density_lattice(dens, cells=60)
     op = assemble(dom, spec, drift=drift)
@@ -258,7 +237,7 @@ def _check_diffusion_exponent(rng: np.random.Generator) -> CheckResult:
     """Drift-removed rescaled energies approach their limit at the
     expected order in the scale parameter."""
     del rng
-    dens = _normalized_bump(0.8)
+    dens = DensitySpec(bump(1, radius=0.8))
     h = scaled(gaussian(1, width=0.9), 0.5)
     margin = np.inf
     details = []
@@ -309,7 +288,7 @@ def _check_drift_identifiability(rng: np.random.Generator) -> CheckResult:
     del rng
     threshold = 1e-8
     spec = fractional_kernel(1, 0.5, normalized=True)
-    dens = _normalized_bump(0.8)
+    dens = DensitySpec(bump(1, radius=0.8))
     h1 = scaled(gaussian(1, width=0.9), 0.7)
     res_a = drift_probe(h1, spec, np.array([0.2]), f=dens)
     res_b = drift_probe(shifted(h1, 5.0), spec, np.array([0.2]), f=dens)

@@ -696,6 +696,36 @@ def test_dv_functional_outside_convex_regime_exits_3(tmp_path, capsys):
     assert "not convex" in err
 
 
+def test_dv_functional_density_amplitude_is_scaled_away(tmp_path):
+    # the lattice scales the profile to unit mass, whatever its amplitude
+    values = []
+    for amplitude in (1.0, 9.0):
+        payload = dict(DV_1D, density=dict(DV_1D["density"], profile={
+            "kind": "bump", "radius": 0.8, "amplitude": amplitude}))
+        cfg = write_config(tmp_path, f"cfg{amplitude}.json", payload)
+        out = tmp_path / f"out{amplitude}"
+        assert main(["dv-functional", "--config", cfg,
+                     "--output-dir", str(out)]) == 0
+        values.append(read_summary(out, "dv_functional")["results"]["I_value"])
+    assert values[1] == pytest.approx(values[0], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("value, message", [(-1.0, "negative"),
+                                            (0.0, "vanishes")])
+def test_density_profile_the_lattice_cannot_scale_exits_2(tmp_path, capsys,
+                                                          value, message):
+    payload = dict(DV_1D, density={"profile": {"kind": "constant",
+                                               "value": value}})
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["dv-functional", "--config", cfg,
+                 "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "density.profile" in err
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("drift", [False, True])
 def test_dv_functional_forms_each_rate_piece_once(tmp_path, monkeypatch, drift):
     # the summary reads the energy, the pairing and the closed form that

@@ -17,7 +17,7 @@ from nonlocal_dv import cli, lattice, rate
 from nonlocal_dv.errors import DomainError
 from nonlocal_dv.kernels import fractional_kernel
 from nonlocal_dv.lattice import GridFunction, LatticeDomain, assemble, kernel_form
-from nonlocal_dv.operators import SmoothFunction, bump, scaled, tanh_drift
+from nonlocal_dv.operators import SmoothFunction, bump, gaussian, scaled, tanh_drift
 from nonlocal_dv.rate import (
     DensitySpec,
     I_closed_form_h0,
@@ -32,7 +32,7 @@ from nonlocal_dv.rate import (
     q_scalar_min,
     rayleigh_integral,
 )
-from nonlocal_dv.recovery import rescale_density
+from nonlocal_dv.recovery import probe_domain, rescale_density
 
 LOCAL_DIRICHLET_REFERENCE = 4.9128804
 
@@ -61,6 +61,48 @@ def test_density_mass_and_rescaling(density):
     dom_s = density_lattice(small, cells=200)
     assert _lattice_mass(small, dom_s) == pytest.approx(1.0, abs=1e-4)
     assert small.f.support_radius == pytest.approx(0.6 * density.f.support_radius)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("profile", [lambda d: bump(d, radius=0.8),
+                                     lambda d: gaussian(d, width=0.5)],
+                         ids=["bump", "gaussian"])
+@pytest.mark.parametrize("factor", [1e-3, 7.3, 1e4])
+def test_values_on_scales_any_mass_to_unit_mass(dim, profile, factor):
+    # values_on is the one normalizer: a profile of any positive mass gives
+    # the same probability vector, with no warning about its mass
+    f = profile(dim)
+    dom = density_lattice(DensitySpec(f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = DensitySpec(f).values_on(dom)
+        other = DensitySpec(scaled(f, factor)).values_on(dom)
+    np.testing.assert_allclose(other, base, rtol=1e-15, atol=0.0)
+    assert float(base.sum()) * dom.cell_volume == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("lattice_of", [
+    density_lattice,
+    lambda f: probe_domain(f, 0.5, [0.1]),
+], ids=["density_lattice", "probe_domain"])
+def test_density_without_support_has_no_lattice(lattice_of):
+    dens = DensitySpec(SmoothFunction(lambda p: np.exp(-p[:, 0] ** 2), 1))
+    with pytest.raises(DomainError, match="known support"):
+        lattice_of(dens)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_values_on_refuses_a_non_finite_density(bad):
+    b = bump(1, radius=0.8)
+    dens = DensitySpec(SmoothFunction(
+        lambda p: np.where(np.arange(len(p)) == 17, bad, b(p)), 1,
+        support_radius=0.8))
+    dom = LatticeDomain.interval(-1.0, 1.0, 40, margin=0.5)
+    with pytest.raises(DomainError, match="not finite"):
+        dens.values_on(dom)
+    op = assemble(dom, fractional_kernel(1, 0.5, normalized=True))
+    with pytest.raises(DomainError, match="not finite"):
+        I_decomposed(dens, op)
 
 
 def test_rayleigh_constant_function_vanishes(density):
