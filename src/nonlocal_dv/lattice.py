@@ -200,9 +200,11 @@ def _pair_peak_bytes(domain: LatticeDomain) -> int:
     """n_int (n_total + n_int) float64, for every field: beside temporaries
     within ``_KERNEL_CHUNK_BYTES`` (a row chunk of W, of its forms and of
     the drift block, the kernel samples) it bounds ``assemble`` (the
-    matrix), the solve (the matrix and its block factor, 1.76 times the
-    matrix, within 1 + n_total/n_int times it) and a pair pass (the matrix
-    and the block it gathers, at most n_int x n_total).
+    matrix), the solve (the matrix and its block factor, 1.75 times the
+    matrix, within 1 + n_total/n_int times it; the untraced LAPACK work
+    arrays are those of blocks of at most ``spectral._INVERSE_LEAF`` rows)
+    and a pair pass (the matrix and the block it gathers, at most
+    n_int x n_total).
     """
     n_int = domain.n_interior
     return 8 * n_int * (len(domain.points) + n_int)

@@ -5,7 +5,9 @@ negated operator matrix, singled out by having a one-signed eigenfunction.
 Two routes are provided and kept independent on purpose: an inverse power
 iteration on the shifted matrix (the constructive route), which factors
 the shifted matrix once by a 2x2 block elimination, and an oracle route
-that does not iterate.
+that does not iterate.  The two half blocks of that elimination are
+inverted in place by the same elimination applied recursively: matrix
+products (gemm) down to blocks small enough for LAPACK's inverse.
 
 Which certificate backs lambda1 depends on the sign pattern of the matrix.
 When every off-diagonal entry is positive (true for the assembled operator
@@ -95,32 +97,70 @@ def _positive_off_diagonal(matrix: np.ndarray) -> bool:
     return bool(flat[1:].reshape(n - 1, n + 1)[:, :n].min() > 0.0)
 
 
+_INVERSE_LEAF = 100  # blocks of at most this many rows go to np.linalg.inv
+
+
+def _invert_in_place(block: np.ndarray) -> None:
+    """Overwrite the square array block with its inverse, by recursive 2x2
+    block elimination without pivoting.
+
+    With A the leading ceil(n/2) rows and columns and S = D - C A^-1 B the
+    Schur complement, [[A, B], [C, D]]^-1 is
+    [[A^-1 + A^-1 B S^-1 C A^-1, -A^-1 B S^-1], [-S^-1 C A^-1, S^-1]].
+    A is inverted where it stands, S is formed on top of D and inverted
+    there, and the off-diagonal blocks are filled in by gemms, so beside
+    the array the temporaries hold about half its size.  Blocks of at
+    most ``_INVERSE_LEAF`` rows go to np.linalg.inv, which raises
+    LinAlgError for a singular one.  The caller's matrix must need no
+    pivoting between blocks at any level (``_eliminate``).
+    """
+    n = len(block)
+    if n <= _INVERSE_LEAF:
+        block[...] = np.linalg.inv(block)
+        return
+    k = (n + 1) // 2
+    a, b = block[:k, :k], block[:k, k:]
+    c, d = block[k:, :k], block[k:, k:]
+    _invert_in_place(a)
+    a_inv_b = a @ b
+    d -= c @ a_inv_b
+    _invert_in_place(d)
+    np.matmul(a_inv_b, d, out=b)  # A^-1 B S^-1
+    del a_inv_b  # freed before C A^-1 is formed
+    c_a_inv = c @ a
+    a += b @ c_a_inv
+    np.matmul(d, c_a_inv, out=c)  # S^-1 C A^-1
+    np.negative(b, out=b)
+    np.negative(c, out=c)
+
+
 def _eliminate(matrix: np.ndarray, shift: float):
     """2x2 block elimination of shift I - matrix: (lead_inv, schur_inv).
 
     The leading block has k = ceil(n/2) rows: A = shift I - matrix[:k, :k]
     is inverted, its Schur complement S = shift I - matrix[k:, k:]
     - matrix[k:, :k] A^-1 matrix[:k, k:] is formed from the off-diagonal
-    blocks, which stay views of matrix, and inverted too.  When
-    shift I - matrix is strictly row diagonally dominant
-    (``estimate_shift``), so are A and S, a Schur complement keeping that
-    property (Carlson & Markham, Czech. Math. J. 1979): the elimination
-    needs no pivoting between the blocks; for a nonsingular M-matrix, as at
-    the Perron oracle's shift, both blocks are nonsingular M-matrices too.
-    The two inverses hold half the memory of one factor of the whole
-    matrix.  Both the solver of the iteration and the solves and inverse
-    trace of the Perron oracle come from this one elimination.
+    blocks, which stay views of matrix, and inverted too, each in place
+    by ``_invert_in_place``.  When shift I - matrix is strictly row
+    diagonally dominant (``estimate_shift``), so is every principal
+    submatrix and every Schur complement of one, at any depth (Carlson &
+    Markham, Czech. Math. J. 1979); for a nonsingular M-matrix, as at the
+    Perron oracle's shift, they are all nonsingular M-matrices.  So neither
+    this elimination nor the recursion inside each inverse needs pivoting
+    between blocks.  The two inverses hold half the memory of one factor
+    of the whole matrix.  Both the solver of the iteration and the solves
+    and inverse trace of the Perron oracle come from this one elimination.
     """
     k = (matrix.shape[0] + 1) // 2
     lead = np.negative(matrix[:k, :k])
     lead[np.diag_indices(k)] += shift
-    lead_inv = np.linalg.inv(lead)
-    del lead  # freed before the Schur complement is formed
-    schur = matrix[k:, :k] @ (lead_inv @ matrix[:k, k:])
+    _invert_in_place(lead)
+    schur = matrix[k:, :k] @ (lead @ matrix[:k, k:])
     schur += matrix[k:, k:]
     np.negative(schur, out=schur)
     schur[np.diag_indices(len(schur))] += shift
-    return lead_inv, np.linalg.inv(schur)
+    _invert_in_place(schur)
+    return lead, schur
 
 
 def _block_solve(matrix, lead_inv, schur_inv, b):

@@ -842,6 +842,26 @@ def test_barrier_check_outputs_do_not_depend_on_blas_threads(tmp_path):
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_eigen_separable_sum_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # 256 unknowns: each half block of the iteration's factor is inverted
+    # by the recursion from LAPACK leaves of 64 rows and gemms of at most
+    # 128, which round alike on one and two BLAS threads; a LAPACK inverse
+    # of the whole 128-row half block did not
+    runs = outputs_at_threads(tmp_path, "eigen", {
+        "kernel": {"variant": "separable_sum", "s": 0.5,
+                   "matrix": [[1.5983603491461116, -0.09554338019434701],
+                              [-0.09554338019434702, 1.8779208802168093]]},
+        "domain": {"shape": "box", "lower": [-1.0, -1.0],
+                   "upper": [1.0, 1.0], "cells": 16, "margin": 0.3},
+        "drift": {"kind": "tanh", "slope": 2.0,
+                  "amplitude": 0.2047671737362413},
+        "eigen": {"dense_check": False},
+    })
+    assert sorted(runs[0]) == ["eigen_data.csv", "eigen_data.json",
+                              "eigen_summary.json"]
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_threads_flag_without_setter(monkeypatch, capsys):
     # a BLAS without the OpenBLAS setter cannot honour the flag: refuse it
     monkeypatch.setattr(cli, "_OPENBLAS_SETTER", "no_such_setter")

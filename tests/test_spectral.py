@@ -216,10 +216,16 @@ def test_perron_oracle_on_one_and_two_nodes(n):
     assert abs(pair.dense_lambda1 - dense) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 40, 101])
+LEAF = spectral._INVERSE_LEAF
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 101, 2 * LEAF + 3, 4 * LEAF + 1])
 def test_shifted_solver_matches_dense_solve(n):
     # mixed signs and no symmetry; the shift makes shift I - matrix
-    # strictly row diagonally dominant, as estimate_shift does
+    # strictly row diagonally dominant, as estimate_shift does.  Past
+    # 2 LEAF rows each half block is inverted by recursion: 2 LEAF + 3
+    # splits each half block once, and 4 LEAF + 1 splits its leading half
+    # block twice, at an odd size each time
     rng = np.random.default_rng(n)
     matrix = rng.normal(size=(n, n))
     shift = float((np.abs(matrix).sum(axis=1) + np.diag(matrix)).max()) + 0.1
@@ -227,6 +233,80 @@ def test_shifted_solver_matches_dense_solve(n):
     for b in rng.normal(size=(3, n)):
         want = np.linalg.solve(shift * np.eye(n) - matrix, b)
         assert np.abs(solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_inverse_recursion_reaches_leaves_in_place(monkeypatch):
+    # only blocks of at most LEAF rows reach LAPACK: the leading leaf of
+    # 4 LEAF + 1 rows is three uneven splits deep, ceil(n/8) rows
+    sizes = []
+    real_inv = np.linalg.inv
+
+    def counting(a):
+        sizes.append(len(a))
+        return real_inv(a)
+
+    rng = np.random.default_rng(3)
+    n = 4 * LEAF + 1
+    block = rng.normal(size=(n, n))
+    block[np.diag_indices(n)] += np.abs(block).sum(axis=1)
+    want = real_inv(block)
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    spectral._invert_in_place(block)
+    assert sizes[0] == -(-n // 8) and max(sizes) <= LEAF and sum(sizes) == n
+    assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_inverse_in_place_on_a_strided_view():
+    # a view with a stride in both axes, inverted where it stands: the
+    # entries of the base array outside it keep their values
+    rng = np.random.default_rng(4)
+    n = 2 * LEAF + 3
+    base = rng.normal(size=(2 * n, 3 * n))
+    view = base[::2, 1::3]
+    view[np.diag_indices(n)] += np.abs(view).sum(axis=1)
+    assert not view.flags.c_contiguous and not view.flags.f_contiguous
+    want, before = np.linalg.inv(view), base.copy()
+    spectral._invert_in_place(view)
+    assert np.abs(view - want).max() <= 1e-12 * np.abs(want).max()
+    outside = np.ones(base.shape, dtype=bool)
+    outside[::2, 1::3] = False
+    assert np.array_equal(base[outside], before[outside])
+
+
+def test_shifted_solver_at_the_oracle_shift():
+    # B = A - mu I with mu just below lambda1, as the Perron oracle
+    # eliminates it: a nonsingular M-matrix whose half blocks recurse.
+    # Along phi1 every solver's x carries a relative error of about
+    # ||A|| eps/(lambda1 - mu) (both solves below alike), so the solution
+    # is compared in its sup-normalized direction, and its backward error
+    # at rounding level
+    op = drifted_op(n=4 * LEAF + 1, amp=0.4)
+    dense = dense_eigenpair(op).lambda1
+    mu = dense - 10 * 1e-9 * max(1.0, abs(dense))
+    b_matrix = -op.matrix - mu * np.eye(op.n)
+    solve = spectral._shifted_solver(op.matrix, -mu)
+    for b in (np.ones(op.n), np.random.default_rng(5).uniform(0.5, 1.0, op.n)):
+        got, want = solve(b), np.linalg.solve(b_matrix, b)
+        assert got.min() > 0.0 and want.min() > 0.0
+        assert np.abs(got / got.max() - want / want.max()).max() <= 1e-12
+        norm = np.abs(b_matrix).sum(axis=1).max()
+        assert np.abs(b_matrix @ got - b).max() <= 1e-14 * norm * got.max()
+
+
+@pytest.mark.parametrize("n", [2 * LEAF, 4 * LEAF + 1],
+                         ids=["leaf", "split"])
+def test_perron_oracle_names_a_singular_block(n):
+    # off-diagonal 1 and diagonal -3: at mu_lo = 4 the leading block of
+    # A - mu_lo I is all -1, exactly singular; it is a leaf for 2 LEAF
+    # rows and split by the recursion for 4 LEAF + 1
+    op = drifted_op(n=n, amp=0.4)
+    singular = dataclasses.replace(op, matrix=np.ones((n, n)) - 4 * np.eye(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleInconsistencyError) as err:
+            perron_eigenvalue(singular, 4.5, 0.5)
+    assert str(err.value) == ("at mu_lo = 4: a block of A - mu_lo I is "
+                              "singular")
 
 
 def test_eigenpair_leaves_the_operator_matrix_untouched():
