@@ -57,11 +57,13 @@ entry of the operator matrix is positive they certify ``lambda1`` to
 against one oracle, and a mismatch fails the run: under the bracket the
 oracle proves from one block elimination of the shifted matrix that a
 window of 10 tol max(1, |lambda1|) around the iteration's value holds the
-eigenvalue, and takes one Newton step on the determinant from its lower
-end (``spectral.perron_eigenvalue``, no eigenvalue solver); elsewhere it
-is one dense eigenvalue solve.  With ``"dense_check": false`` the oracle runs
-only where there is no bracket; its eigenvalue (``dense_lambda1``) and the
-gap (``iteration_vs_dense``) are reported whenever it ran.
+eigenvalue, and takes the lower Collatz-Wielandt quotient of its own two
+solves, below lambda1 by the window's width squared over the gap to the
+next eigenvalue (``spectral.perron_eigenvalue``, no eigenvalue solver);
+elsewhere it is one dense eigenvalue solve.  With ``"dense_check": false``
+the oracle runs only where there is no bracket; its eigenvalue
+(``dense_lambda1``) and the gap (``iteration_vs_dense``) are reported
+whenever it ran.
 
 ``dv-functional`` reports the step count and the final Newton decrement
 of its error-form minimization (``error_form_newton_steps``,

@@ -22,13 +22,12 @@ principal, and one block elimination of the shifted matrix at the lower
 end of a window around the iteration's value, the same elimination as the
 iteration's factor, proves that the window holds it (an M-matrix test
 below, a Collatz-Wielandt bound above, from two block solves of its own)
-and pins it by one Newton step on the characteristic polynomial, whose
-derivative is a trace of the inverse (Jacobi's formula).  Otherwise
-there is no bracket, and the oracle is ``dense_eigenpair``, a dense
-numpy.linalg solve for the whole spectrum that selects by the sign of the
-eigenvectors.  The module also carries the min-max characterization of
-the value, and a sign demo built from the jump-drift construction on an
-interval.
+and pins it by the lower Collatz-Wielandt quotient of those same two
+solves.  Otherwise there is no bracket, and the oracle is
+``dense_eigenpair``, a dense numpy.linalg solve for the whole spectrum
+that selects by the sign of the eigenvectors.  The module also carries
+the min-max characterization of the value, and a sign demo built from
+the jump-drift construction on an interval.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ class EigenPair:
     when every off-diagonal entry of the matrix is positive; they are None
     for any other sign pattern, and lambda1 then rests on the dense oracle
     alone.  dense_lambda1 is the oracle eigenvalue the iteration was
-    cross-checked against, or None when no cross-check ran: the Newton
-    step on det(-matrix - mu I) that ``perron_eigenvalue`` takes under the
+    cross-checked against, or None when no cross-check ran: the lower
+    Collatz-Wielandt quotient that ``perron_eigenvalue`` takes under the
     sign pattern, the eigenvalue ``dense_eigenpair`` selects otherwise.
     """
 
@@ -149,7 +148,7 @@ def _eliminate(matrix: np.ndarray, shift: float):
     this elimination nor the recursion inside each inverse needs pivoting
     between blocks.  The two inverses hold half the memory of one factor
     of the whole matrix.  Both the solver of the iteration and the solves
-    and inverse trace of the Perron oracle come from this one elimination.
+    of the Perron oracle come from this one elimination.
     """
     k = (matrix.shape[0] + 1) // 2
     lead = np.negative(matrix[:k, :k])
@@ -178,28 +177,6 @@ def _shifted_solver(matrix: np.ndarray, shift: float):
     """Factor shift I - matrix once; return the solve b -> x."""
     lead_inv, schur_inv = _eliminate(matrix, shift)
     return lambda b: _block_solve(matrix, lead_inv, schur_inv, b)
-
-
-def _inverse_trace(matrix: np.ndarray, lead_inv: np.ndarray,
-                   schur_inv: np.ndarray) -> float:
-    """tr((shift I - matrix)^-1) from ``_eliminate``'s inverses: L of the
-    leading block, and that of its Schur complement S.
-
-    The inverse's diagonal blocks are L + L B12 S^-1 B21 L and S^-1, where
-    B12 = -matrix[:k, k:] and B21 = -matrix[k:, :k], so the trace is
-    tr(L) + tr(S^-1) + tr(S^-1 matrix[k:, :k] L^2 matrix[:k, k:]).  The
-    last product is formed a slab of rows at a time against the matching
-    columns of S^-1; a slab holds a quarter of the rows, so the slabs stay
-    within one half-size block beside L and S^-1.
-    """
-    k = len(lead_inv)
-    lower, upper = matrix[k:, :k], matrix[:k, k:]
-    total = np.trace(lead_inv) + np.trace(schur_inv)
-    step = max(1, -(-len(schur_inv) // 4))
-    for j in range(0, len(schur_inv), step):
-        slab = lower[j:j + step] @ lead_inv @ lead_inv @ upper
-        total += np.einsum("ij,ji->", slab, schur_inv[:, j:j + step])
-    return float(total)
 
 
 def _padded_range(matrix: np.ndarray, mu: float,
@@ -242,8 +219,8 @@ def principal_eigenpair(
     With dense_check the oracle always runs; without it, only when there
     is no bracket.  The oracle is ``perron_eigenvalue`` under the sign
     pattern, which proves that the window of 10 tol max(1, |lambda|)
-    around lambda holds the eigenvalue and takes one Newton step on the
-    determinant from its lower end, and ``dense_eigenpair`` otherwise; the
+    around lambda holds the eigenvalue and takes the lower Collatz-Wielandt
+    quotient of its own two solves, and ``dense_eigenpair`` otherwise; the
     factorization of the iteration is released before it runs, so its own
     blocks can reuse that memory.  A mismatch beyond 10x tol is treated as
     an oracle inconsistency, and the oracle eigenvalue is kept on the
@@ -323,14 +300,14 @@ def perron_eigenvalue(op: AssembledOperator, lam: float, gate: float) -> float:
       same pad at mu_hi = lam + gate proves lambda1 < mu_hi by the
       Collatz-Wielandt bound; y comes from the same blocks and not from
       the iteration's phi, which the oracle checks;
-    - value: mu_N = mu_lo + 1/tr(B^-1), one Newton step on det(A - mu I)
-      from mu_lo, whose logarithmic derivative is -tr((A - mu I)^-1) by
-      Jacobi's formula.  Every eigenvalue lambda_i has real part above
-      mu_lo, so each Re 1/(lambda_i - mu_lo) is positive, the trace is at
-      least 1/(lambda1 - mu_lo) and mu_N <= lambda1.  With S' the sum of
-      the other terms, lambda1 - mu_N = (lambda1 - mu_lo)^2 S' /
-      (1 + (lambda1 - mu_lo) S'), below (2 gate)^2 S' inside the window:
-      rounding level for a gate of 10 tol.
+    - value: mu_lo + min_i x_i/y_i.  In exact arithmetic B y = x, so this
+      is mu_lo + min_i (B y)_i/y_i, the lower Collatz-Wielandt bound of B
+      at y > 0, and never above lambda1.  x and y are two steps of inverse
+      iteration on B from 1, so with theta_j = lambda_j - mu_lo the
+      quotient misses theta_1 by a relative order of theta_1/|theta_2|:
+      lambda1 less the value is of order (2 gate)^2/|lambda_2 - mu_lo|,
+      the gap to the next eigenvalue alone, times how far 1 lies from the
+      direction of phi1.  Rounding level for a gate of 10 tol.
 
     Raises DomainError for any other sign pattern, and
     OracleInconsistencyError, naming the end, when the window does not
@@ -348,7 +325,6 @@ def perron_eigenvalue(op: AssembledOperator, lam: float, gate: float) -> float:
             % mu_lo) from None
     x = _block_solve(matrix, lead_inv, schur_inv, np.ones(op.n))
     y = _block_solve(matrix, lead_inv, schur_inv, x)
-    mu_newton = mu_lo + 1.0 / _inverse_trace(matrix, lead_inv, schur_inv)
     del lead_inv, schur_inv  # the pads below hold vectors only
     if not x.min() > 0.0:
         raise OracleInconsistencyError(
@@ -366,7 +342,7 @@ def perron_eigenvalue(op: AssembledOperator, lam: float, gate: float) -> float:
             "rounding pad for y = (A - mu_lo I)^-1 x (max %.3e, min y %.3e), "
             "so no Collatz-Wielandt bound puts an eigenvalue below mu_hi"
             % (mu_hi, excess, y.min()))
-    return float(mu_newton)
+    return float(mu_lo + (x / y).min())
 
 
 def dense_eigenpair(op: AssembledOperator) -> EigenPair:

@@ -369,10 +369,11 @@ def _check_eigen_consistency(rng: np.random.Generator) -> CheckResult:
         gap = abs(pair.lambda1 - dense) / max(1.0, abs(dense))
         worst_gap = max(worst_gap, gap)
         min_phi = min(min_phi, float(pair.phi1.values.min()))
-    # the fifth instance, cos 3x on 40 cells: its oracle eigenvalue, a
-    # Newton step on the characteristic polynomial, matches the full dense
-    # spectrum, and adding a constant to the potential shifts the
-    # eigenvalue exactly
+    # the fifth instance, cos 3x on 40 cells: its oracle eigenvalue, the
+    # lower Collatz-Wielandt quotient of the oracle's own solves, below
+    # lambda1 by the window's width squared over the gap to lambda_2,
+    # matches the full dense spectrum, and adding a constant to the
+    # potential shifts the eigenvalue exactly
     op = ops[4]
     full = dense_eigenpair(op).lambda1
     perron_gap = abs(pairs[4].dense_lambda1 - full)

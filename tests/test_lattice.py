@@ -369,13 +369,13 @@ def test_memory_holds_the_matrix_and_frees_the_block_factor(monkeypatch, traced_
 
 
 def test_perron_oracle_peaks_within_the_block_factor(monkeypatch, traced_memory):
-    # the oracle's solves and inverse trace come from the iteration's block
-    # elimination and it forms no n x n copy.  Both peak at three half-size
+    # the oracle's solves come from the iteration's block elimination and
+    # it forms no n x n copy.  Both peak at three half-size
     # blocks, in that elimination: the block inverse, the product with it
     # and the Schur complement.  Each block is inverted in place with
     # temporaries of at most half a block, and only the LAPACK work arrays
-    # of its leaves go untraced; the oracle's trace slabs stay below one
-    # block beside the two inverses.  The peaks differ only
+    # of its leaves go untraced; the oracle's value, a quotient of its two
+    # solves, holds vectors only.  The peaks differ only
     # by the scalars and array headers alive beside them (under 1 kB
     # here), so the oracle may exceed the factor by one vector of one
     # double per node (4.6 kB) but not by an n x n copy (2.65 MB)

@@ -153,6 +153,9 @@ EIGEN_CONSISTENCY_LATTICES = [
 ]
 
 
+LEAF = spectral._INVERSE_LEAF
+
+
 def eigen_consistency_op(cells, amp, potential):
     spec = fractional_kernel(1, 0.5, normalized=True)
     dom = LatticeDomain.interval(-1.0, 1.0, cells, margin=1.0)
@@ -164,10 +167,13 @@ def eigen_consistency_op(cells, amp, potential):
     lambda: drifted_op(n=60, amp=0.45,
                        potential=lambda p: 0.5 * np.sin(2 * p[:, 0])),
     lambda: drifted_box_op(cells=10, amp=0.4),
+    # past 2 LEAF unknowns both half blocks of the oracle's elimination
+    # are inverted by the recursion
+    lambda: drifted_op(n=4 * LEAF + 1, amp=0.4),
 ] + [lambda case=case: eigen_consistency_op(*case)
      for case in EIGEN_CONSISTENCY_LATTICES],
-    ids=["interval", "box"] + ["verify-%d" % i for i in
-                               range(len(EIGEN_CONSISTENCY_LATTICES))])
+    ids=["interval", "box", "recursive"] + [
+        "verify-%d" % i for i in range(len(EIGEN_CONSISTENCY_LATTICES))])
 def test_perron_oracle_and_bracket_contain_dense_eigenvalue(make_op):
     op = make_op()
     dense = dense_eigenpair(op).lambda1
@@ -176,14 +182,31 @@ def test_perron_oracle_and_bracket_contain_dense_eigenvalue(make_op):
     # the bracket certifies lambda1, so no oracle ran
     assert pair.dense_lambda1 is None
     gate = 10 * 1e-9 * max(1.0, abs(pair.lambda1))
-    newton = perron_eigenvalue(op, pair.lambda1, gate)
-    assert abs(newton - dense) <= 1e-12 * scale
-    # the Newton step from below stays below lambda1, up to rounding
-    assert newton <= dense + 1e-13 * scale
+    quotient = perron_eigenvalue(op, pair.lambda1, gate)
+    assert abs(quotient - dense) <= 1e-12 * scale
+    # the lower Collatz-Wielandt quotient mu_lo + min x/y of the oracle's
+    # own solves is never above lambda1, up to rounding; it misses it by
+    # about (2 gate)^2/(lambda_2 - mu_lo), far below rounding here
+    assert quotient <= dense + 1e-13 * scale
     lower, upper = pair.lambda1_lower, pair.lambda1_upper
     assert upper - lower <= 10 * 1e-9 * scale
     assert lower <= pair.lambda1 <= upper
     assert lower - 1e-12 * scale <= dense <= upper + 1e-12 * scale
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: drifted_op(n=60, amp=0.45),
+    lambda: drifted_box_op(cells=16, amp=0.4),
+], ids=["interval", "box"])
+def test_perron_oracle_value_at_a_wide_window(make_op):
+    # at a window of 1e-3 scale the quotient's error, of order
+    # (2 gate)^2/(lambda_2 - mu_lo), involves only the gap to lambda_2 and
+    # stays below 1e-6 scale
+    op = make_op()
+    dense = dense_eigenpair(op).lambda1
+    scale = max(1.0, abs(dense))
+    value = perron_eigenvalue(op, dense, 1e-3 * scale)
+    assert dense - 1e-6 * scale <= value <= dense + 1e-13 * scale
 
 
 @pytest.mark.parametrize("offset, end", [(2.0, "mu_lo"), (-2.0, "mu_hi")])
@@ -214,9 +237,6 @@ def test_perron_oracle_on_one_and_two_nodes(n):
         assert abs(root - dense) <= 1e-12 * scale
     pair = principal_eigenpair(op, tol=1e-9, max_iter=400, dense_check=True)
     assert abs(pair.dense_lambda1 - dense) <= 1e-12 * scale
-
-
-LEAF = spectral._INVERSE_LEAF
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40, 101, 2 * LEAF + 3, 4 * LEAF + 1])
