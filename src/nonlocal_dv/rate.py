@@ -8,8 +8,8 @@ decomposes into the square-root energy, half the density/drift pairing,
 and a nonpositive correction obtained by minimizing a hyperbolic two-term
 form over exponent fields.  Both routes are implemented independently: the
 decomposition and a direct minimization of the averaged ratio.  With u = e^w
-both minimizations are convex, with a weighted graph Laplacian as Hessian,
-and both run the same gauge-pinned Newton method (``_newton``).
+both minimizations are convex, and each objective hands the one gauge-pinned
+Newton method (``_newton``) the pair weights C of its Hessian diag(C1) - C.
 """
 
 from __future__ import annotations
@@ -150,27 +150,37 @@ def _newton(fun, w: np.ndarray, pin: int, tol: float, max_steps: int,
             what: str):
     """Minimize a convex F that is invariant under w -> w + c by Newton steps.
 
-    ``fun(w)`` returns F, its gradient and its Hessian, a weighted graph
-    Laplacian whose null space is the constant vector.  Entry ``pin`` of w
-    stays fixed, which removes that direction; each step solves the pinned
-    Hessian system by Cholesky and backtracks to the Armijo condition.  The
-    iteration stops when the Newton decrement lambda = sqrt(g^T H^-1 g)
-    satisfies lambda^2/2 <= tol max(1, |F|), and raises ConvergenceError
-    after ``max_steps`` steps.  Returns (w, F, steps, lambda).
+    ``fun(w)`` returns F, its gradient and the symmetric pair weights C of
+    its Hessian, the graph Laplacian diag(C1) - C that only this routine
+    forms.  Every weight off the diagonal is positive (in the error form
+    a_ij (cosh + sinh dh/2) >= a_ij cosh (1 - |dh|/2), |dh| < 2 by
+    ``_rate_pieces``; in the ratio by the sign check of ``minimize_rayleigh``),
+    so the graph is connected and the Laplacian with entry ``pin`` of w fixed
+    is positive definite.  Each step factors it by Cholesky, frees it, and
+    backtracks to the Armijo condition.  The iteration stops when the Newton
+    decrement lambda = sqrt(g^T H^-1 g) satisfies lambda^2/2 <= tol
+    max(1, |F|), and raises ConvergenceError after ``max_steps`` steps or on
+    a failed factor.  Returns (w, F, steps, lambda).
     """
     free = np.arange(len(w)) != pin
-    value, grad, hess = fun(w)
+    value, grad, weights = fun(w)
     for steps in range(max_steps + 1):
         g = grad[free]
+        hess = weights[np.ix_(free, free)]
+        np.negative(hess, out=hess)
+        hess[np.diag_indices_from(hess)] += weights.sum(axis=1)[free]
+        del weights
         try:
-            chol = np.linalg.cholesky(hess[np.ix_(free, free)])
+            chol = np.linalg.cholesky(hess)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 "%s: pinned Hessian not positive definite after %d Newton "
                 "steps" % (what, steps)) from exc
-        # numpy has no triangular solve: two general solves apply the
-        # factor, in the O(n^3) of the factorization itself
+        del hess
+        # two general solves apply the factor: one solve of the Laplacian is
+        # 3x faster, but its bits depend on the BLAS thread count from n = 100
         direction = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+        del chol
         lam2 = max(0.0, -float(g @ direction))  # 0.0, never -0.0
         if 0.5 * lam2 <= tol * max(1.0, abs(value)):
             return w, value, steps, float(np.sqrt(lam2))
@@ -183,16 +193,17 @@ def _newton(fun, w: np.ndarray, pin: int, tol: float, max_steps: int,
             # an overlong trial step may overflow exp/cosh; its value is
             # then inf or nan and fails the test below
             with np.errstate(over="ignore", invalid="ignore"):
-                t_value, t_grad, t_hess = fun(trial)
+                t_value, t_grad, weights = fun(trial)
             # Armijo with fraction 1/4: the directional derivative is -lam2
             if t_value <= value - 0.25 * t * lam2:
                 break
+            del weights
             t *= 0.5
             if t < 1e-12:
                 raise ConvergenceError(
                     "%s: Newton line search stalled at decrement %.3g after "
                     "%d steps" % (what, np.sqrt(lam2), steps))
-        w, value, grad, hess = trial, t_value, t_grad, t_hess
+        w, value, grad = trial, t_value, t_grad
     raise ConvergenceError(
         "%s: no convergence in %d Newton steps; decrement %.3g"
         % (what, max_steps, np.sqrt(lam2)))
@@ -201,7 +212,8 @@ def _newton(fun, w: np.ndarray, pin: int, tol: float, max_steps: int,
 def error_form_value(op: AssembledOperator, f_values: np.ndarray,
                      w_values: np.ndarray) -> float:
     """Hyperbolic two-term form at a given exponent field (no minimization)."""
-    return _error_objective(_rate_pieces(op, f_values)[2], w_values)[0]
+    pieces = _rate_pieces(op, f_values)[2]
+    return _error_objective(pieces, np.asarray(w_values, dtype=float)[pieces[0]])[0]
 
 
 def _rate_pieces(op: AssembledOperator, f_values: np.ndarray):
@@ -228,20 +240,15 @@ def _rate_pieces(op: AssembledOperator, f_values: np.ndarray):
     return float(forms[0]), float(forms[1:].sum()), (supp, a, dh)
 
 
-def _error_objective(pieces, w_values):
-    """Value of the error form at the exponent field ``w_values`` (one value
-    per interior node), with its gradient and Hessian in the support values
-    of w."""
-    supp, a, dh = pieces
-    w = np.asarray(w_values, dtype=float)[supp]
+def _error_objective(pieces, w):
+    """Value of the error form at the support values ``w`` of the exponent
+    field, with its gradient and the pair weights of its Hessian."""
+    _, a, dh = pieces
     dw = w[None, :] - w[:, None]
     ch, sh = np.cosh(dw), np.sinh(dw)
     value = float((a * (ch - 1.0 + 0.5 * sh * dh)).sum())
     grad = -2.0 * (a * (sh + 0.5 * ch * dh)).sum(axis=1)
-    curv = a * (ch + 0.5 * sh * dh)
-    hess = -2.0 * curv
-    hess[np.diag_indices_from(hess)] += 2.0 * curv.sum(axis=1)
-    return value, grad, hess
+    return value, grad, 2.0 * (a * (ch + 0.5 * sh * dh))
 
 
 @dataclass(frozen=True)
@@ -284,15 +291,10 @@ def I_decomposed(f: DensitySpec, op: AssembledOperator) -> RateDecomposition:
     fv = f.values_on(domain)
     energy, pairing, pieces = _rate_pieces(op, fv)
     supp = pieces[0]
-    w_full = np.zeros(len(fv))
-
-    def objective(x):
-        w_full[supp] = x
-        return _error_objective(pieces, w_full)
-
     x, E_value, steps, decrement = _newton(
-        objective, np.zeros(int(supp.sum())), int(np.argmax(fv[supp])),
-        _ERROR_TOL, _ERROR_MAX_ITER, "error form")
+        lambda x: _error_objective(pieces, x), np.zeros(int(supp.sum())),
+        int(np.argmax(fv[supp])), _ERROR_TOL, _ERROR_MAX_ITER, "error form")
+    w_full = np.zeros(len(fv))
     w_full[supp] = x
     return RateDecomposition(energy - 0.5 * pairing - E_value, energy, pairing,
                              E_value, GridFunction(domain, w_full), steps,
@@ -319,22 +321,19 @@ def minimize_rayleigh(f: DensitySpec, op: AssembledOperator):
     fv = f.values_on(domain) + _RAYLEIGH_EPS
     fv /= fv.sum() * domain.cell_volume
     vol = domain.cell_volume
-    off = op.matrix.copy()
-    diag = off.diagonal().copy()
-    np.fill_diagonal(off, 0.0)
-    base = float(fv @ diag)
+    # a contiguous diagonal: a strided dot rounds differently
+    base = float(fv @ op.matrix.diagonal().copy())
 
     def objective(w):
         # P_ij = f_i M_ij u_j / u_i off the diagonal: the value is
         # vol (Sum_i f_i M_ii + Sum P), and each P_ij moves with w_j - w_i
         u = np.exp(w)
-        P = off * np.outer(fv / u, u)
+        P = op.matrix * np.outer(fv / u, u)
+        P[np.diag_indices_from(P)] = 0.0
         rows = P.sum(axis=1)
         cols = P.sum(axis=0)
-        S = P + P.T
-        hess = -vol * S
-        hess[np.diag_indices_from(hess)] += vol * S.sum(axis=1)
-        return (base + float(rows.sum())) * vol, vol * (cols - rows), hess
+        return ((base + float(rows.sum())) * vol, vol * (cols - rows),
+                vol * (P + P.T))
 
     w, value, steps, _ = _newton(objective, np.zeros(op.n), int(np.argmax(fv)),
                                  _RAYLEIGH_TOL, _RAYLEIGH_MAX_ITER,

@@ -14,7 +14,7 @@ from conftest import pair_weights
 from scipy.integrate import quad
 
 from nonlocal_dv import cli, lattice, rate
-from nonlocal_dv.errors import DomainError
+from nonlocal_dv.errors import ConvergenceError, DomainError
 from nonlocal_dv.kernels import fractional_kernel
 from nonlocal_dv.lattice import GridFunction, LatticeDomain, assemble, kernel_form
 from nonlocal_dv.operators import SmoothFunction, bump, gaussian, scaled, tanh_drift
@@ -268,6 +268,18 @@ def test_newton_solvers_refuse_the_nonconvex_regime(density):
             I_decomposed(density, op)
 
 
+def test_newton_refuses_an_indefinite_pinned_hessian():
+    # the objectives of the package give positive pair weights, and the
+    # convexity checks refuse inputs before Newton runs; a negative weight
+    # here makes the Laplacian pinned at node 0 [[2, -1], [-1, -4]]
+    weights = np.array([[0.0, 1.0, -5.0], [1.0, 0.0, 1.0], [-5.0, 1.0, 0.0]])
+    with pytest.raises(ConvergenceError,
+                       match="pinned Hessian not positive definite") as info:
+        rate._newton(lambda w: (0.0, np.ones(3), weights), np.zeros(3), 0,
+                     1e-14, 5, "indefinite")
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_decomposition_warns_on_large_drift_oscillation(density):
     # the warning reads the drift the operator was assembled with
     spec = fractional_kernel(1, 0.5, normalized=True)
@@ -462,6 +474,43 @@ def test_I_decomposed_holds_no_pair_weights(traced_memory):
         I_decomposed(dens, assemble(dom, spec, drift=drift))
         peak = memory().peak
     assert peak < min(lattice._pair_peak_bytes(dom), 50 * 2**20)
+
+
+def test_minimize_rayleigh_holds_no_copy_of_the_matrix(traced_memory):
+    # the objective reads op.matrix in place: at its peak the solve holds
+    # P and its pair weights, or the pinned Laplacian and its factor
+    spec, dim = cli._kernel_from_config({"variant": "constant", "s": 0.5,
+                                         "matrix": [[1.2, 0.3], [0.3, 0.8]],
+                                         "normalized": True})
+    dens, dom = cli._density_from_config(
+        {"profile": {"kind": "bump", "radius": 0.8}, "cells": 24}, dim)
+    op = assemble(dom, spec, drift=tanh_drift(dim, amplitude=0.3, slope=2.0))
+    assert op.n == 576
+    with traced_memory() as memory:
+        minimize_rayleigh(dens, op)
+        peak = memory().peak
+    assert peak < 4.5 * op.matrix.nbytes
+
+
+def test_rate_path_reads_no_matrix(density, drift):
+    # the decomposition and its forms read the pair weights and the node
+    # vectors, never op.matrix; first_order_residual, minimize_rayleigh,
+    # rayleigh_integral and dual_gap still read the matrix
+    spec = fractional_kernel(1, 0.5, normalized=True)
+    op = assemble(density_lattice(density, cells=40), spec, drift=drift)
+    bare = dataclasses.replace(op, matrix=None)
+    fv = density.values_on(op.domain)
+    parts, bare_parts = I_decomposed(density, op), I_decomposed(density, bare)
+    assert (parts.I_value, parts.energy, parts.pairing, parts.E_value,
+            parts.newton_steps, parts.newton_decrement) == (
+        bare_parts.I_value, bare_parts.energy, bare_parts.pairing,
+        bare_parts.E_value, bare_parts.newton_steps, bare_parts.newton_decrement)
+    assert np.array_equal(parts.w_min.values, bare_parts.w_min.values)
+    assert drift_pairing(bare, fv) == drift_pairing(op, fv)
+    assert kernel_form(bare, np.sqrt(fv)) == kernel_form(op, np.sqrt(fv))
+    assert I_closed_form_h0(density, bare) == I_closed_form_h0(density, op)
+    w = parts.w_min.values
+    assert error_form_value(bare, fv, w) == error_form_value(op, fv, w)
 
 
 def test_dual_gap_families(density, drift):
