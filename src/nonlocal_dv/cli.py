@@ -31,7 +31,9 @@ any amplitude is scaled to unit lattice mass (``DensitySpec.values_on``)
 and the barrier scan floor is always 4 ``mesh``, so ``density.normalize``
 and ``barrier.d_min`` are not keys: a config with either exits with
 status 2 at its block.  A profile that is negative, not finite or of zero
-mass on its lattice exits with status 2 at ``density.profile``.
+mass on its lattice, or that does not vanish beyond its support radius
+(a ``constant`` profile other than 0), exits with status 2 at
+``density.profile``.
 ``checks`` names at least one check.
 
 The summary is written to ``output.json`` and the data to ``output.csv``
@@ -81,7 +83,8 @@ constant field with alpha < 2s, and null for any other field or exponent,
 where the limit is not defined; an error while computing it exits with
 status 3.
 
-Environment: ``NONLOCAL_DV_LOG`` selects the log level (DEBUG .. ERROR).
+Environment: ``NONLOCAL_DV_LOG`` selects the log level, one of DEBUG, INFO,
+WARNING or ERROR in any case; any other value exits with status 2.
 ``--threads`` sets the thread count of numpy's OpenBLAS pool, the only
 BLAS the package calls, through its runtime setter, and exits with
 status 2 when the setter cannot be found; the orchestration itself is
@@ -867,13 +870,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
+
+def _configure_logging() -> bool:
+    """Set the log level from ``NONLOCAL_DV_LOG``, in any case; False for a
+    value that names no level of ``_LOG_LEVELS``."""
     name = os.environ.get("NONLOCAL_DV_LOG", "WARNING").upper()
-    level = getattr(logging, name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, force=True,
+    if name not in _LOG_LEVELS:
+        return False
+    logging.basicConfig(level=getattr(logging, name), force=True,
                         format="%(levelname)s %(name)s: %(message)s")
+    return True
 
 
 # commands whose CSV is a GridFunction, written with a JSON sidecar beside it
@@ -985,7 +993,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    _configure_logging()
+    if not _configure_logging():
+        print("NONLOCAL_DV_LOG must be one of %s, in any case"
+              % ", ".join(_LOG_LEVELS), file=sys.stderr)
+        return 2
     if args.threads is not None:
         if args.threads < 1:
             print("--threads must be at least 1", file=sys.stderr)

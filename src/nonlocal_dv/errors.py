@@ -17,10 +17,6 @@ class CapacityError(NonlocalError):
     """A requested lattice or dense operator exceeds the memory budget."""
 
 
-class SingularityError(NonlocalError):
-    """Kernel evaluation was requested at coincident points."""
-
-
 class ConvergenceError(NonlocalError):
     """An iterative solver or minimizer failed to reach its tolerance."""
 

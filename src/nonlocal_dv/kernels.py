@@ -25,12 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EllipticityError, SingularityError
+from .errors import ConfigError, DomainError, EllipticityError
 
 __all__ = [
     "AnisotropyField",
     "KernelSpec",
-    "kernel_eval",
     "normalization_constant",
     "fractional_kernel",
     "spec_from_config",
@@ -170,16 +169,6 @@ class AnisotropyField:
             return mx + my
         return mx @ my + my @ mx
 
-    def quadratic_form(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(x - y)^T A(x, y) (x - y) for paired rows; shape (m,)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        z = x - y
-        if self.variant == "constant":
-            return np.einsum("mi,ij,mj->m", z, self.matrix, z)
-        p, q = self.split(z, self.node_terms(x)[1])
-        return p + q * self.node_terms(y)[1]
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -217,25 +206,6 @@ class KernelSpec:
     @property
     def prefactor(self) -> float:
         return normalization_constant(self.dim, self.s) if self.normalized else 1.0
-
-
-def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kernel values K(x_i, y_i) for paired rows (scalar in, scalar out).
-
-    Raises ``SingularityError`` at coincident points and
-    ``EllipticityError`` when the quadratic form fails to be positive.
-    """
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    y_arr = np.atleast_2d(np.asarray(y, dtype=float))
-    q = spec.field.quadratic_form(x_arr, y_arr)
-    if np.any(np.all(x_arr == y_arr, axis=1)):
-        raise SingularityError("kernel evaluated at coincident points")
-    if np.any(q <= 0.0):
-        raise EllipticityError("quadratic form non-positive; field is not elliptic here")
-    values = spec.prefactor * q ** (-spec.exponent)
-    if np.isscalar(x) or (np.asarray(x).ndim == 1):
-        return values if values.size > 1 else float(values[0])
-    return values
 
 
 def fractional_kernel(dim: int, s: float, normalized: bool = True) -> KernelSpec:

@@ -15,7 +15,7 @@ Newton method (``_newton``) the pair weights C of its Hessian diag(C1) - C.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .lattice import (
     kernel_form,
 )
 from .operators import SmoothFunction
-from .spectral import _positive_off_diagonal, principal_eigenpair
+from .spectral import _positive_off_diagonal
 
 _LATTICE_MARGIN = 1.0  # box margin of _support_lattice at scale 1
 _SUPPORT_PAD = 0.5  # its padding of the density support
@@ -40,7 +40,6 @@ _ERROR_MAX_ITER = 50
 _RAYLEIGH_EPS = 1e-8  # density floor of minimize_rayleigh
 _RAYLEIGH_TOL = 1e-14
 _RAYLEIGH_MAX_ITER = 50
-_DUAL_TOL = 1e-9  # inverse iteration of dual_gap
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,19 @@ class DensitySpec:
         object.__setattr__(self, "center", center)
 
     def values_on(self, domain: LatticeDomain):
-        """Density values on interior nodes, scaled to unit lattice mass."""
+        """Density values on interior nodes, scaled to unit lattice mass.
+
+        DomainError if the density is not finite or negative there, does
+        not vanish beyond its support radius, or has no mass on the lattice.
+        """
         vals = self.f(domain.interior_points)
         if not np.isfinite(vals).all():
             raise DomainError("density is not finite on the lattice")
         if vals.min() < -1e-12:
             raise DomainError("density takes negative values on the lattice")
+        if self.f.far_value != 0.0:
+            raise DomainError("density does not vanish beyond its support "
+                              f"radius (far value {self.f.far_value:g})")
         vals = np.maximum(vals, 0.0)
         total = float(vals.sum()) * domain.cell_volume
         if total <= 0.0:
@@ -398,39 +404,3 @@ def q_scalar_min(hbar):
                                "settle in %d steps" % _ERROR_MAX_ITER)
     value = Q_form(h, r)
     return float(value) if value.ndim == 0 else value
-
-
-@dataclass(frozen=True)
-class DualGapReport:
-    values: list
-    reference: float
-    gap: float
-
-
-def dual_gap(f: DensitySpec, V_family, op: AssembledOperator) -> DualGapReport:
-    """Eigenvalue lower bounds against the minimized rate value.
-
-    For each potential V the quantity lambda1(op + V) + mean_f(V) bounds the
-    rate value from below; the report collects the family values, the
-    decomposition reference, and the gap between the reference and the
-    largest value (nonnegative up to slack).
-    Each V is a callable on the interior points or an array with one value
-    per interior node; any other length raises DomainError.
-    """
-    domain = op.domain
-    fv = f.values_on(domain)
-    vol = domain.cell_volume
-    values = []
-    for V in V_family:
-        V_int = np.asarray(V(domain.interior_points)
-                           if callable(V) else V, dtype=float)
-        if V_int.shape != (op.n,):
-            raise DomainError("potential has shape %s, not one value per "
-                              "interior node (%d)" % (V_int.shape, op.n))
-        op_V = replace(op, matrix=op.matrix + np.diag(V_int))
-        pair = principal_eigenpair(op_V, tol=_DUAL_TOL, max_iter=800,
-                                   dense_check=False)
-        values.append(pair.lambda1 + float(fv @ V_int) * vol)
-    reference = I_decomposed(f, op).I_value
-    return DualGapReport(values=values, reference=reference,
-                         gap=reference - max(values))

@@ -42,14 +42,11 @@ ALLOWED = {
     # the probe as one function of dim variables: the reference for the
     # factor route of fourier_energy
     "recovery:GaussianProbe.frame_function",
-    # K(x, y) itself, on which the tests pin symmetry and homogeneity
-    "kernels:kernel_eval",
     # I(f) = -inf_{u>0} Int (Lu/u) f, the paper's definition of the rate
-    # value, at one candidate u, which may be constant at infinity
+    # value, at one candidate u, which may be constant at infinity: the
+    # reference the closed form I_closed_form_h0 is tested against
     "rate:rayleigh_integral",
     "rate:rayleigh_integral.far_value",
-    # the Donsker-Varadhan bound lambda1(L + V) + Int V f <= I(f)
-    "rate:dual_gap",
     # the jump of the drift, to put it below and above the oscillation-1
     # threshold of interior positivity
     "spectral:maxprinciple_violation_demo.drift_jump",

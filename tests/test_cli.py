@@ -711,7 +711,8 @@ def test_dv_functional_density_amplitude_is_scaled_away(tmp_path):
 
 
 @pytest.mark.parametrize("value, message", [(-1.0, "negative"),
-                                            (0.0, "vanishes")])
+                                            (0.0, "vanishes"),
+                                            (1.0, "far value 1")])
 def test_density_profile_the_lattice_cannot_scale_exits_2(tmp_path, capsys,
                                                           value, message):
     payload = dict(DV_1D, density={"profile": {"kind": "constant",
@@ -878,3 +879,24 @@ def test_log_env_smoke(tmp_path, monkeypatch):
     })
     assert main(["operator-eval", "--config", cfg,
                  "--output-dir", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("value, code", [("info", 0), ("Error", 0),
+                                         ("verbose", 2), ("critical", 2),
+                                         ("10", 2)])
+def test_log_env_names_a_level_or_exits_2(tmp_path, monkeypatch, capsys,
+                                          value, code):
+    # DEBUG, INFO, WARNING or ERROR in any case; any other value is refused
+    # before the run, as --threads 0 is, and never falls back in silence
+    monkeypatch.setenv("NONLOCAL_DV_LOG", value)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "kernel": KERNEL_1D,
+        "eval": {"function": {"kind": "gaussian", "width": 0.5},
+                 "points": [[0.1]]},
+    })
+    out = tmp_path / "out"
+    assert main(["operator-eval", "--config", cfg,
+                 "--output-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    assert ("NONLOCAL_DV_LOG" in err) == (code == 2)
+    assert out.exists() == (code == 0)

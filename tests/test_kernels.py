@@ -6,16 +6,33 @@ import numpy as np
 import pytest
 
 from nonlocal_dv import operators
-from nonlocal_dv.errors import DomainError, EllipticityError, SingularityError
+from nonlocal_dv.errors import DomainError, EllipticityError
 from nonlocal_dv.kernels import (
     AnisotropyField,
     KernelSpec,
     fractional_kernel,
-    kernel_eval,
     normalization_constant,
     spec_from_config,
 )
 from nonlocal_dv.lattice import LatticeDomain, _pair_form_chunks
+
+
+def ray_kernel(spec, x, y):
+    """K(x_i, y_i) for paired rows, from the per-ray constants of x_i along
+    the direction of y_i - x_i, as far_field and the self-cell moments take
+    them; one ``_ray_constants`` call for all rows."""
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    z = y - x
+    rho = np.linalg.norm(z, axis=1)
+    rays = operators._ray_constants(spec, x, z / rho[:, None])
+    scaled = [operators._ray_kernel(spec, rays, i, slice(i, i + 1), rho[i:i + 1])[0, 0]
+              for i in range(len(x))]
+    return np.array(scaled) * rho ** (-2.0 * spec.exponent)
+
+
+def lattice_forms(spec, dom):
+    """The pair forms q of every interior node against every box node."""
+    return np.concatenate([q for _, q in _pair_form_chunks(spec, dom)])
 
 
 def test_normalization_half_in_1d_is_inverse_pi():
@@ -36,17 +53,29 @@ def test_constant_field_hand_value():
     )
     x = np.array([0.0, 0.0])
     y = np.array([1.0, 0.0])
-    assert kernel_eval(spec, x, y) == pytest.approx(0.125, rel=1e-14)
+    assert ray_kernel(spec, x, y)[0] == pytest.approx(0.125, rel=1e-14)
+    # the same offset on a lattice of unit spacing, nodes (0.5, 0.5) and
+    # (1.5, 0.5): q = 4
+    q = lattice_forms(spec, LatticeDomain.box([0.0, 0.0], [2.0, 2.0], [2, 2]))
+    assert q.shape == (4, 4)
+    assert q[0, 2] == 4.0 and q[0, 2] ** -spec.exponent == 0.125
 
 
 def test_kernel_scaling_constant_field():
+    # K = q^(-(N+2s)/2) with the lattice pair forms q: a lattice scaled by
+    # lam scales every q by lam^2, so K by lam^(-(N+2s))
     spec = fractional_kernel(2, 0.3, normalized=False)
-    x = np.array([0.2, -0.1])
-    z = np.array([0.7, 0.4])
-    k1 = kernel_eval(spec, x, x + z)
+
+    def kernel(lam):
+        q = lattice_forms(spec, LatticeDomain.box([-lam, -0.5 * lam],
+                                                  [lam, 0.5 * lam], [4, 2]))
+        return q[q > 0.0] ** -spec.exponent
+
+    k1 = kernel(1.0)
+    assert k1.size == 8 * 7  # every pair of the 8 nodes
     for lam in (0.5, 2.0, 7.0):
-        k2 = kernel_eval(spec, x, x + lam * z)
-        assert k2 == pytest.approx(lam ** (-(2 + 2 * 0.3)) * k1, rel=1e-12)
+        np.testing.assert_allclose(kernel(lam), lam ** (-(2 + 2 * 0.3)) * k1,
+                                   rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("variant", ["constant", "sum", "product"])
@@ -58,15 +87,10 @@ def test_swap_symmetry(variant):
     field = AnisotropyField(name, base, wave=np.array([1.0, -0.5]),
                             profile=lambda t: 0.4 * np.sin(t) + 0.2 * np.cos(2.0 * t))
     spec = KernelSpec(field, s=0.6, lower=0.5)
-    for _ in range(20):
-        x, y = rng.normal(size=2), rng.normal(size=2)
-        assert kernel_eval(spec, x, y) == pytest.approx(kernel_eval(spec, y, x), rel=1e-13)
-
-
-def test_coincident_points_raise():
-    spec = fractional_kernel(1, 0.5)
-    with pytest.raises(SingularityError):
-        kernel_eval(spec, np.array([0.3]), np.array([0.3]))
+    # the ray from x towards y against the ray from y towards x
+    x, y = rng.normal(size=(2, 20, 2))
+    np.testing.assert_allclose(ray_kernel(spec, x, y), ray_kernel(spec, y, x),
+                               rtol=1e-13, atol=0.0)
 
 
 def test_nonsymmetric_matrix_rejected():
@@ -92,8 +116,8 @@ def test_spec_checks_keep_their_error_types():
 
 def test_normalized_prefactor_applied():
     x, y = np.array([0.0]), np.array([0.9])
-    raw = kernel_eval(fractional_kernel(1, 0.5, normalized=False), x, y)
-    nrm = kernel_eval(fractional_kernel(1, 0.5, normalized=True), x, y)
+    raw = ray_kernel(fractional_kernel(1, 0.5, normalized=False), x, y)
+    nrm = ray_kernel(fractional_kernel(1, 0.5, normalized=True), x, y)
     assert nrm == pytest.approx(raw / math.pi, rel=1e-13)
 
 
@@ -107,7 +131,7 @@ def test_spec_from_config_constant():
     spec = spec_from_config(cfg)
     assert spec.dim == 2
     assert spec.s == 0.5
-    got = kernel_eval(spec, np.zeros(2), np.array([1.0, 0.0]))
+    got = ray_kernel(spec, np.zeros(2), np.array([1.0, 0.0]))[0]
     assert got == pytest.approx(2.0 ** -1.5, rel=1e-13)
 
 
@@ -124,11 +148,13 @@ def _ridge_sum(profile):
 def test_profile_answer_of_wrong_shape_raises():
     # the profile is called once on the 1-D array of phases; a per-point
     # profile answers with a scalar, not an array of them
-    field = _ridge_sum(per_point_profile)
+    spec = KernelSpec(_ridge_sum(per_point_profile), s=0.5, lower=1.0)
     with pytest.raises(DomainError, match="shape"):
-        field.quadratic_form(np.array([[0.1, 0.2]]), np.array([[0.5, -0.3]]))
+        ray_kernel(spec, np.array([[0.1, 0.2]]), np.array([[0.5, -0.3]]))
     with pytest.raises(DomainError, match="shape"):
-        field.ridge(np.array([[0.1, 0.2], [-0.4, 0.3]]))
+        lattice_forms(spec, LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [2, 2]))
+    with pytest.raises(DomainError, match="shape"):
+        spec.field.ridge(np.array([[0.1, 0.2], [-0.4, 0.3]]))
 
 
 def test_profile_error_on_batch_propagates():
@@ -141,8 +167,10 @@ def test_profile_error_on_batch_propagates():
 
     spec = KernelSpec(_ridge_sum(profile), s=0.5, lower=1.0)
     with pytest.raises(RuntimeError, match="batch evaluation failed"):
-        kernel_eval(spec, np.array([[0.1, 0.2], [-0.4, 0.3]]),
-                    np.array([[0.5, 0.2], [0.4, 0.3]]))
+        ray_kernel(spec, np.array([[0.1, 0.2], [-0.4, 0.3]]),
+                   np.array([[0.5, 0.2], [0.4, 0.3]]))
+    with pytest.raises(RuntimeError, match="batch evaluation failed"):
+        lattice_forms(spec, LatticeDomain.box([-1.0, -1.0], [1.0, 1.0], [2, 2]))
 
 
 def test_separable_field_needs_wave_and_profile():
@@ -205,7 +233,8 @@ def test_separable_form_matches_pair_matrices(dim, variant, per_point):
             bare = AnisotropyField(variant, _BASES[dim], wave=np.asarray(_WAVES[dim]),
                                    profile=lambda t, f=profile: float(f(t[:1])[0]))
             with pytest.raises(DomainError):
-                bare.quadratic_form(np.ones((2, dim)), np.zeros((2, dim)))
+                ray_kernel(KernelSpec(bare, s=0.4, lower=0.1),
+                           np.ones((2, dim)), np.zeros((2, dim)))
             profile = looped(profile)
         field = AnisotropyField(variant, _BASES[dim], wave=np.asarray(_WAVES[dim]),
                                 profile=profile)
@@ -220,9 +249,9 @@ _NON_SQUARE = {1: ([-1.0], [1.0], [8]),
 def _check_one_formula(spec):
     field, dim, p = spec.field, spec.dim, spec.exponent
     rng = np.random.default_rng(dim)
-    # kernel_eval, through quadratic_form
+    # K(x, y) on paired rows, from the ray constants of x
     x, y = rng.uniform(-2.0, 2.0, size=(2, 30, dim))
-    np.testing.assert_allclose(kernel_eval(spec, x, y),
+    np.testing.assert_allclose(ray_kernel(spec, x, y),
                                explicit_form(field, x, y, x - y) ** -p, rtol=1e-14, atol=0.0)
     pts = np.round(8.0 * x[:4]) / 8.0
     # the lattice pair forms, gathered from the offset table: on a cube, on

@@ -2,6 +2,7 @@
 manifests; no workload command runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "output_manifest.py"
@@ -56,3 +57,22 @@ def test_compare_of_a_manifest_with_itself():
     assert output_manifest.compare(lone, _manifest(A["files"], {})) == [
         "4 of 4 identical",
         "command w/1/00-eigen: A {'code': 0, 'warnings': []} B None"]
+
+
+def test_compare_exits_1_on_any_difference(tmp_path, capsys):
+    # the --compare form is a gate: 0 only when files and commands agree
+    paths = {}
+    for name, man in (("a", A), ("b", B),
+                      ("files", _manifest(A["files"], B["commands"]))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(man))
+
+    def run(x, y):
+        code = output_manifest.main(["--compare", str(paths[x]), str(paths[y])])
+        return code, capsys.readouterr().out.splitlines()
+
+    assert run("a", "a") == (0, ["4 of 4 identical"])
+    assert run("a", "b") == (1, output_manifest.compare(A, B))
+    # the same files, but commands whose exit code or warnings differ
+    code, out = run("a", "files")
+    assert code == 1 and out[0] == "4 of 4 identical" and len(out) == 3

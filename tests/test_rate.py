@@ -1,4 +1,4 @@
-"""Rate functional: closed form, drift decomposition, scalar error form, dual gap.
+"""Rate functional: closed form, drift decomposition, scalar error form.
 
 The local (s near 1) reference value for the normalized bump density of
 radius 0.8 is the Dirichlet energy of its square root, 4.9128804 by dense
@@ -25,7 +25,6 @@ from nonlocal_dv.rate import (
     Q_form,
     density_lattice,
     drift_pairing,
-    dual_gap,
     error_form_value,
     first_order_residual,
     minimize_rayleigh,
@@ -494,8 +493,8 @@ def test_minimize_rayleigh_holds_no_copy_of_the_matrix(traced_memory):
 
 def test_rate_path_reads_no_matrix(density, drift):
     # the decomposition and its forms read the pair weights and the node
-    # vectors, never op.matrix; first_order_residual, minimize_rayleigh,
-    # rayleigh_integral and dual_gap still read the matrix
+    # vectors, never op.matrix; first_order_residual, minimize_rayleigh and
+    # rayleigh_integral still read the matrix
     spec = fractional_kernel(1, 0.5, normalized=True)
     op = assemble(density_lattice(density, cells=40), spec, drift=drift)
     bare = dataclasses.replace(op, matrix=None)
@@ -511,50 +510,3 @@ def test_rate_path_reads_no_matrix(density, drift):
     assert I_closed_form_h0(density, bare) == I_closed_form_h0(density, op)
     w = parts.w_min.values
     assert error_form_value(bare, fv, w) == error_form_value(op, fv, w)
-
-
-def test_dual_gap_families(density, drift):
-    spec = fractional_kernel(1, 0.5, normalized=True)
-    op = assemble(density_lattice(density, cells=60), spec, drift=drift)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        base = dual_gap(density, [lambda p: np.zeros(len(p))], op)
-        wells = [lambda p, a=a: a * p[:, 0] ** 2 for a in
-                 (-0.5, -1.0, -2.0, -4.0, -8.0)]
-        rich = dual_gap(density, [lambda p: np.zeros(len(p))] + wells, op)
-    assert base.gap >= -1e-8
-    assert rich.gap >= -1e-8
-    assert rich.gap < base.gap
-    # constant potential shifts leave every family value unchanged
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        shifted = dual_gap(density, [lambda p: 2.5 * np.ones(len(p))], op)
-    assert shifted.values[0] == pytest.approx(base.values[0], abs=1e-7)
-
-
-def test_dual_gap_potentials(density, drift, monkeypatch):
-    spec = fractional_kernel(1, 0.5, normalized=True)
-    dom = density_lattice(density, cells=40)
-    base_V = 0.3 * dom.interior_points[:, 0] ** 2
-    op = assemble(dom, spec, drift=drift, potential=base_V)
-    with pytest.raises(DomainError):
-        dual_gap(density, [np.zeros(op.n + 1)], op)
-    with pytest.raises(DomainError):
-        dual_gap(density, [lambda p: np.zeros(len(p) - 1)], op)
-    # each shifted operator holds the matrix of a fresh assembly with the
-    # shifted potential
-    seen = []
-    solve = rate.principal_eigenpair
-
-    def capture(op_V, **kwargs):
-        seen.append(op_V)
-        return solve(op_V, **kwargs)
-
-    monkeypatch.setattr(rate, "principal_eigenpair", capture)
-    V = 0.1 * np.ones(op.n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dual_gap(density, [V], op)
-    (op_V,) = seen
-    ref = assemble(dom, spec, drift=drift, potential=base_V + V).matrix
-    assert np.allclose(op_V.matrix, ref, rtol=1e-13, atol=1e-13)

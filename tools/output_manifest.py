@@ -11,7 +11,8 @@ sha256 of each output file, and each command's exit code and the text of
 every warning it raised.  ``--threads`` is passed on to each command; without
 it the BLAS pool keeps its size.  The second form prints "k of n identical"
 over the files of two manifests, then each file that differs or is on one
-side only, and each command whose exit code or warnings differ.
+side only, and each command whose exit code or warnings differ; it exits
+with status 1 when it names any, and 0 when the manifests agree.
 """
 
 import argparse
@@ -73,18 +74,19 @@ def compare(a: dict, b: dict) -> list[str]:
     return lines
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parents[1])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 5, 7])
     parser.add_argument("--threads", type=int)
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
-        print("\n".join(compare(a, b)))
-        return 0
+        lines = compare(a, b)
+        print("\n".join(lines))
+        return 1 if lines[1:] else 0
     print(json.dumps(manifest(args.root.resolve(), args.seeds, args.threads),
                      indent=1, sort_keys=True))
     return 0
